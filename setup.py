@@ -30,6 +30,7 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "networkx>=3.0"],
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={
         "console_scripts": [
             "ios-bench=repro.experiments.cli:main",

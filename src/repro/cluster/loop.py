@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import LazySeries, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..serve.loop import LoopResult
 from ..serve.request import InferenceRequest, RejectedRequest, RequestRecord
@@ -151,6 +151,7 @@ class ClusterLoop:
         self._seq = itertools.count()
         self._journeys: dict[int, _Journey] = {}
         self._outcome = ClusterOutcome()
+        self._bind_series()
 
     # ----------------------------------------------------------------- driving
     def run(self, requests: Sequence[InferenceRequest]) -> ClusterOutcome:
@@ -165,6 +166,7 @@ class ClusterLoop:
         self._seq = itertools.count()
         self._journeys = {}
         self._outcome = ClusterOutcome()
+        self._bind_series()
         for host in self.hosts:
             host.reset()
             host.loop.completion_listener = self._listener_for(host)
@@ -208,15 +210,36 @@ class ClusterLoop:
     def _push(self, time_ms: float, action: int, payload) -> None:
         heapq.heappush(self._events, (time_ms, next(self._seq), action, payload))
 
+    def _bind_series(self) -> None:
+        """Bind the per-event series of the run's fresh cluster registry.
+
+        Families resolve on first use, at the event whose keyword call
+        created them before.
+        """
+        metrics = self._outcome.metrics
+        self._routed = LazySeries(
+            metrics.counter, "cluster.requests.routed",
+            "external arrivals routed, by host", "host",
+        )
+        self._transfers = LazySeries(
+            metrics.counter, "cluster.transfers",
+            "modeled inter-host transfers, by link", "link",
+        )
+        self._transfer_ms = LazySeries(
+            metrics.histogram, "cluster.transfer.ms", "modeled transfer duration", "link"
+        )
+        self._transfer_bytes = LazySeries(
+            metrics.histogram, "cluster.transfer.bytes", "modeled transfer payload",
+            "link",
+        )
+
     # ---------------------------------------------------------------- routing
     def _route(self, now_ms: float, request: InferenceRequest) -> None:
         host = self.router.pick(self.eligible, request, now_ms)
         self._outcome.routed[host.host_id] = (
             self._outcome.routed.get(host.host_id, 0) + 1
         )
-        self._outcome.metrics.counter(
-            "cluster.requests.routed", "external arrivals routed, by host"
-        ).inc(host=host.name)
+        self._routed[host.name].inc()
         self._journeys[request.request_id] = _Journey(request)
         sub = request
         if self.plan is not None and self.plan.num_stages > 1:
@@ -299,16 +322,9 @@ class ClusterLoop:
         stats.total_bytes += num_bytes
         stats.total_ms += delivery_ms - sent_ms
         pair = f"{src.name if src is not None else 'client'}->{dst.name}"
-        metrics = self._outcome.metrics
-        metrics.counter(
-            "cluster.transfers", "modeled inter-host transfers, by link"
-        ).inc(link=pair)
-        metrics.histogram(
-            "cluster.transfer.ms", "modeled transfer duration"
-        ).observe(delivery_ms - sent_ms, link=pair)
-        metrics.histogram(
-            "cluster.transfer.bytes", "modeled transfer payload"
-        ).observe(num_bytes, link=pair)
+        self._transfers[pair].inc()
+        self._transfer_ms[pair].observe(delivery_ms - sent_ms)
+        self._transfer_bytes[pair].observe(num_bytes)
         if self.tracer:
             args = {
                 "bytes": num_bytes,

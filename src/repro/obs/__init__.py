@@ -46,9 +46,13 @@ from .export import (
 from .metrics import (
     HISTOGRAM_QUANTILES,
     QUANTILE_DECIMALS,
+    BoundCounter,
+    BoundGauge,
+    BoundHistogram,
     Counter,
     Gauge,
     Histogram,
+    LazySeries,
     Metric,
     MetricsRegistry,
     quantiles_reference,
@@ -73,11 +77,15 @@ __all__ = [
     "AlertEvent",
     "AlertManager",
     "AlertRule",
+    "BoundCounter",
+    "BoundGauge",
+    "BoundHistogram",
     "BurnRateRule",
     "Counter",
     "Gauge",
     "Histogram",
     "HostSaturationRule",
+    "LazySeries",
     "Metric",
     "MetricsRegistry",
     "NullTracer",

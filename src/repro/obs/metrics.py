@@ -14,24 +14,32 @@ bookkeeping with one typed store:
 
 Each metric is a *family*: series within a family are keyed by labels
 (``counter.inc(reason="predicted-deadline-miss")``), so one counter holds the
-whole breakdown.  :meth:`MetricsRegistry.snapshot` exports everything as one
-nested dict with sorted keys, and :meth:`MetricsRegistry.to_json` renders it
+whole breakdown.  A series exists once something is recorded into it.  Hot
+paths bind a series once — ``family.bind(reason=...)`` returns a handle that
+holds the canonical label key — and record through the handle; the keyword
+calls and the handles share one per-family ``_record(key, value)``.
+:meth:`MetricsRegistry.snapshot` exports everything as one nested dict with
+sorted keys, and :meth:`MetricsRegistry.to_json` renders it
 byte-deterministically — the same run always dumps the same document.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "HISTOGRAM_QUANTILES",
     "QUANTILE_DECIMALS",
+    "BoundCounter",
+    "BoundGauge",
+    "BoundHistogram",
     "Counter",
     "Gauge",
     "Histogram",
+    "LazySeries",
     "Metric",
     "MetricsRegistry",
     "quantiles_reference",
@@ -52,19 +60,77 @@ QUANTILE_DECIMALS = 6
 
 def _label_key(labels: Mapping[str, object]) -> _LabelKey:
     """Canonical hashable form of a label set (sorted, values stringified)."""
+    if not labels:
+        return ()
     return tuple(sorted((name, str(value)) for name, value in labels.items()))
+
+
+class _BoundSeries:
+    """One series of a family with its label key canonicalised once.
+
+    Binding creates nothing: the series appears on the first record, exactly
+    as it would through the keyword call.
+    """
+
+    __slots__ = ("key", "_record")
+
+    def __init__(self, family: "Metric", key: _LabelKey):
+        self.key = key
+        self._record = family._record
+
+
+class BoundCounter(_BoundSeries):
+    """A bound :class:`Counter` series."""
+
+    __slots__ = ()
+
+    def inc(self, value: float = 1.0) -> None:
+        self._record(self.key, value)
+
+
+class BoundGauge(_BoundSeries):
+    """A bound :class:`Gauge` series."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        self._record(self.key, value)
+
+
+class BoundHistogram(_BoundSeries):
+    """A bound :class:`Histogram` series."""
+
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        self._record(self.key, value)
 
 
 class Metric:
     """Base of all metric families: a name, a kind, and labelled series."""
 
     kind = "metric"
+    #: Handle type :meth:`bind` returns (set by each concrete family).
+    _handle: type[_BoundSeries]
 
     def __init__(self, name: str, description: str = ""):
         if not name:
             raise ValueError("a metric needs a non-empty name")
         self.name = name
         self.description = description
+
+    def bind(self, **labels) -> _BoundSeries:
+        """A handle on the series selected by ``labels`` (created on first record)."""
+        return self._handle(self, _label_key(labels))
+
+    def _record(self, key: _LabelKey, value: float) -> None:
+        """Record ``value`` into the series ``key`` — every write lands here."""
+        raise NotImplementedError
+
+    def _nan_error(self, key: _LabelKey) -> ValueError:
+        return ValueError(
+            f"{self.kind} {self.name!r} cannot record NaN (labels {dict(key)})"
+        )
 
     def labelsets(self) -> list[dict[str, str]]:
         """Every label set with a recorded series, in sorted order."""
@@ -92,6 +158,7 @@ class Counter(Metric):
     """A monotonically increasing total, optionally split by labels."""
 
     kind = "counter"
+    _handle = BoundCounter
 
     def __init__(self, name: str, description: str = ""):
         super().__init__(name, description)
@@ -99,11 +166,14 @@ class Counter(Metric):
 
     def inc(self, value: float = 1.0, **labels) -> None:
         """Add ``value`` (>= 0) to the series selected by ``labels``."""
-        if value < 0:
+        self._record(_label_key(labels), value)
+
+    def _record(self, key: _LabelKey, value: float) -> None:
+        if not value >= 0:  # also false for NaN
             raise ValueError(
-                f"counter {self.name!r} can only increase; got inc({value})"
+                f"counter {self.name!r} can only increase; got inc({value}) "
+                f"(labels {dict(key)})"
             )
-        key = _label_key(labels)
         self._series[key] = self._series.get(key, 0.0) + value
 
     def value(self, **labels) -> float:
@@ -131,6 +201,7 @@ class Gauge(Metric):
     """A last-written value per label set (queue depth, pool size)."""
 
     kind = "gauge"
+    _handle = BoundGauge
 
     def __init__(self, name: str, description: str = ""):
         super().__init__(name, description)
@@ -139,13 +210,19 @@ class Gauge(Metric):
 
     def set(self, value: float, **labels) -> None:
         """Overwrite the series value (the high-water mark is kept too)."""
-        key = _label_key(labels)
-        self._series[key] = float(value)
-        self._max[key] = max(self._max.get(key, float("-inf")), float(value))
+        self._record(_label_key(labels), value)
 
     def add(self, delta: float, **labels) -> None:
         """Adjust the series by ``delta`` (convenience for up/down tracking)."""
-        self.set(self.value(**labels) + delta, **labels)
+        key = _label_key(labels)
+        self._record(key, self._series.get(key, 0.0) + delta)
+
+    def _record(self, key: _LabelKey, value: float) -> None:
+        value = float(value)
+        if value != value:
+            raise self._nan_error(key)
+        self._series[key] = value
+        self._max[key] = max(self._max.get(key, float("-inf")), value)
 
     def value(self, **labels) -> float:
         """Current value of one series (0 if never set)."""
@@ -170,6 +247,7 @@ class Histogram(Metric):
     """
 
     kind = "histogram"
+    _handle = BoundHistogram
 
     def __init__(self, name: str, description: str = ""):
         super().__init__(name, description)
@@ -177,7 +255,17 @@ class Histogram(Metric):
 
     def observe(self, value: float, **labels) -> None:
         """Record one observation in the series selected by ``labels``."""
-        self._series.setdefault(_label_key(labels), []).append(float(value))
+        self._record(_label_key(labels), value)
+
+    def _record(self, key: _LabelKey, value: float) -> None:
+        value = float(value)
+        if value != value:
+            raise self._nan_error(key)
+        values = self._series.get(key)
+        if values is None:
+            self._series[key] = [value]
+        else:
+            values.append(value)
 
     def values(self, **labels) -> list[float]:
         """All observations of one series, in observation order."""
@@ -212,6 +300,37 @@ class Histogram(Metric):
         for q in HISTOGRAM_QUANTILES:
             summary[f"p{q:g}"] = round(float(np.percentile(values, q)), QUANTILE_DECIMALS)
         return summary
+
+
+class LazySeries(dict):
+    """Bound series of one family, keyed by the value of one label.
+
+    ``series[value]`` is the handle of the series ``{label: value}`` — of the
+    unlabelled series, keyed ``None``, when ``label`` is ``None`` — bound on
+    first lookup.  The family itself resolves through ``factory`` (a registry
+    factory such as :meth:`MetricsRegistry.counter`) on that first lookup
+    too, so a hot path that sets these up once per run still creates each
+    family at the event that first touches it, exactly as the keyword call
+    it replaces would have.
+    """
+
+    __slots__ = ("_factory", "_name", "_description", "_label")
+
+    def __init__(self, factory: Callable[[str, str], Metric], name: str,
+                 description: str = "", label: str | None = None):
+        super().__init__()
+        self._factory = factory
+        self._name = name
+        self._description = description
+        self._label = label
+
+    def __missing__(self, value) -> _BoundSeries:
+        family = self._factory(self._name, self._description)
+        handle = family.bind() if self._label is None else family.bind(
+            **{self._label: value}
+        )
+        self[value] = handle
+        return handle
 
 
 class MetricsRegistry:

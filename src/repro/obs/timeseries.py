@@ -7,9 +7,10 @@ attainment look like *right now*, and keeping every raw observation around to
 answer that would grow without bound.
 
 :class:`TimeSeriesRegistry` closes the gap.  It is a drop-in
-:class:`~repro.obs.metrics.MetricsRegistry` — the serving loop's call sites
-(``metrics.counter(...).inc()`` et al.) do not change — whose families
-additionally bucket every observation into fixed virtual-time windows:
+:class:`~repro.obs.metrics.MetricsRegistry` — keyword calls
+(``metrics.counter(...).inc()`` et al.) and bound handles do not change —
+whose families additionally bucket every observation into fixed virtual-time
+windows:
 
 * **counters** keep the per-window increment sum (→ rates);
 * **gauges** keep the per-window last value and high-water mark;
@@ -233,7 +234,11 @@ class WindowedSeries:
 
 
 class _WindowedFamily(Metric):
-    """Mixin: routes every observation into per-window buckets too."""
+    """Mixin: routes every observation into per-window buckets too.
+
+    It overrides the family's single ``_record`` path, so keyword calls and
+    bound handles both window, with the label key canonicalised once.
+    """
 
     _window_kind = "counter"
 
@@ -242,18 +247,18 @@ class _WindowedFamily(Metric):
         self._registry: "TimeSeriesRegistry | None" = None
         self._windows: dict[tuple, WindowedSeries] = {}
 
-    def _window_record(self, labels: dict, value: float) -> None:
+    def _record(self, key: tuple, value: float) -> None:
+        super()._record(key, value)
         registry = self._registry
         if registry is None:
             return
-        key = _label_key(labels)
         series = self._windows.get(key)
         if series is None:
             series = WindowedSeries(
                 self._window_kind, registry.max_windows, registry.sketch_bins
             )
             self._windows[key] = series
-        series.record(registry.window_index(), value)
+        series.record(registry.window_index(), float(value))
 
     # ------------------------------------------------------- window queries
     def window_series(self, **labels) -> WindowedSeries | None:
@@ -273,10 +278,6 @@ class WindowedCounter(_WindowedFamily, Counter):
 
     _window_kind = "counter"
 
-    def inc(self, value: float = 1.0, **labels) -> None:
-        super().inc(value, **labels)
-        self._window_record(labels, value)
-
     def window_total(self, index: int) -> float:
         """Sum of increments across every label set in window ``index``."""
         return float(sum(self._window_buckets(index)))
@@ -291,10 +292,6 @@ class WindowedGauge(_WindowedFamily, Gauge):
     """A :class:`~repro.obs.metrics.Gauge` with per-window last/max values."""
 
     _window_kind = "gauge"
-
-    def set(self, value: float, **labels) -> None:
-        super().set(value, **labels)
-        self._window_record(labels, float(value))
 
     def window_last(self, index: int, **labels) -> float | None:
         """Last value written in window ``index`` (one label set)."""
@@ -320,10 +317,6 @@ class WindowedHistogram(_WindowedFamily, Histogram):
 
     _window_kind = "histogram"
 
-    def observe(self, value: float, **labels) -> None:
-        super().observe(value, **labels)
-        self._window_record(labels, float(value))
-
     def window_sketch(self, index: int) -> StreamingQuantile | None:
         """Merged sketch across every label set in window ``index``."""
         buckets = self._window_buckets(index)
@@ -348,12 +341,13 @@ class TimeSeriesRegistry(MetricsRegistry):
     """A :class:`~repro.obs.metrics.MetricsRegistry` whose families window.
 
     Drop-in compatible: instrumented call sites keep calling
-    ``registry.counter(name).inc(...)`` — the families they get back are the
-    windowed subclasses, so every observation also lands in the bucket of the
-    *current* virtual-time window.  The driver (the serving loop) owns the
-    clock: it calls :meth:`advance` with the event time as the simulation
-    progresses, and :meth:`advance` returns every window that closed so alert
-    rules and dashboards can react on the boundary.
+    ``registry.counter(name).inc(...)`` or record through bound handles — the
+    families they get back are the windowed subclasses, so every observation
+    also lands in the bucket of the *current* virtual-time window.  The driver
+    (the serving loop) owns the clock: it calls :meth:`advance` with the event
+    time as the simulation progresses, and :meth:`advance` returns every
+    window that closed so alert rules and dashboards can react on the
+    boundary.
 
     Parameters
     ----------

@@ -158,6 +158,9 @@ class BatchSizeSelector:
         self._latency_cache: dict[tuple[str, str, int], float] = {}
         #: Memoised selection keyed by (model, device, batch samples).
         self._choice_cache: dict[tuple[str, str, int], int] = {}
+        #: Memoised predicted latency keyed by (model, device, batch samples):
+        #: the selected rung's latency, one lookup on the admission hot path.
+        self._predicted_cache: dict[tuple[str, str, int], float] = {}
 
     @property
     def max_batch_size(self) -> int:
@@ -195,8 +198,13 @@ class BatchSizeSelector:
         no registry entry triggers the cold compile, exactly like dispatching
         to that device would.
         """
-        rung = self.select(model, num_samples, device)
-        return self._candidate_latency(model, rung, device)
+        key = (model, device.name, num_samples)
+        latency = self._predicted_cache.get(key)
+        if latency is None:
+            rung = self.select(model, num_samples, device)
+            latency = self._candidate_latency(model, rung, device)
+            self._predicted_cache[key] = latency
+        return latency
 
     @staticmethod
     def _accepts_plan(measure: Callable[..., float]) -> bool:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..obs.alerts import AlertEvent, AlertManager, AlertRule
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import LazySeries, MetricsRegistry
 from ..obs.timeseries import TimeSeriesRegistry, WatchRenderer, WindowSpan
 from ..obs.trace import NULL_TRACER, Tracer
 from ..runtime.events import add_execution_spans
@@ -156,33 +156,41 @@ class LoopState:
         """
         loop = self._loop
         wait_ms = 0.0 if immediate else self.batch_wait_bound_ms(request)
-        ready_ms = self.now_ms + wait_ms
-        ladder_max = loop.selector.max_batch_size
+        ready_ms = loop._now_ms + wait_ms
+        selector = loop.selector
+        ladder_max = selector.max_batch_size
         # Only pending work the queue discipline serves *before* this request
         # delays it — priority-preemptive policies jump their high classes
         # over queued low-priority samples.  The request's own chunk, though,
         # packs up to ladder_max samples from the *whole* ordered queue: a
         # queue-jumping request still executes at the rung its riders fill.
-        key = loop.admission.order_key(request)
-        ahead_samples = sum(
-            pending.num_samples
-            for pending in loop._pending
-            if loop.admission.order_key(pending) <= key
-        )
+        ahead_samples = 0
+        if loop._pending:
+            order_key = loop.admission.order_key
+            key = order_key(request)
+            for pending in loop._pending:
+                if order_key(pending) <= key:
+                    ahead_samples += pending.num_samples
         total_samples = loop._pending_samples + request.num_samples
         chunks_ahead = ahead_samples // ladder_max
         own_chunk = max(
             request.num_samples,
             min(ladder_max, total_samples - chunks_ahead * ladder_max),
         )
+        # Per worker: one memoised (model, device, samples) lookup per price.
+        # With no full chunk ahead the ahead term is 0 * price / n == 0.0, so
+        # its price is skipped without changing a bit of the sum.
+        model = loop.model
+        price = selector.predicted_latency
         workers = loop.pool.workers
+        num_workers = len(workers)
         best = float("inf")
         for worker in workers:
-            own_ms = self.predicted_execution_ms(own_chunk, worker)
+            own_ms = price(model, own_chunk, worker.device)
             ahead_ms = (
-                chunks_ahead
-                * self.predicted_execution_ms(ladder_max, worker)
-                / len(workers)
+                chunks_ahead * price(model, ladder_max, worker.device) / num_workers
+                if chunks_ahead
+                else 0.0
             )
             start_ms = max(worker.busy_until_ms, ready_ms)
             best = min(best, start_ms + ahead_ms + own_ms)
@@ -285,6 +293,7 @@ class ServingLoop:
         self._seq = itertools.count()
         self._result = LoopResult()
         self._scale_armed = True
+        self._bind_series()
         #: Optional hook fired after each completion event with the chunk's
         #: finished records (a cluster driver schedules stage handoffs from
         #: it).  ``None`` — the default — keeps the loop byte-identical to
@@ -404,10 +413,56 @@ class ServingLoop:
         self._inflight = 0
         self._heap = []
         self.metrics.clear()
+        self._bind_series()
         self._result = LoopResult(metrics=self.metrics)
         self.metrics.gauge(
             "serve.pool.size", "active workers in the pool"
         ).set(len(self.pool.workers))
+
+    def _bind_series(self) -> None:
+        """Bind the per-event series of a fresh run (after ``metrics.clear()``).
+
+        Each family still resolves on first use, at the event whose keyword
+        call created it before, so the run's registry holds the same families
+        and series; unlabelled series are keyed ``None``.
+        """
+        metrics = self.metrics
+        counter, gauge, histogram = metrics.counter, metrics.gauge, metrics.histogram
+        self._offered = LazySeries(
+            counter, "serve.requests.offered", "requests submitted to the service"
+        )
+        self._admitted = LazySeries(
+            counter, "serve.admission.admitted", "arrivals allowed to queue"
+        )
+        self._rejected = LazySeries(
+            counter, "serve.admission.rejected", "arrivals shed, by policy reason", "reason"
+        )
+        self._slo_met = LazySeries(counter, "serve.slo.met", "requests that met their SLO")
+        self._slo_missed = LazySeries(
+            counter, "serve.slo.missed", "requests that missed their SLO, by outcome", "outcome"
+        )
+        self._queue_depth = LazySeries(gauge, "serve.queue.depth", "requests in the forming batch")
+        self._queue_samples = LazySeries(
+            gauge, "serve.queue.samples", "samples in the forming batch"
+        )
+        self._batch_closes = LazySeries(
+            counter, "serve.batch.closes", "formed batches, by close reason", "reason"
+        )
+        self._batch_occupancy = LazySeries(
+            histogram, "serve.batch.occupancy", "samples per formed batch"
+        )
+        self._executions = LazySeries(
+            counter,
+            "serve.executions",
+            "device executions per specialised batch size",
+            "batch_size",
+        )
+        self._latency = LazySeries(
+            histogram, "serve.latency_ms", "end-to-end request latency", "device"
+        )
+        self._queue_delay = LazySeries(
+            histogram, "serve.queue_delay_ms", "arrival-to-dispatch request delay", "device"
+        )
 
     def _finalize(self) -> LoopResult:
         """Assemble the derived tallies of the result from the run's metrics.
@@ -484,9 +539,7 @@ class ServingLoop:
     def _on_arrival(self, request: InferenceRequest) -> None:
         self._arrivals_left -= 1
         tracer = self.tracer
-        self.metrics.counter(
-            "serve.requests.offered", "requests submitted to the service"
-        ).inc()
+        self._offered[None].inc()
         if tracer:
             tracer.async_begin(
                 f"request {request.request_id}", "serving/requests",
@@ -501,14 +554,10 @@ class ServingLoop:
         decision = self.admission.admit(request, self.state)
         if not decision.admitted:
             reason = decision.reason or "rejected"
-            self.metrics.counter(
-                "serve.admission.rejected", "arrivals shed, by policy reason"
-            ).inc(reason=reason)
+            self._rejected[reason].inc()
             # A shed request is a spent error budget too: the burn-rate
             # alert must see rejections, not just deadline overruns.
-            self.metrics.counter(
-                "serve.slo.missed", "requests that missed their SLO, by outcome"
-            ).inc(outcome="rejected")
+            self._slo_missed["rejected"].inc()
             if tracer:
                 tracer.instant(
                     "reject", "serving/admission", self._now_ms,
@@ -528,9 +577,7 @@ class ServingLoop:
                 )
             )
             return
-        self.metrics.counter(
-            "serve.admission.admitted", "arrivals allowed to queue"
-        ).inc()
+        self._admitted[None].inc()
         policy = self.policy
         # A priority-preemptive policy expedites this arrival: the batch
         # closes *with the request inside* the moment it joins — whatever
@@ -558,15 +605,13 @@ class ServingLoop:
         self._inflight -= 1
         # SLO outcomes count at *completion* time, so the attainment series
         # lands in the window the client actually observed the result in.
-        met = self.metrics.counter("serve.slo.met", "requests that met their SLO")
-        missed = self.metrics.counter(
-            "serve.slo.missed", "requests that missed their SLO, by outcome"
-        )
+        met = self._slo_met[None]
+        missed = self._slo_missed["deadline"]
         for record in records or ():
             if record.deadline_met:
                 met.inc()
             else:
-                missed.inc(outcome="deadline")
+                missed.inc()
         if self.autoscaler is not None:
             self._record_scale_events(self.autoscaler.evaluate(self.state))
         if self.completion_listener is not None:
@@ -618,12 +663,8 @@ class ServingLoop:
 
     def _sample_queue(self) -> None:
         """Sample the forming batch's depth into the gauge and the trace."""
-        self.metrics.gauge(
-            "serve.queue.depth", "requests in the forming batch"
-        ).set(len(self._pending))
-        self.metrics.gauge(
-            "serve.queue.samples", "samples in the forming batch"
-        ).set(self._pending_samples)
+        self._queue_depth[None].set(len(self._pending))
+        self._queue_samples[None].set(self._pending_samples)
         if self.tracer:
             self.tracer.counter(
                 "queue depth", "serving/loop", self._now_ms,
@@ -638,12 +679,8 @@ class ServingLoop:
         self._batch_id += 1
         self._observe_queue()
         self._sample_queue()
-        self.metrics.counter(
-            "serve.batch.closes", "formed batches, by close reason"
-        ).inc(reason=reason)
-        self.metrics.histogram(
-            "serve.batch.occupancy", "samples per formed batch"
-        ).observe(batch.num_samples)
+        self._batch_closes[reason].inc()
+        self._batch_occupancy[None].observe(batch.num_samples)
         if self.tracer:
             self.tracer.instant(
                 "batch-close", "serving/loop", formed_ms, category="batch",
@@ -709,15 +746,9 @@ class ServingLoop:
             num_samples=num_samples,
             plan=compiled.plan,
         )
-        self.metrics.counter(
-            "serve.executions", "device executions per specialised batch size"
-        ).inc(batch_size=rung)
-        latency = self.metrics.histogram(
-            "serve.latency_ms", "end-to-end request latency"
-        )
-        queue_delay = self.metrics.histogram(
-            "serve.queue_delay_ms", "arrival-to-dispatch request delay"
-        )
+        self._executions[rung].inc()
+        latency = self._latency[dispatch.device]
+        queue_delay = self._queue_delay[dispatch.device]
         chunk_records: list[RequestRecord] = []
         for request in chunk:
             record = RequestRecord(
@@ -731,8 +762,8 @@ class ServingLoop:
             )
             self._result.records.append(record)
             chunk_records.append(record)
-            latency.observe(record.latency_ms, device=dispatch.device)
-            queue_delay.observe(record.queue_delay_ms, device=dispatch.device)
+            latency.observe(record.latency_ms)
+            queue_delay.observe(record.queue_delay_ms)
         self._inflight += 1
         self._push(dispatch.end_ms, _COMPLETION, chunk_records)
         if self.tracer:

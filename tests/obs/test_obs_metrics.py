@@ -71,6 +71,40 @@ class TestGauge:
         assert gauge.max() == 0.0
 
 
+class TestNaNIsRejected:
+    """A NaN write would poison a total and emit bare ``NaN`` (invalid JSON)."""
+
+    def test_counter_rejects_nan_and_keeps_its_total(self):
+        counter = Counter("requests")
+        counter.inc(2.0, reason="deadline")
+        with pytest.raises(ValueError, match=r"'requests'.*'reason': 'deadline'"):
+            counter.inc(float("nan"), reason="deadline")
+        assert counter.total() == 2.0
+        assert counter.value(reason="deadline") == 2.0
+
+    def test_gauge_rejects_nan_and_keeps_its_value(self):
+        gauge = Gauge("queue.depth")
+        gauge.set(3.0)
+        with pytest.raises(ValueError, match="'queue.depth'.*NaN"):
+            gauge.set(float("nan"))
+        with pytest.raises(ValueError, match="'queue.depth'.*NaN"):
+            gauge.add(float("nan"))
+        assert (gauge.value(), gauge.max()) == (3.0, 3.0)
+
+    def test_histogram_rejects_nan_and_exports_strict_json(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("latency_ms")
+        histogram.observe(1.5, device="k80")
+        with pytest.raises(ValueError, match=r"'latency_ms'.*'device': 'k80'"):
+            histogram.observe(float("nan"), device="k80")
+        assert histogram.values(device="k80") == [1.5]
+
+        def reject(constant):
+            raise AssertionError(f"bare {constant} in the export")
+
+        json.loads(registry.to_json(), parse_constant=reject)
+
+
 class TestHistogram:
     VALUES = [3.2, 1.1, 8.9, 4.4, 4.4, 0.3, 12.0, 7.5, 2.2, 5.1]
 
