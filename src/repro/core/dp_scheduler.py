@@ -18,7 +18,8 @@ Operator subsets are represented as bitmasks over a per-block
 Modern CNNs stack blocks, so — exactly as the paper does (Section 4.2) — each
 block is optimised independently and the per-block schedules are concatenated.
 Structurally identical blocks (e.g. repeated NasNet cells) share one search via
-a block fingerprint cache.
+a block fingerprint cache; blocks that share only their wiring share the
+enumerated endings.
 """
 
 from __future__ import annotations
@@ -126,6 +127,21 @@ class SchedulerConfig:
     #: Reuse search results across structurally identical blocks.
     reuse_identical_blocks: bool = True
 
+    def __post_init__(self) -> None:
+        # An empty set or a bare string would silently run the search
+        # merge-only while the schedule's origin label claims another variant.
+        if not self.strategies or not all(
+            isinstance(strategy, ParallelizationStrategy) for strategy in self.strategies
+        ):
+            valid = ", ".join(
+                f"ParallelizationStrategy.{member.name} ({member.value!r})"
+                for member in ParallelizationStrategy
+            )
+            raise ValueError(
+                f"SchedulerConfig.strategies must be a non-empty tuple of "
+                f"ParallelizationStrategy members ({valid}); got {self.strategies!r}"
+            )
+
     @classmethod
     def variant(cls, name: str, pruning: PruningStrategy | None = None,
                 reuse_identical_blocks: bool = True) -> "SchedulerConfig":
@@ -197,6 +213,11 @@ class ScheduleResult:
         return sum(stats.optimized_latency_ms for stats in self.block_stats)
 
 
+#: A wiring's ending table: the admissible endings of each state, in
+#: enumeration order, and the connected groups of each ending — all bitmasks.
+EndingTable = tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]
+
+
 class IOSScheduler:
     """Dynamic-programming inter-operator scheduler (Algorithm 1).
 
@@ -221,6 +242,9 @@ class IOSScheduler:
         #: first block that uses one reports the worker's full search stats
         #: instead of a cache-hit stub.
         self._fresh_results: set[tuple] = set()
+        #: Ending tables keyed by ``(block wiring, pruning)``; see
+        #: :meth:`_ending_table`.  Same lifetime as ``_block_cache``.
+        self._ending_tables: dict[tuple, EndingTable] = {}
         self._memo_signature_cache: tuple | None | str = "unset"
 
     # ----------------------------------------------------------------- memo
@@ -238,6 +262,25 @@ class IOSScheduler:
             Stage(tuple(names[i] for i in positions), strategy)
             for positions, strategy in cached_stages
         ]
+
+    def _ending_table(self, index: BlockIndex) -> EndingTable:
+        """The ending table for ``index``'s wiring under this config's pruning.
+
+        A state's admissible endings (and their order) and each ending's
+        connected groups depend only on the block's successor masks and the
+        pruning strategy — never on operator names or shapes — so blocks that
+        share a wiring (NasNet cells, Inception's ``mixed_*`` blocks) share
+        one table: ``(endings of each state, groups of each ending)``, both
+        as bitmasks.  Without ``reuse_identical_blocks`` every search gets a
+        fresh table, so each block enumerates its endings from scratch.
+        """
+        if not self.config.reuse_identical_blocks:
+            return {}, {}
+        key = (tuple(index.succ_mask), self.config.pruning)
+        table = self._ending_tables.get(key)
+        if table is None:
+            table = self._ending_tables[key] = ({}, {})
+        return table
 
     # --------------------------------------------------------------- block DP
     def optimize_block(
@@ -338,6 +381,8 @@ class IOSScheduler:
         Candidate endings recur across states, so their GENERATE STAGE result
         is cached per ending bitmask — the latency values (and hence the
         chosen schedule) are identical to pricing every transition directly.
+        Each state's endings come from the wiring's :meth:`_ending_table`,
+        enumerated on a miss.
         """
         config = self.config
         pruning = config.pruning
@@ -346,6 +391,7 @@ class IOSScheduler:
         generate_stage = cost_model.generate_stage
         names_of = index.names_of
         merge_only = ParallelizationStrategy.CONCURRENT not in strategies
+        endings_of, groups_of = self._ending_table(index)
 
         cost: dict[int, float] = {0: 0.0}
         choice: dict[int, tuple[int, ParallelizationStrategy]] = {}
@@ -356,14 +402,21 @@ class IOSScheduler:
         inf = float("inf")
 
         def scheduler(state: int) -> float:
-            """SCHEDULER(S): minimal latency over all schedules of ``state``."""
+            """SCHEDULER(S): minimal latency over all schedules of ``state``.
+
+            Callers read ``cost`` first; this runs once per state, on a miss.
+            """
             nonlocal transitions
-            cached = cost.get(state)
-            if cached is not None:
-                return cached
             best = inf
             best_choice: tuple[int, ParallelizationStrategy] | None = None
-            for ending, group_masks in enumerate_endings(index, state, pruning):
+            endings = endings_of.get(state)
+            if endings is None:
+                enumerated = enumerate_endings(index, state, pruning)
+                for ending, group_masks in enumerated:
+                    if ending not in groups_of:
+                        groups_of[ending] = tuple(group_masks)
+                endings = endings_of[state] = tuple(ending for ending, _ in enumerated)
+            for ending in endings:
                 stage_choice = ending_choice.get(ending, False)
                 if stage_choice is False:
                     op_subset = names_of(ending)
@@ -379,13 +432,17 @@ class IOSScheduler:
                     # groups (ordered and topo-sorted exactly like
                     # ``connected_groups``), so pass them through and spare
                     # the cost model a recomputation per measurement.
-                    groups = [names_of(mask) for mask in group_masks]
+                    groups = [names_of(mask) for mask in groups_of[ending]]
                     stage_choice = generate_stage(graph, op_subset, strategies, groups)
                     ending_choice[ending] = stage_choice
                 elif stage_choice is None:
                     continue
                 transitions += 1
-                total = scheduler(state & ~ending) + stage_choice.latency_ms
+                rest = state & ~ending
+                rest_cost = cost.get(rest)
+                if rest_cost is None:
+                    rest_cost = scheduler(rest)
+                total = rest_cost + stage_choice.latency_ms
                 if total < best:
                     best = total
                     best_choice = (ending, stage_choice.strategy)

@@ -107,7 +107,14 @@ class BlockIndex:
         return mask
 
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in range(self.n) if mask >> i & 1)
+        """The names of ``mask``'s operators, in topological (bit) order."""
+        names = self.names
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def bits(self, mask: int) -> Iterator[int]:
         while mask:

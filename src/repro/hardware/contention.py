@@ -135,44 +135,6 @@ def waterfill_allocation(demands: Sequence[int], capacity: int) -> list[float]:
     return allocation
 
 
-class _StreamState:
-    """Mutable execution state of one stream."""
-
-    __slots__ = ("kernels", "index", "phase", "launch_remaining", "rem_compute", "rem_memory",
-                 "launch_start", "run_start", "stream_id")
-
-    def __init__(self, kernels: Sequence[KernelSpec], stream_id: int = 0):
-        self.kernels = list(kernels)
-        self.stream_id = stream_id
-        self.index = 0
-        self.phase = "idle"
-        self.launch_remaining = 0.0
-        self.rem_compute = 0.0
-        self.rem_memory = 0.0
-        self.launch_start = 0.0
-        self.run_start = 0.0
-
-    @property
-    def done(self) -> bool:
-        return self.index >= len(self.kernels)
-
-    @property
-    def current(self) -> KernelSpec:
-        return self.kernels[self.index]
-
-    def begin_launch(self, now: float) -> None:
-        kernel = self.current
-        self.phase = "launch"
-        self.launch_start = now
-        self.launch_remaining = kernel.launch_overhead_ms
-        self.rem_compute = kernel.flops
-        self.rem_memory = kernel.memory_bytes
-
-    def begin_run(self, now: float) -> None:
-        self.phase = "run"
-        self.run_start = now
-
-
 def _kernel_rates(
     kernel: KernelSpec,
     slots: float,
@@ -225,21 +187,12 @@ _RATES_CACHE_LIMIT = 1 << 16
 
 #: Memoised end-to-end latencies for the latency-only simulation path.  The
 #: simulated latency is a pure function of the per-stream kernel sequences
-#: (each kernel reduced to the five fields the simulation reads) and the
-#: device constants; numerically identical stages recur across op subsets
-#: because networks reuse the same operator shapes.  Bounded like the others.
+#: (each kernel reduced to :attr:`KernelSpec.sim_key`, the five fields the
+#: simulation reads) and the device constants; numerically identical stages
+#: recur across op subsets because networks reuse the same operator shapes.
+#: Bounded like the others.
 _LATENCY_CACHE: dict[tuple, dict[tuple, float]] = {}
 _LATENCY_CACHE_LIMIT = 1 << 16
-
-
-def _kernel_value(kernel: KernelSpec) -> tuple:
-    return (
-        kernel.num_blocks,
-        kernel.efficiency,
-        kernel.flops,
-        kernel.memory_bytes,
-        kernel.launch_overhead_ms,
-    )
 
 
 def _simulate_single_stream(kernels: Sequence[KernelSpec], device: DeviceSpec) -> float:
@@ -313,50 +266,75 @@ def simulate_streams(
     SimulationResult
         Total latency, per-kernel executions and (optionally) the timeline.
     """
-    states = []
-    for stream_id, kernels in enumerate(streams):
-        if len(kernels) > 0:
-            states.append(_StreamState(kernels, len(states)))
+    streams = [kernels for kernels in streams if len(kernels) > 0]
     result = SimulationResult(latency_ms=0.0)
-    if not states:
+    if not streams:
+        return result
+    if record_trace or record_executions:
+        result.latency_ms = _run_streams(streams, device, result, record_trace, record_executions)
         return result
 
-    latency_only = not record_trace and not record_executions
-    latency_cache: dict[tuple, float] | None = None
-    cache_key: tuple = ()
-    if latency_only:
-        cache_key = tuple(
-            tuple(_kernel_value(k) for k in state.kernels) for state in states
-        )
-        latency_cache = _LATENCY_CACHE.setdefault(
-            (
-                device.total_block_slots,
-                device.flops_per_slot_ms,
-                device.bandwidth_bytes_per_ms,
-                device.contention_alpha,
-            ),
-            {},
-        )
-        cached_latency = latency_cache.get(cache_key)
-        if cached_latency is not None:
-            result.latency_ms = cached_latency
-            return result
-
-    if len(states) == 1 and latency_only:
-        result.latency_ms = _simulate_single_stream(states[0].kernels, device)
-        assert latency_cache is not None
+    # Latency only: the cache key is built from each kernel's precomputed
+    # ``sim_key`` before any simulation state exists, so a hit costs one
+    # tuple build and two dictionary lookups.
+    cache_key = tuple([tuple([kernel.sim_key for kernel in kernels]) for kernels in streams])
+    latency_cache = _LATENCY_CACHE.setdefault(
+        (
+            device.total_block_slots,
+            device.flops_per_slot_ms,
+            device.bandwidth_bytes_per_ms,
+            device.contention_alpha,
+        ),
+        {},
+    )
+    latency = latency_cache.get(cache_key)
+    if latency is None:
+        if len(streams) == 1:
+            latency = _simulate_single_stream(streams[0], device)
+        else:
+            latency = _run_streams(streams, device, result, False, False)
         if len(latency_cache) >= _LATENCY_CACHE_LIMIT:
             latency_cache.clear()
-        latency_cache[cache_key] = result.latency_ms
-        return result
+        latency_cache[cache_key] = latency
+    result.latency_ms = latency
+    return result
+
+
+_LAUNCH, _RUN, _IDLE = 0, 1, 2
+
+
+def _run_streams(
+    streams: list[Sequence[KernelSpec]],
+    device: DeviceSpec,
+    result: SimulationResult,
+    record_trace: bool,
+    record_executions: bool,
+) -> float:
+    """The event loop: advance every stream to its next event until all drain.
+
+    Stream ``i``'s state lives at index ``i`` of flat per-stream lists (its
+    phase, current kernel and that kernel's remaining launch, compute and
+    memory work).  Executions and timeline segments are appended to
+    ``result`` when recorded; the returned latency does not depend on it.
+    """
+    num_streams = len(streams)
+    lengths = [len(kernels) for kernels in streams]
+    position = [0] * num_streams
+    current = [kernels[0] for kernels in streams]
+    # Every stream begins launching its first kernel at time zero.
+    phase = [_LAUNCH] * num_streams
+    launch_remaining = [kernel.launch_overhead_ms for kernel in current]
+    rem_compute = [kernel.flops for kernel in current]
+    rem_memory = [kernel.memory_bytes for kernel in current]
+    launch_start = [0.0] * num_streams
+    run_start = [0.0] * num_streams
+    executions = result.executions
+    timeline = result.timeline
 
     now = 0.0
-    for state in states:
-        state.begin_launch(now)
-
-    pending = len(states)
+    pending = num_streams
     guard = 0
-    max_iterations = 4 * sum(len(s.kernels) for s in states) + 16
+    max_iterations = 4 * sum(lengths) + 16
     capacity = device.total_block_slots
     flops_per_slot = device.flops_per_slot_ms
     bandwidth = device.bandwidth_bytes_per_ms
@@ -364,8 +342,10 @@ def simulate_streams(
     rates_cache = _RATES_CACHE.setdefault(
         (capacity, flops_per_slot, bandwidth, contention_alpha), {}
     )
-    launching: list[_StreamState] = []
-    running: list[_StreamState] = []
+    inf = math.inf
+    stream_ids = range(num_streams)
+    launching: list[int] = []
+    running: list[int] = []
     alloc: Sequence[float] = ()
     rates: list[tuple[float, float]] = []
     # The active sets (and hence the waterfill allocation and per-kernel
@@ -379,10 +359,8 @@ def simulate_streams(
             raise RuntimeError("contention simulation did not converge (internal error)")
 
         if dirty:
-            # A stream's phase is "idle" exactly when it has drained (every
-            # stream begins launching immediately), so phase alone suffices.
-            launching = [s for s in states if s.phase == "launch"]
-            running = [s for s in states if s.phase == "run"]
+            launching = [i for i in stream_ids if phase[i] == _LAUNCH]
+            running = [i for i in stream_ids if phase[i] == _RUN]
 
             # --- compute resource allocation for running kernels ------------
             # The rate computation is :func:`_kernel_rates` inlined over the
@@ -391,8 +369,7 @@ def simulate_streams(
             # the resident kernels' (num_blocks, efficiency) combination.
             if running:
                 combo = tuple(
-                    (k.num_blocks, k.efficiency)
-                    for k in [s.kernels[s.index] for s in running]
+                    [(current[i].num_blocks, current[i].efficiency) for i in running]
                 )
                 cached = rates_cache.get(combo)
                 if cached is not None:
@@ -427,17 +404,26 @@ def simulate_streams(
             dirty = False
 
         # --- find the next event --------------------------------------------
-        dt = math.inf
-        for state in launching:
-            if state.launch_remaining < dt:
-                dt = state.launch_remaining
-        for state, (compute_rate, memory_rate) in zip(running, rates):
+        # ``if x < dt`` / ``if x > ttf`` are ``min``/``max`` spelled out: the
+        # builtins keep their first argument on ties, exactly like these.
+        dt = inf
+        for i in launching:
+            if launch_remaining[i] < dt:
+                dt = launch_remaining[i]
+        for i, (compute_rate, memory_rate) in zip(running, rates):
             ttf = 0.0
-            if state.rem_compute > _EPS:
-                ttf = max(ttf, state.rem_compute / compute_rate if compute_rate > 0 else math.inf)
-            if state.rem_memory > _EPS:
-                ttf = max(ttf, state.rem_memory / memory_rate if memory_rate > 0 else math.inf)
-            dt = min(dt, ttf)
+            remaining = rem_compute[i]
+            if remaining > _EPS:
+                needed = remaining / compute_rate if compute_rate > 0 else inf
+                if needed > ttf:
+                    ttf = needed
+            remaining = rem_memory[i]
+            if remaining > _EPS:
+                needed = remaining / memory_rate if memory_rate > 0 else inf
+                if needed > ttf:
+                    ttf = needed
+            if ttf < dt:
+                dt = ttf
         if math.isinf(dt):
             # Only zero-work kernels remain; let them finish instantly.
             dt = 0.0
@@ -447,54 +433,57 @@ def simulate_streams(
             active_warps = int(
                 round(
                     sum(
-                        min(slots, s.current.num_blocks) * s.current.warps_per_block
-                        for s, slots in zip(running, alloc)
+                        min(slots, current[i].num_blocks) * current[i].warps_per_block
+                        for i, slots in zip(running, alloc)
                     )
                 )
             )
-            result.timeline.append(
+            timeline.append(
                 TimelineSegment(
                     start_ms=now,
                     end_ms=now + dt,
-                    active_kernels=tuple(s.current.name for s in running),
+                    active_kernels=tuple(current[i].name for i in running),
                     active_warps=active_warps,
                 )
             )
         now += dt
 
-        for state in launching:
-            state.launch_remaining -= dt
-            if state.launch_remaining <= _EPS:
-                state.begin_run(now)
+        for i in launching:
+            launch_remaining[i] -= dt
+            if launch_remaining[i] <= _EPS:
+                phase[i] = _RUN
+                run_start[i] = now
                 dirty = True
-        for state, (compute_rate, memory_rate) in zip(running, rates):
-            rem_compute = state.rem_compute - compute_rate * dt
-            state.rem_compute = rem_compute = rem_compute if rem_compute > 0.0 else 0.0
-            rem_memory = state.rem_memory - memory_rate * dt
-            state.rem_memory = rem_memory = rem_memory if rem_memory > 0.0 else 0.0
-            if rem_compute <= _EPS and rem_memory <= _EPS:
+        for i, (compute_rate, memory_rate) in zip(running, rates):
+            remaining_compute = rem_compute[i] - compute_rate * dt
+            rem_compute[i] = remaining_compute = (
+                remaining_compute if remaining_compute > 0.0 else 0.0
+            )
+            remaining_memory = rem_memory[i] - memory_rate * dt
+            rem_memory[i] = remaining_memory = (
+                remaining_memory if remaining_memory > 0.0 else 0.0
+            )
+            if remaining_compute <= _EPS and remaining_memory <= _EPS:
                 if record_executions:
-                    kernel = state.current
-                    result.executions.append(
+                    executions.append(
                         KernelExecution(
-                            kernel_name=kernel.name,
-                            stream=state.stream_id,
-                            launch_start_ms=state.launch_start,
-                            start_ms=state.run_start,
+                            kernel_name=current[i].name,
+                            stream=i,
+                            launch_start_ms=launch_start[i],
+                            start_ms=run_start[i],
                             end_ms=now,
                         )
                     )
-                state.index += 1
-                if not state.done:
-                    state.begin_launch(now)
+                position[i] += 1
+                if position[i] < lengths[i]:
+                    kernel = current[i] = streams[i][position[i]]
+                    phase[i] = _LAUNCH
+                    launch_start[i] = now
+                    launch_remaining[i] = kernel.launch_overhead_ms
+                    rem_compute[i] = kernel.flops
+                    rem_memory[i] = kernel.memory_bytes
                 else:
-                    state.phase = "idle"
+                    phase[i] = _IDLE
                     pending -= 1
                 dirty = True
-
-    result.latency_ms = now
-    if latency_cache is not None:
-        if len(latency_cache) >= _LATENCY_CACHE_LIMIT:
-            latency_cache.clear()
-        latency_cache[cache_key] = now
-    return result
+    return now

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from ..ir.ops import (
@@ -190,6 +191,21 @@ class KernelSpec:
             raise ValueError(f"kernel {self.name!r} has negative work")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"kernel {self.name!r} efficiency must be in (0, 1]")
+
+    @cached_property
+    def sim_key(self) -> tuple:
+        """The five fields the contention simulator reads, as one tuple.
+
+        This is the kernel's identity in the simulator's latency cache;
+        computed on first use and kept, since a kernel never changes.
+        """
+        return (
+            self.num_blocks,
+            self.efficiency,
+            self.flops,
+            self.memory_bytes,
+            self.launch_overhead_ms,
+        )
 
     # ------------------------------------------------------------------ helpers
     def max_parallelism(self, device: DeviceSpec) -> int:

@@ -11,6 +11,8 @@ property tests pin that invariant down:
 * the engine's incremental recompilation re-searches only dirty blocks and
   splices the rest, and the spliced result equals a cold compile of the
   mutated graph;
+* blocks that share a wiring but not their shapes share one ending table,
+  and their searches still equal the plain search state for state;
 * the group decomposition the ending enumeration hands the cost model equals
   ``connected_groups`` — the ordering contract the whole pricing path
   relies on.
@@ -35,6 +37,7 @@ from repro.core import (
     enumerate_endings,
     groups_of_mask,
 )
+from repro.core import dp_scheduler
 from repro.engine import Engine
 from repro.ir.graph import GraphBuilder
 from repro.ir.tensor import TensorShape
@@ -262,6 +265,78 @@ class TestImportedGraphs:
         clear_schedule_memo()
         cold = _flops_engine().compile(self._transformer(heads=4))
         assert stage_signature(second.schedule) == stage_signature(cold.schedule)
+
+
+def _same_wiring_graph(channels=(8, 16, 24)):
+    """One block per channel count, every block wired the same way."""
+    builder = GraphBuilder("same-wiring", TensorShape(1, 8, 8, 8))
+    current = builder.input_name
+    for b, width in enumerate(channels):
+        with builder.block(f"cell{b}"):
+            left = builder.conv2d(f"c{b}_left", current, width, 1)
+            mid = builder.conv2d(f"c{b}_mid", current, width, 3)
+            mid2 = builder.conv2d(f"c{b}_mid2", mid, width, 3)
+            right = builder.relu(f"c{b}_right", current)
+            joined = builder.add(f"c{b}_add", [left, mid2])
+            current = builder.concat(f"c{b}_out", [joined, right])
+    return builder.build()
+
+
+class TestSharedEndingTables:
+    """Blocks with one wiring share their ending table, and nothing else moves."""
+
+    def _wirings(self, graph):
+        """Each non-empty block's wiring: its successor masks."""
+        return [
+            tuple(BlockIndex(graph, names).succ_mask)
+            for names in map(graph.schedulable_names, graph.blocks)
+            if names
+        ]
+
+    @pytest.mark.parametrize("model", ["same-wiring", "inception_v3"])
+    def test_shared_tables_equal_the_plain_search(self, model):
+        graph = _same_wiring_graph() if model == "same-wiring" else load(model)
+        wirings = self._wirings(graph)
+        assert len(wirings) - len(set(wirings)) >= 2  # some wiring recurs
+        plain = _plain_scheduler().optimize_graph(graph)
+
+        clear_schedule_memo()
+        fast = _fast_scheduler().optimize_graph(graph)
+        assert_results_identical(plain, fast)
+        for expected, actual in zip(plain.block_stats, fast.block_stats):
+            assert (actual.num_states, actual.num_transitions) == (
+                expected.num_states, expected.num_transitions
+            )
+            # A block-cache hit (inception's mixed_6d twin of mixed_6c)
+            # reports no measurements of its own, by design.
+            if actual.source == "search":
+                assert actual.num_measurements == expected.num_measurements
+
+    def test_a_repeated_wiring_enumerates_no_endings(self, monkeypatch):
+        graph = _same_wiring_graph()
+        assert len(set(self._wirings(graph))) == 1
+        calls = []
+        original = dp_scheduler.enumerate_endings
+
+        def counting(index, state, pruning=None):
+            calls.append(state)
+            return original(index, state, pruning)
+
+        monkeypatch.setattr(dp_scheduler, "enumerate_endings", counting)
+
+        def calls_per_block(scheduler):
+            counts = []
+            for block in graph.blocks:
+                before = len(calls)
+                scheduler.optimize_block(graph, block, use_memo=False)
+                counts.append(len(calls) - before)
+            return counts
+
+        fast = calls_per_block(_fast_scheduler())
+        plain = calls_per_block(_plain_scheduler())
+        assert fast[0] == plain[0] > 0
+        assert fast[1:] == [0, 0]
+        assert plain[1:] == [plain[0], plain[0]]
 
 
 class TestGroupDecomposition:

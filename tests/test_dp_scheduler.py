@@ -65,6 +65,19 @@ class TestOptimality:
         brute = brute_force_optimal_latency(graph, cost_model)
         assert result.predicted_latency_ms == pytest.approx(brute, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dp_matches_brute_force_on_random_dags(self, seed, random_graph_factory, v100):
+        # One block, so the per-block DP and the whole-graph brute force
+        # search the same operator set: six generated operators plus, when
+        # the block has several leaves, the concat that joins them.
+        graph = random_graph_factory(seed, num_blocks=1, ops_per_block=6)
+        assert len(graph.schedulable_names()) <= 7
+        cost_model = SimulatedCostModel(v100)
+        scheduler = IOSScheduler(cost_model, SchedulerConfig(pruning=PruningStrategy.unpruned()))
+        result = scheduler.optimize_graph(graph)
+        brute = brute_force_optimal_latency(graph, cost_model)
+        assert result.predicted_latency_ms == pytest.approx(brute, rel=1e-9)
+
     def test_ios_never_worse_than_sequential_or_greedy(self, v100):
         for factory in (figure5_graph, diamond_graph, figure2_block):
             graph = factory()
@@ -100,6 +113,14 @@ class TestOptimality:
 
 
 class TestVariants:
+    @pytest.mark.parametrize(
+        "strategies", [(), ("concurrent",), ("concurrent execution",), [None]]
+    )
+    def test_config_rejects_strategy_sets_it_cannot_run(self, strategies):
+        with pytest.raises(ValueError, match="ParallelizationStrategy.CONCURRENT") as error:
+            SchedulerConfig(strategies=strategies)
+        assert "ParallelizationStrategy.MERGE" in str(error.value)
+
     def test_variant_configs(self):
         both = SchedulerConfig.variant("ios-both")
         parallel = SchedulerConfig.variant("ios-parallel")
