@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import sys
 
-from repro import build_model, get_device, optimize
+from repro import get_device, get_engine, load
 from repro.core import greedy_schedule, measure_schedule, sequential_schedule
 
 
 def main(model_name: str = "inception_v3", device_name: str = "v100") -> None:
     device = get_device(device_name)
-    graph = build_model(model_name, batch_size=1)
+    graph = load(model_name, batch_size=1)
     print(f"Loaded {graph.name}: {len(graph.operators())} operators, "
           f"{graph.total_flops() / 1e9:.2f} GFLOPs, {len(graph.blocks)} blocks")
     print(f"Target device: {device.name} ({device.num_sms} SMs, "
@@ -36,7 +36,7 @@ def main(model_name: str = "inception_v3", device_name: str = "v100") -> None:
         "greedy": greedy_schedule(graph),
     }
     print("Running the IOS dynamic-programming search (this profiles candidate stages)...")
-    schedules["ios"] = optimize(graph, device)
+    schedules["ios"] = get_engine(device).compile(graph).schedule
 
     print(f"\n{'schedule':<12} {'stages':>7} {'latency (ms)':>13} {'images/s':>10} {'speedup':>8}")
     baseline_latency = None

@@ -35,7 +35,7 @@ Quick start::
 
 from .ir import Graph, GraphBuilder, TensorShape
 from .hardware import DeviceSpec, get_device, list_devices
-from .models import BENCHMARK_MODELS, build_model, list_models
+from .models import BENCHMARK_MODELS, list_models
 from .core import (
     IOSScheduler,
     ParallelizationStrategy,
@@ -61,7 +61,6 @@ __all__ = [
     "DeviceSpec",
     "get_device",
     "list_devices",
-    "build_model",
     "load",
     "list_models",
     "BENCHMARK_MODELS",
@@ -79,33 +78,6 @@ __all__ = [
     "Engine",
     "CompiledModel",
     "get_engine",
-    "optimize",
     "__version__",
 ]
 
-
-def optimize(
-    graph: Graph,
-    device: DeviceSpec,
-    variant: str = "ios-both",
-    pruning: PruningStrategy | None = None,
-) -> Schedule:
-    """One-call convenience wrapper: compile ``graph`` and return its schedule.
-
-    Delegates to the pooled :class:`repro.engine.Engine` for
-    ``(device, variant, pruning)``, so repeated calls on the same structure
-    reuse the compile cache.  Prefer ``Engine.compile`` directly when you also
-    want the execution plan, the latency or the compile stats.
-
-    Parameters
-    ----------
-    graph:
-        The computation graph to schedule (see :func:`repro.frontend.load`).
-    device:
-        The simulated device to optimise for (see :func:`repro.hardware.get_device`).
-    variant:
-        ``"ios-both"`` (default), ``"ios-parallel"`` or ``"ios-merge"``.
-    pruning:
-        Optional ``(r, s)`` pruning strategy; defaults to the paper's r=3, s=8.
-    """
-    return get_engine(device, variant=variant, pruning=pruning).compile(graph).schedule

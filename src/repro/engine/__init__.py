@@ -1,11 +1,6 @@
 """repro.engine — one compile pipeline (Engine → CompiledModel) behind every entry point.
 
-Historically the system had four independent ways to turn a graph into a
-measured schedule (``core.schedule_graph``, ``IOSScheduler.optimize_graph``
-with inline passes, the frameworks' IOS engine, and the serve registry's
-compile-on-miss), each wiring passes, scheduling, lowering and measurement
-slightly differently.  This package replaces them with one explicit staged
-pipeline::
+One explicit staged pipeline turns a graph into a measured schedule::
 
     Graph --[passes]--> optimized Graph --[schedule]--> Schedule
           --[lower]--> ExecutionPlan
@@ -36,9 +31,7 @@ Quick start::
 
 Every runtime path — CLI figure runs, ``ios-bench serve``, the frameworks
 comparison, the registry's compile-on-miss — goes through
-:meth:`Engine.compile`; the legacy one-call entry points
-(``repro.core.schedule_graph`` and ``IOSScheduler.optimize_graph(passes=)``)
-are deprecated shims over it.
+:meth:`Engine.compile`.
 """
 
 from ..core.dp_scheduler import (

@@ -21,7 +21,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..core.dp_scheduler import ScheduleResult
 from ..core.lowering import lower_schedule
@@ -50,9 +50,7 @@ class BlockRecord:
     of the block at compile time; ``start``/``count`` delimit the block's
     slice of the schedule's stage list.  The engine's incremental path matches
     these records against a changed graph's blocks to splice unchanged stages
-    instead of re-searching them.  Absent from pre-existing artifacts (the
-    field was added without a version bump); loaders treat a missing list as
-    "no incremental reuse possible", never as an error.
+    instead of re-searching them.
     """
 
     name: str
@@ -77,7 +75,7 @@ class BlockRecord:
             digest=data["digest"],
             start=int(data["start"]),
             count=int(data["count"]),
-            latency_ms=float(data.get("latency_ms", 0.0)),
+            latency_ms=float(data["latency_ms"]),
         )
 
 
@@ -99,7 +97,7 @@ class StageTiming:
         return cls(
             stage=data["stage"],
             elapsed_s=float(data["elapsed_s"]),
-            detail=dict(data.get("detail", {})),
+            detail=dict(data["detail"]),
         )
 
 
@@ -152,19 +150,17 @@ class CompileStats:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any] | None) -> "CompileStats":
-        """Rebuild from :meth:`as_dict` output (tolerates missing fields)."""
-        if not data:
-            return cls(searched=False)
+    def from_dict(cls, data: dict[str, Any]) -> "CompileStats":
+        """Rebuild from :meth:`as_dict` output."""
         return cls(
-            stages=[StageTiming.from_dict(s) for s in data.get("stages", [])],
-            source_fingerprint=data.get("source_fingerprint", ""),
-            optimized_fingerprint=data.get("optimized_fingerprint", ""),
-            operators_in=int(data.get("operators_in", 0)),
-            operators_out=int(data.get("operators_out", 0)),
-            num_measurements=int(data.get("num_measurements", 0)),
-            profiling_gpu_ms=float(data.get("profiling_gpu_ms", 0.0)),
-            searched=bool(data.get("searched", True)),
+            stages=[StageTiming.from_dict(s) for s in data["stages"]],
+            source_fingerprint=data["source_fingerprint"],
+            optimized_fingerprint=data["optimized_fingerprint"],
+            operators_in=int(data["operators_in"]),
+            operators_out=int(data["operators_out"]),
+            num_measurements=int(data["num_measurements"]),
+            profiling_gpu_ms=float(data["profiling_gpu_ms"]),
+            searched=bool(data["searched"]),
         )
 
     def describe(self) -> str:
@@ -207,7 +203,7 @@ class CompiledModel:
     #: ``None`` after :meth:`load` (searches are exactly what loading avoids).
     search: ScheduleResult | None = field(default=None, repr=False)
     #: Per-block digests + schedule spans, for incremental recompilation.
-    #: Empty when unknown (pre-existing artifacts, :meth:`from_schedule`).
+    #: Empty for :meth:`from_schedule` models, which were never searched.
     blocks: list[BlockRecord] = field(default_factory=list)
     _execution: ExecutionResult | None = field(default=None, init=False, repr=False)
 
@@ -295,28 +291,37 @@ class CompiledModel:
         The graph is re-validated and the schedule re-lowered (deterministic,
         no searches).  ``device`` / ``profile`` override the persisted names —
         needed when the artifact was compiled for a device or kernel profile
-        that is not in the built-in registries.
+        that is not in the built-in registries.  Every field :meth:`to_dict`
+        writes is required: a missing or malformed one raises a
+        :class:`ValueError` naming it.
         """
         if not cls.is_artifact(data):
-            raise ValueError("not a compiled-model artifact (missing format marker)")
-        version = data.get("format_version")
+            raise ValueError(
+                f"not a compiled-model artifact (field 'format' must be {ARTIFACT_FORMAT!r})"
+            )
+        version = _field(data, "format_version", int)
         if version != ARTIFACT_VERSION:
-            raise ValueError(f"unsupported compiled-model artifact version {version!r}")
+            raise ValueError(
+                f"unsupported compiled-model artifact version {version!r} "
+                "(field 'format_version')"
+            )
+        device_name = _field(data, "device", str)
         if device is None:
-            device = get_device(data["device"])
+            device = _parse("device", get_device, device_name)
+        profile_name = _field(data, "profile", str)
         if profile is None:
-            name = data.get("profile", "")
-            if name not in KERNEL_PROFILES:
+            if profile_name not in KERNEL_PROFILES:
                 raise ValueError(
-                    f"artifact uses unknown kernel profile {name!r}; pass profile= "
-                    f"explicitly (known: {sorted(KERNEL_PROFILES)})"
+                    f"artifact field 'profile' names unknown kernel profile "
+                    f"{profile_name!r}; pass profile= explicitly "
+                    f"(known: {sorted(KERNEL_PROFILES)})"
                 )
-            profile = KERNEL_PROFILES[name]
-        graph = graph_from_dict(data["graph"])
-        schedule = Schedule.from_dict(data["schedule"])
+            profile = KERNEL_PROFILES[profile_name]
+        source = _field(data, "source", dict)
+        graph = _parse("graph", graph_from_dict, _field(data, "graph", dict))
+        schedule = _parse("schedule", Schedule.from_dict, _field(data, "schedule", dict))
         plan = lower_schedule(graph, schedule)
-        source = data.get("source", {})
-        stats = CompileStats.from_dict(data.get("stats"))
+        stats = _parse("stats", CompileStats.from_dict, _field(data, "stats", dict))
         # The recorded stage timings describe the original compile, but *this*
         # object was loaded, not searched — keep the flag honest per process.
         stats.searched = False
@@ -326,13 +331,16 @@ class CompiledModel:
             plan=plan,
             device=device,
             profile=profile,
-            variant=data.get("variant", "ios-both"),
+            variant=_field(data, "variant", str),
             stats=stats,
-            source_graph_name=source.get("graph_name", graph.name),
-            source_node_digest=source.get("node_digest", node_digest(graph)),
-            source_fingerprint=source.get("fingerprint", ""),
-            fingerprint=data.get("fingerprint", graph_fingerprint(graph)),
-            blocks=[BlockRecord.from_dict(b) for b in data.get("blocks", [])],
+            source_graph_name=_field(source, "graph_name", str, "source."),
+            source_node_digest=_field(source, "node_digest", str, "source."),
+            source_fingerprint=_field(source, "fingerprint", str, "source."),
+            fingerprint=_field(data, "fingerprint", str),
+            blocks=[
+                _parse("blocks", BlockRecord.from_dict, record)
+                for record in _field(data, "blocks", list)
+            ],
         )
 
     def save(self, path: str | Path) -> Path:
@@ -410,3 +418,26 @@ class CompiledModel:
             f"{len(self.schedule)} stages, fingerprint {self.fingerprint}"
         )
         return "\n".join([header, self.stats.describe()])
+
+
+def _field(data: dict[str, Any], key: str, kind: type, prefix: str = "") -> Any:
+    """``data[key]``, or a :class:`ValueError` naming the missing/mistyped field."""
+    if key not in data:
+        raise ValueError(f"compiled-model artifact is missing field {prefix + key!r}")
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"compiled-model artifact field {prefix + key!r} must be "
+            f"{kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _parse(name: str, parse: Callable[[Any], Any], value: Any) -> Any:
+    """``parse(value)``, with any decoding error re-raised as a :class:`ValueError`."""
+    try:
+        return parse(value)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(
+            f"compiled-model artifact field {name!r} is malformed: {error!r}"
+        ) from error

@@ -1,8 +1,6 @@
 """The one model-source API: ``load(source)``.
 
-Historically the system had three ways to obtain a graph — ``build_model``
-for zoo names, calling a zoo builder module directly, and (since the frontend
-landed) the importers.  :func:`load` unifies them: it accepts
+:func:`load` is the one way to obtain a graph.  It accepts
 
 * a registered zoo model name (``"inception_v3"``),
 * a filesystem path to a JSON model file (ONNX-subset, layer-config, or a
@@ -11,8 +9,7 @@ landed) the importers.  :func:`load` unifies them: it accepts
 * a built :class:`~repro.ir.Graph` (returned as-is, re-batched if asked),
 
 and always returns the same validated :class:`~repro.ir.Graph` the rest of
-the stack (passes, engine, serving) consumes.  ``build_model`` is now a
-deprecated shim over this function.
+the stack (passes, engine, serving) consumes.
 """
 
 from __future__ import annotations

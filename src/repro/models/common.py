@@ -7,7 +7,6 @@ by name so experiments and the CLI can instantiate networks uniformly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -19,7 +18,6 @@ __all__ = [
     "MODEL_REGISTRY",
     "register_model",
     "resolve_zoo_builder",
-    "build_model",
     "list_models",
     "set_default_optimize",
     "default_optimize",
@@ -56,13 +54,13 @@ def register_model(spec: ModelSpec) -> ModelSpec:
     return spec
 
 
-#: Process-wide default for ``build_model(optimize=None)``; flipped by the
+#: Process-wide default for ``load(optimize=None)``; flipped by the
 #: CLI's ``--passes`` flag so every experiment sees rewritten graphs.
 _DEFAULT_OPTIMIZE = False
 
 
 def set_default_optimize(enabled: bool) -> bool:
-    """Set the process-wide default for ``build_model``'s pass pipeline.
+    """Set the process-wide default for the loader's pass pipeline.
 
     Returns the previous value so callers (tests, the CLI) can restore it.
     """
@@ -103,26 +101,6 @@ def resolve_zoo_builder(name: str) -> ModelBuilder:
     if key not in MODEL_REGISTRY:
         raise KeyError(f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}")
     return MODEL_REGISTRY[key].builder
-
-
-def build_model(
-    name: str, batch_size: int = 1, optimize: bool | None = None, **kwargs
-) -> Graph:
-    """Deprecated: use :func:`repro.frontend.load` instead.
-
-    Historical zoo-only entry point.  :func:`repro.frontend.load` accepts the
-    same model names (plus paths and parsed model dictionaries) with the same
-    ``batch_size``/``optimize`` semantics; this shim simply delegates.
-    """
-    warnings.warn(
-        "build_model() is deprecated; use repro.frontend.load(source), which "
-        "accepts zoo names, model-file paths and parsed model dictionaries",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..frontend.loader import load
-
-    return load(name, batch_size=batch_size, optimize=optimize, **kwargs)
 
 
 def list_models() -> list[str]:

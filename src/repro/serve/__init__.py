@@ -105,7 +105,6 @@ from .registry import (
     RegistryStats,
     ScheduleRegistry,
     model_dirname,
-    reset_legacy_warnings,
 )
 from .request import (
     FormedBatch,
@@ -159,7 +158,6 @@ __all__ = [
     "Router",
     "ScaleEvent",
     "ScheduleRegistry",
-    "reset_legacy_warnings",
     "ServingConfig",
     "ServingLoop",
     "ServingReport",

@@ -149,6 +149,10 @@ class Autoscaler:
         self._declared: dict[str, int] | None = None
         self._catalog: dict[str, DeviceSpec] = {}
 
+    def reset(self) -> None:
+        """Forget the last resize, so a new run starts without a cooldown."""
+        self._last_action_ms = float("-inf")
+
     def _snapshot_declared(self, workers) -> None:
         if self._declared is not None:
             return

@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ..core.lowering import schedule_latency_ms
 from ..core.schedule import Schedule
 from ..hardware.device import DeviceSpec
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
 from ..ir.graph import Graph
+from ..runtime.executor import ExecutionPlan, Executor
 from .registry import ScheduleRegistry
 from .request import FormedBatch, InferenceRequest
 
@@ -146,14 +146,11 @@ class BatchSizeSelector:
         self.batch_sizes = sorted(batch_sizes)
         self.profile = profile
         #: How candidate latency is measured: a callable
-        #: ``(graph, schedule, device, plan=None) -> float`` where ``plan`` is
+        #: ``(graph, schedule, device, plan=...) -> float`` where ``plan`` is
         #: the engine-lowered plan of the candidate's compiled model.  The
         #: service injects the worker pool's cached measurement so plans are
-        #: lowered at most once and simulated once.  Plain
-        #: ``(graph, schedule, device)`` callables (the pre-engine contract)
-        #: still work; they just lower the schedule themselves.
+        #: lowered at most once and simulated once.
         self._measure = measure or self._default_measure
-        self._measure_accepts_plan = self._accepts_plan(self._measure)
         #: Memoised candidate latency keyed by (model, device, rung).
         self._latency_cache: dict[tuple[str, str, int], float] = {}
         #: Memoised selection keyed by (model, device, batch samples).
@@ -206,36 +203,15 @@ class BatchSizeSelector:
             self._predicted_cache[key] = latency
         return latency
 
-    @staticmethod
-    def _accepts_plan(measure: Callable[..., float]) -> bool:
-        """Whether the measure callable takes the ``plan=`` keyword."""
-        import inspect
-
-        try:
-            parameters = inspect.signature(measure).parameters
-        except (TypeError, ValueError):
-            return False
-        return "plan" in parameters or any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-        )
-
     def _default_measure(self, graph: Graph, schedule: Schedule, device: DeviceSpec,
-                         plan=None) -> float:
-        if plan is not None:
-            from ..runtime.executor import Executor
-
-            return Executor(device, self.profile).run(plan).latency_ms
-        return schedule_latency_ms(graph, schedule, device, self.profile)
+                         plan: ExecutionPlan) -> float:
+        return Executor(device, self.profile).run(plan).latency_ms
 
     def _candidate_latency(self, model: str, rung: int, device: DeviceSpec) -> float:
         key = (model, device.name, rung)
         if key not in self._latency_cache:
             compiled = self.registry.get_compiled(model, rung, device)
-            if self._measure_accepts_plan:
-                latency = self._measure(
-                    compiled.graph, compiled.schedule, device, plan=compiled.plan
-                )
-            else:
-                latency = self._measure(compiled.graph, compiled.schedule, device)
-            self._latency_cache[key] = latency
+            self._latency_cache[key] = self._measure(
+                compiled.graph, compiled.schedule, device, plan=compiled.plan
+            )
         return self._latency_cache[key]

@@ -230,12 +230,15 @@ class Router:
     predicted execution latency of the batch on that worker's device (derived
     from the registry-compiled model for the batch's ladder rung); routers
     that ignore it never trigger a compile for an untouched device type.
-    Routers may keep state (round-robin does) — the service owns one router
-    instance per run, so state never leaks between services.
+    Routers may keep state (round-robin does); :meth:`reset` clears it
+    between runs.
     """
 
     #: Registry name; subclasses override.
     name = "router"
+
+    def reset(self) -> None:
+        """Clear per-run state; the service calls this after every run."""
 
     def pick(self, workers: Sequence[Worker], ready_ms: float,
              estimate: LatencyEstimate) -> Worker:
@@ -273,7 +276,7 @@ class EarliestFinishRouter(Router):
 
 
 class EarliestStartRouter(Router):
-    """Pick the worker that can *start* earliest (the legacy homogeneous rule).
+    """Pick the worker that can *start* earliest (the homogeneous-pool rule).
 
     Ignores device speed entirely — correct when every worker runs the same
     device, a baseline to beat when they do not.
@@ -293,6 +296,9 @@ class RoundRobinRouter(Router):
     name = "round-robin"
 
     def __init__(self) -> None:
+        self._next = 0
+
+    def reset(self) -> None:
         self._next = 0
 
     def pick(self, workers: Sequence[Worker], ready_ms: float,

@@ -282,7 +282,11 @@ class InferenceService:
 
     # --------------------------------------------------------------------- run
     def run(self, requests: Sequence[InferenceRequest]) -> ServingReport:
-        """Serve ``requests`` and report per-request latency plus throughput."""
+        """Serve ``requests`` and report per-request latency plus throughput.
+
+        Replaying the same requests gives the same report: after each run the
+        pool, router and autoscaler return to their configured state.
+        """
         if not requests:
             raise ValueError("cannot serve an empty request list")
         for request in requests:
@@ -302,7 +306,7 @@ class InferenceService:
         outcome = self.loop.run(ordered)
         # Both summaries read the per-worker busy/lifetime series the loop
         # exported into the run's registry — one bookkeeping, two views.
-        return build_report(
+        report = build_report(
             records=outcome.records,
             num_batches=outcome.num_executions,
             batch_size_counts=outcome.batch_size_counts,
@@ -316,3 +320,10 @@ class InferenceService:
             alerts=outcome.alerts,
             metrics=outcome.metrics,
         )
+        # The report holds the run's accounting.  Registry and plan/latency
+        # caches stay warm.
+        self.pool.reset()
+        self.router.reset()
+        if self.autoscaler is not None:
+            self.autoscaler.reset()
+        return report

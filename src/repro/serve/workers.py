@@ -10,9 +10,7 @@ the worker's device, never by a pool-wide one.
 *Which* worker a batch goes to is the router's decision
 (:mod:`repro.serve.fleet`) — the pool only executes: :meth:`WorkerPool.dispatch`
 runs an execution plan on the chosen worker, advances its horizon, and
-returns the batch timeline.  :meth:`WorkerPool.next_worker` remains as the
-legacy earliest-start rule that homogeneous pools used before routing became
-pluggable.
+returns the batch timeline.
 
 Execution plans come from :class:`~repro.engine.CompiledModel` artifacts via
 the schedule registry; the pool memoises them per
@@ -39,9 +37,8 @@ __all__ = ["Worker", "DispatchResult", "WorkerPool", "earliest_start_worker"]
 def earliest_start_worker(workers: Sequence["Worker"], ready_ms: float) -> "Worker":
     """The worker that can *start* a batch ready at ``ready_ms`` first.
 
-    Ties break by worker id for determinism.  This is the single home of the
-    earliest-start tiebreak: :meth:`WorkerPool.next_worker` and the
-    ``earliest-start`` router both delegate here.
+    Ties break by worker id for determinism.  The ``earliest-start`` router
+    delegates here.
     """
     return min(
         workers,
@@ -118,16 +115,8 @@ class WorkerPool:
         if not devices:
             raise ValueError("worker pool needs at least one device")
         self.profile = profile
-        self.workers = [
-            Worker(worker_id=index, device=device, executor=Executor(device, profile))
-            for index, device in enumerate(devices)
-        ]
-        #: Workers removed by the autoscaler; they keep their executed-batch
-        #: accounting and still appear in :meth:`summary`.
-        self.retired: list[Worker] = []
-        #: Worker ids are never reused, so records stay unambiguous even
-        #: after the pool shrank and grew again.
-        self._next_worker_id = len(self.workers)
+        self._devices = tuple(devices)
+        self.reset()
         #: Lowered-plan cache keyed by (graph name, batch size, device name,
         #: schedule origin) — lowering validates and rebuilds merged operators,
         #: so it is worth skipping on the request path.
@@ -138,6 +127,23 @@ class WorkerPool:
         #: lets tracing replay the plan's stage/kernel events as child spans
         #: of each dispatch.
         self._result_cache: dict[tuple[str, int, str, str], ExecutionResult] = {}
+
+    def reset(self) -> None:
+        """Return to the configured idle pool: one fresh worker per device.
+
+        Busy horizons, per-worker counters and autoscaled or retired workers
+        are dropped; the plan and latency caches stay warm.
+        """
+        self.workers = [
+            Worker(worker_id=index, device=device, executor=Executor(device, self.profile))
+            for index, device in enumerate(self._devices)
+        ]
+        #: Workers removed by the autoscaler; they keep their executed-batch
+        #: accounting and still appear in :meth:`summary`.
+        self.retired: list[Worker] = []
+        #: Worker ids are never reused, so records stay unambiguous even
+        #: after the pool shrank and grew again.
+        self._next_worker_id = len(self.workers)
 
     def __len__(self) -> int:
         return len(self.workers)
@@ -160,14 +166,6 @@ class WorkerPool:
         return list(seen.values())
 
     # ---------------------------------------------------------------- dispatch
-    def next_worker(self, ready_ms: float) -> Worker:
-        """The earliest-start worker for a batch ready at ``ready_ms``.
-
-        The legacy homogeneous dispatch rule, kept for direct pool users;
-        the service routes through :mod:`repro.serve.fleet` instead.
-        """
-        return earliest_start_worker(self.workers, ready_ms)
-
     def execution_result(self, graph: Graph, schedule: Schedule, worker: Worker,
                          plan: ExecutionPlan | None = None) -> ExecutionResult:
         """The memoised simulated execution of the plan on the worker's device.

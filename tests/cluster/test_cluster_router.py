@@ -89,9 +89,9 @@ class TestPolicies:
 
     def test_partition_affinity_pins_covered_models_to_stage_zero(self):
         from repro.cluster import partition_graph
-        from repro.models import build_model
+        from repro.frontend import load
 
-        plan = partition_graph(build_model("squeezenet", 1), 2, model="squeezenet")
+        plan = partition_graph(load("squeezenet", 1), 2, model="squeezenet")
         router = PartitionAffinityRouter()
         router.plan = plan
         hosts = [FakeHost(0, remaining=9.0), FakeHost(1, remaining=1.0)]

@@ -34,16 +34,6 @@ def _fresh_schedule_memo():
     clear_schedule_memo()
 
 
-@pytest.fixture(autouse=True)
-def _fresh_legacy_warnings():
-    """Isolate every test from the process-wide legacy-warning dedup set."""
-    from repro.serve.registry import reset_legacy_warnings
-
-    reset_legacy_warnings()
-    yield
-    reset_legacy_warnings()
-
-
 @pytest.fixture(scope="session")
 def v100():
     return get_device("v100")

@@ -7,12 +7,12 @@ import json
 import pytest
 
 from repro.engine import ARTIFACT_FORMAT, CompiledModel, Engine
-from repro.models import build_model
+from repro.frontend import load
 
 
 @pytest.fixture(scope="module")
 def compiled(v100):
-    return Engine(v100).compile(build_model("squeezenet", batch_size=2, optimize=False))
+    return Engine(v100).compile(load("squeezenet", batch_size=2, optimize=False))
 
 
 class TestRoundTrip:
@@ -84,19 +84,6 @@ class TestBlockRecords:
             cursor += record.count
         assert cursor == len(loaded.schedule.stages)
 
-    def test_artifact_without_block_records_still_loads(self, compiled, tmp_path):
-        # Artifacts written before block records existed have no "blocks"
-        # key (the field was added without a version bump): they must load
-        # with an empty record list, not fail.
-        data = compiled.to_dict()
-        del data["blocks"]
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(data))
-        loaded = CompiledModel.load(path)
-        assert loaded.blocks == []
-        assert loaded.schedule == compiled.schedule
-        assert loaded.latency_ms() == pytest.approx(compiled.latency_ms())
-
     def test_loaded_records_enable_incremental_recompiles(self, tmp_path, v100):
         graph = _versioned_graph(head_kernel=1)
         path = Engine(v100).compile(graph).save(tmp_path / "m.json")
@@ -110,19 +97,6 @@ class TestBlockRecords:
         assert sources["stem"] == "spliced"
         assert sources["head"] != "spliced"
         assert warm.stats.blocks_spliced == 1
-
-    def test_legacy_artifact_recompiles_without_splicing(self, tmp_path, v100):
-        graph = _versioned_graph(head_kernel=1)
-        data = Engine(v100).compile(graph).to_dict()
-        del data["blocks"]
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(data))
-
-        warm = Engine(v100)
-        warm.load(path)
-        recompiled = warm.compile(_versioned_graph(head_kernel=3))
-        assert warm.stats.blocks_spliced == 0
-        assert all(s.source != "spliced" for s in recompiled.search.block_stats)
 
 
 def _versioned_graph(head_kernel: int):
@@ -147,7 +121,7 @@ class TestEngineWarmStart:
         assert warm.stats.loads == 1
         # Compiling the same source graph now hits the loaded artifact: the
         # warm engine performs zero scheduler searches.
-        again = warm.compile(build_model("squeezenet", batch_size=2, optimize=False))
+        again = warm.compile(load("squeezenet", batch_size=2, optimize=False))
         assert again is loaded
         assert warm.stats.searches == 0
         assert warm.stats.cache_hits == 1

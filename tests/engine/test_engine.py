@@ -7,9 +7,9 @@ import warnings
 import pytest
 
 from repro.core import IOSScheduler, PruningStrategy, SchedulerConfig, SimulatedCostModel
-from repro.core import schedule_graph
-from repro.engine import Engine, clear_engine_pool, get_engine
-from repro.models import build_model, figure2_block
+from repro.engine import Engine, apply_passes, clear_engine_pool, get_engine
+from repro.frontend import load
+from repro.models import figure2_block
 from repro.passes import unfuse_activations
 
 
@@ -37,7 +37,7 @@ class TestStagedCompile:
         assert "schedule" in stats.describe()
 
     def test_pass_stage_rewrites_before_search(self, v100):
-        raw = unfuse_activations(build_model("squeezenet", optimize=False))
+        raw = unfuse_activations(load("squeezenet", optimize=False))
         compiled = Engine(v100, passes=True).compile(raw)
         assert compiled.graph is not raw
         assert compiled.stats.operators_out < compiled.stats.operators_in
@@ -84,8 +84,8 @@ class TestCompileCache:
 
     def test_different_batch_size_misses(self, v100):
         engine = Engine(v100)
-        engine.compile(build_model("squeezenet", batch_size=1))
-        engine.compile(build_model("squeezenet", batch_size=2))
+        engine.compile(load("squeezenet", batch_size=1))
+        engine.compile(load("squeezenet", batch_size=2))
         assert engine.stats.searches == 2
 
     def test_use_cache_false_bypasses(self, v100, fig2):
@@ -120,34 +120,28 @@ class TestCompileCache:
 
 
 class TestShimEquivalence:
-    """Engine.compile must reproduce the legacy schedule_graph() results."""
+    """Engine.compile must reproduce the bare IOSScheduler search it wraps."""
 
     @pytest.mark.parametrize("model", ["squeezenet", "inception_v3"])
-    def test_engine_matches_legacy_schedule_graph_on_the_zoo(self, model, v100):
-        graph = build_model(model, optimize=False)
-        with pytest.warns(DeprecationWarning, match="schedule_graph"):
-            legacy = schedule_graph(graph, v100)
+    def test_engine_matches_the_search_primitive_on_the_zoo(self, model, v100):
+        graph = load(model, optimize=False)
+        searched = IOSScheduler(SimulatedCostModel(v100)).optimize_graph(graph)
         compiled = Engine(v100).compile(graph)
-        assert compiled.schedule == legacy.schedule
+        assert compiled.schedule == searched.schedule
         assert compiled.search.predicted_latency_ms == pytest.approx(
-            legacy.predicted_latency_ms
+            searched.predicted_latency_ms
         )
 
     def test_equivalence_with_passes_and_variant(self, v100):
-        raw = unfuse_activations(build_model("squeezenet", optimize=False))
-        with pytest.warns(DeprecationWarning):
-            legacy = schedule_graph(raw, v100, passes=True, variant="ios-merge")
+        raw = unfuse_activations(load("squeezenet", optimize=False))
+        optimized, _ = apply_passes(raw, True)
+        scheduler = IOSScheduler(
+            SimulatedCostModel(v100), SchedulerConfig.variant("ios-merge")
+        )
+        searched = scheduler.optimize_graph(optimized)
         compiled = Engine(v100, passes=True, variant="ios-merge").compile(raw)
-        assert compiled.schedule == legacy.schedule
-        assert list(compiled.graph.nodes) == list(legacy.graph.nodes)
-
-    def test_optimize_graph_passes_kwarg_warns_and_matches(self, v100):
-        raw = unfuse_activations(build_model("squeezenet", optimize=False))
-        scheduler = IOSScheduler(SimulatedCostModel(v100))
-        with pytest.warns(DeprecationWarning, match="passes"):
-            legacy = scheduler.optimize_graph(raw, passes=True)
-        compiled = Engine(v100, passes=True).compile(raw)
-        assert compiled.schedule == legacy.schedule
+        assert compiled.schedule == searched.schedule
+        assert list(compiled.graph.nodes) == list(searched.graph.nodes)
 
     def test_plain_optimize_graph_does_not_warn(self, v100, fig2):
         scheduler = IOSScheduler(SimulatedCostModel(v100))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import get_device, optimize
+from repro import get_device, get_engine
 from repro.core import (
     IOSScheduler,
     Schedule,
@@ -15,7 +15,7 @@ from repro.core import (
     sequential_schedule,
 )
 from repro.frameworks import get_framework
-from repro.models import build_model
+from repro.frontend import load
 
 
 @pytest.fixture(scope="module")
@@ -25,12 +25,12 @@ def v100():
 
 @pytest.fixture(scope="module")
 def squeezenet():
-    return build_model("squeezenet", batch_size=1)
+    return load("squeezenet", batch_size=1)
 
 
 @pytest.fixture(scope="module")
 def squeezenet_schedules(squeezenet, v100):
-    ios = optimize(squeezenet, v100)
+    ios = get_engine(v100).compile(squeezenet).schedule
     return {
         "sequential": sequential_schedule(squeezenet),
         "greedy": greedy_schedule(squeezenet),
@@ -70,7 +70,7 @@ class TestSqueezeNetEndToEnd:
 class TestInceptionEndToEnd:
     @pytest.fixture(scope="class")
     def inception(self):
-        return build_model("inception_v3", batch_size=1)
+        return load("inception_v3", batch_size=1)
 
     @pytest.fixture(scope="class")
     def ios_result(self, inception, v100):

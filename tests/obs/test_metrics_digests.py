@@ -38,10 +38,10 @@ LADDER = (1, 2, 4, 8)
 POLICY = BatchPolicy(max_batch_size=8, max_wait_ms=2.0)
 
 DIGESTS = {
-    "steady": "c02677cbb033b5e2df390a816e79c9a9094197f0c6689f041bfeffe7733c91a5",
-    "overload": "4d3d37de9a95ce306250b616e8af7f4f8e72493cab1c9368b1de63b3188f418c",
-    "overload-windows": "76d7ec05be350b2d634398c4190423815343f9c78666883aef30961f48eb50f7",
-    "cluster": "eb2bbeb4d9081e56148fbc0019a044aed0c24adce9b5567b4a3d9f9b58fb3a2e",
+    "steady": "6209d68de0bd23c1f82893bb6ca40e32099c7a01282de549b4f46d98301ab907",
+    "overload": "e02e4a186d05de5a6161225025a8627256105def3412d9b9b5d717935669466c",
+    "overload-windows": "b75b71426c6a471c0c906b6d95fc944562cfef5b7320b71441e76bce57b67bd9",
+    "cluster": "5c20db18c877305cf43c37ea5bbb859d32525032d21abc6a0df147d4a771788a",
 }
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ir import GraphBuilder, TensorShape
-from repro.models import build_model
+from repro.frontend import load
 from repro.passes import (
     DEFAULT_PASSES,
     GraphPass,
@@ -153,20 +153,20 @@ class TestPassManager:
 
 class TestOptimizeGraphCache:
     def test_cache_returns_same_result_object(self):
-        graph = build_model("squeezenet", optimize=False)
+        graph = load("squeezenet", optimize=False)
         first = optimize_graph(graph)
         second = optimize_graph(graph)
         assert second is first
 
     def test_cache_can_be_bypassed(self):
-        graph = build_model("squeezenet", optimize=False)
+        graph = load("squeezenet", optimize=False)
         first = optimize_graph(graph)
         fresh = optimize_graph(graph, cache=False)
         assert fresh is not first
 
     def test_structurally_equal_graphs_share_a_result(self):
-        a = unfuse_activations(build_model("squeezenet", optimize=False))
-        b = unfuse_activations(build_model("squeezenet", optimize=False))
+        a = unfuse_activations(load("squeezenet", optimize=False))
+        b = unfuse_activations(load("squeezenet", optimize=False))
         assert optimize_graph(a) is optimize_graph(b)
 
     def test_differently_configured_passes_do_not_share_results(self):

@@ -6,17 +6,19 @@ import pytest
 
 from repro.core import (
     IOSScheduler,
+    PruningStrategy,
+    SchedulerConfig,
     SimulatedCostModel,
     measure_schedule,
-    schedule_graph,
 )
-from repro.models import build_model
+from repro.engine import Engine
+from repro.frontend import load
 from repro.passes import PassManager, unfuse_activations
 
 
 @pytest.fixture(scope="module")
 def raw_squeezenet():
-    return unfuse_activations(build_model("squeezenet", optimize=False))
+    return unfuse_activations(load("squeezenet", optimize=False))
 
 
 class TestSchedulerPassesEntryPoint:
@@ -26,9 +28,7 @@ class TestSchedulerPassesEntryPoint:
         assert result.pass_stats is None
 
     def test_passes_true_runs_default_pipeline(self, raw_squeezenet, v100):
-        result = IOSScheduler(SimulatedCostModel(v100)).optimize_graph(
-            raw_squeezenet, passes=True
-        )
+        result = Engine(v100, passes=True).compile(raw_squeezenet).search
         assert result.graph is not raw_squeezenet
         assert len(result.graph.schedulable_names()) < len(
             raw_squeezenet.schedulable_names()
@@ -41,14 +41,12 @@ class TestSchedulerPassesEntryPoint:
 
     def test_custom_pipeline_instance(self, raw_squeezenet, v100):
         manager = PassManager(["fuse-activation"])
-        result = IOSScheduler(SimulatedCostModel(v100)).optimize_graph(
-            raw_squeezenet, passes=manager
-        )
+        result = Engine(v100, passes=manager).compile(raw_squeezenet).search
         assert [s.name for s in result.pass_stats] == ["fuse-activation"]
 
-    def test_schedule_graph_convenience(self, raw_squeezenet, v100):
-        optimized = schedule_graph(raw_squeezenet, "v100", passes=True)
-        plain = schedule_graph(raw_squeezenet, v100)
+    def test_optimized_schedule_is_no_slower(self, raw_squeezenet, v100):
+        optimized = Engine("v100", passes=True).compile(raw_squeezenet).search
+        plain = Engine(v100).compile(raw_squeezenet).search
         assert plain.graph is raw_squeezenet
         assert len(optimized.graph.schedulable_names()) < len(
             plain.graph.schedulable_names()
@@ -58,22 +56,15 @@ class TestSchedulerPassesEntryPoint:
         raw_ms = measure_schedule(plain.graph, plain.schedule, v100).latency_ms
         assert opt_ms <= raw_ms + 1e-9
 
-    def test_schedule_graph_rejects_config_and_pruning(self, raw_squeezenet):
-        from repro.core import PruningStrategy, SchedulerConfig
-
+    def test_engine_rejects_config_and_pruning(self):
         with pytest.raises(ValueError, match="not both"):
-            schedule_graph(
-                raw_squeezenet,
-                "v100",
-                config=SchedulerConfig(),
-                pruning=PruningStrategy(2, 4),
-            )
+            Engine("v100", config=SchedulerConfig(), pruning=PruningStrategy(2, 4))
 
 
 class TestBuildModelOptimize:
     def test_optimize_kwarg(self):
-        raw = build_model("nasnet_a", optimize=False)
-        optimized = build_model("nasnet_a", optimize=True)
+        raw = load("nasnet_a", optimize=False)
+        optimized = load("nasnet_a", optimize=True)
         assert len(optimized.schedulable_names()) < len(raw.schedulable_names())
 
     def test_process_default(self):
@@ -81,10 +72,10 @@ class TestBuildModelOptimize:
 
         previous = set_default_optimize(True)
         try:
-            implicit = build_model("nasnet_a")
+            implicit = load("nasnet_a")
         finally:
             set_default_optimize(previous)
-        explicit = build_model("nasnet_a", optimize=True)
+        explicit = load("nasnet_a", optimize=True)
         assert list(implicit.nodes) == list(explicit.nodes)
 
     def test_cli_flag_restores_default(self, capsys):

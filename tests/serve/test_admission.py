@@ -238,9 +238,8 @@ class TestPriorityAdmission:
         assert policy._protection_margin_ms(low) == pytest.approx(7.5)
 
     def test_priority_class_floor_resets_between_runs_of_one_service(self):
-        # Worker horizons deliberately persist across run() calls (a
-        # long-lived deployment), but the policy's class bookkeeping must
-        # not: a priority-0-only second run has 0 as its top class, so its
+        # The policy's class bookkeeping must not outlive a run: a
+        # priority-0-only second run has 0 as its top class, so its
         # rejections are ordinary predicted misses — not "low-priority-shed"
         # relative to the previous run's class 5.
         service = toy_service(admission="priority")

@@ -110,22 +110,6 @@ class TestBatchSizeSelector:
         for other in selector.batch_sizes:
             assert latency_chosen <= selector._candidate_latency("m", other, v100)
 
-    def test_legacy_three_argument_measure_callables_still_work(self, v100):
-        # The pre-engine measure contract was (graph, schedule, device); such
-        # callables must keep working alongside plan-aware ones.
-        registry = ScheduleRegistry(
-            graph_builder=lambda model, bs: chain_graph(length=3, batch_size=bs)
-        )
-        calls = []
-
-        def legacy_measure(graph, schedule, device):
-            calls.append(graph.batch_size)
-            return float(graph.batch_size)
-
-        selector = BatchSizeSelector(registry, batch_sizes=(1, 2), measure=legacy_measure)
-        assert selector.select("m", 1, v100) == 1
-        assert calls  # the legacy callable was invoked without a plan kwarg
-
     def test_plan_aware_measure_receives_the_compiled_plan(self, v100):
         registry = ScheduleRegistry(
             graph_builder=lambda model, bs: chain_graph(length=3, batch_size=bs)

@@ -33,7 +33,7 @@ class _StubRegistry:
 
 
 def _selector(latencies: dict[tuple[str, int], float]) -> BatchSizeSelector:
-    def measure(graph, schedule, device):
+    def measure(graph, schedule, device, plan=None):
         return latencies[(device.name, graph[1])]
 
     return BatchSizeSelector(_StubRegistry(), LADDER, measure=measure)

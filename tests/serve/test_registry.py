@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import json
+import re
+import warnings
 from pathlib import Path
 
 import pytest
 
 from repro.core import Schedule, Stage
-from repro.models import chain_graph
+from repro.engine import CompiledModel, Engine
+from repro.models import chain_graph, diamond_graph
 from repro.serve import RegistryError, RegistryKey, ScheduleRegistry
+
+#: Every field ``CompiledModel.to_dict()`` writes; ``source.*`` are sub-keys.
+ARTIFACT_FIELDS = [
+    "format", "format_version", "device", "profile", "variant", "source",
+    "fingerprint", "graph", "schedule", "stats", "blocks",
+    "source.graph_name", "source.node_digest", "source.fingerprint",
+]
 
 
 def chain_builder(model: str, batch_size: int):
@@ -90,13 +101,6 @@ class TestPutAndEnumeration:
         parsed = RegistryKey.from_path("m", Path(key.filename()))
         assert parsed == key
 
-    def test_legacy_filename_round_trips_with_empty_fingerprint(self):
-        legacy = RegistryKey("m", 4, "v100", "ios-both")
-        assert legacy.filename() == "v100__ios-both__bs4.json"
-        parsed = RegistryKey.from_path("m", Path(legacy.filename()))
-        assert parsed == legacy
-        assert parsed.fingerprint == ""
-
     def test_key_embeds_the_served_graph_fingerprint(self, registry, v100):
         from repro.ir import graph_fingerprint
 
@@ -116,8 +120,6 @@ class TestFailureModes:
         assert fresh.stats.corrupt_entries == 1
         assert fresh.stats.searches == 1
         # The rewritten entry must be a valid full artifact again.
-        from repro.engine import CompiledModel
-
         assert CompiledModel.load(path).schedule.graph_name == "chain"
 
     def test_wrong_shape_json_is_dropped_and_recompiled(self, registry, tmp_path, v100):
@@ -132,72 +134,28 @@ class TestFailureModes:
         assert fresh.stats.corrupt_entries == 1
         assert fresh.stats.searches == 1
 
-    def test_entry_for_wrong_graph_raises(self, registry, tmp_path, v100):
-        key = registry.key("m", 1, v100)
-        path = registry.path_for(key)
-        Schedule(graph_name="other_graph", stages=[Stage(operators=("x",))]).save(path)
+    def test_entry_for_wrong_graph_raises(self, registry, v100):
+        path = registry.path_for(registry.key("m", 1, v100))
+        Engine(v100).compile(diamond_graph()).save(path)
         with pytest.raises(RegistryError):
             registry.get("m", 1, v100)
 
-    def test_legacy_entry_is_a_miss_with_a_warning(self, registry, tmp_path, v100):
-        # An entry persisted before fingerprints may describe a different
-        # graph: it must be recompiled, not silently reused.
-        compiled = registry.get("m", 1, v100)
+    def test_fingerprint_less_file_is_ignored(self, registry, tmp_path, v100):
+        registry.get("m", 1, v100)
         key = registry.key("m", 1, v100)
-        legacy_path = tmp_path / "m" / RegistryKey("m", 1, "v100", "ios-both").filename()
-        registry.path_for(key).rename(legacy_path)
+        stale = registry.path_for(key).with_name("v100__ios-both__bs1.json")
+        registry.path_for(key).rename(stale)
 
         fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
-        with pytest.warns(UserWarning, match="legacy schedule entry"):
-            reloaded = fresh.get("m", 1, v100)
+        assert fresh.keys() == []
+        assert fresh.cached_batch_sizes("m", v100) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh.get("m", 1, v100)
         assert fresh.stats.searches == 1
-        assert fresh.stats.disk_hits == 0
-        assert fresh.stats.legacy_entries == 1
-        assert reloaded == compiled  # same graph => same recompiled schedule
-        # The legacy file stays on disk untouched; the new entry sits beside it.
-        assert legacy_path.exists()
-        assert fresh.path_for(key).exists()
-
-    def test_legacy_warning_fires_once_across_instances(self, registry, tmp_path, v100):
-        # A fleet builds one registry per worker over the same root: the
-        # stale-file warning must fire once per process, not once per
-        # registry instance probing the same file.
-        registry.get("m", 1, v100)
-        key = registry.key("m", 1, v100)
-        legacy_path = tmp_path / "m" / RegistryKey("m", 1, "v100", "ios-both").filename()
-        registry.path_for(key).rename(legacy_path)
-
-        first = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
-        with pytest.warns(UserWarning, match="legacy schedule entry"):
-            first.get("m", 1, v100)
-        # Remove the fresh entry the first instance persisted so the second
-        # instance takes the same legacy-probing path.
-        first.path_for(key).unlink()
-
-        second = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            second.get("m", 1, v100)
-        # The probe still counts the stale file even though it stays quiet.
-        assert second.stats.legacy_entries == 1
-
-    def test_legacy_warning_fires_once_per_file(self, registry, tmp_path, v100):
-        registry.get("m", 1, v100)
-        key = registry.key("m", 1, v100)
-        legacy_path = tmp_path / "m" / RegistryKey("m", 1, "v100", "ios-both").filename()
-        registry.path_for(key).rename(legacy_path)
-
-        fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
-        with pytest.warns(UserWarning):
-            fresh.get("m", 1, v100)
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            # Entry now resolves from memory/disk; no further warning.
-            fresh.get("m", 1, v100)
+        assert fresh.stats.corrupt_entries == 0
+        assert stale.exists()
+        assert fresh.keys() == [key]
 
     def test_changed_graph_misses_instead_of_reusing_stale_schedule(
             self, registry, tmp_path, v100):
@@ -225,8 +183,6 @@ class TestFailureModes:
 
 class TestCompiledArtifacts:
     def test_persisted_entry_is_a_full_artifact(self, registry, v100):
-        from repro.engine import CompiledModel
-
         registry.get("m", 1, v100)
         path = registry.path_for(registry.key("m", 1, v100))
         compiled = CompiledModel.load(path)
@@ -257,40 +213,23 @@ class TestCompiledArtifacts:
         assert registry.get("m", 2, v100) is compiled.schedule
         assert registry.stats.memory_hits == 1
 
-    def test_legacy_schedule_document_still_loads(self, registry, tmp_path, v100):
-        # Files written before the artifact format (bare Schedule.to_dict())
-        # must load as a disk hit, lowered against today's served graph.
+    def test_bare_schedule_document_is_a_corrupt_entry(self, registry, tmp_path, v100):
         compiled = registry.get_compiled("m", 1, v100)
         path = registry.path_for(registry.key("m", 1, v100))
-        compiled.schedule.save(path)  # overwrite with the pre-engine layout
+        compiled.schedule.save(path)
 
         fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
         reloaded = fresh.get_compiled("m", 1, v100)
-        assert fresh.stats.disk_hits == 1
-        assert fresh.stats.searches == 0
-        assert reloaded.schedule == compiled.schedule
-        assert reloaded.plan.num_stages() == compiled.plan.num_stages()
-
-    def test_legacy_schedule_with_stale_operator_names_is_dropped(
-            self, registry, tmp_path, v100):
-        # Right graph name, wrong operators (e.g. nodes renamed behind the
-        # rename-invariant fingerprint): must recompile, not crash the lookup.
-        registry.get("m", 1, v100)
-        path = registry.path_for(registry.key("m", 1, v100))
-        Schedule(graph_name="chain",
-                 stages=[Stage(operators=("no_such_op",))]).save(path)
-
-        fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
-        fresh.get("m", 1, v100)
         assert fresh.stats.corrupt_entries == 1
         assert fresh.stats.searches == 1
+        assert fresh.stats.disk_hits == 0
+        assert reloaded.schedule == compiled.schedule
+        assert CompiledModel.is_artifact(json.loads(path.read_text()))
 
     def test_newer_artifact_version_misses_without_deleting(
             self, registry, tmp_path, v100):
         # A mixed-version or rolled-back deployment sharing a registry dir
         # must never destroy the other version's entries on sight.
-        import json
-
         registry.get("m", 1, v100)
         key = registry.key("m", 1, v100)
         path = registry.path_for(key)
@@ -318,6 +257,46 @@ class TestCompiledArtifacts:
         drifted.get("m", 1, v100)
         canonical.get("m", 1, v100)
         assert canonical.stats.searches == 0  # same key, warm from disk
+
+
+def _edit_field(data: dict, field: str, value=None, delete: bool = False) -> dict:
+    """A copy of ``data`` with the (dotted) ``field`` deleted or replaced."""
+    data = json.loads(json.dumps(data))
+    *parents, leaf = field.split(".")
+    target = data
+    for parent in parents:
+        target = target[parent]
+    if delete:
+        del target[leaf]
+    else:
+        target[leaf] = value
+    return data
+
+
+class TestMalformedArtifacts:
+    def test_field_list_covers_the_artifact(self, registry, v100):
+        data = registry.get_compiled("m", 1, v100).to_dict()
+        assert set(data) | {f"source.{key}" for key in data["source"]} == set(ARTIFACT_FIELDS)
+
+    @pytest.mark.parametrize("field", ARTIFACT_FIELDS)
+    def test_missing_field_is_a_typed_error_and_a_corrupt_entry(
+            self, registry, tmp_path, v100, field):
+        registry.get("m", 1, v100)
+        path = registry.path_for(registry.key("m", 1, v100))
+        path.write_text(json.dumps(_edit_field(json.loads(path.read_text()), field, delete=True)))
+        with pytest.raises(ValueError, match=re.escape(repr(field))):
+            CompiledModel.load(path)
+
+        fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
+        fresh.get("m", 1, v100)
+        assert fresh.stats.corrupt_entries == 1
+        assert fresh.stats.searches == 1
+
+    @pytest.mark.parametrize("field", ARTIFACT_FIELDS)
+    def test_mistyped_field_is_a_typed_error(self, registry, v100, field):
+        data = registry.get_compiled("m", 1, v100).to_dict()
+        with pytest.raises(ValueError, match=re.escape(repr(field))):
+            CompiledModel.from_dict(_edit_field(data, field, value=None))
 
 
 class TestPassOptimizedEntries:

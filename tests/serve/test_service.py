@@ -6,11 +6,14 @@ import pytest
 
 from repro.models import chain_graph
 from repro.serve import (
+    AutoscaleConfig,
     BatchPolicy,
     InferenceRequest,
     InferenceService,
     ScheduleRegistry,
     ServingConfig,
+    TrafficConfig,
+    TrafficGenerator,
 )
 
 
@@ -155,3 +158,42 @@ class TestInferenceService:
         assert service.registry.stats.searches == 6
         report = service.run(requests_for(30, gap_ms=0.05))
         assert report.num_requests == 30
+
+
+class TestRepeatedRuns:
+    """A second run of one service replays exactly like the first."""
+
+    def assert_identical_replay(self, service, requests):
+        first = service.run(requests)
+        searches = service.registry.stats.searches
+        second = service.run(requests)
+        assert second.records == first.records
+        assert second.rejected == first.rejected
+        assert second.worker_summary == first.worker_summary
+        assert second.device_summary == first.device_summary
+        assert service.registry.stats.searches == searches
+        return first
+
+    def test_mixed_fleet_with_deadline_admission(self):
+        service = InferenceService(ServingConfig(
+            model="squeezenet", fleet="k80:1,v100:2", admission="deadline",
+        ))
+        requests = TrafficGenerator(TrafficConfig(
+            model="squeezenet", pattern="poisson", num_requests=300,
+            rate_rps=3000.0, slo_ms=25.0, seed=0,
+        )).generate()
+        first = self.assert_identical_replay(service, requests)
+        assert first.slo_summary.met == 300
+
+    def test_elastic_round_robin_pool(self):
+        service = toy_service(
+            router="round-robin", admission="deadline",
+            autoscale=AutoscaleConfig(min_workers=1, max_workers=3,
+                                      interval_ms=0.2, scale_up_backlog_ms=0.02),
+        )
+        requests = TrafficGenerator(TrafficConfig(
+            model="toy", pattern="bursty", num_requests=120, burst_size=30,
+            burst_gap_ms=8.0, slo_ms=5.0, seed=2,
+        ).capped_to(4)).generate()
+        first = self.assert_identical_replay(service, requests)
+        assert first.scale_events  # the autoscaler really resized the pool

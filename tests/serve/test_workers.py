@@ -7,6 +7,7 @@ import pytest
 from repro.core import IOSScheduler, SimulatedCostModel
 from repro.models import chain_graph
 from repro.serve import WorkerPool
+from repro.serve.workers import earliest_start_worker
 
 
 @pytest.fixture
@@ -39,12 +40,18 @@ class TestWorkerPool:
         assert second.start_ms == first.end_ms
         assert second.wait_for_worker_ms == pytest.approx(first.end_ms)
 
-    def test_next_worker_prefers_the_idle_one(self, graph, schedule, v100):
-        pool = WorkerPool([v100, v100])
-        worker = pool.next_worker(0.0)
-        pool.dispatch(graph, schedule, worker, ready_ms=0.0)
-        other = pool.next_worker(0.0)
-        assert other.worker_id != worker.worker_id
+    def test_reset_restores_the_configured_idle_pool(self, graph, schedule, v100, k80):
+        pool = WorkerPool([v100, k80])
+        pool.dispatch(graph, schedule, pool.workers[0], ready_ms=0.0)
+        pool.remove_worker(pool.workers[1], now_ms=0.0)
+        pool.add_worker(v100, now_ms=1.0)
+        pool.reset()
+        assert [(w.worker_id, w.device.name) for w in pool.workers] == [(0, "v100"), (1, "k80")]
+        assert all(w.busy_until_ms == 0.0 and w.batches_executed == 0 for w in pool.workers)
+        assert pool.retired == []
+        assert pool.add_worker(v100).worker_id == 2
+        # The plan/latency caches survive the reset.
+        assert len(pool._result_cache) == 1
 
     def test_plan_latency_is_cached_and_deterministic(self, graph, schedule, v100):
         pool = WorkerPool([v100])
@@ -65,7 +72,7 @@ class TestWorkerPool:
     def test_summary_accounts_for_all_dispatches(self, graph, schedule, v100):
         pool = WorkerPool([v100, v100])
         for _ in range(4):
-            worker = pool.next_worker(0.0)
+            worker = earliest_start_worker(pool.workers, 0.0)
             pool.dispatch(graph, schedule, worker, ready_ms=0.0)
         summary = pool.summary()
         assert sum(row["batches"] for row in summary) == 4

@@ -17,7 +17,8 @@ from repro.core import (
     schedule_latency_ms,
     sequential_schedule,
 )
-from repro.models import build_model, chain_graph, diamond_graph, figure2_block, figure5_graph
+from repro.frontend import load
+from repro.models import chain_graph, diamond_graph, figure2_block, figure5_graph
 
 
 def brute_force_optimal_latency(graph, cost_model) -> float:
@@ -132,7 +133,7 @@ class TestVariants:
             SchedulerConfig.variant("ios-quantum")
 
     def test_ios_both_at_least_as_good_as_restricted_variants(self, v100):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         latencies = {}
         for variant in ("ios-both", "ios-parallel", "ios-merge"):
             scheduler = IOSScheduler(SimulatedCostModel(v100), SchedulerConfig.variant(variant))
@@ -145,7 +146,7 @@ class TestVariants:
         # RandWire-style separable convolutions cannot merge, so IOS-Merge
         # degenerates to the sequential schedule (Section 6.1): every stage is
         # a single operator and the latency matches the sequential baseline.
-        graph = build_model("randwire", nodes_per_stage=6)
+        graph = load("randwire", nodes_per_stage=6)
         scheduler = IOSScheduler(SimulatedCostModel(v100), SchedulerConfig.variant("ios-merge"))
         merge_schedule = scheduler.optimize_graph(graph).schedule
         assert all(len(stage) == 1 for stage in merge_schedule.stages)
@@ -177,7 +178,7 @@ class TestPruningAndStats:
         assert result.total_measurements == sum(s.num_measurements for s in result.block_stats)
 
     def test_schedule_is_valid(self, v100):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         result = IOSScheduler(SimulatedCostModel(v100)).optimize_graph(graph)
         result.schedule.validate(graph)
         assert result.schedule.origin.startswith("ios-both")

@@ -206,9 +206,9 @@ class TestWidth:
         assert dag_width(fig2, []) == 0
 
     def test_inception_c_block_width_matches_paper(self):
-        from repro.models import build_model
+        from repro.frontend import load
 
-        graph = build_model("inception_v3")
+        graph = load("inception_v3")
         block = next(b for b in graph.blocks if b.name == "mixed_7c")
         # Paper Table 1: the largest Inception V3 block has n=11, d=6.
         assert len(graph.schedulable_names(block)) == 11

@@ -12,7 +12,7 @@ from repro.ir import (
     graph_from_dict,
     graph_to_dict,
 )
-from repro.models import build_model
+from repro.frontend import load
 
 
 def small_graph(name="g", *, swap_branches=False, rename=False, channels=8):
@@ -27,7 +27,7 @@ def small_graph(name="g", *, swap_branches=False, rename=False, channels=8):
 
 class TestCanonicalOrder:
     def test_is_a_topological_order(self):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         order = canonical_order(graph)
         assert sorted(order) == sorted(graph.nodes)
         position = {name: i for i, name in enumerate(order)}
@@ -60,7 +60,7 @@ class TestGraphFingerprint:
         assert graph_fingerprint(small_graph()) == graph_fingerprint(small_graph())
 
     def test_serialisation_round_trip_preserves_fingerprint(self):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         rebuilt = graph_from_dict(graph_to_dict(graph))
         assert graph_fingerprint(rebuilt) == graph_fingerprint(graph)
 
@@ -83,8 +83,8 @@ class TestGraphFingerprint:
         assert graph_fingerprint(small_graph(channels=16)) != base
 
     def test_batch_size_changes_the_fingerprint(self):
-        one = build_model("squeezenet", batch_size=1)
-        eight = build_model("squeezenet", batch_size=8)
+        one = load("squeezenet", batch_size=1)
+        eight = load("squeezenet", batch_size=8)
         assert graph_fingerprint(one) != graph_fingerprint(eight)
 
     def test_block_structure_changes_the_fingerprint(self):

@@ -17,7 +17,8 @@ from repro.frameworks import (
     list_frameworks,
     sequential_plan_with_merges,
 )
-from repro.models import build_model, figure2_block
+from repro.frontend import load
+from repro.models import figure2_block
 
 
 class TestRegistry:
@@ -38,13 +39,13 @@ class TestRegistry:
 
 class TestTransforms:
     def test_find_same_input_merge_sets_squeezenet(self):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         merge_sets = find_same_input_merge_sets(graph)
         assert ["fire2_expand1x1", "fire2_expand3x3"] in merge_sets
         assert len(merge_sets) >= 8  # one per fire module
 
     def test_merge_plan_has_fewer_stages(self):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         merged_plan = sequential_plan_with_merges(graph, "taso")
         assert merged_plan.num_stages() < len(graph.operators())
         assert any("merge(" in stage.label for stage in merged_plan.stages)
@@ -57,7 +58,7 @@ class TestTransforms:
         assert merge_sets == [["conv_a", "conv_c", "conv_d"]]
 
     def test_fusion_discount_removes_standalone_relu_add(self):
-        graph = build_model("resnet_18")
+        graph = load("resnet_18")
         assert count_fusable_elementwise(graph) > 0
         from repro.frameworks.base import FrameworkModel
         from repro.hardware import CUDNN_PROFILE
@@ -74,7 +75,7 @@ class TestFrameworkOrdering:
         from repro.hardware import get_device
 
         device = get_device("v100")
-        graph = build_model("inception_v3")
+        graph = load("inception_v3")
         return {name: get_framework(name).run(graph, device) for name in list_frameworks()}
 
     def test_all_frameworks_fit_in_memory_at_batch_one(self, inception_results):
@@ -100,7 +101,7 @@ class TestFrameworkOrdering:
 
 class TestMemoryBehaviour:
     def test_taso_oom_at_batch_128_only(self, v100):
-        graph = build_model("inception_v3")
+        graph = load("inception_v3")
         taso = TASOModel()
         assert not taso.run(graph.with_batch_size(64), v100).out_of_memory
         result128 = taso.run(graph.with_batch_size(128), v100)
@@ -109,14 +110,14 @@ class TestMemoryBehaviour:
         assert result128.throughput == 0.0
 
     def test_other_frameworks_survive_batch_128(self, v100):
-        graph = build_model("inception_v3").with_batch_size(128)
+        graph = load("inception_v3").with_batch_size(128)
         for name in ("tensorrt", "tvm-cudnn", "tensorflow"):
             assert not get_framework(name).run(graph, v100).out_of_memory
 
     def test_latency_ms_raises_on_oom(self, v100):
         from repro.runtime import OutOfMemoryError
 
-        graph = build_model("inception_v3").with_batch_size(128)
+        graph = load("inception_v3").with_batch_size(128)
         with pytest.raises(OutOfMemoryError):
             TASOModel().latency_ms(graph, v100)
 
@@ -124,12 +125,12 @@ class TestMemoryBehaviour:
 class TestOptimizationCost:
     def test_tvm_autotune_cost_scales_with_network(self):
         tvm = get_framework("tvm-autotune")
-        small = tvm.optimization_cost_gpu_hours(build_model("squeezenet"))
-        large = tvm.optimization_cost_gpu_hours(build_model("nasnet_a"))
+        small = tvm.optimization_cost_gpu_hours(load("squeezenet"))
+        large = tvm.optimization_cost_gpu_hours(load("nasnet_a"))
         assert large > small > 0
 
     def test_other_frameworks_have_zero_cost(self):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         assert TensorFlowModel().optimization_cost_gpu_hours(graph) == 0.0
         assert TensorRTModel().optimization_cost_gpu_hours(graph) == 0.0
 

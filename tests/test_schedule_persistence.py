@@ -22,7 +22,7 @@ from repro.core import (
     Stage,
     schedule_latency_ms,
 )
-from repro.models import build_model
+from repro.frontend import load
 
 
 def optimize(graph, device, variant="ios-both"):
@@ -61,7 +61,7 @@ class TestScheduleRoundTrip:
         )
 
     def test_restored_schedule_executes_identically(self, tmp_path, v100):
-        graph = build_model("squeezenet", batch_size=2)
+        graph = load("squeezenet", batch_size=2)
         schedule = optimize(graph, v100)
         restored = Schedule.load(schedule.save(tmp_path / "sq.json"))
         restored.validate(graph)

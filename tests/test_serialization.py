@@ -18,7 +18,7 @@ from repro.ir import (
     save_graph,
 )
 from repro.ir.serialization import FORMAT_VERSION
-from repro.models import build_model
+from repro.frontend import load
 from repro.passes import unfuse_activations
 
 
@@ -83,7 +83,7 @@ class TestRoundTrip:
         assert data["format_version"] == FORMAT_VERSION
 
     def test_model_zoo_round_trip(self):
-        graph = build_model("squeezenet", optimize=False)
+        graph = load("squeezenet", optimize=False)
         rebuilt = graph_from_dict(graph_to_dict(graph))
         assert graph_fingerprint(rebuilt) == graph_fingerprint(graph)
         assert len(rebuilt.schedulable_names()) == len(graph.schedulable_names())
