@@ -167,6 +167,7 @@ class ClusterLoop:
         self._journeys = {}
         self._outcome = ClusterOutcome()
         self._bind_series()
+        self.router.reset()
         for host in self.hosts:
             host.reset()
             host.loop.completion_listener = self._listener_for(host)

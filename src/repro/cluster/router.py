@@ -41,12 +41,15 @@ class ClusterRouter:
     """Dispatch policy choosing the host an arriving request is sent to.
 
     Subclasses implement :meth:`pick` over the eligible hosts.  Routers may
-    keep state (round-robin does); the cluster loop owns one instance per
-    run, so state never leaks between runs.
+    keep state (round-robin does); :meth:`reset` clears it, and the cluster
+    loop calls it at the start of every run.
     """
 
     #: Registry name; subclasses override.
     name = "cluster-router"
+
+    def reset(self) -> None:
+        """Clear per-run state; the cluster loop calls this before every run."""
 
     def pick(
         self,
@@ -109,6 +112,9 @@ class RoundRobinHostRouter(ClusterRouter):
     name = "round-robin-host"
 
     def __init__(self) -> None:
+        self._next = 0
+
+    def reset(self) -> None:
         self._next = 0
 
     def pick(self, hosts, request, now_ms):

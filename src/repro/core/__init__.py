@@ -46,7 +46,7 @@ from .dp_scheduler import (
     shutdown_search_pools,
     variant_label,
 )
-from .memo import ScheduleMemo, clear_schedule_memo, memo_enabled, schedule_memo
+from .memo import ScheduleMemo, clear_schedule_memo, schedule_memo
 from .baselines import greedy_schedule, sequential_schedule
 from .lowering import lower_schedule, measure_schedule, schedule_latency_ms, schedule_throughput
 from .complexity import (
@@ -100,7 +100,6 @@ __all__ = [
     "ScheduleMemo",
     "schedule_memo",
     "clear_schedule_memo",
-    "memo_enabled",
     "BlockStats",
     "ScheduleResult",
     "sequential_schedule",

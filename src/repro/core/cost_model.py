@@ -94,8 +94,8 @@ class CostModel(ABC):
     ) -> float:
         """Memoised latency of executing ``op_names`` as one stage."""
         # The structural fingerprint keeps the cache honest across graph
-        # *versions*: an incremental recompile mutates a block while keeping
-        # the graph name and operator names, and must not see stale prices.
+        # *versions*: recompiling a mutated graph keeps the graph name and
+        # operator names, and must not see stale prices.
         key = (graph.name, graph.batch_size, graph.fingerprint(), frozenset(op_names), strategy)
         if key in self._cache:
             return self._cache[key]

@@ -36,7 +36,7 @@ from typing import Sequence
 from ..ir.graph import Block, Graph
 from .cost_model import CostModel, StageChoice
 from .endings import BlockIndex, PruningStrategy, enumerate_endings
-from .memo import memo_enabled, schedule_memo
+from .memo import schedule_memo
 from .merge import can_merge
 from .schedule import ParallelizationStrategy, Schedule, Stage
 from .width import maximum_antichain_size
@@ -166,9 +166,8 @@ class BlockStats:
     ``source`` records where the block's stages came from: ``"search"`` (a DP
     search ran inline), ``"parallel"`` (a worker process ran the search),
     ``"block-cache"`` (reused from an identical block of this scheduler),
-    ``"memo"`` (reused from the process-wide schedule memo), ``"spliced"``
-    (carried over unchanged from a prior compile by the engine's incremental
-    path), or ``"empty"`` (no schedulable operators).
+    ``"memo"`` (reused from the process-wide schedule memo), or ``"empty"``
+    (no schedulable operators).
     """
 
     block_name: str
@@ -180,8 +179,6 @@ class BlockStats:
     optimized_latency_ms: float = 0.0
     elapsed_s: float = 0.0
     reused_from: str | None = None
-    #: Number of stages the block's schedule occupies (artifact block records).
-    num_stages: int = 0
     source: str = "search"
 
 
@@ -321,7 +318,7 @@ class IOSScheduler:
                 return stages, stats
 
         use_memo = use_memo and self.config.reuse_identical_blocks
-        memo = schedule_memo() if use_memo and memo_enabled() else None
+        memo = schedule_memo() if use_memo else None
         signature = self._memo_signature() if memo is not None else None
         if memo is not None and signature is not None:
             entry = memo.get(signature, fingerprint)
@@ -357,7 +354,6 @@ class IOSScheduler:
             num_measurements=self.cost_model.num_measurements - measurements_before,
             optimized_latency_ms=optimal_latency,
             elapsed_s=time.perf_counter() - start,
-            num_stages=len(stages),
             source="search",
         )
 
@@ -468,10 +464,8 @@ class IOSScheduler:
         return stage_masks, optimal_latency, len(cost) - 1, transitions
 
     # ------------------------------------------------------- parallel fan-out
-    def _parallel_warm_cache(
-        self, graph: Graph, blocks: Sequence[Block], jobs: int, use_memo: bool
-    ) -> None:
-        """Search independent uncached blocks in worker processes.
+    def _parallel_warm_cache(self, graph: Graph, jobs: int, use_memo: bool) -> None:
+        """Search the graph's independent uncached blocks in worker processes.
 
         Results seed the block cache (and memo) in deterministic block order,
         so the subsequent serial pass replays them exactly as an inline search
@@ -484,12 +478,12 @@ class IOSScheduler:
         spawned = self.cost_model.spawn()
         if spawned is None:
             return
-        memo = schedule_memo() if use_memo and memo_enabled() else None
+        memo = schedule_memo() if use_memo else None
         signature = self._memo_signature() if memo is not None else None
 
         tasks: list[tuple[str, tuple]] = []
         seen: set[tuple] = set()
-        for block in blocks:
+        for block in graph.blocks:
             op_names = graph.schedulable_names(block)
             if not op_names:
                 continue
@@ -528,7 +522,6 @@ class IOSScheduler:
         graph: Graph,
         *,
         jobs: int = 1,
-        precomputed: dict[str, tuple[list[Stage], BlockStats]] | None = None,
         use_memo: bool = True,
     ) -> ScheduleResult:
         """Optimise every block of ``graph`` and concatenate the block schedules.
@@ -539,18 +532,10 @@ class IOSScheduler:
         start = time.perf_counter()
         schedule = Schedule(graph_name=graph.name, origin=self._origin_label())
         all_stats: list[BlockStats] = []
-        precomputed = precomputed or {}
         if jobs > 1:
-            pending = [b for b in graph.blocks if b.name not in precomputed]
-            self._parallel_warm_cache(graph, pending, jobs, use_memo)
+            self._parallel_warm_cache(graph, jobs, use_memo)
         for block in graph.blocks:
-            entry = precomputed.get(block.name)
-            if entry is not None:
-                stages, stats = entry
-            else:
-                stages, stats = self.optimize_block(graph, block, use_memo=use_memo)
-            if stats.num_stages == 0 and stages:
-                stats.num_stages = len(stages)
+            stages, stats = self.optimize_block(graph, block, use_memo=use_memo)
             schedule.extend(stages)
             all_stats.append(stats)
         schedule.validate(graph)

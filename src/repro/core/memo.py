@@ -22,19 +22,19 @@ operator attributes, shapes, local wiring, pruning and the strategy set, so a
 memo hit can only ever return a schedule that the searching scheduler would
 have found itself.
 
-Set ``REPRO_SCHEDULE_MEMO=0`` in the environment to disable sharing globally
-(every search then runs from scratch, as before).
+A caller that must not share passes ``use_memo=False`` to
+:meth:`~repro.core.dp_scheduler.IOSScheduler.optimize_graph`, as the engine's
+``compile(..., use_cache=False)`` does.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .dp_scheduler import BlockStats
 
-__all__ = ["ScheduleMemo", "schedule_memo", "clear_schedule_memo", "memo_enabled"]
+__all__ = ["ScheduleMemo", "schedule_memo", "clear_schedule_memo"]
 
 
 class ScheduleMemo:
@@ -79,7 +79,7 @@ class ScheduleMemo:
         self.misses = 0
 
 
-#: The process-wide memo every scheduler consults (unless disabled).
+#: The process-wide memo every scheduler consults (unless ``use_memo=False``).
 _GLOBAL_MEMO = ScheduleMemo()
 
 
@@ -92,7 +92,3 @@ def clear_schedule_memo() -> None:
     """Drop every memoised block search (tests, benchmarks)."""
     _GLOBAL_MEMO.clear()
 
-
-def memo_enabled() -> bool:
-    """Whether cross-scheduler sharing is enabled (``REPRO_SCHEDULE_MEMO``)."""
-    return os.environ.get("REPRO_SCHEDULE_MEMO", "1") != "0"

@@ -40,14 +40,13 @@ from ..core.dp_scheduler import (
     normalize_variant,
     variant_label,
 )
-from .compiled import ARTIFACT_FORMAT, BlockRecord, CompiledModel, CompileStats, StageTiming
+from .compiled import ARTIFACT_FORMAT, CompiledModel, CompileStats, StageTiming
 from .engine import Engine, EngineStats, clear_engine_pool, get_engine, get_engines
-from .stages import apply_passes, block_digest, graph_identity, node_digest
+from .stages import apply_passes, graph_identity, node_digest
 
 __all__ = [
     "Engine",
     "EngineStats",
-    "BlockRecord",
     "CompiledModel",
     "CompileStats",
     "StageTiming",
@@ -56,7 +55,6 @@ __all__ = [
     "get_engines",
     "clear_engine_pool",
     "apply_passes",
-    "block_digest",
     "graph_identity",
     "node_digest",
     "normalize_variant",

@@ -34,49 +34,12 @@ from ..ir.serialization import graph_from_dict, graph_to_dict
 from ..runtime.executor import ExecutionPlan, ExecutionResult, Executor
 from .stages import node_digest
 
-__all__ = ["StageTiming", "CompileStats", "BlockRecord", "CompiledModel", "ARTIFACT_FORMAT"]
+__all__ = ["StageTiming", "CompileStats", "CompiledModel", "ARTIFACT_FORMAT"]
 
 #: Marker identifying a persisted compiled-model artifact (vs. a bare
 #: schedule document, which has no ``format`` key).
 ARTIFACT_FORMAT = "repro/compiled-model"
 ARTIFACT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class BlockRecord:
-    """Where one block's stages live inside a compiled schedule.
-
-    ``digest`` is the name-sensitive :func:`repro.engine.stages.block_digest`
-    of the block at compile time; ``start``/``count`` delimit the block's
-    slice of the schedule's stage list.  The engine's incremental path matches
-    these records against a changed graph's blocks to splice unchanged stages
-    instead of re-searching them.
-    """
-
-    name: str
-    digest: str
-    start: int
-    count: int
-    latency_ms: float = 0.0
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "digest": self.digest,
-            "start": self.start,
-            "count": self.count,
-            "latency_ms": self.latency_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "BlockRecord":
-        return cls(
-            name=data["name"],
-            digest=data["digest"],
-            start=int(data["start"]),
-            count=int(data["count"]),
-            latency_ms=float(data["latency_ms"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -202,9 +165,6 @@ class CompiledModel:
     #: Full DP-search result when this model was compiled in-process;
     #: ``None`` after :meth:`load` (searches are exactly what loading avoids).
     search: ScheduleResult | None = field(default=None, repr=False)
-    #: Per-block digests + schedule spans, for incremental recompilation.
-    #: Empty for :meth:`from_schedule` models, which were never searched.
-    blocks: list[BlockRecord] = field(default_factory=list)
     _execution: ExecutionResult | None = field(default=None, init=False, repr=False)
 
     # ------------------------------------------------------------- identity
@@ -276,7 +236,6 @@ class CompiledModel:
             "graph": graph_to_dict(self.graph),
             "schedule": self.schedule.to_dict(),
             "stats": self.stats.as_dict(),
-            "blocks": [record.as_dict() for record in self.blocks],
         }
 
     @classmethod
@@ -293,7 +252,7 @@ class CompiledModel:
         needed when the artifact was compiled for a device or kernel profile
         that is not in the built-in registries.  Every field :meth:`to_dict`
         writes is required: a missing or malformed one raises a
-        :class:`ValueError` naming it.
+        :class:`ValueError` naming it.  Keys it does not write are ignored.
         """
         if not cls.is_artifact(data):
             raise ValueError(
@@ -337,10 +296,6 @@ class CompiledModel:
             source_node_digest=_field(source, "node_digest", str, "source."),
             source_fingerprint=_field(source, "fingerprint", str, "source."),
             fingerprint=_field(data, "fingerprint", str),
-            blocks=[
-                _parse("blocks", BlockRecord.from_dict, record)
-                for record in _field(data, "blocks", list)
-            ],
         )
 
     def save(self, path: str | Path) -> Path:

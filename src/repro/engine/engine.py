@@ -27,7 +27,6 @@ from pathlib import Path
 
 from ..core.cost_model import SimulatedCostModel
 from ..core.dp_scheduler import (
-    BlockStats,
     IOSScheduler,
     SchedulerConfig,
     normalize_variant,
@@ -36,13 +35,12 @@ from ..core.dp_scheduler import (
 )
 from ..core.endings import PruningStrategy
 from ..core.lowering import lower_schedule
-from ..core.width import maximum_antichain_size
 from ..hardware.device import DeviceSpec, get_device
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
 from ..ir.graph import Graph
 from ..obs.trace import NULL_TRACER, Tracer
-from .compiled import BlockRecord, CompiledModel, CompileStats, StageTiming
-from .stages import apply_passes, block_digest, graph_identity
+from .compiled import CompiledModel, CompileStats, StageTiming
+from .stages import apply_passes, graph_identity
 
 __all__ = ["Engine", "EngineStats", "get_engine", "get_engines", "clear_engine_pool"]
 
@@ -54,10 +52,9 @@ class EngineStats:
     ``searches`` counts compiles that actually ran the DP search — the
     expensive event the cache and artifact loading exist to avoid.  The
     block-level counters break one such compile down: ``block_searches``
-    blocks were searched (inline or in a worker process), ``block_memo_hits``
-    came from the process-wide schedule memo, and ``blocks_spliced`` were
-    carried over unchanged from this engine's previous compile of the same
-    graph (incremental recompilation).
+    blocks were searched (inline or in a worker process) and
+    ``block_memo_hits`` came from the process-wide schedule memo; the rest
+    came from the scheduler's block cache (or were empty).
     """
 
     compiles: int = 0
@@ -66,7 +63,6 @@ class EngineStats:
     loads: int = 0
     block_searches: int = 0
     block_memo_hits: int = 0
-    blocks_spliced: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """All counters as one flat dict (reports, benchmarks)."""
@@ -77,7 +73,6 @@ class EngineStats:
             "loads": self.loads,
             "block_searches": self.block_searches,
             "block_memo_hits": self.block_memo_hits,
-            "blocks_spliced": self.blocks_spliced,
         }
 
 
@@ -170,10 +165,6 @@ class Engine:
             )
         self.stats = EngineStats()
         self._cache: dict[tuple[str, str, str], CompiledModel] = {}
-        #: Latest compiled model per *optimized* graph name, for incremental
-        #: recompilation: a changed graph re-searches only the blocks whose
-        #: digests differ and splices the rest from here.
-        self._prior: dict[str, CompiledModel] = {}
 
     # ------------------------------------------------------------ properties
     @property
@@ -231,12 +222,8 @@ class Engine:
         gpu_ms_before = getattr(profiler, "total_profiling_ms", 0.0)
         span_start = tracer.now_ms() if tracer else 0.0
         start = time.perf_counter()
-        digests = {block.name: block_digest(optimized, block) for block in optimized.blocks}
-        precomputed = self._spliceable_blocks(optimized, digests) if use_cache else {}
         jobs = resolve_compile_jobs(self.jobs)
-        result = self.scheduler.optimize_graph(
-            optimized, jobs=jobs, precomputed=precomputed, use_memo=use_cache
-        )
+        result = self.scheduler.optimize_graph(optimized, jobs=jobs, use_memo=use_cache)
         if pass_stats is not None:
             result.pass_stats = pass_stats
         num_measurements = getattr(cost_model, "num_measurements", 0) - measurements_before
@@ -244,10 +231,8 @@ class Engine:
         sources = [stats.source for stats in result.block_stats]
         block_searches = sum(1 for s in sources if s in ("search", "parallel"))
         block_memo_hits = sum(1 for s in sources if s == "memo")
-        blocks_spliced = sum(1 for s in sources if s == "spliced")
         self.stats.block_searches += block_searches
         self.stats.block_memo_hits += block_memo_hits
-        self.stats.blocks_spliced += blocks_spliced
         details = {
             "blocks": len(result.block_stats),
             "transitions": result.total_transitions,
@@ -255,7 +240,6 @@ class Engine:
             "predicted_latency_ms": result.predicted_latency_ms,
             "block_searches": block_searches,
             "block_memo_hits": block_memo_hits,
-            "blocks_spliced": blocks_spliced,
             "jobs": jobs,
         }
         timings.append(StageTiming("schedule", time.perf_counter() - start, details))
@@ -290,20 +274,6 @@ class Engine:
             num_measurements=num_measurements,
             profiling_gpu_ms=profiling_gpu_ms,
         )
-        block_records: list[BlockRecord] = []
-        cursor = 0
-        for block_stats in result.block_stats:
-            block_records.append(
-                BlockRecord(
-                    name=block_stats.block_name,
-                    digest=digests.get(block_stats.block_name, ""),
-                    start=cursor,
-                    count=block_stats.num_stages,
-                    latency_ms=block_stats.optimized_latency_ms,
-                )
-            )
-            cursor += block_stats.num_stages
-
         compiled = CompiledModel(
             graph=optimized,
             schedule=result.schedule,
@@ -317,51 +287,12 @@ class Engine:
             source_fingerprint=source_fingerprint,
             fingerprint=stats.optimized_fingerprint,
             search=result,
-            blocks=block_records,
         )
         self.stats.compiles += 1
         self.stats.searches += 1
         if use_cache:
             self._cache[key] = compiled
-            self._prior[optimized.name] = compiled
         return compiled
-
-    def _spliceable_blocks(
-        self, optimized: Graph, digests: dict[str, str]
-    ) -> dict[str, tuple[list, BlockStats]]:
-        """Stages reusable verbatim from the prior compile of this graph name.
-
-        Matches the new graph's block digests against the prior compiled
-        model's :class:`~repro.engine.compiled.BlockRecord` entries — by
-        digest, not name, so renamed or reordered blocks still match.  The
-        digest covers operator names, attributes, wiring and boundary shapes,
-        so a matching block's prior stage slice is valid verbatim; only dirty
-        blocks reach the scheduler.
-        """
-        prior = self._prior.get(optimized.name)
-        if prior is None or not prior.blocks:
-            return {}
-        by_digest = {record.digest: record for record in prior.blocks if record.digest}
-        precomputed: dict[str, tuple[list, BlockStats]] = {}
-        for block in optimized.blocks:
-            record = by_digest.get(digests.get(block.name, ""))
-            if record is None:
-                continue
-            stages = prior.schedule.stages[record.start : record.start + record.count]
-            op_names = optimized.schedulable_names(block)
-            if record.count and not stages:
-                continue
-            stats = BlockStats(
-                block_name=block.name,
-                num_operators=len(op_names),
-                width=maximum_antichain_size(optimized, op_names),
-                optimized_latency_ms=record.latency_ms,
-                reused_from=f"prior:{record.name}",
-                num_stages=len(stages),
-                source="spliced",
-            )
-            precomputed[block.name] = (list(stages), stats)
-        return precomputed
 
     def compile_model(self, name: str, batch_size: int = 1, **kwargs) -> CompiledModel:
         """Build a zoo model and compile it (convenience wrapper)."""
@@ -373,9 +304,11 @@ class Engine:
     def load(self, path: str | Path) -> CompiledModel:
         """Warm-start: load a persisted artifact into this engine's cache.
 
-        The artifact must have been compiled for this engine's device and
-        variant — reusing a schedule searched for different hardware or a
-        different strategy set would silently serve the wrong plan.
+        The artifact must have been compiled for this engine's device, kernel
+        profile, variant and pruning strategy — reusing a schedule searched
+        for different hardware or a different search space would silently
+        serve the wrong plan.  A loaded artifact serves exactly the graph it
+        was compiled for.
         """
         import json
 
@@ -398,14 +331,20 @@ class Engine:
                 f"artifact {path} was compiled for variant {compiled.variant!r}; "
                 f"this engine compiles {self.variant!r}"
             )
+        # The schedule's origin reads "<variant> (<pruning>)", e.g.
+        # "ios-both (r=1, s=1)": a search under a tighter pruning strategy is
+        # a different (usually slower) schedule, not a warm start.
+        saved_pruning = compiled.schedule.origin.partition(" (")[2].rstrip(")")
+        pruning = self.config.pruning.describe()
+        if saved_pruning != pruning:
+            raise ValueError(
+                f"artifact {path} was searched with pruning {saved_pruning!r} "
+                f"(field 'schedule.origin'); this engine searches with {pruning!r}"
+            )
         self.stats.loads += 1
         self._cache[
             (compiled.source_graph_name, compiled.source_node_digest, compiled.source_fingerprint)
         ] = compiled
-        if compiled.blocks:
-            # A loaded artifact with block records seeds the incremental path:
-            # compiling a near-identical graph re-searches only changed blocks.
-            self._prior[compiled.graph.name] = compiled
         return compiled
 
     # ----------------------------------------------------------------- cache

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import hashlib
 
-from ..ir.graph import Block, Graph
+from ..ir.graph import Graph
 
-__all__ = ["apply_passes", "node_digest", "block_digest", "graph_identity"]
+__all__ = ["apply_passes", "node_digest", "graph_identity"]
 
 
 def apply_passes(graph: Graph, passes, *, tracer=None) -> tuple[Graph, list | None]:
@@ -53,32 +53,6 @@ def node_digest(graph: Graph) -> str:
     across processes, unlike ``hash()``.
     """
     payload = "\n".join(graph.nodes)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def block_digest(graph: Graph, block: Block) -> str:
-    """Stable, *name-sensitive* digest of one block of a graph.
-
-    Covers everything a block's stage schedule can depend on: the schedulable
-    operator names (schedules reference operators by name), their kinds and
-    attributes, local wiring, the shapes of inputs arriving from outside the
-    block, and output shapes.  Two blocks with equal digests are guaranteed to
-    have identical optimal schedules *verbatim* — which is what lets the
-    engine's incremental path splice a prior compile's stages for unchanged
-    blocks without renaming anything.
-    """
-    op_names = graph.schedulable_names(block)
-    block_set = set(op_names)
-    lines = []
-    for name in graph.topological_order(list(op_names)):
-        op = graph.nodes[name]
-        inputs = ",".join(
-            p if p in block_set else f"ext:{graph.nodes[p].output_shape}"
-            for p in op.inputs
-        )
-        attrs = ";".join(f"{k}={v}" for k, v in sorted(op.attrs().items()))
-        lines.append(f"{name}|{op.kind}|{attrs}|{inputs}|{op.output_shape}")
-    payload = "\n".join(lines)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 

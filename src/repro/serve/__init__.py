@@ -12,9 +12,9 @@ end-to-end inference service:
 * :mod:`repro.serve.loop` — :class:`ServingLoop`, the discrete-event core:
   one heap of arrivals, batch-close timeouts, worker completions and scale
   checks drives everything on the virtual clock;
-* :mod:`repro.serve.batcher` — :class:`DynamicBatcher` (max-batch/max-wait
-  request grouping) and :class:`BatchSizeSelector` (cross-evaluating schedule
-  choice, reusing the Table-3 specialisation logic);
+* :mod:`repro.serve.batcher` — :class:`BatchPolicy` (the max-batch/max-wait
+  knobs the loop applies) and :class:`BatchSizeSelector` (cross-evaluating
+  schedule choice, reusing the Table-3 specialisation logic);
 * :mod:`repro.serve.admission` — pluggable :class:`AdmissionPolicy` gating
   arrivals: admit-all, deadline-aware shedding, priority-preemptive queueing;
 * :mod:`repro.serve.autoscale` — :class:`Autoscaler` growing/shrinking the
@@ -70,7 +70,7 @@ from .admission import (
     list_admission_policies,
 )
 from .autoscale import AutoscaleConfig, Autoscaler, ScaleEvent
-from .batcher import BatchPolicy, BatchSizeSelector, DynamicBatcher
+from .batcher import BatchPolicy, BatchSizeSelector
 from .experiment import (
     run_fleet_comparison,
     run_serving,
@@ -135,7 +135,6 @@ __all__ = [
     "BurstSlo",
     "DeadlineAwareAdmission",
     "DispatchResult",
-    "DynamicBatcher",
     "EarliestFinishRouter",
     "EarliestStartRouter",
     "FleetSpec",

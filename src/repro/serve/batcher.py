@@ -1,9 +1,10 @@
-"""Dynamic request batching.
+"""Dynamic request batching: the policy and the schedule choice.
 
 Serving traffic arrives one request at a time, but the device is only well
 utilised — and the specialised schedules only apply — when requests execute
-together.  :class:`DynamicBatcher` implements the classic max-batch/max-wait
-policy on the service's virtual clock:
+together.  :class:`BatchPolicy` holds the classic max-batch/max-wait knobs
+that the :class:`~repro.serve.loop.ServingLoop` applies on the service's
+virtual clock:
 
 * a batch is closed as **full** when admitting the next request would exceed
   ``max_batch_size`` samples;
@@ -11,18 +12,16 @@ policy on the service's virtual clock:
   ``max_wait_ms`` (the latency SLO knob);
 * remaining requests are closed as **drain** when the stream ends.
 
-The batcher is deliberately a pure function of the arrival sequence: given the
-same requests it always forms the same batches, which keeps serving
-experiments reproducible.  Schedule selection for a formed batch lives in
-:class:`BatchSizeSelector`, which reuses the cross-evaluation idea of
-:mod:`repro.core.specialization`: among the registry's specialised schedules
-that can hold the batch, pick the one with the lowest measured latency.
+Schedule selection for a formed batch lives in :class:`BatchSizeSelector`,
+which reuses the cross-evaluation idea of :mod:`repro.core.specialization`:
+among the registry's specialised schedules that can hold the batch, pick the
+one with the lowest measured latency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from ..core.schedule import Schedule
 from ..hardware.device import DeviceSpec
@@ -30,9 +29,8 @@ from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
 from ..ir.graph import Graph
 from ..runtime.executor import ExecutionPlan, Executor
 from .registry import ScheduleRegistry
-from .request import FormedBatch, InferenceRequest
 
-__all__ = ["BatchPolicy", "DynamicBatcher", "BatchSizeSelector"]
+__all__ = ["BatchPolicy", "BatchSizeSelector"]
 
 
 @dataclass(frozen=True)
@@ -53,70 +51,11 @@ class BatchPolicy:
     def close_deadline_ms(self, first_arrival_ms: float) -> float:
         """When a batch opened at ``first_arrival_ms`` must be flushed.
 
-        The single home of the max-wait rule: the offline
-        :class:`DynamicBatcher` and the online
-        :class:`~repro.serve.loop.ServingLoop` both stamp batch-close
-        deadlines with it, so the two execution models can never drift.
+        The single home of the max-wait rule: the
+        :class:`~repro.serve.loop.ServingLoop` stamps every batch-close
+        deadline with it.
         """
         return first_arrival_ms + self.max_wait_ms
-
-
-class DynamicBatcher:
-    """Groups a time-ordered request stream into batches under a policy."""
-
-    def __init__(self, policy: BatchPolicy | None = None):
-        self.policy = policy or BatchPolicy()
-
-    def form_batches(self, requests: Iterable[InferenceRequest]) -> list[FormedBatch]:
-        """Materialised list of :meth:`iter_batches`."""
-        return list(self.iter_batches(requests))
-
-    def iter_batches(self, requests: Iterable[InferenceRequest]) -> Iterator[FormedBatch]:
-        """Replay the arrival sequence and yield batches in formation order.
-
-        Requests must be sorted by ``arrival_ms`` (the traffic generators
-        guarantee this).  A request larger than ``max_batch_size`` forms its
-        own batch immediately — the service layer chunks a formed batch to
-        the schedule ladder before dispatch (``InferenceService._chunk``).
-        """
-        policy = self.policy
-        pending: list[InferenceRequest] = []
-        pending_samples = 0
-        deadline = 0.0
-        last_arrival = float("-inf")
-
-        def close(formed_ms: float, reason: str) -> FormedBatch:
-            nonlocal pending, pending_samples
-            batch = FormedBatch(requests=pending, formed_ms=formed_ms, close_reason=reason)
-            pending = []
-            pending_samples = 0
-            return batch
-
-        for request in requests:
-            if request.arrival_ms < last_arrival:
-                raise ValueError(
-                    f"requests must arrive in order: {request.request_id} at "
-                    f"{request.arrival_ms}ms after {last_arrival}ms"
-                )
-            last_arrival = request.arrival_ms
-
-            # Flush any batch whose wait deadline passed before this arrival.
-            if pending and request.arrival_ms > deadline:
-                yield close(deadline, "timeout")
-
-            if pending and pending_samples + request.num_samples > policy.max_batch_size:
-                yield close(request.arrival_ms, "full")
-
-            if not pending:
-                deadline = policy.close_deadline_ms(request.arrival_ms)
-            pending.append(request)
-            pending_samples += request.num_samples
-
-            if pending_samples >= policy.max_batch_size:
-                yield close(request.arrival_ms, "full")
-
-        if pending:
-            yield close(deadline, "drain")
 
 
 class BatchSizeSelector:

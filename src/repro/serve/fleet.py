@@ -238,7 +238,7 @@ class Router:
     name = "router"
 
     def reset(self) -> None:
-        """Clear per-run state; the service calls this after every run."""
+        """Clear per-run state; the serving loop calls this before every run."""
 
     def pick(self, workers: Sequence[Worker], ready_ms: float,
              estimate: LatencyEstimate) -> Worker:

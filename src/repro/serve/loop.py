@@ -15,16 +15,17 @@ happen to the service:
   pool's backlog against its watermarks and may add or retire a worker.
 
 Events at the same instant process deterministically: arrivals first (a
-request arriving exactly at a batch's close deadline still joins it — the
-same tie-break the offline :class:`~repro.serve.batcher.DynamicBatcher`
-applies), then completions, then timeouts, then scale checks; ties within a
-kind break by insertion order.  Given the same requests and config the loop
-is therefore a pure function — same report, down to the last timestamp.
+request arriving exactly at a batch's close deadline still joins it), then
+completions, then timeouts, then scale checks; ties within a kind break by
+insertion order.  Given the same requests and config the loop is therefore a
+pure function — same report, down to the last timestamp — and every run
+starts from the configured pool, router and autoscaler, so replaying a
+stream through one loop reproduces it.
 
-With the default admit-all policy and no autoscaler the loop reproduces the
-offline batcher's batches exactly; the loop exists so that *policies that
-react to time* — deadline-aware admission, priority preemption, elastic
-pools — have a place to act.
+With the default admit-all policy and no autoscaler the loop forms exactly
+the batches of a plain max-batch/max-wait replay of the arrivals; the event
+heap is there so that *policies that react to time* — deadline-aware
+admission, priority preemption, elastic pools — have a place to act.
 
 Admission policies and the autoscaler observe the loop through
 :class:`LoopState`, a read-only view exposing the clock, queue depth, worker
@@ -401,6 +402,12 @@ class ServingLoop:
                 self._close_window(window)
 
     def _reset(self) -> None:
+        # Collaborators first: the pool-size gauge below reads the pool, so
+        # every run starts from the configured idle pool, however it is driven.
+        self.pool.reset()
+        self.router.reset()
+        if self.autoscaler is not None:
+            self.autoscaler.reset()
         self.admission.reset()
         if self.alerts is not None:
             self.alerts.reset()

@@ -9,8 +9,7 @@ full pipeline on the virtual clock, driven by the discrete-event
    admit-all by default, deadline-aware or priority-preemptive shedding when
    requests carry SLOs;
 2. the loop forms batches under the max-batch/max-wait policy of
-   :class:`~repro.serve.batcher.BatchPolicy` (exactly the batches the offline
-   :class:`~repro.serve.batcher.DynamicBatcher` would form);
+   :class:`~repro.serve.batcher.BatchPolicy`;
 3. the :class:`~repro.serve.fleet.Router` picks the worker each formed batch
    executes on — by default :class:`~repro.serve.fleet.EarliestFinishRouter`,
    which ranks workers by queueing delay *plus* the device's predicted
@@ -284,8 +283,8 @@ class InferenceService:
     def run(self, requests: Sequence[InferenceRequest]) -> ServingReport:
         """Serve ``requests`` and report per-request latency plus throughput.
 
-        Replaying the same requests gives the same report: after each run the
-        pool, router and autoscaler return to their configured state.
+        Replaying the same requests gives the same report: each run of the
+        loop starts from the configured pool, router and autoscaler.
         """
         if not requests:
             raise ValueError("cannot serve an empty request list")
@@ -320,10 +319,4 @@ class InferenceService:
             alerts=outcome.alerts,
             metrics=outcome.metrics,
         )
-        # The report holds the run's accounting.  Registry and plan/latency
-        # caches stay warm.
-        self.pool.reset()
-        self.router.reset()
-        if self.autoscaler is not None:
-            self.autoscaler.reset()
         return report

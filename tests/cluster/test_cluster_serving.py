@@ -6,10 +6,25 @@ import itertools
 
 import pytest
 
-from repro.cluster import ClusterConfig, HostSpec, LinkModel, run_cluster_serving
+from repro.cluster import (
+    ClusterConfig,
+    ClusterLoop,
+    Host,
+    HostSpec,
+    LinkModel,
+    get_cluster_router,
+    run_cluster_serving,
+)
 from repro.core import clear_schedule_memo
 from repro.obs import Tracer, chrome_trace_json, default_alert_rules
-from repro.serve import BatchPolicy, ServingConfig, TrafficConfig
+from repro.serve import (
+    AutoscaleConfig,
+    BatchPolicy,
+    InferenceService,
+    ServingConfig,
+    TrafficConfig,
+    TrafficGenerator,
+)
 from repro.serve.experiment import run_serving
 
 
@@ -98,6 +113,34 @@ class TestDeterminism:
     def test_partitioned_run_is_deterministic(self):
         kwargs = dict(partition=True, router="partition-affinity")
         assert self._run(**kwargs) == self._run(**kwargs)
+
+
+class TestDirectlyDrivenClusterLoop:
+    def test_replaying_through_the_cluster_loop_twice_is_identical(self):
+        # Every host's pool, router and autoscaler and the round-robin
+        # cluster router start each run from their configured state.
+        autoscale = AutoscaleConfig(
+            min_workers=1, max_workers=2, interval_ms=1.0, scale_up_backlog_ms=2.0
+        )
+        config = ClusterConfig(
+            serving=serving(admission="deadline", autoscale=autoscale), num_hosts=2
+        )
+        hosts = [
+            Host(host_id, spec, InferenceService(config.serving))
+            for host_id, spec in enumerate(config.host_specs())
+        ]
+        loop = ClusterLoop(hosts, get_cluster_router("round-robin-host"), LinkModel())
+        # An odd count leaves the round-robin rotation mid-cycle.
+        requests = TrafficGenerator(traffic(num_requests=95)).generate()
+        first = loop.run(requests)
+        second = loop.run(requests)
+        assert any(result.scale_events for result in first.host_results)
+        assert second.records == first.records
+        assert second.rejected == first.rejected
+        assert second.routed == first.routed
+        assert [r.scale_events for r in second.host_results] == [
+            r.scale_events for r in first.host_results
+        ]
 
 
 class TestReplicatedCluster:

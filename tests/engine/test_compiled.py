@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from repro.core import PruningStrategy, clear_schedule_memo
 from repro.engine import ARTIFACT_FORMAT, CompiledModel, Engine
 from repro.frontend import load
+from repro.models import figure2_block
 
 
 @pytest.fixture(scope="module")
@@ -65,38 +67,25 @@ class TestRoundTrip:
         assert loaded.profile is compiled.profile
 
 
-class TestBlockRecords:
-    def test_block_records_round_trip(self, compiled, tmp_path):
-        assert compiled.blocks, "a searched compile must carry block records"
-        loaded = CompiledModel.load(compiled.save(tmp_path / "m.json"))
-        assert [r.as_dict() for r in loaded.blocks] == [
-            r.as_dict() for r in compiled.blocks
-        ]
-        assert all(record.digest for record in loaded.blocks)
+class TestLoadedArtifacts:
+    def test_keys_the_loader_does_not_read_are_ignored(self, compiled):
+        data = compiled.to_dict()
+        data["blocks"] = [{"name": "stem", "start": 0, "count": 1}]
+        assert CompiledModel.from_dict(data).schedule == compiled.schedule
 
-    def test_block_records_tile_the_schedule(self, compiled, tmp_path):
-        # start/count slices must cover the stage list exactly, in order —
-        # this is what makes splicing a prior schedule by record valid.
-        loaded = CompiledModel.load(compiled.save(tmp_path / "m.json"))
-        cursor = 0
-        for record in loaded.blocks:
-            assert record.start == cursor
-            cursor += record.count
-        assert cursor == len(loaded.schedule.stages)
-
-    def test_loaded_records_enable_incremental_recompiles(self, tmp_path, v100):
+    def test_a_loaded_artifact_serves_only_its_own_graph(self, tmp_path, v100):
         graph = _versioned_graph(head_kernel=1)
         path = Engine(v100).compile(graph).save(tmp_path / "m.json")
+        clear_schedule_memo()
 
         warm = Engine(v100)
         warm.load(path)
+        assert warm.compile(_versioned_graph(head_kernel=1)).search is None
         recompiled = warm.compile(_versioned_graph(head_kernel=3))
-        # Only the mutated head block is searched; the stem's stages splice
-        # straight out of the loaded artifact's records.
-        sources = {s.block_name: s.source for s in recompiled.search.block_stats}
-        assert sources["stem"] == "spliced"
-        assert sources["head"] != "spliced"
-        assert warm.stats.blocks_spliced == 1
+        # A changed graph is a fresh compile: the artifact lends it nothing.
+        sources = [s.source for s in recompiled.search.block_stats]
+        assert sources == ["search", "search"]
+        assert warm.stats.block_searches == 2
 
 
 def _versioned_graph(head_kernel: int):
@@ -130,6 +119,16 @@ class TestEngineWarmStart:
         path = compiled.save(tmp_path / "m.json")
         with pytest.raises(ValueError, match="variant"):
             Engine(v100, variant="ios-merge").load(path)
+
+    def test_pruning_mismatch_is_rejected(self, tmp_path, v100):
+        # A schedule searched under a narrower pruning strategy is usually a
+        # slower one; it must not warm-start an engine with a wider search.
+        narrow = Engine(v100, pruning=PruningStrategy(1, 1))
+        path = narrow.compile(figure2_block()).save(tmp_path / "m.json")
+        with pytest.raises(ValueError, match=r"pruning 'r=1, s=1'.*'schedule\.origin'"):
+            Engine(v100).load(path)
+        loaded = Engine(v100, pruning=PruningStrategy(1, 1)).load(path)
+        assert loaded.schedule.origin == "ios-both (r=1, s=1)"
 
     def test_profile_mismatch_is_rejected(self, compiled, tmp_path, v100):
         # A schedule searched under one kernel library's costs must never

@@ -8,9 +8,9 @@ property tests pin that invariant down:
 * memoized and block-cached searches match a from-scratch serial search on
   every zoo model tested and on 50 seeded random DAGs;
 * the multiprocessing fan-out (``jobs > 1``) matches the serial path;
-* the engine's incremental recompilation re-searches only dirty blocks and
-  splices the rest, and the spliced result equals a cold compile of the
-  mutated graph;
+* an engine recompiling a changed graph re-searches only dirty blocks, takes
+  the rest from its scheduler's block cache, and equals a cold compile of
+  the mutated graph;
 * blocks that share a wiring but not their shapes share one ending table,
   and their searches still equal the plain search state for state;
 * the group decomposition the ending enumeration hands the cost model equals
@@ -111,17 +111,16 @@ class TestMemoizedEqualsSerial:
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_disabling_the_memo_changes_nothing_but_the_source(
-        self, seed, random_graph_factory, monkeypatch
+        self, seed, random_graph_factory
     ):
         graph = random_graph_factory(seed)
         _fast_scheduler().optimize_graph(graph)  # populate the memo
 
-        monkeypatch.setenv("REPRO_SCHEDULE_MEMO", "0")
-        cold = _fast_scheduler().optimize_graph(graph)
+        cold = _fast_scheduler().optimize_graph(graph, use_memo=False)
         assert not any(stats.source == "memo" for stats in cold.block_stats)
 
-        monkeypatch.setenv("REPRO_SCHEDULE_MEMO", "1")
         hot = _fast_scheduler().optimize_graph(graph)
+        assert any(stats.source == "memo" for stats in hot.block_stats)
         assert_results_identical(cold, hot)
 
 
@@ -169,15 +168,14 @@ class TestIncrementalRecompilation:
 
         clear_schedule_memo()  # force the dirty block to a real search
         second = engine.compile(_two_block_graph(head_kernel=3))
-        assert engine.stats.blocks_spliced == 1
         assert engine.stats.block_searches == searched_before + 1
         sources = {s.block_name: s.source for s in second.search.block_stats}
-        assert sources["stem"] == "spliced"
+        assert sources["stem"] == "block-cache"
         assert sources["head"] in ("search", "parallel")
 
-    def test_upstream_mutation_still_splices_the_clean_downstream_block(self):
+    def test_upstream_mutation_still_reuses_the_clean_downstream_block(self):
         # The stem's kernel changes but its boundary shapes do not, so the
-        # head's digest is unchanged and its stages splice over verbatim.
+        # head's fingerprint is unchanged and its search is reused.
         engine = _flops_engine()
         engine.compile(_two_block_graph(stem_kernel=3))
 
@@ -185,13 +183,26 @@ class TestIncrementalRecompilation:
         second = engine.compile(_two_block_graph(stem_kernel=1))
         sources = {s.block_name: s.source for s in second.search.block_stats}
         assert sources["stem"] in ("search", "parallel")
-        assert sources["head"] == "spliced"
+        assert sources["head"] == "block-cache"
+
+    def test_without_block_reuse_a_recompile_researches_every_block(self):
+        engine = Engine(
+            "v100",
+            scheduler=IOSScheduler(
+                _cost_model(), SchedulerConfig(reuse_identical_blocks=False)
+            ),
+        )
+        engine.compile(_two_block_graph(head_kernel=1))
+        second = engine.compile(_two_block_graph(head_kernel=3))
+        assert [s.source for s in second.search.block_stats] == ["search", "search"]
+        assert engine.stats.block_searches == 4
 
     def test_incremental_compile_equals_a_cold_compile(self):
         engine = _flops_engine()
         engine.compile(_two_block_graph(head_kernel=1))
         incremental = engine.compile(_two_block_graph(head_kernel=3))
-        assert engine.stats.blocks_spliced == 1
+        sources = [s.source for s in incremental.search.block_stats]
+        assert sources.count("block-cache") == 1
 
         clear_schedule_memo()
         cold = _flops_engine().compile(_two_block_graph(head_kernel=3))
@@ -200,22 +211,24 @@ class TestIncrementalRecompilation:
         assert repr(incremental.latency_ms()) == repr(cold.latency_ms())
 
     @pytest.mark.parametrize("seed", [5, 23, 41])
-    def test_recompiling_an_identical_random_graph_splices_every_block(
+    def test_recompiling_an_identical_random_graph_reuses_every_block(
         self, seed, random_graph_factory
     ):
         engine = _flops_engine()
         first = engine.compile(random_graph_factory(seed))
-        second = engine.compile(random_graph_factory(seed), use_cache=True)
-        if second is first:  # whole-model cache hit: also a valid fast path
-            assert engine.stats.cache_hits >= 1
-            return
-        assert all(s.source in ("spliced", "empty") for s in second.search.block_stats)
+        assert engine.compile(random_graph_factory(seed)) is first  # whole-model cache
+        engine.clear_cache()
+        clear_schedule_memo()
+        second = engine.compile(random_graph_factory(seed))
+        assert all(
+            s.source in ("block-cache", "empty") for s in second.search.block_stats
+        )
         assert_results_identical(first.search, second.search)
 
 
 class TestImportedGraphs:
     """Frontend-imported graphs go through the same fast paths as zoo models:
-    memoized, parallel and incremental searches must stay bit-identical."""
+    memoized, parallel and recompile searches must stay bit-identical."""
 
     def _transformer(self, heads=2):
         from pathlib import Path
@@ -253,13 +266,13 @@ class TestImportedGraphs:
 
     def test_head_count_change_only_researches_dirty_blocks(self):
         # Going from 2 to 4 heads rewrites the qkv/attention/merge blocks but
-        # leaves the ffn block (same boundary shapes) spliceable.
+        # leaves the ffn block (same boundary shapes) in the block cache.
         engine = _flops_engine()
         engine.compile(self._transformer(heads=2))
         clear_schedule_memo()
         second = engine.compile(self._transformer(heads=4))
         sources = {s.block_name: s.source for s in second.search.block_stats}
-        assert sources["ffn"] == "spliced"
+        assert sources["ffn"] == "block-cache"
         assert sources["attention"] in ("search", "parallel")
 
         clear_schedule_memo()

@@ -36,6 +36,22 @@ def request(request_id, arrival_ms, **kwargs):
                             arrival_ms=arrival_ms, **kwargs)
 
 
+def run_with_backlog(service, requests, busy_until_ms):
+    """Replay ``requests`` with worker 0 busy until ``busy_until_ms`` from the start.
+
+    Every run resets the pool, so the horizon is pinned between the loop's
+    ``begin()`` and the first arrival, and the arrivals are driven in.
+    """
+    loop = service.loop
+    loop.begin()
+    service.pool.workers[0].busy_until_ms = busy_until_ms
+    ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
+    for index, arrival in enumerate(ordered):
+        loop.advance_to(arrival.arrival_ms)
+        loop.inject(arrival, arrivals_left=len(ordered) - index - 1)
+    return loop.finish()
+
+
 class TestRegistry:
     def test_lists_all_policies(self):
         assert list_admission_policies() == ["admit-all", "deadline", "priority"]
@@ -100,11 +116,10 @@ class TestDeadlineAwareAdmission:
         service = toy_service(admission="deadline")
         # Pin the worker's horizon far in the future: every deadline-carrying
         # arrival now predicts a miss.
-        service.pool.workers[0].busy_until_ms = 1e6
-        report = service.run([
+        report = run_with_backlog(service, [
             request(0, arrival_ms=0.0, deadline_ms=50.0),
             request(1, arrival_ms=0.0),  # no SLO: rides regardless
-        ])
+        ], busy_until_ms=1e6)
         assert [r.request.request_id for r in report.rejected] == [0]
         assert [r.request.request_id for r in report.records] == [1]
 
@@ -149,13 +164,12 @@ class TestPriorityAdmission:
         # misses, so the request must be shed instead of preempting a batch.
         service = toy_service(admission="priority",
                               policy=BatchPolicy(max_batch_size=4, max_wait_ms=200.0))
-        service.pool.workers[0].busy_until_ms = 100.0
         exec_ms = service.selector.predicted_latency(
             "toy", 2, service.pool.workers[0].device
         )
         low = request(0, arrival_ms=0.0, priority=0)
         high = request(1, arrival_ms=1.0, priority=3, deadline_ms=exec_ms + 50.0)
-        report = service.run([low, high])
+        report = run_with_backlog(service, [low, high], busy_until_ms=100.0)
         assert [r.request.request_id for r in report.rejected] == [1]
         assert report.rejected[0].reason == "predicted-deadline-miss"
         # No preemption fired: the surviving batch waited out its window.
@@ -172,11 +186,10 @@ class TestPriorityAdmission:
 
     def test_rejections_below_the_top_class_are_labelled_as_shed(self):
         service = toy_service(admission="priority")
-        service.pool.workers[0].busy_until_ms = 1e6  # hopeless backlog
-        report = service.run([
+        report = run_with_backlog(service, [
             request(0, arrival_ms=0.0, priority=2, deadline_ms=10.0),
             request(1, arrival_ms=0.5, priority=0, deadline_ms=10.0),
-        ])
+        ], busy_until_ms=1e6)  # hopeless backlog
         reasons = {r.request.request_id: r.reason for r in report.rejected}
         # The top class's own overflow is an ordinary predicted miss; only
         # classes below the top one are "shed".
@@ -203,16 +216,15 @@ class TestPriorityAdmission:
         # the top class.  protection=0.0 restores the plain deadline gate.
         def scenario(policy):
             service = toy_service(admission=policy)
-            # A pinned horizon makes the worker, not the batching wait, the
-            # binding term — so preemption cannot rescue the low request
-            # either, and only the margin decides.
-            service.pool.workers[0].busy_until_ms = 10.0
             high = request(0, arrival_ms=0.0, priority=3)
             # Predicted to finish ~10.1ms in against a 12.5ms absolute
             # deadline: a couple of ms to spare, far less than the capped
             # margin (0.75 × 12ms) the protection demands.
             low = request(1, arrival_ms=0.5, priority=0, deadline_ms=12.0)
-            return service.run([high, low])
+            # A pinned horizon makes the worker, not the batching wait, the
+            # binding term — so preemption cannot rescue the low request
+            # either, and only the margin decides.
+            return run_with_backlog(service, [high, low], busy_until_ms=10.0)
 
         protected = scenario(PriorityAdmission())
         assert [r.request.request_id for r in protected.rejected] == [1]
@@ -244,9 +256,10 @@ class TestPriorityAdmission:
         # relative to the previous run's class 5.
         service = toy_service(admission="priority")
         service.run([request(0, arrival_ms=0.0, priority=5)])
-        service.pool.workers[0].busy_until_ms = 1e6
-        report = service.run([request(1, arrival_ms=0.0, priority=0,
-                                      deadline_ms=10.0)])
+        report = run_with_backlog(
+            service, [request(1, arrival_ms=0.0, priority=0, deadline_ms=10.0)],
+            busy_until_ms=1e6,
+        )
         assert [r.reason for r in report.rejected] == ["predicted-deadline-miss"]
 
 

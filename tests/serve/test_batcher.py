@@ -8,10 +8,11 @@ from repro.models import chain_graph
 from repro.serve import (
     BatchPolicy,
     BatchSizeSelector,
-    DynamicBatcher,
     InferenceRequest,
     ScheduleRegistry,
 )
+
+from offline_batcher import DynamicBatcher
 
 
 def request(request_id: int, arrival_ms: float, num_samples: int = 1) -> InferenceRequest:

@@ -6,8 +6,8 @@ import pytest
 
 from repro.models import chain_graph
 from repro.serve import (
+    AutoscaleConfig,
     BatchPolicy,
-    DynamicBatcher,
     InferenceRequest,
     InferenceService,
     ScheduleRegistry,
@@ -15,6 +15,8 @@ from repro.serve import (
     TrafficConfig,
     TrafficGenerator,
 )
+
+from offline_batcher import DynamicBatcher
 
 
 def toy_registry(root=None):
@@ -140,6 +142,40 @@ class TestLoopDeterminism:
 
     def test_different_seed_gives_a_different_report(self):
         assert self._report(seed=3).records != self._report(seed=4).records
+
+
+class TestDirectlyDrivenLoop:
+    """``service.loop.run`` replays like ``InferenceService.run``: the loop
+    itself returns the pool, router and autoscaler to their configured state."""
+
+    def test_replaying_through_the_loop_twice_is_identical(self):
+        service = toy_service(
+            devices=("v100", "k80"), router="round-robin", admission="deadline",
+            autoscale=AutoscaleConfig(min_workers=1, max_workers=3,
+                                      interval_ms=0.2, scale_up_backlog_ms=0.02),
+        )
+        requests = TrafficGenerator(TrafficConfig(
+            model="toy", pattern="bursty", num_requests=120, burst_size=30,
+            burst_gap_ms=8.0, slo_ms=5.0, seed=2,
+        ).capped_to(4)).generate()
+
+
+        def run():
+            result = service.loop.run(requests)
+            # Registry lookups are cumulative by design; every other series
+            # (pool size, worker utilisation, latency) is per run.
+            metrics = result.metrics.snapshot()
+            del metrics["serve.registry.lookups"]
+            return result, metrics
+
+        first, first_metrics = run()
+        second, second_metrics = run()
+        assert first.scale_events  # the pool grew, so state was carried out
+        assert second.records == first.records
+        assert second.rejected == first.rejected
+        assert second.scale_events == first.scale_events
+        assert second.batch_size_counts == first.batch_size_counts
+        assert second_metrics == first_metrics
 
 
 class TestReportContract:

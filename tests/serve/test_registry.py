@@ -17,7 +17,7 @@ from repro.serve import RegistryError, RegistryKey, ScheduleRegistry
 #: Every field ``CompiledModel.to_dict()`` writes; ``source.*`` are sub-keys.
 ARTIFACT_FIELDS = [
     "format", "format_version", "device", "profile", "variant", "source",
-    "fingerprint", "graph", "schedule", "stats", "blocks",
+    "fingerprint", "graph", "schedule", "stats",
     "source.graph_name", "source.node_digest", "source.fingerprint",
 ]
 

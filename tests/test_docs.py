@@ -9,6 +9,7 @@ every snippet at least parses — in the default test run.
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -77,3 +78,61 @@ class TestDocsSite:
         page.write_text("see [missing](does-not-exist.md) and [ok](page.md)\n")
         failures = checker.check_links([page])
         assert len(failures) == 1 and "does-not-exist.md" in failures[0]
+
+
+#: Where the program reads its environment: the package, both benchmark
+#: harnesses and the tools.
+ENV_READER_DIRS = ("src", "benchmarks", "bench", "tools")
+
+
+#: ``environ.get("X")``, ``getenv("X")``, or ``environ["X"]`` not being assigned.
+ENV_READ = re.compile(
+    r"""(?:environ\.get|getenv)\(\s*["'](REPRO_\w+)["']"""
+    r"""|environ\[\s*["'](REPRO_\w+)["']\s*\](?!\s*=[^=])"""
+)
+
+
+def env_vars_read(roots) -> set[str]:
+    """Every ``REPRO_*`` name some ``.py`` file under ``roots`` reads from
+    the environment."""
+    names: set[str] = set()
+    for root in roots:
+        for path in Path(root).rglob("*.py"):
+            for match in ENV_READ.finditer(path.read_text()):
+                names.add(match.group(1) or match.group(2))
+    return names
+
+
+def env_vars_documented(pages) -> dict[str, list[str]]:
+    """``REPRO_*`` name -> the pages that mention it."""
+    names: dict[str, list[str]] = {}
+    for page in pages:
+        for name in sorted(set(re.findall(r"\bREPRO_[A-Z0-9_]+\b", page.read_text()))):
+            names.setdefault(name, []).append(page.name)
+    return names
+
+
+class TestDocumentedKnobs:
+    """A documented environment variable must still do something."""
+
+    def test_every_documented_env_var_is_read_by_the_code(self):
+        documented = env_vars_documented(checker.doc_files())
+        assert documented, "the docs name no REPRO_* variable; is the scan broken?"
+        read = env_vars_read(REPO_ROOT / name for name in ENV_READER_DIRS)
+        dead = {name: pages for name, pages in documented.items() if name not in read}
+        assert dead == {}, f"docs name environment variables nothing reads: {dead}"
+
+    def test_a_dead_knob_is_reported(self, tmp_path):
+        code = tmp_path / "code"
+        code.mkdir()
+        (code / "knobs.py").write_text(
+            "import os\n"
+            'os.environ.get("REPRO_LIVE")\n'
+            'os.environ["REPRO_WRITTEN"] = "1"\n'
+            'if os.environ["REPRO_INDEXED"] == "1": pass\n'
+            "# REPRO_COMMENTED\n"
+        )
+        page = tmp_path / "page.md"
+        page.write_text("Set `REPRO_LIVE=1` or `REPRO_WRITTEN=0`.\n")
+        assert set(env_vars_documented([page])) == {"REPRO_LIVE", "REPRO_WRITTEN"}
+        assert env_vars_read([code]) == {"REPRO_LIVE", "REPRO_INDEXED"}
