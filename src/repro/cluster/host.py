@@ -20,6 +20,7 @@ what makes partitioned placement win on small-memory fleets (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,9 +45,11 @@ class HostSpec:
     memory_gb: float | None = None
 
     def __post_init__(self) -> None:
-        if self.memory_gb is not None and self.memory_gb <= 0:
+        if self.memory_gb is not None and not (
+            math.isfinite(self.memory_gb) and self.memory_gb > 0
+        ):
             raise ValueError(
-                f"host memory_gb must be positive, got {self.memory_gb}"
+                f"host memory_gb must be a finite number > 0, got {self.memory_gb}"
             )
 
     def fits(self, weight_bytes: int) -> bool:

@@ -25,6 +25,7 @@ All sizes are bytes, all times milliseconds, bandwidths GB/s
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -32,6 +33,14 @@ __all__ = ["LinkModel"]
 
 #: 1 GB/s expressed in bytes per millisecond.
 _BYTES_PER_MS_PER_GBS = 1e6
+
+
+def _check_link_value(name: str, value: float, *, positive: bool) -> None:
+    """Reject NaN, infinities and out-of-range values, naming the field."""
+    in_range = value > 0 if positive else value >= 0
+    if not (math.isfinite(value) and in_range):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"link {name} must be a finite number {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -53,20 +62,14 @@ class LinkModel:
     )
 
     def __post_init__(self) -> None:
-        if self.bandwidth_gb_s <= 0:
-            raise ValueError(
-                f"link bandwidth must be positive, got {self.bandwidth_gb_s}"
-            )
-        if self.latency_ms < 0:
-            raise ValueError(f"link latency must be >= 0, got {self.latency_ms}")
-        if self.ingress_gb_s is not None and self.ingress_gb_s <= 0:
-            raise ValueError(
-                f"ingress bandwidth must be positive, got {self.ingress_gb_s}"
-            )
-        if self.ingress_latency_ms < 0:
-            raise ValueError(
-                f"ingress latency must be >= 0, got {self.ingress_latency_ms}"
-            )
+        _check_link_value("bandwidth_gb_s", self.bandwidth_gb_s, positive=True)
+        _check_link_value("latency_ms", self.latency_ms, positive=False)
+        if self.ingress_gb_s is not None:
+            _check_link_value("ingress_gb_s", self.ingress_gb_s, positive=True)
+        _check_link_value("ingress_latency_ms", self.ingress_latency_ms, positive=False)
+        for pair, (bandwidth, latency) in self.pair_overrides.items():
+            _check_link_value(f"pair_overrides[{pair}] bandwidth", bandwidth, positive=True)
+            _check_link_value(f"pair_overrides[{pair}] latency", latency, positive=False)
 
     # ------------------------------------------------------------------- costs
     def pair(self, src: int, dst: int) -> tuple[float, float]:
@@ -125,8 +128,11 @@ class LinkModel:
                     f"malformed link entry {entry!r} in {spec!r}; expected "
                     f"key=value with keys {sorted(keys)}"
                 )
+            field_name = keys[key.strip()]
+            if field_name in kwargs:
+                raise ValueError(f"link key {key.strip()!r} repeated in {spec!r}")
             try:
-                kwargs[keys[key.strip()]] = float(value)
+                kwargs[field_name] = float(value)
             except ValueError:
                 raise ValueError(
                     f"link value in entry {entry!r} must be a number, "

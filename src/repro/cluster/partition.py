@@ -27,6 +27,7 @@ bounds; ties break lexicographically so the plan is deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -196,6 +197,12 @@ def partition_graph(
         )
     if not bounds:
         bounds = [None] * num_stages
+    for host, bound in enumerate(bounds):
+        if bound is not None and not (math.isfinite(bound) and bound > 0):
+            raise PartitionError(
+                f"memory_bounds[{host}] must be a finite number > 0 or None, "
+                f"got {bound}"
+            )
 
     # Block index of every node; placeholders ride with stage 0 (index -1).
     block_index: dict[str, int] = {}

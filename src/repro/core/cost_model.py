@@ -63,6 +63,11 @@ class CostModel(ABC):
         :func:`~repro.core.schedule.connected_groups` output exactly.
         """
 
+    @property
+    def profiling_ms(self) -> float:
+        """Simulated device time spent measuring so far, in milliseconds."""
+        return 0.0
+
     def signature(self) -> tuple | None:
         """Hashable identity of this model's latency function, or ``None``.
 
@@ -202,6 +207,10 @@ class SimulatedCostModel(CostModel):
     ) -> float:
         stage = stage_to_execution(graph, op_names, strategy, groups=groups)
         return self.profiler.stage_latency_ms(stage)
+
+    @property
+    def profiling_ms(self) -> float:
+        return self.profiler.total_profiling_ms
 
     def signature(self) -> tuple | None:
         """Shareable identity: device, profile, and measurement protocol.

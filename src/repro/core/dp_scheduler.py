@@ -176,6 +176,9 @@ class BlockStats:
     num_states: int = 0
     num_transitions: int = 0
     num_measurements: int = 0
+    #: Simulated device time the search spent profiling (ms); like
+    #: ``num_measurements`` it is zero for a reused block.
+    profiling_ms: float = 0.0
     optimized_latency_ms: float = 0.0
     elapsed_s: float = 0.0
     reused_from: str | None = None
@@ -202,6 +205,10 @@ class ScheduleResult:
     @property
     def total_measurements(self) -> int:
         return sum(stats.num_measurements for stats in self.block_stats)
+
+    @property
+    def total_profiling_ms(self) -> float:
+        return sum(stats.profiling_ms for stats in self.block_stats)
 
     @property
     def predicted_latency_ms(self) -> float:
@@ -311,6 +318,7 @@ class IOSScheduler:
                     cached_stats,
                     block_name=block.name,
                     num_measurements=0,
+                    profiling_ms=0.0,
                     elapsed_s=0.0,
                     reused_from=cached_stats.block_name,
                     source="block-cache",
@@ -330,6 +338,7 @@ class IOSScheduler:
                     cached_stats,
                     block_name=block.name,
                     num_measurements=0,
+                    profiling_ms=0.0,
                     elapsed_s=0.0,
                     reused_from=f"memo:{cached_stats.block_name}",
                     source="memo",
@@ -338,6 +347,7 @@ class IOSScheduler:
 
         start = time.perf_counter()
         measurements_before = self.cost_model.num_measurements
+        profiling_before = self.cost_model.profiling_ms
 
         stage_masks, optimal_latency, num_states, transitions = self._search_block_dp(
             graph, index, block.name
@@ -352,6 +362,7 @@ class IOSScheduler:
             num_states=num_states,
             num_transitions=transitions,
             num_measurements=self.cost_model.num_measurements - measurements_before,
+            profiling_ms=self.cost_model.profiling_ms - profiling_before,
             optimized_latency_ms=optimal_latency,
             elapsed_s=time.perf_counter() - start,
             source="search",

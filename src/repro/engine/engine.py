@@ -216,18 +216,16 @@ class Engine:
             )
 
         # Stage 2: optimized Graph -> Schedule (the DP search).
-        cost_model = self.cost_model
-        measurements_before = getattr(cost_model, "num_measurements", 0)
-        profiler = getattr(cost_model, "profiler", None)
-        gpu_ms_before = getattr(profiler, "total_profiling_ms", 0.0)
         span_start = tracer.now_ms() if tracer else 0.0
         start = time.perf_counter()
         jobs = resolve_compile_jobs(self.jobs)
         result = self.scheduler.optimize_graph(optimized, jobs=jobs, use_memo=use_cache)
         if pass_stats is not None:
             result.pass_stats = pass_stats
-        num_measurements = getattr(cost_model, "num_measurements", 0) - measurements_before
-        profiling_gpu_ms = getattr(profiler, "total_profiling_ms", 0.0) - gpu_ms_before
+        # Taken from the block stats, not the cost model's counters: blocks
+        # searched in worker processes measured on the workers' clones.
+        num_measurements = result.total_measurements
+        profiling_gpu_ms = result.total_profiling_ms
         sources = [stats.source for stats in result.block_stats]
         block_searches = sum(1 for s in sources if s in ("search", "parallel"))
         block_memo_hits = sum(1 for s in sources if s == "memo")

@@ -362,12 +362,18 @@ def parse_sampling_spec(spec: str) -> SamplingConfig:
         part = part.strip()
         if not part:
             continue
-        key, _, raw = part.partition("=")
+        key, sep, raw = part.partition("=")
+        if not sep:
+            raise ValueError(
+                f"malformed sampling entry {part!r} in {spec!r}; expected key=value"
+            )
         field = keys.get(key.strip())
         if field is None:
             raise ValueError(
                 f"unknown sampling key {key!r} (expected budget/head/track)"
             )
+        if field in values:
+            raise ValueError(f"sampling key {key.strip()!r} repeated in {spec!r}")
         try:
             values[field] = int(raw)
         except ValueError:

@@ -51,6 +51,51 @@ class TestLinkModel:
         with pytest.raises(ValueError):
             LinkModel(**bad)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", ["bandwidth_gb_s", "latency_ms", "ingress_gb_s", "ingress_latency_ms"]
+    )
+    def test_non_finite_parameters_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LinkModel(**{field: value})
+
+    @pytest.mark.parametrize(
+        "override, part",
+        [
+            ((float("nan"), 0.1), "bandwidth"),
+            ((float("inf"), 0.1), "bandwidth"),
+            ((0.0, 0.1), "bandwidth"),
+            ((1.0, float("nan")), "latency"),
+            ((1.0, float("inf")), "latency"),
+            ((1.0, -0.1), "latency"),
+        ],
+    )
+    def test_bad_pair_overrides_rejected_by_name(self, override, part):
+        with pytest.raises(ValueError, match=rf"pair_overrides\[\(0, 1\)\] {part}"):
+            LinkModel(pair_overrides={(0, 1): override})
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ("bw=nan", "bandwidth_gb_s"),
+            ("bw=inf", "bandwidth_gb_s"),
+            ("lat=inf", "latency_ms"),
+            ("lat=nan", "latency_ms"),
+            ("ingress=nan", "ingress_gb_s"),
+            ("ingress-lat=inf", "ingress_latency_ms"),
+        ],
+    )
+    def test_parse_rejects_non_finite_values(self, spec, field):
+        with pytest.raises(ValueError, match=field):
+            LinkModel.parse(spec)
+
+    @pytest.mark.parametrize(
+        "spec, key", [("bw=12.5,bw=3", "bw"), ("lat=0.1,bw=1,lat=0.1", "lat")]
+    )
+    def test_parse_rejects_a_repeated_key(self, spec, key):
+        with pytest.raises(ValueError, match=f"link key '{key}' repeated"):
+            LinkModel.parse(spec)
+
     def test_parse_round_trips_the_cli_spelling(self):
         link = LinkModel.parse("bw=10,lat=0.2,ingress=2,ingress-lat=0.1")
         assert link == LinkModel(

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import PartitionError, partition_graph
+from repro.cluster import HostSpec, PartitionError, partition_graph
 from repro.engine import Engine
 from repro.ir import validate_graph
 from repro.frontend import load
+from repro.serve import FleetSpec
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,13 @@ class TestPartitionGraph:
         with pytest.raises(PartitionError):
             partition_graph(
                 squeezenet, 2, memory_bounds=[1e-6, 1e-6], model="squeezenet"
+            )
+
+    @pytest.mark.parametrize("bound", NON_FINITE + [0.0, -1.0])
+    def test_bad_memory_bounds_raise_by_index(self, squeezenet, bound):
+        with pytest.raises(PartitionError, match=r"memory_bounds\[1\]"):
+            partition_graph(
+                squeezenet, 2, memory_bounds=[None, bound], model="squeezenet"
             )
 
     def test_deterministic(self, squeezenet):
@@ -101,3 +111,15 @@ class TestStageGraphs:
         assert build(stage_model, 1).name == stage_model
         # Anything else falls through to the registered model zoo.
         assert len(build("squeezenet", 1).blocks) == len(squeezenet.blocks)
+
+
+class TestHostSpec:
+    @pytest.mark.parametrize("memory_gb", NON_FINITE + [0.0, -1.0])
+    def test_bad_memory_rejected_by_name(self, memory_gb):
+        with pytest.raises(ValueError, match="memory_gb"):
+            HostSpec(fleet=FleetSpec.parse("k80:1"), memory_gb=memory_gb)
+
+    def test_a_finite_bound_fits_by_weight(self):
+        spec = HostSpec(fleet=FleetSpec.parse("k80:1"), memory_gb=0.004)
+        assert spec.fits(4_000_000)
+        assert not spec.fits(4_000_001)

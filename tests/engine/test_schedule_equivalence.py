@@ -142,6 +142,29 @@ class TestParallelEqualsSerial:
         fanout = _fast_scheduler().optimize_graph(graph, jobs=2)
         assert_results_identical(serial, fanout)
 
+    def test_parallel_compile_reports_the_serial_search_cost(self):
+        # Worker processes measure on their own cost-model clones, so the
+        # engine must take the search cost from the block results.  The
+        # profiling time is a float sum grouped per block on the workers,
+        # hence equal to rounding, not bit for bit.
+        runs = {}
+        for jobs in (1, 2):
+            clear_schedule_memo()
+            runs[jobs] = Engine("v100", jobs=jobs).compile_model("inception_v3")
+        serial, fanout = runs[1], runs[2]
+        assert "parallel" in {stats.source for stats in fanout.search.block_stats}
+        assert serial.stats.num_measurements == 4698
+        assert fanout.stats.num_measurements == serial.stats.num_measurements
+        assert fanout.stats.profiling_gpu_ms == pytest.approx(
+            serial.stats.profiling_gpu_ms, rel=1e-12
+        )
+        assert serial.stats.profiling_gpu_ms == pytest.approx(2543.631, abs=1e-3)
+        assert (
+            fanout.stats.stage("schedule").detail["measurements"]
+            == serial.stats.stage("schedule").detail["measurements"]
+            == 4698
+        )
+
 
 def _two_block_graph(stem_kernel=3, head_kernel=1, name="incr-model"):
     """Two explicit blocks; either block can be dirtied independently."""

@@ -63,6 +63,18 @@ class TestSamplingConfig:
         with pytest.raises(ValueError):
             parse_sampling_spec("budget=lots")
 
+    @pytest.mark.parametrize(
+        "spec, key", [("budget=1,budget=2", "budget"), ("head=5,track=9,head=5", "head")]
+    )
+    def test_parse_spec_rejects_a_repeated_key(self, spec, key):
+        with pytest.raises(ValueError, match=f"sampling key '{key}' repeated"):
+            parse_sampling_spec(spec)
+
+    @pytest.mark.parametrize("spec, entry", [("budget", "budget"), ("budget=10,head", "head")])
+    def test_parse_spec_reports_an_entry_without_a_value_as_malformed(self, spec, entry):
+        with pytest.raises(ValueError, match=f"malformed sampling entry '{entry}'"):
+            parse_sampling_spec(spec)
+
 
 class TestTailSampling:
     def test_every_slo_miss_is_kept_under_a_tight_budget(self):
