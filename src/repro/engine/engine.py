@@ -350,6 +350,10 @@ class Engine:
         """The cached compiled model for ``graph``, if any (no compilation)."""
         return self._cache.get(graph_identity(graph))
 
+    def compiled_models(self) -> list[CompiledModel]:
+        """Every model in the compile cache, compiled here or loaded."""
+        return list(self._cache.values())
+
     def clear_cache(self) -> None:
         """Drop every cached compiled model (the stats counters remain)."""
         self._cache.clear()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..core.dp_scheduler import SchedulerConfig
 from ..core.schedule import Schedule
-from ..engine import Engine
+from ..engine import CompileStats, Engine
 from ..hardware.device import DeviceSpec
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
 from ..ir.graph import Graph
@@ -55,19 +55,23 @@ class IOSEngine:
             )
         return self._engines[device.name]
 
+    def _compile_stats(self) -> list[CompileStats]:
+        # The compiled models' stats, not the cost models' counters: blocks
+        # searched in worker processes measured on the workers' clones.
+        return [
+            compiled.stats
+            for engine in self._engines.values()
+            for compiled in engine.compiled_models()
+        ]
+
     @property
     def total_profiling_ms(self) -> float:
         """Simulated GPU time spent profiling candidate stages, all devices."""
-        return sum(
-            engine.cost_model.profiler.total_profiling_ms
-            for engine in self._engines.values()
-        )
+        return sum(stats.profiling_gpu_ms for stats in self._compile_stats())
 
     @property
     def total_measurements(self) -> int:
-        return sum(
-            engine.cost_model.num_measurements for engine in self._engines.values()
-        )
+        return sum(stats.num_measurements for stats in self._compile_stats())
 
     # ------------------------------------------------------------------ search
     def optimize(self, graph: Graph, device: DeviceSpec) -> Schedule:

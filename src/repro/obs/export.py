@@ -52,12 +52,17 @@ def chrome_trace(tracer: Tracer) -> dict:
     events: list[dict] = []
     pids: dict[str, int] = {}
     tids: dict[tuple[str, str], int] = {}
+    #: Threads named so far per process (the next thread's tid is one more).
+    threads: dict[str, int] = {}
+    #: Track → (pid, tid), resolved once per distinct track.
+    rows: dict[str, tuple[int, int]] = {}
 
     def row(track: str) -> tuple[int, int]:
         process, thread = _split_track(track)
         if process not in pids:
             pid = len(pids) + 1
             pids[process] = pid
+            threads[process] = 0
             events.append(
                 {
                     "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
@@ -72,7 +77,8 @@ def chrome_trace(tracer: Tracer) -> dict:
             )
         pid = pids[process]
         if (process, thread) not in tids:
-            tid = sum(1 for key in tids if key[0] == process) + 1
+            tid = threads[process] + 1
+            threads[process] = tid
             tids[(process, thread)] = tid
             events.append(
                 {
@@ -86,10 +92,11 @@ def chrome_trace(tracer: Tracer) -> dict:
                     "args": {"sort_index": tid},
                 }
             )
-        return pid, tids[(process, thread)]
+        rows[track] = pid, tids[(process, thread)]
+        return rows[track]
 
     for record in tracer.records:
-        pid, tid = row(record.track)
+        pid, tid = rows.get(record.track) or row(record.track)
         event: dict = {
             "name": record.name,
             "ph": _PHASES[record.kind],

@@ -85,18 +85,22 @@ class _TrackReservoir:
         self.kept: list[tuple[int, TraceRecord]] = []
         self.dropped = 0
 
-    def offer(self, seq: int, record: TraceRecord) -> None:
+    def offer(self, seq: int, record: TraceRecord) -> int:
+        """Offer one record; returns the change in the number of kept records."""
         index = self.seen
         self.seen += 1
         if index % self.stride:
             self.dropped += 1
-            return
+            return 0
         self.kept.append((seq, record))
-        if len(self.kept) >= self.budget:
-            # Halve: drop every other kept record, double the stride.
-            self.dropped += len(self.kept) - (len(self.kept) + 1) // 2
-            self.kept = self.kept[::2]
-            self.stride *= 2
+        if len(self.kept) < self.budget:
+            return 1
+        # Halve: drop every other kept record, double the stride.
+        halved = len(self.kept) - (len(self.kept) + 1) // 2
+        self.dropped += halved
+        self.kept = self.kept[::2]
+        self.stride *= 2
+        return 1 - halved
 
 
 class SamplingTracer(Tracer):
@@ -122,6 +126,10 @@ class SamplingTracer(Tracer):
         self._tracks: dict[str, _TrackReservoir] = {}
         self._exempt: list[tuple[int, TraceRecord]] = []
         self._kept_request_records = 0
+        #: Running totals of records in ``_open`` buffers and ``_tracks``
+        #: reservoirs, so counting the retained records never rescans them.
+        self._open_request_records = 0
+        self._track_records = 0
         self._stats = {
             "requests_total": 0, "requests_kept": 0, "requests_dropped": 0,
             "slo_miss_kept": 0, "rejected_kept": 0, "head_kept": 0,
@@ -157,6 +165,8 @@ class SamplingTracer(Tracer):
         self._tracks.clear()
         self._exempt.clear()
         self._kept_request_records = 0
+        self._open_request_records = 0
+        self._track_records = 0
         for key in self._stats:
             self._stats[key] = 0
 
@@ -167,8 +177,8 @@ class SamplingTracer(Tracer):
     def __len__(self) -> int:
         return (
             self._kept_request_records
-            + sum(len(group) for _, group in self._open.values())
-            + sum(len(reservoir.kept) for reservoir in self._tracks.values())
+            + self._open_request_records
+            + self._track_records
             + len(self._exempt)
         )
 
@@ -185,20 +195,21 @@ class SamplingTracer(Tracer):
             if reservoir is None:
                 reservoir = _TrackReservoir(self.config.track_budget)
                 self._tracks[record.track] = reservoir
-            reservoir.offer(seq, record)
-        retained = len(self)
-        if retained > self._stats["peak_retained"]:
-            self._stats["peak_retained"] = retained
-        request_records = self._kept_request_records + self._open_records()
+            self._track_records += reservoir.offer(seq, record)
+        request_records = self._kept_request_records + self._open_request_records
         if request_records > self._stats["peak_request_records"]:
             self._stats["peak_request_records"] = request_records
+        retained = request_records + self._track_records + len(self._exempt)
+        if retained > self._stats["peak_retained"]:
+            self._stats["peak_retained"] = retained
 
     def _open_records(self) -> int:
-        return sum(len(group) for _, group in self._open.values())
+        return self._open_request_records
 
     def _ingest_request(self, seq: int, record: TraceRecord) -> None:
         correlation = record.correlation
         entry = self._open.get(correlation)
+        self._open_request_records += 1
         if entry is None:
             # First record of a lifecycle: its name is the root span's name.
             self._open[correlation] = (record.name, [(seq, record)])
@@ -212,6 +223,7 @@ class SamplingTracer(Tracer):
         group.append((seq, record))
         if record.kind == ASYNC_END and record.name == root_name:
             del self._open[correlation]
+            self._open_request_records -= len(group)
             self._decide(correlation, group)
         else:
             self._enforce_budget()
@@ -255,9 +267,9 @@ class SamplingTracer(Tracer):
         retained request records — not just the settled count — honours
         ``max_records`` whenever discretionary groups remain to shed.
         """
-        open_records = self._open_records()
         while (
-            self._kept_request_records + open_records > self.config.max_records
+            self._kept_request_records + self._open_request_records
+            > self.config.max_records
             and self._evictable
         ):
             is_head_key, _, victim = heapq.heappop(self._evictable)

@@ -326,6 +326,14 @@ class PrefixedTracer(Tracer):
         # of its own, so the base-class initialisation is dropped here.
         pass
 
+    def clear(self) -> None:
+        # The view owns no records: clearing it clears the shared trace, with
+        # the inner tracer's own semantics (a sampler resets its buffers).
+        self.inner.clear()
+
+    def __len__(self) -> int:
+        return len(self.inner)
+
     def _track(self, track: str) -> str:
         return f"{self.prefix}{track}"
 

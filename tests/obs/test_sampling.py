@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
     SamplingConfig,
@@ -217,3 +218,120 @@ class TestTailSampling:
         assert len(tracer) == 0
         assert tracer.records == []
         assert tracer.sampling_metadata()["requests"]["total"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# Running counts equal a brute-force recount                                  #
+# --------------------------------------------------------------------------- #
+#: One tracer call each: open a lifecycle, emit a nested phase pair into an
+#: open one, close an open one (rejected, or with a latency that may miss its
+#: deadline), write a span/counter/instant on one of many tracks, or raise an
+#: exempt alert/autoscale instant.
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("open"), st.sampled_from([None, 2.0, 5.0])),
+        st.tuples(st.just("phase"), st.integers(0, 7)),
+        st.tuples(
+            st.just("close"), st.integers(0, 7),
+            st.floats(0.0, 10.0, allow_nan=False), st.booleans(),
+        ),
+        st.tuples(
+            st.just("track"), st.integers(0, 11),
+            st.sampled_from(["span", "counter", "instant"]),
+        ),
+        st.tuples(st.just("exempt"), st.sampled_from(["alert", "autoscale"])),
+    ),
+    max_size=120,
+)
+
+
+def _apply(tracer: SamplingTracer, operation, state: dict) -> None:
+    """Emit one operation the way the serving loop would."""
+    kind, now = operation[0], state["now"]
+    state["now"] += 0.5
+    open_ids = state["open"]
+    if kind == "open":
+        correlation = state["next_id"]
+        state["next_id"] += 1
+        args = {} if operation[1] is None else {"deadline_ms": operation[1]}
+        tracer.async_begin(
+            f"request {correlation}", "serving/requests", correlation, now,
+            category="request", args=args,
+        )
+        open_ids[correlation] = now
+    elif kind in ("phase", "close") and open_ids:
+        correlation = list(open_ids)[operation[1] % len(open_ids)]
+        if kind == "phase":
+            tracer.async_begin(
+                "queued", "serving/requests", correlation, now, category="request"
+            )
+            tracer.async_end(
+                "queued", "serving/requests", correlation, now, category="request"
+            )
+        else:
+            start = open_ids.pop(correlation)
+            _, _, latency, rejected = operation
+            tracer.async_end(
+                f"request {correlation}", "serving/requests", correlation,
+                start + latency, category="request",
+                args={"outcome": "rejected" if rejected else "completed"},
+            )
+    elif kind == "track":
+        track = f"worker {operation[1]} (k80)/stream 0"
+        if operation[2] == "span":
+            tracer.add_span("conv", track, now, now + 0.25, category="kernel")
+        elif operation[2] == "counter":
+            tracer.counter("queue depth", track, now, {"requests": 1.0})
+        else:
+            tracer.instant("batch-close", track, now, category="batch")
+    elif kind == "exempt":
+        tracer.instant(f"{operation[1]} event", f"serving/{operation[1]}", now,
+                       category=operation[1])
+
+
+class _RecountingTracer(SamplingTracer):
+    """Checks the running counts against a full rescan after every record."""
+
+    def __init__(self, config: SamplingConfig):
+        self.emitted = self.peak_retained = self.peak_request_records = 0
+        super().__init__(config)
+
+    def _ingest(self, record) -> None:
+        super()._ingest(record)
+        self.emitted += 1
+        kept_requests = sum(len(group) for group in self._kept_groups.values())
+        open_requests = sum(len(group) for _, group in self._open.values())
+        track_records = sum(len(r.kept) for r in self._tracks.values())
+        retained = kept_requests + open_requests + track_records + len(self._exempt)
+        assert self._open_records() == open_requests
+        assert len(self) == retained == len(self.records)
+        self.peak_retained = max(self.peak_retained, retained)
+        self.peak_request_records = max(
+            self.peak_request_records, kept_requests + open_requests
+        )
+        records = self.sampling_metadata()["records"]
+        assert records["kept"] == retained
+        assert records["kept"] + records["dropped"] == self.emitted
+        assert records["peak_retained"] == self.peak_retained
+        assert records["peak_request_records"] == self.peak_request_records
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _operations,
+    st.integers(1, 12),
+    st.sampled_from([0, 1, 3]),
+    st.integers(2, 6),
+)
+def test_running_counts_equal_a_brute_force_recount(
+    operations, max_records, head_every, track_budget
+):
+    tracer = _RecountingTracer(SamplingConfig(
+        max_records=max_records, head_every=head_every, track_budget=track_budget,
+    ))
+    state = {"now": 0.0, "next_id": 1, "open": {}}
+    for operation in operations:
+        _apply(tracer, operation, state)
+    assert tracer.emitted == tracer._seq
+    tracer.clear()
+    assert len(tracer) == tracer._open_records() == 0

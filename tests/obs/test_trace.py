@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.obs import NULL_TRACER, NullTracer, Tracer
+import pytest
+
+from repro.obs import NULL_TRACER, NullTracer, SamplingTracer, Tracer
+from repro.obs.trace import PrefixedTracer
 from repro.obs.trace import ASYNC_BEGIN, ASYNC_END, COUNTER, INSTANT, SPAN
 
 
@@ -128,3 +131,49 @@ class TestNullTracer:
         if tracer:
             touched.append("traced")  # pragma: no cover - must not run
         assert touched == []
+
+
+class TestPrefixedTracer:
+    @pytest.fixture(params=[Tracer, SamplingTracer], ids=["plain", "sampling"])
+    def inner(self, request) -> Tracer:
+        return request.param()
+
+    @staticmethod
+    def _record_five(view: PrefixedTracer) -> None:
+        view.add_span("execute", "worker 0/batches", 0.0, 1.0, category="batch")
+        view.instant("batch-close", "serving/loop", 1.0, category="batch")
+        view.counter("queue depth", "serving/loop", 1.0, {"requests": 2})
+        view.async_begin("request 1", "serving/requests", 1, 0.0, category="request")
+        view.async_end("request 1", "serving/requests", 1, 2.0, category="request")
+
+    def test_records_land_on_prefixed_tracks_of_the_inner_trace(self, inner):
+        view = PrefixedTracer(inner, "host0 ")
+        self._record_five(view)
+        assert len(view) == len(inner) == 5
+        assert {record.track for record in inner.records} == {
+            "host0 worker 0/batches", "host0 serving/loop", "host0 serving/requests",
+        }
+
+    def test_clear_clears_the_inner_trace(self, inner):
+        view = PrefixedTracer(inner, "host0 ")
+        self._record_five(view)
+        view.clear()
+        assert len(view) == len(inner) == 0
+        assert view.records == inner.records == []
+
+    def test_len_does_not_materialise_the_inner_records(self, inner, monkeypatch):
+        view = PrefixedTracer(inner, "host0 ")
+        self._record_five(view)
+        if isinstance(inner, SamplingTracer):
+            def merged(self):
+                raise AssertionError("len() merged the sampled records")
+
+            monkeypatch.setattr(SamplingTracer, "records", property(merged))
+        assert len(view) == 5
+
+    def test_wrapping_the_null_tracer_stays_falsy_and_empty(self):
+        view = PrefixedTracer(NULL_TRACER, "host0 ")
+        view.add_span("a", "main", 0.0, 1.0)
+        view.clear()
+        assert not view
+        assert len(view) == 0

@@ -152,3 +152,25 @@ class TestIOSEngine:
         engine.run(graph, v100)
         assert engine.total_measurements == measurements_after_first
         assert engine.optimization_cost_gpu_hours(graph) > 0
+
+    def test_parallel_compile_reports_the_serial_search_cost(self, v100, monkeypatch):
+        # Blocks searched in worker processes measure on the workers' own
+        # cost-model clones; the totals must still count them.
+        from repro.core import clear_schedule_memo
+
+        graph = load("inception_v3")
+        engines = {}
+        for jobs in ("1", "2"):
+            clear_schedule_memo()
+            monkeypatch.setenv("REPRO_COMPILE_JOBS", jobs)
+            engines[jobs] = IOSEngine()
+            engines[jobs].run(graph, v100)
+        serial, fanout = engines["1"], engines["2"]
+        assert serial.total_measurements == fanout.total_measurements == 4698
+        assert fanout.total_profiling_ms == pytest.approx(
+            serial.total_profiling_ms, rel=1e-12
+        )
+        assert serial.total_profiling_ms == pytest.approx(2543.631, abs=1e-3)
+        assert fanout.optimization_cost_gpu_hours(graph) == pytest.approx(
+            serial.optimization_cost_gpu_hours(graph), rel=1e-12
+        )

@@ -15,7 +15,11 @@ promises.  Each ``--require`` adds one content check:
   when the serving loop runs with alert rules attached;
 * ``hosts``    — per-host track groups (process names starting with
   ``host``) plus inter-host send/recv transfer spans (category
-  ``transfer``), as emitted by ``ios-bench serve --cluster N --trace``.
+  ``transfer``), as emitted by ``ios-bench serve --cluster N --trace``;
+* ``sampling`` — a sampled trace's metadata (``otherData.sampling``) agrees
+  with its events: ``records.kept`` equals the number of non-metadata events
+  and ``records.peak_retained`` is at least ``records.kept``, as emitted by
+  ``ios-bench serve --trace-sample``.
 
 Run from the repo root::
 
@@ -44,8 +48,28 @@ def _spans_with_category(events: list[dict], category: str) -> int:
     )
 
 
-def _content_errors(events: list[dict], requirements: list[str]) -> list[str]:
-    """Check each ``--require`` keyword against the event list."""
+def _sampling_errors(data: dict) -> list[str]:
+    """The sampler's kept/peak counts must agree with the exported events."""
+    other = data.get("otherData")
+    sampling = other.get("sampling") if isinstance(other, dict) else None
+    if not isinstance(sampling, dict):
+        return ["no sampling metadata (otherData.sampling)"]
+    records = sampling.get("records", {})
+    kept, peak = records.get("kept"), records.get("peak_retained")
+    events = sum(1 for event in data["traceEvents"] if event["ph"] != "M")
+    errors = []
+    if kept != events:
+        errors.append(
+            f"sampling metadata says {kept} records kept; the trace has {events} events"
+        )
+    if not isinstance(peak, int) or not isinstance(kept, int) or peak < kept:
+        errors.append(f"sampling peak_retained {peak} is below records kept {kept}")
+    return errors
+
+
+def _content_errors(data: dict, requirements: list[str]) -> list[str]:
+    """Check each ``--require`` keyword against the trace document."""
+    events = data["traceEvents"]
     errors: list[str] = []
     for requirement in requirements:
         if requirement == "compile":
@@ -81,6 +105,8 @@ def _content_errors(events: list[dict], requirements: list[str]) -> list[str]:
                 errors.append("no per-host track groups (process 'host*')")
             if not _spans_with_category(events, "transfer"):
                 errors.append("no inter-host transfer spans (category 'transfer')")
+        elif requirement == "sampling":
+            errors.extend(_sampling_errors(data))
     return errors
 
 
@@ -91,7 +117,9 @@ def main(argv: list[str] | None = None) -> int:
         "--require",
         action="append",
         default=[],
-        choices=["compile", "requests", "kernels", "counters", "alerts", "hosts"],
+        choices=[
+            "compile", "requests", "kernels", "counters", "alerts", "hosts", "sampling",
+        ],
         help="content the trace must contain (repeatable)",
     )
     args = parser.parse_args(argv)
@@ -107,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
 
     errors = validate_chrome_trace(data)
     if not errors:
-        errors = _content_errors(data["traceEvents"], args.require)
+        errors = _content_errors(data, args.require)
     if errors:
         print(f"{args.path}: FAILED ({len(errors)} problem(s))")
         for problem in errors:
