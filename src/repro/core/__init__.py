@@ -32,7 +32,14 @@ from .schedule import (
 from .endings import BlockIndex, PruningStrategy, enumerate_endings, groups_of_mask, is_ending
 from .merge import MergedStage, MergeError, build_merged_operator, can_merge, why_not_mergeable
 from .width import block_width, dag_width, maximum_antichain_size
-from .cost_model import CostModel, FlopsCostModel, SimulatedCostModel, StageChoice, stage_to_execution
+from .cost_model import (
+    CostModel,
+    FlopsCostModel,
+    SimulatedCostModel,
+    StageChoice,
+    StageFloors,
+    stage_to_execution,
+)
 from .dp_scheduler import (
     BlockStats,
     IOSScheduler,
@@ -87,6 +94,7 @@ __all__ = [
     "SimulatedCostModel",
     "FlopsCostModel",
     "StageChoice",
+    "StageFloors",
     "stage_to_execution",
     "IOSScheduler",
     "IOSVariant",

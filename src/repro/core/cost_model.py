@@ -11,13 +11,17 @@ the contention-model ablation.
 Stage measurements are memoised: different schedules share sub-schedules (the
 very observation that motivates the dynamic program), so the same candidate
 stage is priced many times during a search.
+
+A cost model may also supply :class:`StageFloors` — a first-principles lower
+bound on every stage of a block that it can compute without measuring — which
+lets the DP skip pricing candidates that provably cannot win.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..hardware.device import DeviceSpec
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
@@ -27,7 +31,12 @@ from ..runtime.profiler import Profiler
 from .merge import build_merged_operator, can_merge
 from .schedule import ParallelizationStrategy, connected_groups
 
-__all__ = ["StageChoice", "CostModel", "SimulatedCostModel", "FlopsCostModel"]
+__all__ = ["StageChoice", "StageFloors", "CostModel", "SimulatedCostModel", "FlopsCostModel"]
+
+#: Relative slack on every floor.  The profiler reports a mean of repeated
+#: samples, which can round a few ulps below one sample, and a stream's
+#: simulated time sums its kernels in another order than the floor does.
+FLOOR_MARGIN = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,56 @@ class StageChoice:
 
     latency_ms: float
     strategy: ParallelizationStrategy
+
+
+class StageFloors:
+    """Roofline floors for the concurrent stages of one block.
+
+    ``operator_ms[i]`` is the closed-form latency of operator ``i`` (a
+    position in the block's operator list) running alone on the whole
+    device: :meth:`~repro.hardware.kernel.KernelSpec.duration_alone_ms`, or
+    ``0.0`` for an operator that launches no kernel.  A kernel that shares
+    the device with other streams never gets more slots or bandwidth than it
+    has alone, so a stream takes at least its kernels' summed floors, and a
+    stage at least its slowest stream plus the stream-sync barrier.
+    """
+
+    def __init__(self, operator_ms: Sequence[float], device: DeviceSpec):
+        self.operator_ms = tuple(operator_ms)
+        self.device = device
+        #: Summed floor of each group bitmask seen; groups recur across endings.
+        self._stream_ms: dict[int, float] = {}
+
+    def stage_ms(self, group_masks: Iterable[int]) -> float:
+        """Lower bound on a concurrent stage, one stream per group bitmask.
+
+        Groups whose operators launch no kernel put nothing on a stream.
+        The bound does not hold for a *merged* stage: one merged kernel can
+        beat the streams it replaces.
+        """
+        stream_of = self._stream_ms
+        slowest = 0.0
+        streams = 0
+        for mask in group_masks:
+            stream_ms = stream_of.get(mask)
+            if stream_ms is None:
+                stream_ms = stream_of[mask] = self._sum(mask)
+            if stream_ms > 0.0:
+                streams += 1
+                if stream_ms > slowest:
+                    slowest = stream_ms
+        if not streams:
+            return 0.0
+        return (slowest + self.device.stream_sync_ms(streams)) * FLOOR_MARGIN
+
+    def _sum(self, mask: int) -> float:
+        operator_ms = self.operator_ms
+        total = 0.0
+        while mask:
+            low = mask & -mask
+            total += operator_ms[low.bit_length() - 1]
+            mask ^= low
+        return total
 
 
 class CostModel(ABC):
@@ -76,6 +135,16 @@ class CostModel(ABC):
         key the process-wide :class:`~repro.core.memo.ScheduleMemo` shares
         results under.  ``None`` (the default) means "not shareable": unknown
         subclasses and noisy profilers must keep their searches private.
+        """
+        return None
+
+    def stage_floors(self, graph: Graph, op_names: Sequence[str]) -> StageFloors | None:
+        """Floors on the concurrent stages of ``op_names``, or ``None``.
+
+        Every concurrent stage of these operators must price at or above its
+        :meth:`StageFloors.stage_ms`; the DP skips measuring a candidate whose
+        floor already loses.  ``None`` (the default) means no floor is known,
+        so nothing is skipped.
         """
         return None
 
@@ -211,6 +280,20 @@ class SimulatedCostModel(CostModel):
     @property
     def profiling_ms(self) -> float:
         return self.profiler.total_profiling_ms
+
+    def stage_floors(self, graph: Graph, op_names: Sequence[str]) -> StageFloors | None:
+        """The closed-form roofline floor of each operator on this device.
+
+        A noisy profiler returns ``None``: a sample can land below any floor.
+        """
+        if self.profiler.noise_std != 0.0:
+            return None
+        device, kernel_of = self.device, self.profiler.executor.kernel
+        operator_ms = []
+        for name in op_names:
+            kernel = kernel_of(graph.nodes[name])
+            operator_ms.append(0.0 if kernel is None else kernel.duration_alone_ms(device))
+        return StageFloors(operator_ms, device)
 
     def signature(self) -> tuple | None:
         """Shareable identity: device, profile, and measurement protocol.

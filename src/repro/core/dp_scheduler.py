@@ -37,7 +37,7 @@ from ..ir.graph import Block, Graph
 from .cost_model import CostModel, StageChoice
 from .endings import BlockIndex, PruningStrategy, enumerate_endings
 from .memo import schedule_memo
-from .merge import can_merge
+from .merge import can_merge, merge_peer_masks
 from .schedule import ParallelizationStrategy, Schedule, Stage
 from .width import maximum_antichain_size
 
@@ -176,6 +176,9 @@ class BlockStats:
     num_states: int = 0
     num_transitions: int = 0
     num_measurements: int = 0
+    #: Transitions whose stage the search did not price because the cost
+    #: model's floor proved it could not win; zero for a reused block.
+    num_pruned: int = 0
     #: Simulated device time the search spent profiling (ms); like
     #: ``num_measurements`` it is zero for a reused block.
     profiling_ms: float = 0.0
@@ -205,6 +208,10 @@ class ScheduleResult:
     @property
     def total_measurements(self) -> int:
         return sum(stats.num_measurements for stats in self.block_stats)
+
+    @property
+    def total_pruned(self) -> int:
+        return sum(stats.num_pruned for stats in self.block_stats)
 
     @property
     def total_profiling_ms(self) -> float:
@@ -318,6 +325,7 @@ class IOSScheduler:
                     cached_stats,
                     block_name=block.name,
                     num_measurements=0,
+                    num_pruned=0,
                     profiling_ms=0.0,
                     elapsed_s=0.0,
                     reused_from=cached_stats.block_name,
@@ -338,6 +346,7 @@ class IOSScheduler:
                     cached_stats,
                     block_name=block.name,
                     num_measurements=0,
+                    num_pruned=0,
                     profiling_ms=0.0,
                     elapsed_s=0.0,
                     reused_from=f"memo:{cached_stats.block_name}",
@@ -349,7 +358,7 @@ class IOSScheduler:
         measurements_before = self.cost_model.num_measurements
         profiling_before = self.cost_model.profiling_ms
 
-        stage_masks, optimal_latency, num_states, transitions = self._search_block_dp(
+        stage_masks, optimal_latency, num_states, transitions, pruned = self._search_block_dp(
             graph, index, block.name
         )
 
@@ -362,6 +371,7 @@ class IOSScheduler:
             num_states=num_states,
             num_transitions=transitions,
             num_measurements=self.cost_model.num_measurements - measurements_before,
+            num_pruned=pruned,
             profiling_ms=self.cost_model.profiling_ms - profiling_before,
             optimized_latency_ms=optimal_latency,
             elapsed_s=time.perf_counter() - start,
@@ -380,15 +390,24 @@ class IOSScheduler:
 
     def _search_block_dp(
         self, graph: Graph, index: BlockIndex, block_name: str
-    ) -> tuple[list[tuple[int, ParallelizationStrategy]], float, int, int]:
+    ) -> tuple[list[tuple[int, ParallelizationStrategy]], float, int, int, int]:
         """The DP search proper: SCHEDULER(S) over the block's subset lattice.
 
-        Returns ``(stage_masks, optimal_latency, num_states, transitions)``.
-        Candidate endings recur across states, so their GENERATE STAGE result
-        is cached per ending bitmask — the latency values (and hence the
-        chosen schedule) are identical to pricing every transition directly.
-        Each state's endings come from the wiring's :meth:`_ending_table`,
-        enumerated on a miss.
+        Returns ``(stage_masks, optimal_latency, num_states, transitions,
+        pruned)``.  Candidate endings recur across states, so their GENERATE
+        STAGE result is cached per ending bitmask — the latency values (and
+        hence the chosen schedule) are identical to pricing every transition
+        directly.  Each state's endings come from the wiring's
+        :meth:`_ending_table`, enumerated on a miss.
+
+        The search is an exact branch-and-bound: when the cost model supplies
+        :meth:`~CostModel.stage_floors`, an unpriced ending whose
+        ``rest_cost + floor`` already reaches the state's best total is not
+        priced.  A candidate replaces the best only when strictly below it,
+        so a skipped ending could never have been chosen and the schedule is
+        unchanged; ``pruned`` counts those transitions.  Endings the cost
+        model could price as one merged kernel are never bounded, because a
+        merged kernel can beat the streams it replaces.
         """
         config = self.config
         pruning = config.pruning
@@ -397,22 +416,40 @@ class IOSScheduler:
         generate_stage = cost_model.generate_stage
         names_of = index.names_of
         merge_only = ParallelizationStrategy.CONCURRENT not in strategies
+        merges = ParallelizationStrategy.MERGE in strategies
         endings_of, groups_of = self._ending_table(index)
+        floors = cost_model.stage_floors(graph, index.names)
+        merge_peers = merge_peer_masks(graph, index.names) if merges else []
 
         cost: dict[int, float] = {0: 0.0}
         choice: dict[int, tuple[int, ParallelizationStrategy]] = {}
         #: GENERATE STAGE result per candidate ending; ``None`` marks endings
         #: skipped by the IOS-Merge variant (unmergeable multi-operator sets).
         ending_choice: dict[int, StageChoice | None] = {}
+        #: Floor of each ending met unpriced, and ``can_merge`` of each
+        #: ending that passed the merge-peer test.
+        ending_floor: dict[int, float] = {}
+        merge_checked: dict[int, bool] = {}
         transitions = 0
+        pruned = 0
         inf = float("inf")
+
+        def mergeable(ending: int) -> bool:
+            """Whether GENERATE STAGE may price ``ending`` as one merged kernel."""
+            peers = merge_peers[(ending & -ending).bit_length() - 1]
+            if not ending & (ending - 1) or ending & ~peers:
+                return False  # one operator, or operators that never merge together
+            result = merge_checked.get(ending)
+            if result is None:
+                result = merge_checked[ending] = can_merge(graph, names_of(ending))
+            return result
 
         def scheduler(state: int) -> float:
             """SCHEDULER(S): minimal latency over all schedules of ``state``.
 
             Callers read ``cost`` first; this runs once per state, on a miss.
             """
-            nonlocal transitions
+            nonlocal transitions, pruned
             best = inf
             best_choice: tuple[int, ParallelizationStrategy] | None = None
             endings = endings_of.get(state)
@@ -424,9 +461,10 @@ class IOSScheduler:
                 endings = endings_of[state] = tuple(ending for ending, _ in enumerated)
             for ending in endings:
                 stage_choice = ending_choice.get(ending, False)
-                if stage_choice is False:
-                    op_subset = names_of(ending)
-                    if merge_only and len(op_subset) > 1 and not can_merge(graph, op_subset):
+                if stage_choice is None:
+                    continue
+                if stage_choice is False and merge_only and ending & (ending - 1):
+                    if not mergeable(ending):
                         # The IOS-Merge variant only forms multi-operator
                         # stages by merging; unmergeable endings degenerate to
                         # single-operator stages, so skip them (Section 6.1:
@@ -434,20 +472,27 @@ class IOSScheduler:
                         # RandWire/NasNet).
                         ending_choice[ending] = None
                         continue
-                    # The enumeration already yields the ending's connected
-                    # groups (ordered and topo-sorted exactly like
-                    # ``connected_groups``), so pass them through and spare
-                    # the cost model a recomputation per measurement.
-                    groups = [names_of(mask) for mask in groups_of[ending]]
-                    stage_choice = generate_stage(graph, op_subset, strategies, groups)
-                    ending_choice[ending] = stage_choice
-                elif stage_choice is None:
-                    continue
                 transitions += 1
                 rest = state & ~ending
                 rest_cost = cost.get(rest)
                 if rest_cost is None:
                     rest_cost = scheduler(rest)
+                if stage_choice is False:
+                    if floors is not None:
+                        floor = ending_floor.get(ending)
+                        if floor is None:
+                            floor = ending_floor[ending] = floors.stage_ms(groups_of[ending])
+                        if rest_cost + floor >= best and not (merges and mergeable(ending)):
+                            pruned += 1
+                            continue
+                    # The enumeration already yields the ending's connected
+                    # groups (ordered and topo-sorted exactly like
+                    # ``connected_groups``), so pass them through and spare
+                    # the cost model a recomputation per measurement.
+                    groups = [names_of(mask) for mask in groups_of[ending]]
+                    stage_choice = ending_choice[ending] = generate_stage(
+                        graph, names_of(ending), strategies, groups
+                    )
                 total = rest_cost + stage_choice.latency_ms
                 if total < best:
                     best = total
@@ -472,7 +517,7 @@ class IOSScheduler:
             reversed_stages.append((ending, strategy))
             state &= ~ending
         stage_masks = list(reversed(reversed_stages))
-        return stage_masks, optimal_latency, len(cost) - 1, transitions
+        return stage_masks, optimal_latency, len(cost) - 1, transitions, pruned
 
     # ------------------------------------------------------- parallel fan-out
     def _parallel_warm_cache(self, graph: Graph, jobs: int, use_memo: bool) -> None:

@@ -24,7 +24,14 @@ from typing import Sequence
 from ..ir.graph import Graph
 from ..ir.ops import Conv2d, Linear, Operator, Split
 
-__all__ = ["MergeError", "MergedStage", "can_merge", "why_not_mergeable", "build_merged_operator"]
+__all__ = [
+    "MergeError",
+    "MergedStage",
+    "can_merge",
+    "why_not_mergeable",
+    "merge_peer_masks",
+    "build_merged_operator",
+]
 
 
 class MergeError(ValueError):
@@ -97,6 +104,27 @@ def why_not_mergeable(graph: Graph, op_names: Sequence[str]) -> str | None:
 def can_merge(graph: Graph, op_names: Sequence[str]) -> bool:
     """Whether the named operators are eligible for the operator-merge strategy."""
     return why_not_mergeable(graph, op_names) is None
+
+
+def merge_peer_masks(graph: Graph, op_names: Sequence[str]) -> list[int]:
+    """For each operator, the bitmask of ``op_names`` positions it could merge with.
+
+    Operator ``i``'s mask holds every operator of its type, merge key and
+    inputs, ``i`` included; it is ``0`` when ``i`` can never merge.  A set of
+    operators passes :func:`can_merge` only if it lies within one operator's
+    mask, so the DP rules most sets out with one bitwise test.
+    """
+    signatures = []
+    for name in op_names:
+        op = graph.nodes[name]
+        key = op.merge_key() if isinstance(op, (Conv2d, Linear)) else None
+        signatures.append(None if key is None else (op.kind, key, tuple(op.inputs)))
+    return [
+        0 if signature is None else sum(
+            1 << j for j, other in enumerate(signatures) if other == signature
+        )
+        for signature in signatures
+    ]
 
 
 def build_merged_operator(graph: Graph, op_names: Sequence[str]) -> MergedStage:

@@ -79,6 +79,8 @@ class CompileStats:
     operators_in: int = 0
     operators_out: int = 0
     num_measurements: int = 0
+    #: DP transitions whose stage the cost model's floor spared pricing.
+    num_pruned: int = 0
     profiling_gpu_ms: float = 0.0
     searched: bool = True
 
@@ -108,6 +110,7 @@ class CompileStats:
             "operators_in": self.operators_in,
             "operators_out": self.operators_out,
             "num_measurements": self.num_measurements,
+            "num_pruned": self.num_pruned,
             "profiling_gpu_ms": self.profiling_gpu_ms,
             "searched": self.searched,
         }
@@ -122,6 +125,8 @@ class CompileStats:
             operators_in=int(data["operators_in"]),
             operators_out=int(data["operators_out"]),
             num_measurements=int(data["num_measurements"]),
+            # Artifacts of releases whose DP pruned nothing lack the count.
+            num_pruned=int(data.get("num_pruned", 0)),
             profiling_gpu_ms=float(data["profiling_gpu_ms"]),
             searched=bool(data["searched"]),
         )

@@ -225,6 +225,7 @@ class Engine:
         # Taken from the block stats, not the cost model's counters: blocks
         # searched in worker processes measured on the workers' clones.
         num_measurements = result.total_measurements
+        num_pruned = result.total_pruned
         profiling_gpu_ms = result.total_profiling_ms
         sources = [stats.source for stats in result.block_stats]
         block_searches = sum(1 for s in sources if s in ("search", "parallel"))
@@ -235,6 +236,7 @@ class Engine:
             "blocks": len(result.block_stats),
             "transitions": result.total_transitions,
             "measurements": num_measurements,
+            "pruned": num_pruned,
             "predicted_latency_ms": result.predicted_latency_ms,
             "block_searches": block_searches,
             "block_memo_hits": block_memo_hits,
@@ -270,6 +272,7 @@ class Engine:
             operators_in=operators_in,
             operators_out=operators_out,
             num_measurements=num_measurements,
+            num_pruned=num_pruned,
             profiling_gpu_ms=profiling_gpu_ms,
         )
         compiled = CompiledModel(

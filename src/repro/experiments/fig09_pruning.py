@@ -5,7 +5,9 @@ bounds operators per group, ``s`` bounds groups per stage.  Tighter pruning
 lowers the optimisation cost at the price of a (slightly) slower schedule.
 The paper sweeps ``r in {1, 2, 3}`` and ``s in {3, 8}`` for Inception V3 and
 NasNet; we report the optimised latency, the wall-clock search time and the
-simulated GPU time spent profiling candidate stages.
+simulated GPU time spent profiling candidate stages.  The paper profiles
+every candidate; the DP's branch-and-bound skips those its roofline floor
+proves cannot win, so the reproduced cost counts only the stages priced.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ IOS keeps cuDNN kernels and parallelises across operators (tiny search cost).
 The paper reports that IOS wins on Inception V3 / SqueezeNet while TVM wins on
 RandWire / NasNet (its separable-convolution kernels are much better than
 cuDNN's), and that tuning the four networks costs TVM 208 GPU hours versus
-3 GPU hours for IOS.
+3 GPU hours for IOS.  The reproduced IOS cost counts only the stages the DP
+priced: its branch-and-bound skips candidates that provably cannot win.
 """
 
 from __future__ import annotations

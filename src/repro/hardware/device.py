@@ -99,6 +99,16 @@ class DeviceSpec:
         """Upper bound on simultaneously active warps on the whole device."""
         return self.total_block_slots * self.warps_per_block
 
+    def stream_sync_ms(self, num_streams: int) -> float:
+        """Cost of the barrier that ends a stage run on ``num_streams`` streams.
+
+        ``cudaStreamSynchronize`` on every stream costs
+        ``stream_sync_overhead_ms`` once per extra stream, and once for a
+        single stream: the overhead that makes over-parallelised (greedy)
+        schedules lose on small networks such as SqueezeNet (Section 6.1).
+        """
+        return self.stream_sync_overhead_ms * max(1, num_streams - 1)
+
     def scaled(self, **overrides) -> "DeviceSpec":
         """Return a copy with selected fields overridden (for what-if studies)."""
         return replace(self, **overrides)

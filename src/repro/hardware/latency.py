@@ -1,13 +1,18 @@
-"""Analytical (closed-form) latency estimates for single kernels.
+"""Closed-form (roofline) latency of single kernels running alone.
 
 The discrete-event simulator in :mod:`repro.hardware.contention` is the source
-of truth for all experiments.  The closed-form estimates here serve two
-purposes:
+of truth for all experiments.  The closed form here,
+:meth:`KernelSpec.duration_alone_ms` — launch overhead plus the larger of the
+compute and DRAM times on the whole device — serves three purposes:
 
+* the floor of the IOS DP's branch-and-bound: a kernel sharing the device
+  with other streams never runs faster than alone, so a stage takes at least
+  its slowest stream's summed closed-form latency plus the stream-sync cost
+  (:meth:`repro.core.cost_model.SimulatedCostModel.stage_floors`);
 * fast annotations for figures that report per-operator numbers (e.g. the
   GFLOPs / TFLOPs/s / utilisation labels of Figure 2);
 * a cross-check used by the test-suite: for a *single* kernel running alone,
-  the simulator and the closed form must agree.
+  the simulator and the closed form agree to rounding.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 from ..ir.ops import Operator
 from .device import DeviceSpec
-from .kernel import CUDNN_PROFILE, KernelProfile, KernelSpec, build_kernel
+from .kernel import CUDNN_PROFILE, KernelProfile, build_kernel
 
 __all__ = ["OperatorLatency", "estimate_operator_latency", "estimate_sequential_latency",
            "device_utilization"]
@@ -35,14 +40,8 @@ class OperatorLatency:
     achieved_tflops: float
     occupancy: float
     gflops: float
-
-    @property
-    def utilization(self) -> float:
-        """Achieved fraction of the device's peak FP32 throughput."""
-        return self._utilization
-
-    # populated in __post_init__-style by estimate_operator_latency via object.__setattr__
-    _utilization: float = 0.0
+    #: Achieved fraction of the device's peak FP32 throughput.
+    utilization: float
 
 
 def estimate_operator_latency(
@@ -64,26 +63,23 @@ def estimate_operator_latency(
             achieved_tflops=0.0,
             occupancy=0.0,
             gflops=0.0,
-            _utilization=0.0,
+            utilization=0.0,
         )
     compute_ms = kernel.compute_time_ms(device)
     memory_ms = kernel.memory_time_ms(device)
-    launch_ms = kernel.launch_overhead_ms if include_launch else 0.0
-    busy = max(compute_ms, memory_ms)
-    latency = busy + launch_ms
     achieved = kernel.achieved_tflops(device)
     utilization = achieved / device.peak_fp32_tflops if device.peak_fp32_tflops > 0 else 0.0
     return OperatorLatency(
         name=op.name,
         kind=op.kind,
-        latency_ms=latency,
+        latency_ms=kernel.duration_alone_ms(device, include_launch),
         compute_ms=compute_ms,
         memory_ms=memory_ms,
-        launch_ms=launch_ms,
+        launch_ms=kernel.launch_overhead_ms if include_launch else 0.0,
         achieved_tflops=achieved,
         occupancy=kernel.occupancy(device),
         gflops=kernel.flops / 1e9,
-        _utilization=utilization,
+        utilization=utilization,
     )
 
 
@@ -103,7 +99,3 @@ def device_utilization(flops: float, latency_ms: float, device: DeviceSpec) -> f
     achieved_flops_per_ms = flops / latency_ms
     return achieved_flops_per_ms / device.peak_flops_per_ms
 
-
-def kernel_duration_alone(kernel: KernelSpec, device: DeviceSpec) -> float:
-    """Convenience wrapper mirroring :meth:`KernelSpec.duration_alone_ms`."""
-    return kernel.duration_alone_ms(device)

@@ -74,13 +74,10 @@ def run_stage_placement(
 ) -> SimulationResult:
     """Simulate one stage: concurrent streams followed by a synchronisation.
 
-    The stage barrier (``cudaStreamSynchronize`` on every stream) costs
-    ``device.stream_sync_overhead_ms`` once per extra stream used, which is the
-    synchronisation overhead that makes over-parallelised (greedy) schedules
-    lose on small networks such as SqueezeNet (Section 6.1).
+    The stage barrier costs :meth:`DeviceSpec.stream_sync_ms` of the streams
+    used.
     """
     result = simulate_streams([s.kernels for s in placement.streams], device, record_trace)
     if include_sync and placement.num_streams > 0:
-        sync_cost = device.stream_sync_overhead_ms * max(1, placement.num_streams - 1)
-        result.latency_ms += sync_cost
+        result.latency_ms += device.stream_sync_ms(placement.num_streams)
     return result

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from ..hardware.contention import TimelineSegment, simulate_streams
 from ..hardware.device import DeviceSpec
-from ..hardware.kernel import CUDNN_PROFILE, KernelProfile, build_kernel
+from ..hardware.kernel import CUDNN_PROFILE, KernelProfile, KernelSpec, build_kernel
 from ..hardware.streams import StagePlacement, run_stage_placement
 from ..ir.graph import Graph
 from ..ir.ops import Operator
@@ -147,24 +147,26 @@ class Executor:
         # — an id can never be recycled while its entry exists.  During a DP
         # search the same operators appear in thousands of candidate stages,
         # so this turns kernel lowering into a dict hit.
-        self._kernel_cache: dict[int, tuple[Operator, "object"]] = {}
+        self._kernel_cache: dict[int, tuple[Operator, KernelSpec | None]] = {}
 
     # ------------------------------------------------------------------ kernels
+    def kernel(self, op: Operator) -> KernelSpec | None:
+        """``op`` lowered to its kernel on this device (cached per op).
+
+        ``None`` for an operator that launches no kernel.
+        """
+        entry = self._kernel_cache.get(id(op))
+        if entry is None:
+            kernel = build_kernel(op, self.device, self.profile)
+            self._kernel_cache[id(op)] = (op, kernel)
+            return kernel
+        return entry[1]
+
     def _kernel_groups(self, stage: ExecutionStage) -> list[list]:
         """Lower a stage's operator groups to kernel groups (cached per op)."""
-        cache = self._kernel_cache
         kernel_groups = []
         for group in stage.groups:
-            kernels = []
-            for op in group:
-                entry = cache.get(id(op))
-                if entry is None:
-                    kernel = build_kernel(op, self.device, self.profile)
-                    cache[id(op)] = (op, kernel)
-                else:
-                    kernel = entry[1]
-                if kernel is not None:
-                    kernels.append(kernel)
+            kernels = [kernel for kernel in map(self.kernel, group) if kernel is not None]
             if kernels:
                 kernel_groups.append(kernels)
         return kernel_groups
@@ -238,9 +240,7 @@ class Executor:
         sim = simulate_streams(
             kernel_groups, self.device, record_trace=False, record_executions=False
         )
-        num_streams = len(kernel_groups)
-        sim.latency_ms += self.device.stream_sync_overhead_ms * max(1, num_streams - 1)
-        return sim.latency_ms
+        return sim.latency_ms + self.device.stream_sync_ms(len(kernel_groups))
 
     # -------------------------------------------------------------------- plans
     def run(self, plan: ExecutionPlan) -> ExecutionResult:

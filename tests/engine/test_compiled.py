@@ -41,6 +41,17 @@ class TestRoundTrip:
             t.stage for t in compiled.stats.stages
         ]
 
+    def test_the_pruned_count_survives_the_round_trip(self, compiled, tmp_path):
+        pruned = compiled.stats.num_pruned
+        assert pruned == compiled.search.total_pruned > 0
+        assert compiled.stats.stage("schedule").detail["pruned"] == pruned
+        loaded = CompiledModel.load(compiled.save(tmp_path / "m.json"))
+        assert loaded.stats.num_pruned == pruned
+        # An artifact written before the DP pruned anything has no count.
+        data = compiled.to_dict()
+        del data["stats"]["num_pruned"]
+        assert CompiledModel.from_dict(data).stats.num_pruned == 0
+
     def test_artifact_is_marked_and_versioned(self, compiled, tmp_path):
         data = json.loads(compiled.save(tmp_path / "m.json").read_text())
         assert CompiledModel.is_artifact(data)

@@ -15,7 +15,10 @@ property tests pin that invariant down:
   and their searches still equal the plain search state for state;
 * the group decomposition the ending enumeration hands the cost model equals
   ``connected_groups`` — the ordering contract the whole pricing path
-  relies on.
+  relies on;
+* the DP's branch-and-bound, which skips pricing endings whose roofline floor
+  already loses, matches a search that prices every ending, in every IOS
+  variant.
 
 Equality is checked at the bit level: stage operator tuples, strategies, and
 the ``repr`` of every per-block latency (``repr`` round-trips floats, so two
@@ -27,11 +30,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
+    VALID_VARIANTS,
     BlockIndex,
     FlopsCostModel,
     IOSScheduler,
     PruningStrategy,
     SchedulerConfig,
+    SimulatedCostModel,
     clear_schedule_memo,
     connected_groups,
     enumerate_endings,
@@ -42,6 +47,8 @@ from repro.engine import Engine
 from repro.ir.graph import GraphBuilder
 from repro.ir.tensor import TensorShape
 from repro.frontend import load
+from repro.hardware import get_device
+from repro.models import list_models
 
 SEEDS = range(50)
 ZOO_MODELS = ["squeezenet", "resnet_18", "vgg_16"]
@@ -153,16 +160,16 @@ class TestParallelEqualsSerial:
             runs[jobs] = Engine("v100", jobs=jobs).compile_model("inception_v3")
         serial, fanout = runs[1], runs[2]
         assert "parallel" in {stats.source for stats in fanout.search.block_stats}
-        assert serial.stats.num_measurements == 4698
+        assert serial.stats.num_measurements == 1897
         assert fanout.stats.num_measurements == serial.stats.num_measurements
         assert fanout.stats.profiling_gpu_ms == pytest.approx(
             serial.stats.profiling_gpu_ms, rel=1e-12
         )
-        assert serial.stats.profiling_gpu_ms == pytest.approx(2543.631, abs=1e-3)
+        assert serial.stats.profiling_gpu_ms == pytest.approx(934.803, abs=1e-3)
         assert (
             fanout.stats.stage("schedule").detail["measurements"]
             == serial.stats.stage("schedule").detail["measurements"]
-            == 4698
+            == 1897
         )
 
 
@@ -393,3 +400,83 @@ class TestGroupDecomposition:
                 expected = connected_groups(graph, index.names_of(ending))
                 assert [list(index.names_of(m)) for m in group_masks] == expected
                 assert group_masks == groups_of_mask(index, ending)
+
+
+class _PricesEveryEnding(SimulatedCostModel):
+    """The simulated cost model without a stage floor: the DP prunes nothing."""
+
+    def stage_floors(self, graph, op_names):
+        return None
+
+
+#: The two largest networks are searched in part to keep tier-1 fast: one
+#: block of each cell or stage kind.  ``bench/run.py``'s compile-paper golden
+#: pins their whole schedules.
+PARTIAL_BLOCKS = {
+    "nasnet_a": ("cell_1_normal", "cell_5_reduction"),
+    "randwire": ("stage1", "stage2"),
+}
+
+
+class TestBranchAndBoundEqualsPlain:
+    """The floor only skips measurements: schedules and DP counters stay put."""
+
+    def _search(self, cost_model, graph, variant):
+        scheduler = IOSScheduler(cost_model, SchedulerConfig.variant(variant))
+        wanted = PARTIAL_BLOCKS.get(graph.name)
+        return [
+            scheduler.optimize_block(graph, block, use_memo=False)
+            for block in graph.blocks
+            if wanted is None or block.name in wanted
+        ]
+
+    def _assert_equivalent(self, model, variant):
+        graph = _wide_merge_graph() if model == "wide-merge" else load(model)
+        v100 = get_device("v100")
+        bounded = self._search(SimulatedCostModel(v100), graph, variant)
+        plain = self._search(_PricesEveryEnding(v100), graph, variant)
+        assert len(bounded) == len(plain) > 0
+        for (stages, stats), (plain_stages, plain_stats) in zip(bounded, plain):
+            assert [(s.operators, s.strategy) for s in stages] == [
+                (s.operators, s.strategy) for s in plain_stages
+            ]
+            assert repr(stats.optimized_latency_ms) == repr(plain_stats.optimized_latency_ms)
+            assert (stats.num_states, stats.num_transitions) == (
+                plain_stats.num_states, plain_stats.num_transitions
+            )
+            assert stats.num_measurements <= plain_stats.num_measurements
+            assert plain_stats.num_pruned == 0
+        return [stats for _, stats in bounded], [stats for _, stats in plain]
+
+    @pytest.mark.parametrize("model", list_models())
+    def test_zoo_model(self, model):
+        bounded, plain = self._assert_equivalent(model, "ios-both")
+        if model == "inception_v3":
+            assert sum(s.num_measurements for s in bounded) < sum(
+                s.num_measurements for s in plain
+            )
+            assert sum(s.num_pruned for s in bounded) > 0
+
+    @pytest.mark.parametrize("variant", VALID_VARIANTS)
+    @pytest.mark.parametrize("model", ["squeezenet", "inception_v3", "wide-merge"])
+    def test_every_variant(self, model, variant):
+        self._assert_equivalent(model, variant)
+
+    def test_a_winning_merge_is_never_bounded(self):
+        # Two merged stages of tiny convolutions price below the five-stream
+        # floor of all five, yet one merged kernel of all five beats both.
+        bounded, _ = self._assert_equivalent("wide-merge", "ios-both")
+        assert bounded[0].num_pruned > 0
+        graph = _wide_merge_graph()
+        scheduler = IOSScheduler(SimulatedCostModel(get_device("v100")))
+        stages, _ = scheduler.optimize_block(graph, graph.blocks[0])
+        assert (len(stages[0].operators), stages[0].strategy.value) == (5, "operator merge")
+
+
+def _wide_merge_graph():
+    """Five tiny convolutions of one input, then their concat."""
+    builder = GraphBuilder("wide-merge", TensorShape(1, 8, 4, 4))
+    with builder.block("wide"):
+        convs = [builder.conv2d(f"conv{i}", builder.input_name, 8, 1) for i in range(5)]
+        builder.concat("joined", convs)
+    return builder.build()

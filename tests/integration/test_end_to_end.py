@@ -7,8 +7,10 @@ import pytest
 from repro import get_device, get_engine
 from repro.core import (
     IOSScheduler,
+    PruningStrategy,
     Schedule,
     SimulatedCostModel,
+    count_transitions_and_states,
     greedy_schedule,
     measure_schedule,
     schedule_latency_ms,
@@ -83,10 +85,17 @@ class TestInceptionEndToEnd:
         # the simulator should land in a broadly similar range.
         assert 1.2 < seq / ios < 3.0
 
-    def test_search_statistics_are_consistent(self, ios_result):
+    def test_search_statistics_are_consistent(self, inception, ios_result):
         stats = ios_result.block_stats
         assert sum(s.num_operators for s in stats) == 121
-        assert all(s.num_transitions >= s.num_states for s in stats if s.reused_from is None)
+        for block in inception.blocks:
+            transitions, states = count_transitions_and_states(
+                inception, inception.schedulable_names(block), PruningStrategy(3, 8)
+            )
+            block_stats = next(s for s in stats if s.block_name == block.name)
+            assert (block_stats.num_transitions, block_stats.num_states) == (
+                transitions, states - 1
+            )
         assert ios_result.total_measurements > 0
         assert ios_result.elapsed_s > 0
 

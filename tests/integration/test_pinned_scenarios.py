@@ -74,19 +74,19 @@ COMPILE_PINS = {
     "inception_v3": {
         "latency_ms": 2.7749268310903514,
         "transitions": 25105,
-        "measurements": 4698,
+        "measurements": 1897,
         "block_searches": 12,
     },
     "squeezenet": {
         "latency_ms": 0.5629467111932962,
         "transitions": 118,
-        "measurements": 110,
+        "measurements": 74,
         "block_searches": 10,
     },
     "transformer_block": {
         "latency_ms": 0.10683334136725602,
         "transitions": 2811,
-        "measurements": 631,
+        "measurements": 210,
         "block_searches": 4,
     },
 }

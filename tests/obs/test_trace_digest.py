@@ -37,7 +37,7 @@ from repro.serve import (
     TrafficGenerator,
 )
 
-DIGEST = "9bfa60b42e3a82f8c2c9f9b1a82ae5fd15a8b5c3018788bb02db750cdac6a4f5"
+DIGEST = "a20b77bbf081f226f05e1d11285ccc50e5b8ca0ba8fe445cf9115e78b6bbbcaa"
 
 SAMPLING = SamplingConfig(max_records=1500, head_every=10, track_budget=64)
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import (
     FlopsCostModel,
+    count_transitions_and_states,
     IOSScheduler,
     ParallelizationStrategy,
     PruningStrategy,
@@ -171,8 +172,11 @@ class TestPruningAndStats:
         stats = result.block_stats[0]
         assert stats.num_operators == 5
         assert stats.width == 3
-        assert stats.num_states > 0
-        assert stats.num_transitions >= stats.num_states
+        transitions, states = count_transitions_and_states(
+            fig2, fig2.schedulable_names(), PruningStrategy(3, 8)
+        )
+        assert stats.num_transitions == transitions
+        assert stats.num_states == states - 1  # the oracle counts the empty state
         assert stats.num_measurements > 0
         assert stats.elapsed_s >= 0
         assert result.total_measurements == sum(s.num_measurements for s in result.block_stats)
@@ -182,6 +186,25 @@ class TestPruningAndStats:
         result = IOSScheduler(SimulatedCostModel(v100)).optimize_graph(graph)
         result.schedule.validate(graph)
         assert result.schedule.origin.startswith("ios-both")
+
+
+class TestCountersMatchTheTable1Oracle:
+    def test_every_squeezenet_and_inception_block(self, v100):
+        # The branch-and-bound skips pricing endings, never visiting them:
+        # the DP's transitions and states are exactly Table 1's counts.
+        checked = 0
+        for model in ("squeezenet", "inception_v3"):
+            graph = load(model)
+            config = SchedulerConfig(reuse_identical_blocks=False)
+            scheduler = IOSScheduler(SimulatedCostModel(v100), config)
+            for block in graph.blocks:
+                _, stats = scheduler.optimize_block(graph, block, use_memo=False)
+                transitions, states = count_transitions_and_states(
+                    graph, graph.schedulable_names(block), config.pruning
+                )
+                assert (stats.num_transitions, stats.num_states) == (transitions, states - 1)
+                checked += 1
+        assert checked == 23
 
 
 def repeated_blocks_graph(num_blocks: int = 3):

@@ -166,11 +166,11 @@ class TestIOSEngine:
             engines[jobs] = IOSEngine()
             engines[jobs].run(graph, v100)
         serial, fanout = engines["1"], engines["2"]
-        assert serial.total_measurements == fanout.total_measurements == 4698
+        assert serial.total_measurements == fanout.total_measurements == 1897
         assert fanout.total_profiling_ms == pytest.approx(
             serial.total_profiling_ms, rel=1e-12
         )
-        assert serial.total_profiling_ms == pytest.approx(2543.631, abs=1e-3)
+        assert serial.total_profiling_ms == pytest.approx(934.803, abs=1e-3)
         assert fanout.optimization_cost_gpu_hours(graph) == pytest.approx(
             serial.optimization_cost_gpu_hours(graph), rel=1e-12
         )
