@@ -34,7 +34,6 @@ setup(
     entry_points={
         "console_scripts": [
             "ios-bench=repro.experiments.cli:main",
-            "repro-experiments=repro.experiments.cli:main",
         ]
     },
 )

@@ -7,7 +7,7 @@ The package is organised as:
 * :mod:`repro.passes` — graph-rewriting optimization pipeline (activation
   fusion, CSE, dead-code elimination, canonicalization) run before scheduling;
 * :mod:`repro.hardware` — simulated GPUs, kernel model, multi-stream contention;
-* :mod:`repro.runtime` — execution engine, profiler, warp tracer, memory planner;
+* :mod:`repro.runtime` — execution engine, warp tracer, memory planner;
 * :mod:`repro.models` — CNN model zoo (Inception V3, RandWire, NasNet-A, SqueezeNet, ...);
 * :mod:`repro.core` — the IOS dynamic-programming scheduler and baselines;
 * :mod:`repro.engine` — the staged compile pipeline (``Engine`` →

@@ -3,10 +3,13 @@
 IOS is *profile based*: ``GENERATE STAGE`` measures the latency of a candidate
 stage under both parallelisation strategies directly on the hardware and keeps
 the better one (Algorithm 1, L23-33).  The :class:`CostModel` interface below
-is that latency oracle; :class:`SimulatedCostModel` backs it with the
-simulated device and :class:`~repro.runtime.profiler.Profiler`, and
-:class:`FlopsCostModel` is a cheap analytical stand-in used by tests and by
-the contention-model ablation.
+is that latency oracle.  :class:`SimulatedCostModel` measures on the simulated
+device: it lowers a stage and prices it through
+:meth:`~repro.runtime.executor.Executor.stage_latency_ms`, the one path from a
+stage to :func:`~repro.hardware.contention.simulate_streams`, and reports the
+mean of :data:`REPEATS` runs after :data:`WARMUP` discarded ones, as the paper
+profiles.  :class:`FlopsCostModel` is a cheap analytical stand-in used by tests
+and by the contention-model ablation.
 
 Stage measurements are memoised: different schedules share sub-schedules (the
 very observation that motivates the dynamic program), so the same candidate
@@ -26,17 +29,36 @@ from typing import Iterable, Sequence
 from ..hardware.device import DeviceSpec
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
 from ..ir.graph import Graph
-from ..runtime.executor import ExecutionStage
-from ..runtime.profiler import Profiler
+from ..runtime.executor import ExecutionStage, Executor
 from .merge import build_merged_operator, can_merge
 from .schedule import ParallelizationStrategy, connected_groups
 
 __all__ = ["StageChoice", "StageFloors", "CostModel", "SimulatedCostModel", "FlopsCostModel"]
 
-#: Relative slack on every floor.  The profiler reports a mean of repeated
+#: Discarded warm-up runs per stage measurement.  They occupy the device, so
+#: they count towards :attr:`SimulatedCostModel.profiling_ms`.
+WARMUP = 1
+#: Measured runs per stage measurement; the DP reads their mean.
+REPEATS = 3
+
+#: Relative slack on every floor.  A measurement is a mean of repeated
 #: samples, which can round a few ulps below one sample, and a stream's
 #: simulated time sums its kernels in another order than the floor does.
 FLOOR_MARGIN = 1.0 - 1e-9
+
+
+def _mean_of_repeats(value: float) -> float:
+    """``float(np.mean(np.full(REPEATS, value)))``, without building the array.
+
+    The simulated device is deterministic, so every run measures ``value`` —
+    but their mean is *not* ``value`` (``(0.1 + 0.1 + 0.1) / 3`` rounds), and
+    schedule choices can tie-break on a ulp.  For fewer than 8 samples numpy
+    sums sequentially, which this loop reproduces bit-for-bit.
+    """
+    total = value
+    for _ in range(REPEATS - 1):
+        total += value
+    return total / REPEATS
 
 
 @dataclass(frozen=True)
@@ -133,8 +155,8 @@ class CostModel(ABC):
         Two cost models with equal signatures return identical latencies for
         every stage, so their block searches are interchangeable — this is the
         key the process-wide :class:`~repro.core.memo.ScheduleMemo` shares
-        results under.  ``None`` (the default) means "not shareable": unknown
-        subclasses and noisy profilers must keep their searches private.
+        results under.  ``None`` (the default) means "not shareable": an
+        unknown subclass must keep its searches private.
         """
         return None
 
@@ -248,24 +270,20 @@ class SimulatedCostModel(CostModel):
 
     This is the configuration used by every experiment: it mirrors the paper's
     methodology of profiling each candidate stage on the target device with the
-    target batch size.
+    target batch size.  The simulator is deterministic, so the model is fully
+    described by its device and kernel profile.
     """
 
-    def __init__(
-        self,
-        device: DeviceSpec,
-        profile: KernelProfile = CUDNN_PROFILE,
-        warmup: int = 1,
-        repeats: int = 3,
-        noise_std: float = 0.0,
-        seed: int = 0,
-    ):
+    def __init__(self, device: DeviceSpec, profile: KernelProfile = CUDNN_PROFILE):
         super().__init__()
         self.device = device
         self.profile = profile
-        self.profiler = Profiler(
-            device, profile, warmup=warmup, repeats=repeats, noise_std=noise_std, seed=seed
-        )
+        self.executor = Executor(device, profile)
+        #: Simulated device time spent measuring, in milliseconds: every
+        #: measurement occupies the device for ``WARMUP + REPEATS`` runs of the
+        #: stage.  This is the "optimization cost" axis of Figure 9 and the
+        #: GPU-hours comparison of Figure 12.
+        self._profiling_ms = 0.0
 
     def _measure_stage(
         self,
@@ -275,38 +293,30 @@ class SimulatedCostModel(CostModel):
         groups: Sequence[Sequence[str]] | None = None,
     ) -> float:
         stage = stage_to_execution(graph, op_names, strategy, groups=groups)
-        return self.profiler.stage_latency_ms(stage)
+        latency = self.executor.stage_latency_ms(stage)
+        self._profiling_ms += (WARMUP + REPEATS) * latency
+        return _mean_of_repeats(latency)
 
     @property
     def profiling_ms(self) -> float:
-        return self.profiler.total_profiling_ms
+        return self._profiling_ms
 
-    def stage_floors(self, graph: Graph, op_names: Sequence[str]) -> StageFloors | None:
-        """The closed-form roofline floor of each operator on this device.
-
-        A noisy profiler returns ``None``: a sample can land below any floor.
-        """
-        if self.profiler.noise_std != 0.0:
-            return None
-        device, kernel_of = self.device, self.profiler.executor.kernel
+    def stage_floors(self, graph: Graph, op_names: Sequence[str]) -> StageFloors:
+        """The closed-form roofline floor of each operator on this device."""
+        device, kernel_of = self.device, self.executor.kernel
         operator_ms = []
         for name in op_names:
             kernel = kernel_of(graph.nodes[name])
             operator_ms.append(0.0 if kernel is None else kernel.duration_alone_ms(device))
         return StageFloors(operator_ms, device)
 
-    def signature(self) -> tuple | None:
-        """Shareable identity: device, profile, and measurement protocol.
+    def signature(self) -> tuple:
+        """Shareable identity: the device and the kernel profile.
 
-        Noisy profilers return ``None`` — their measurements depend on RNG
-        state, so two searches of the same block can legitimately disagree.
         The kernel profile is keyed structurally (name, efficiency table,
         launch-overhead scale), so two equal profiles share even when they are
         distinct objects.
         """
-        profiler = self.profiler
-        if profiler.noise_std != 0.0:
-            return None
         profile = self.profile
         return (
             "simulated",
@@ -317,19 +327,10 @@ class SimulatedCostModel(CostModel):
                 profile.default_efficiency,
                 profile.launch_overhead_scale,
             ),
-            profiler.warmup,
-            profiler.repeats,
         )
 
-    def spawn(self) -> "SimulatedCostModel | None":
-        if self.profiler.noise_std != 0.0:
-            return None
-        return SimulatedCostModel(
-            self.device,
-            self.profile,
-            warmup=self.profiler.warmup,
-            repeats=self.profiler.repeats,
-        )
+    def spawn(self) -> "SimulatedCostModel":
+        return SimulatedCostModel(self.device, self.profile)
 
 
 class FlopsCostModel(CostModel):

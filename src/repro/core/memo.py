@@ -11,12 +11,12 @@ is the process-wide layer underneath all of them: it maps
     (cost-model signature, block structural fingerprint) -> (stages, stats)
 
 so any scheduler in the process whose cost model is *observationally
-identical* (same device, kernel profile, warmup/repeats, no noise) reuses a
-finished block search instead of re-running it.
+identical* (same device and kernel profile) reuses a finished block search
+instead of re-running it.
 
 The cost-model signature (:meth:`repro.core.cost_model.CostModel.signature`)
-is ``None`` for models whose measurements are not reproducible (profiling
-noise enabled, unknown subclasses); those searches are never shared.  The
+is ``None`` for models that do not declare their latency function (unknown
+subclasses); those searches are never shared.  The
 block fingerprint (:meth:`IOSScheduler._block_fingerprint`) already encodes
 operator attributes, shapes, local wiring, pruning and the strategy set, so a
 memo hit can only ever return a schedule that the searching scheduler would

@@ -649,7 +649,7 @@ def trace_main(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point (installed as ``ios-bench`` and ``repro-experiments``)."""
+    """CLI entry point (installed as ``ios-bench``)."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv[:1] == ["serve"]:
         return serve_main(argv[1:])

@@ -23,13 +23,6 @@ from .contention import (
     simulate_streams,
     waterfill_allocation,
 )
-from .latency import (
-    OperatorLatency,
-    device_utilization,
-    estimate_operator_latency,
-    estimate_sequential_latency,
-)
-from .streams import StagePlacement, Stream, run_stage_placement
 
 __all__ = [
     "DeviceSpec",
@@ -49,11 +42,4 @@ __all__ = [
     "SimulationResult",
     "simulate_streams",
     "waterfill_allocation",
-    "OperatorLatency",
-    "estimate_operator_latency",
-    "estimate_sequential_latency",
-    "device_utilization",
-    "Stream",
-    "StagePlacement",
-    "run_stage_placement",
 ]

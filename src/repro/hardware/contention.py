@@ -135,28 +135,6 @@ def waterfill_allocation(demands: Sequence[int], capacity: int) -> list[float]:
     return allocation
 
 
-def _kernel_rates(
-    kernel: KernelSpec,
-    slots: float,
-    total_slots: float,
-    active_count: int,
-    device: DeviceSpec,
-) -> tuple[float, float]:
-    """Compute (compute_rate FLOPs/ms, memory_rate bytes/ms) for one interval."""
-    if slots <= _EPS:
-        return 0.0, 0.0
-    # Wave quantisation: with s slots a kernel of B blocks runs ceil(B/s) waves,
-    # i.e. it progresses as if it had B / ceil(B/s) dedicated slots.
-    waves = math.ceil(kernel.num_blocks / slots - 1e-9)
-    effective_slots = kernel.num_blocks / waves if waves > 0 else slots
-    effective_slots = min(effective_slots, slots if slots < kernel.num_blocks else kernel.num_blocks)
-    compute_rate = effective_slots * device.flops_per_slot_ms * kernel.efficiency
-    bandwidth_share = slots / total_slots if total_slots > 0 else 0.0
-    contention = 1.0 + device.contention_alpha * max(0, active_count - 1)
-    memory_rate = bandwidth_share * device.bandwidth_bytes_per_ms / contention
-    return compute_rate, memory_rate
-
-
 #: Memoised waterfill results keyed by ``(demands, capacity)``.  Demand
 #: tuples recur heavily across stage measurements (stages are built from the
 #: same kernels in many combinations), and the allocation is a pure function
@@ -193,48 +171,6 @@ _RATES_CACHE_LIMIT = 1 << 16
 #: Bounded like the others.
 _LATENCY_CACHE: dict[tuple, dict[tuple, float]] = {}
 _LATENCY_CACHE_LIMIT = 1 << 16
-
-
-def _simulate_single_stream(kernels: Sequence[KernelSpec], device: DeviceSpec) -> float:
-    """Latency of one stream's kernels run back-to-back, no bookkeeping.
-
-    Single-stream simulations have no cross-kernel interaction — exactly one
-    kernel launches or runs at any time — so the event loop degenerates to a
-    per-kernel walk.  Every float operation below replicates the general
-    loop's sequence (same waterfill, same rate computation, same
-    ``rem - rate*dt`` updates with the same clamps and ``_EPS`` guards), so
-    the returned latency is bit-identical to the full simulation; only the
-    per-interval stream filtering and allocation rebuilds are skipped.
-    """
-    now = 0.0
-    capacity = device.total_block_slots
-    guard = 0
-    max_iterations = 4 * len(kernels) + 16
-    for kernel in kernels:
-        now += kernel.launch_overhead_ms
-        rem_compute = kernel.flops
-        rem_memory = kernel.memory_bytes
-        alloc = waterfill_allocation([kernel.max_parallelism(device)], capacity)
-        slots = alloc[0]
-        # Rates are constant across this kernel's intervals (the allocation
-        # never changes with one resident kernel), so compute them once.
-        compute_rate, memory_rate = _kernel_rates(kernel, slots, sum(alloc), 1, device)
-        while rem_compute > _EPS or rem_memory > _EPS:
-            guard += 1
-            if guard > max_iterations * 8:
-                raise RuntimeError("contention simulation did not converge (internal error)")
-            ttf = 0.0
-            if rem_compute > _EPS:
-                ttf = max(ttf, rem_compute / compute_rate if compute_rate > 0 else math.inf)
-            if rem_memory > _EPS:
-                ttf = max(ttf, rem_memory / memory_rate if memory_rate > 0 else math.inf)
-            dt = 0.0 if math.isinf(ttf) else ttf
-            now += dt
-            rem_compute = rem_compute - compute_rate * dt
-            rem_compute = rem_compute if rem_compute > 0.0 else 0.0
-            rem_memory = rem_memory - memory_rate * dt
-            rem_memory = rem_memory if rem_memory > 0.0 else 0.0
-    return now
 
 
 def simulate_streams(
@@ -289,10 +225,7 @@ def simulate_streams(
     )
     latency = latency_cache.get(cache_key)
     if latency is None:
-        if len(streams) == 1:
-            latency = _simulate_single_stream(streams[0], device)
-        else:
-            latency = _run_streams(streams, device, result, False, False)
+        latency = _run_streams(streams, device, result, False, False)
         if len(latency_cache) >= _LATENCY_CACHE_LIMIT:
             latency_cache.clear()
         latency_cache[cache_key] = latency
@@ -363,10 +296,10 @@ def _run_streams(
             running = [i for i in stream_ids if phase[i] == _RUN]
 
             # --- compute resource allocation for running kernels ------------
-            # The rate computation is :func:`_kernel_rates` inlined over the
-            # hoisted device constants — identical float sequence, minus the
-            # per-call property lookups — and the whole bundle is memoised on
-            # the resident kernels' (num_blocks, efficiency) combination.
+            # Per kernel: wave-quantised compute rate on its slots, and a
+            # slot-proportional share of bandwidth divided by the contention
+            # factor.  The whole bundle is memoised on the resident kernels'
+            # (num_blocks, efficiency) combination.
             if running:
                 combo = tuple(
                     [(current[i].num_blocks, current[i].efficiency) for i in running]

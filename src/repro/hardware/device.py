@@ -17,7 +17,8 @@ set of published architectural parameters that the simulator consumes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 __all__ = ["DeviceSpec", "DEVICE_REGISTRY", "get_device", "get_devices", "list_devices"]
@@ -54,6 +55,13 @@ class DeviceSpec:
     year: int = 2018
 
     def __post_init__(self) -> None:
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise ValueError(f"{spec_field.name} must be finite, got {value}")
+        for name in ("kernel_launch_overhead_ms", "stream_sync_overhead_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.num_sms <= 0:
             raise ValueError(f"num_sms must be positive, got {self.num_sms}")
         if self.peak_fp32_tflops <= 0:

@@ -239,10 +239,17 @@ class KernelSpec:
         bandwidth_fraction = min(max(bandwidth_fraction, 1e-9), 1.0)
         return self.memory_bytes / (device.bandwidth_bytes_per_ms * bandwidth_fraction)
 
-    def duration_alone_ms(self, device: DeviceSpec, include_launch: bool = True) -> float:
-        """Roofline latency of this kernel running alone on the device."""
+    def duration_alone_ms(self, device: DeviceSpec) -> float:
+        """Roofline latency of this kernel running alone on the device.
+
+        Launch overhead plus the larger of the compute and DRAM times on the
+        whole device.  The contention simulator is the source of truth; this
+        closed form is the IOS DP's per-operator floor (a kernel sharing the
+        device never runs faster than alone) and agrees with the simulator
+        to rounding for one kernel running alone.
+        """
         busy = max(self.compute_time_ms(device), self.memory_time_ms(device))
-        return busy + (self.launch_overhead_ms if include_launch else 0.0)
+        return busy + self.launch_overhead_ms
 
     def achieved_tflops(self, device: DeviceSpec) -> float:
         """TFLOPs/s achieved when running alone (excludes launch overhead)."""

@@ -1,4 +1,4 @@
-"""Simulated execution engine: executor, profiler, warp tracing, memory planner."""
+"""Simulated execution engine: executor, warp tracing, memory planner."""
 
 from .events import KernelEvent, StageEvent
 from .executor import (
@@ -10,7 +10,6 @@ from .executor import (
     plan_flops,
     sequential_plan,
 )
-from .profiler import Measurement, Profiler
 from .warp_trace import WarpTrace, compare_traces, trace_from_timeline
 from .memory import MemoryPlan, MemoryPlanner, OutOfMemoryError
 
@@ -24,8 +23,6 @@ __all__ = [
     "Executor",
     "sequential_plan",
     "plan_flops",
-    "Measurement",
-    "Profiler",
     "WarpTrace",
     "trace_from_timeline",
     "compare_traces",

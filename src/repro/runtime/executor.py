@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..hardware.contention import TimelineSegment, simulate_streams
+from ..hardware.contention import SimulationResult, TimelineSegment, simulate_streams
 from ..hardware.device import DeviceSpec
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile, KernelSpec, build_kernel
-from ..hardware.streams import StagePlacement, run_stage_placement
 from ..ir.graph import Graph
 from ..ir.ops import Operator
 from .events import KernelEvent, StageEvent
@@ -162,8 +161,12 @@ class Executor:
             return kernel
         return entry[1]
 
-    def _kernel_groups(self, stage: ExecutionStage) -> list[list]:
-        """Lower a stage's operator groups to kernel groups (cached per op)."""
+    def _kernel_groups(self, stage: ExecutionStage) -> list[list[KernelSpec]]:
+        """Lower a stage's operator groups to kernel groups (cached per op).
+
+        Groups that launch no kernel are dropped, so every returned group
+        occupies one stream.
+        """
         kernel_groups = []
         for group in stage.groups:
             kernels = [kernel for kernel in map(self.kernel, group) if kernel is not None]
@@ -171,37 +174,40 @@ class Executor:
                 kernel_groups.append(kernels)
         return kernel_groups
 
+    def _simulate(self, kernel_groups: list[list[KernelSpec]], record: bool) -> SimulationResult:
+        """Price one stage: its streams run concurrently, then one barrier.
+
+        Every stage latency in the repository comes from here — the kernel
+        groups run on the contention simulator, one stream each, and the
+        stage pays :meth:`DeviceSpec.stream_sync_ms` of its streams.
+        ``record`` keeps per-kernel executions (and the timeline, when this
+        executor records traces); the latency does not depend on it.
+        """
+        sim = simulate_streams(
+            kernel_groups,
+            self.device,
+            record_trace=record and self.record_trace,
+            record_executions=record,
+        )
+        sim.latency_ms += self.device.stream_sync_ms(len(kernel_groups))
+        return sim
+
     # ------------------------------------------------------------------- stages
     def run_stage(self, stage: ExecutionStage, start_ms: float = 0.0, index: int = 0) -> StageResult:
         """Execute a single stage starting at ``start_ms`` global time."""
         kernel_groups = self._kernel_groups(stage)
-
-        if not kernel_groups:
-            event = StageEvent(
-                stage_index=index,
-                label=stage.label,
-                strategy=stage.strategy,
-                start_ms=start_ms,
-                end_ms=start_ms,
-                num_groups=0,
-                num_kernels=0,
-                flops=stage.flops(),
-            )
-            return StageResult(event=event)
-
-        placement = StagePlacement.from_groups(kernel_groups)
-        sim = run_stage_placement(
-            placement, self.device, record_trace=self.record_trace, include_sync=True
-        )
-
+        if kernel_groups:
+            sim = self._simulate(kernel_groups, record=True)
+        else:
+            sim = SimulationResult(latency_ms=0.0)
         event = StageEvent(
             stage_index=index,
             label=stage.label,
             strategy=stage.strategy,
             start_ms=start_ms,
             end_ms=start_ms + sim.latency_ms,
-            num_groups=placement.num_streams,
-            num_kernels=placement.total_kernels(),
+            num_groups=len(kernel_groups),
+            num_kernels=sum(len(kernels) for kernels in kernel_groups),
             flops=stage.flops(),
         )
         kernel_events = [
@@ -228,19 +234,16 @@ class Executor:
     def stage_latency_ms(self, stage: ExecutionStage) -> float:
         """Latency of one stage without materialising events or timelines.
 
-        This is :meth:`run_stage` minus every piece of bookkeeping the DP
-        search never reads (stage/kernel events, timeline segments, stream
-        objects).  The arithmetic is identical — the same contention
-        simulation followed by the same synchronisation cost — so the result
-        equals ``run_stage(stage).latency_ms`` bit-for-bit.
+        :meth:`run_stage` minus every piece of bookkeeping the DP search
+        never reads.  Both go through :meth:`_simulate`, and this path only
+        turns recording off (which lets the simulator answer from its latency
+        cache), so the result equals ``run_stage(stage).latency_ms``
+        bit-for-bit.
         """
         kernel_groups = self._kernel_groups(stage)
         if not kernel_groups:
             return 0.0
-        sim = simulate_streams(
-            kernel_groups, self.device, record_trace=False, record_executions=False
-        )
-        return sim.latency_ms + self.device.stream_sync_ms(len(kernel_groups))
+        return self._simulate(kernel_groups, record=False).latency_ms
 
     # -------------------------------------------------------------------- plans
     def run(self, plan: ExecutionPlan) -> ExecutionResult:

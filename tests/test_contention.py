@@ -6,21 +6,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.hardware import (
-    StagePlacement,
     build_kernel,
     get_device,
-    run_stage_placement,
     simulate_streams,
     waterfill_allocation,
 )
 from repro.ir.ops import Conv2d
 from repro.ir.tensor import TensorShape
+from repro.runtime import ExecutionStage, Executor
+
+
+def conv_op(out_channels=384, name="c", batch=1):
+    conv = Conv2d(name, ["x"], out_channels=out_channels, kernel=3)
+    conv.bind([TensorShape(batch, 384, 15, 15)])
+    return conv
 
 
 def conv_kernel(device, out_channels=384, name="c", batch=1):
-    conv = Conv2d(name, ["x"], out_channels=out_channels, kernel=3)
-    conv.bind([TensorShape(batch, 384, 15, 15)])
-    return build_kernel(conv, device)
+    return build_kernel(conv_op(out_channels, name, batch), device)
 
 
 class TestWaterfill:
@@ -181,20 +184,21 @@ class TestMultiStreamBehaviour:
         assert concurrent >= slowest - 1e-9
 
 
-class TestStagePlacement:
-    def test_from_groups_and_totals(self, v100):
-        a, b = conv_kernel(v100, 384, "a"), conv_kernel(v100, 768, "b")
-        placement = StagePlacement.from_groups([[a], [b]])
-        assert placement.num_streams == 2
-        assert placement.total_kernels() == 2
-        assert placement.total_flops() == a.flops + b.flops
+class TestExecutorStage:
+    def test_one_stream_per_group(self, v100):
+        a, b = conv_op(384, "a"), conv_op(768, "b")
+        event = Executor(v100).run_stage(ExecutionStage(groups=[[a], [b]])).event
+        assert event.num_groups == 2
+        assert event.num_kernels == 2
+        assert event.flops == a.flops() + b.flops()
 
     def test_sync_overhead_added_per_extra_stream(self, v100):
-        a, b = conv_kernel(v100, 384, "a"), conv_kernel(v100, 384, "b")
-        one_stream = run_stage_placement(StagePlacement.from_groups([[a, b]]), v100).latency_ms
-        no_sync = run_stage_placement(
-            StagePlacement.from_groups([[a, b]]), v100, include_sync=False
+        a, b = conv_op(384, "a"), conv_op(384, "b")
+        executor = Executor(v100)
+        one_stream = executor.run_stage(ExecutionStage(groups=[[a, b]])).latency_ms
+        no_sync = simulate_streams(
+            [[executor.kernel(a), executor.kernel(b)]], v100
         ).latency_ms
-        assert one_stream == pytest.approx(no_sync + v100.stream_sync_overhead_ms)
-        two_streams = run_stage_placement(StagePlacement.from_groups([[a], [b]]), v100)
-        assert two_streams.latency_ms < one_stream
+        assert one_stream == no_sync + v100.stream_sync_overhead_ms
+        two_streams = executor.run_stage(ExecutionStage(groups=[[a], [b]])).latency_ms
+        assert two_streams < one_stream

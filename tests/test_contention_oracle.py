@@ -1,11 +1,11 @@
 """The flat contention simulator equals the per-stream-object loop it replaced.
 
-:func:`repro.hardware.contention.simulate_streams` runs every multi-stream
-stage through one event loop over flat per-stream lists and builds the
-latency cache key from each kernel's precomputed ``sim_key``.  The oracle
-below is a verbatim copy of the loop it replaced — ``_StreamState`` objects,
-one per stream — with private caches, so it never reads a value the
-simulator under test computed.  Over generated stages (1–7 streams of 1–3
+:func:`repro.hardware.contention.simulate_streams` runs every stage, a
+single stream included, through one event loop over flat per-stream lists
+and builds the latency cache key from each kernel's precomputed ``sim_key``.
+The oracle below is a verbatim copy of the loop it replaced —
+``_StreamState`` objects, one per stream — with private caches, so it never
+reads a value the simulator under test computed.  Over generated stages (1–7 streams of 1–3
 kernels, random block counts, efficiencies, work and zero-work kernels) the
 two must agree to the last bit in all three recording modes: latency only,
 executions, and timeline.
@@ -28,7 +28,6 @@ from repro.hardware.contention import (
     KernelExecution,
     SimulationResult,
     TimelineSegment,
-    _simulate_single_stream,
     _waterfill_cached,
     simulate_streams,
 )
@@ -121,14 +120,6 @@ def oracle_simulate_streams(
             result.latency_ms = cached_latency
             return result
 
-    if len(states) == 1 and latency_only:
-        result.latency_ms = _simulate_single_stream(states[0].kernels, device)
-        assert latency_cache is not None
-        if len(latency_cache) >= _LATENCY_CACHE_LIMIT:
-            latency_cache.clear()
-        latency_cache[cache_key] = result.latency_ms
-        return result
-
     now = 0.0
     for state in states:
         state.begin_launch(now)
@@ -164,10 +155,9 @@ def oracle_simulate_streams(
             running = [s for s in states if s.phase == "run"]
 
             # --- compute resource allocation for running kernels ------------
-            # The rate computation is :func:`_kernel_rates` inlined over the
-            # hoisted device constants — identical float sequence, minus the
-            # per-call property lookups — and the whole bundle is memoised on
-            # the resident kernels' (num_blocks, efficiency) combination.
+            # Wave-quantised compute rates and contended bandwidth shares,
+            # memoised on the resident kernels' (num_blocks, efficiency)
+            # combination.
             if running:
                 combo = tuple(
                     (k.num_blocks, k.efficiency)

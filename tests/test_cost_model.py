@@ -16,6 +16,7 @@ from repro.core import (
     sequential_schedule,
     stage_to_execution,
 )
+from repro.core.cost_model import REPEATS, WARMUP
 from repro.models import figure2_block
 from repro.runtime import Executor
 
@@ -24,6 +25,37 @@ MERGE = ParallelizationStrategy.MERGE
 
 
 class TestSimulatedCostModel:
+    def test_measurement_is_the_mean_of_the_executor_stage(self, fig2, v100):
+        model = SimulatedCostModel(v100)
+        stage = stage_to_execution(fig2, ["conv_a", "conv_c"], CONCURRENT)
+        executed = Executor(v100).run_stage(stage).latency_ms
+        measured = model.stage_latency(fig2, ["conv_a", "conv_c"], CONCURRENT)
+        assert measured == sum([executed] * REPEATS) / REPEATS
+        assert measured == pytest.approx(executed, rel=1e-15)
+
+    def test_profiling_time_counts_warmup_and_repeats(self, fig2, v100):
+        model = SimulatedCostModel(v100)
+        executor = Executor(v100)
+        stages = [["conv_a"], ["conv_b"]]
+        for names in stages:
+            model.stage_latency(fig2, names, CONCURRENT)
+        model.stage_latency(fig2, ["conv_a"], CONCURRENT)  # cache hit: not re-profiled
+        assert model.num_measurements == 2
+        expected = sum(
+            (WARMUP + REPEATS)
+            * executor.stage_latency_ms(stage_to_execution(fig2, names, CONCURRENT))
+            for names in stages
+        )
+        assert model.profiling_ms == pytest.approx(expected, rel=1e-12)
+
+    def test_signature_and_spawn_depend_only_on_device_and_profile(self, v100, k80):
+        model = SimulatedCostModel(v100)
+        assert model.signature() == SimulatedCostModel(v100).signature()
+        assert model.signature() != SimulatedCostModel(k80).signature()
+        clone = model.spawn()
+        assert clone.signature() == model.signature()
+        assert clone.num_measurements == 0 and clone.profiling_ms == 0.0
+
     def test_stage_latency_positive_and_cached(self, fig2, sim_cost_model):
         first = sim_cost_model.stage_latency(fig2, ["conv_a", "conv_c"], CONCURRENT)
         assert first > 0

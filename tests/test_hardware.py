@@ -1,6 +1,9 @@
-"""Unit tests for repro.hardware: devices, kernels, latency estimates."""
+"""Unit tests for repro.hardware: devices, kernels, closed-form latencies."""
 
 from __future__ import annotations
+
+import dataclasses
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,14 +16,12 @@ from repro.hardware import (
     DeviceSpec,
     KernelProfile,
     build_kernel,
-    estimate_operator_latency,
-    estimate_sequential_latency,
-    device_utilization,
     get_device,
     list_devices,
 )
 from repro.ir.ops import Concat, Conv2d, Identity, Linear, Pool2d, SeparableConv2d
 from repro.ir.tensor import TensorShape
+from repro.runtime import ExecutionStage, Executor
 
 X = TensorShape(1, 384, 15, 15)
 
@@ -70,6 +71,27 @@ class TestDeviceSpecs:
         with pytest.raises(ValueError):
             DeviceSpec(name="bad", num_sms=10, peak_fp32_tflops=-1.0,
                        memory_bandwidth_gb_s=100, memory_gb=8)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            *(
+                (spec_field.name, value)
+                for spec_field in dataclasses.fields(DeviceSpec)
+                if spec_field.name != "name"
+                for value in (math.nan, math.inf)
+            ),
+            ("kernel_launch_overhead_ms", -0.5),
+            ("stream_sync_overhead_ms", -0.004),
+        ],
+    )
+    def test_non_finite_field_or_negative_overhead_rejected(self, v100, field, value):
+        with pytest.raises(ValueError, match=field):
+            v100.scaled(**{field: value})
+
+    def test_zero_overheads_accepted(self, v100):
+        free = v100.scaled(kernel_launch_overhead_ms=0.0, stream_sync_overhead_ms=0.0)
+        assert free.stream_sync_ms(3) == 0.0
 
 
 class TestKernelProfiles:
@@ -179,37 +201,27 @@ class TestKernelSpecMath:
         assert big.duration_alone_ms(device) >= small.duration_alone_ms(device) - 1e-12
 
 
-class TestAnalyticLatency:
-    def test_estimate_matches_figure2_annotations(self, v100):
-        # Paper reports ~0.12 ms and 33% utilisation for conv [a]; our estimate
-        # should land in the same neighbourhood (0.10 - 0.20 ms, 20 - 45 %).
-        latency = estimate_operator_latency(_conv(384), v100)
-        assert 0.10 <= latency.latency_ms <= 0.20
-        assert 0.20 <= latency.utilization <= 0.45
+class TestClosedFormLatency:
+    def test_closed_form_matches_figure2_annotations(self, v100):
+        # Paper reports ~0.12 ms and 33% utilisation for conv [a]; the closed
+        # form should land in the same neighbourhood (0.10 - 0.20 ms, 20 - 45 %).
+        kernel = build_kernel(_conv(384), v100)
+        assert 0.10 <= kernel.duration_alone_ms(v100) <= 0.20
+        assert 0.20 <= kernel.achieved_tflops(v100) / v100.peak_fp32_tflops <= 0.45
 
     def test_bigger_device_is_faster(self, v100, k80):
         conv = _conv(768)
-        assert estimate_operator_latency(conv, v100).latency_ms < estimate_operator_latency(conv, k80).latency_ms
-
-    def test_sequential_estimate_is_sum(self, v100):
-        ops = [_conv(384), _conv(768)]
-        total = estimate_sequential_latency(ops, v100)
-        assert total == pytest.approx(
-            sum(estimate_operator_latency(op, v100).latency_ms for op in ops)
-        )
+        assert build_kernel(conv, v100).duration_alone_ms(v100) < \
+            build_kernel(conv, k80).duration_alone_ms(k80)
 
     def test_non_kernel_operator_costs_nothing(self, v100):
         op = Identity("i", ["x"])
         op.bind([X])
-        assert estimate_operator_latency(op, v100).latency_ms == 0.0
-
-    def test_device_utilization_helper(self, v100):
-        assert device_utilization(v100.peak_flops_per_ms, 1.0, v100) == pytest.approx(1.0)
-        assert device_utilization(0.0, 1.0, v100) == 0.0
-        assert device_utilization(1.0, 0.0, v100) == 0.0
+        assert build_kernel(op, v100) is None
+        assert Executor(v100).stage_latency_ms(ExecutionStage(groups=[[op]])) == 0.0
 
     def test_pooling_is_memory_bound(self, v100):
         pool = Pool2d("p", ["x"], "max", kernel=3, stride=1, padding=1)
         pool.bind([X])
-        latency = estimate_operator_latency(pool, v100)
-        assert latency.memory_ms > latency.compute_ms
+        kernel = build_kernel(pool, v100)
+        assert kernel.memory_time_ms(v100) > kernel.compute_time_ms(v100)

@@ -1,4 +1,4 @@
-"""Unit tests for repro.runtime: executor, profiler, warp tracing, memory planner."""
+"""Unit tests for repro.runtime: executor, warp tracing, memory planner."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.runtime import (
     Executor,
     MemoryPlanner,
     OutOfMemoryError,
-    Profiler,
     WarpTrace,
     compare_traces,
     sequential_plan,
@@ -69,43 +68,6 @@ class TestExecutor:
         kernel_events = result.kernel_events()
         assert len(kernel_events) == 5
         assert kernel_events[1].start_ms >= kernel_events[0].end_ms - 1e-9
-
-
-class TestProfiler:
-    def test_noiseless_measurement_matches_executor(self, fig2, v100):
-        profiler = Profiler(v100, noise_std=0.0)
-        plan = sequential_plan(fig2)
-        measurement = profiler.measure_plan(plan)
-        assert measurement.mean_ms == pytest.approx(Executor(v100).latency_ms(plan))
-        assert measurement.std_ms == 0.0
-        assert measurement.min_ms == measurement.max_ms == measurement.mean_ms
-
-    def test_noisy_measurement_reproducible(self, fig2, v100):
-        plan = sequential_plan(fig2)
-        first = Profiler(v100, noise_std=0.05, seed=7).measure_plan(plan)
-        second = Profiler(v100, noise_std=0.05, seed=7).measure_plan(plan)
-        assert first.samples == second.samples
-        assert first.std_ms > 0
-
-    def test_counts_and_gpu_time_accumulate(self, fig2, v100):
-        profiler = Profiler(v100, warmup=2, repeats=5)
-        plan = sequential_plan(fig2)
-        profiler.measure_plan(plan)
-        profiler.measure_plan(plan)
-        assert profiler.measurement_count == 2
-        expected = 2 * 7 * Executor(v100).latency_ms(plan)
-        assert profiler.total_profiling_ms == pytest.approx(expected)
-
-    def test_stage_latency(self, fig2, v100):
-        profiler = Profiler(v100)
-        stage = ExecutionStage(groups=[[fig2.nodes["conv_a"]]])
-        assert profiler.stage_latency_ms(stage) > 0
-
-    def test_invalid_arguments(self, v100):
-        with pytest.raises(ValueError):
-            Profiler(v100, repeats=0)
-        with pytest.raises(ValueError):
-            Profiler(v100, noise_std=-1)
 
 
 class TestWarpTrace:
