@@ -255,29 +255,6 @@ def _host_alerts(alerts, host_id: int, num_hosts: int):
     return per_host_alert_rules(host_id, rules)
 
 
-def _host_report(
-    host: Host, result, registry: ScheduleRegistry
-) -> "ServingReport | None":
-    """One host's local report, assembled exactly as the service does."""
-    if not result.records and not result.rejected:
-        return None
-    service = host.service
-    return build_report(
-        records=result.records,
-        num_batches=result.num_executions,
-        batch_size_counts=result.batch_size_counts,
-        registry_stats=registry.stats,
-        worker_summary=service.pool.summary(metrics=result.metrics),
-        group_summary=service.pool.group_summary(metrics=result.metrics),
-        router=service.router.name,
-        admission=service.admission.name,
-        rejected=result.rejected,
-        scale_events=result.scale_events,
-        alerts=result.alerts,
-        metrics=result.metrics,
-    )
-
-
 def run_cluster_serving(
     traffic: TrafficConfig,
     cluster: ClusterConfig,
@@ -415,7 +392,7 @@ def _build_cluster_report(
     outcome: ClusterOutcome,
 ) -> ClusterReport:
     host_reports = [
-        _host_report(host, result, registry)
+        host.service.report(result) if result.records or result.rejected else None
         for host, result in zip(hosts, outcome.host_results)
     ]
     if cluster.num_hosts == 1 and outcome.transfers.count == 0:

@@ -80,10 +80,6 @@ class PartitionPlan:
     def num_stages(self) -> int:
         return len(self.stages)
 
-    def stage_models(self) -> list[str]:
-        """Stage model names in pipeline order."""
-        return [stage.model for stage in self.stages]
-
     def stage_for_model(self, model: str) -> StageSpec | None:
         for stage in self.stages:
             if stage.model == model:

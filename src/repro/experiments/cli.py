@@ -28,6 +28,7 @@ figures reuse the cache.  Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -331,20 +332,22 @@ def serve_main(argv: list[str] | None = None) -> int:
     if args.watch and args.cluster is not None and args.cluster > 1:
         print("note: --watch follows a single host's live windows; "
               "ignoring it for a multi-host cluster", file=sys.stderr)
-    if args.rate <= 0:
-        parser.error(f"--rate must be positive, got {args.rate}")
+    if not (math.isfinite(args.rate) and args.rate > 0):
+        parser.error(f"--rate must be a finite number > 0, got {args.rate}")
     if args.burst_size <= 0:
         parser.error(f"--burst-size must be positive, got {args.burst_size}")
-    if args.burst_gap_ms <= 0:
-        parser.error(f"--burst-gap-ms must be positive, got {args.burst_gap_ms}")
-    if args.max_wait_ms is not None and args.max_wait_ms < 0:
-        parser.error(f"--max-wait-ms must be non-negative, got {args.max_wait_ms}")
+    if not (math.isfinite(args.burst_gap_ms) and args.burst_gap_ms > 0):
+        parser.error(f"--burst-gap-ms must be a finite number > 0, got {args.burst_gap_ms}")
+    if args.max_wait_ms is not None and not (
+        math.isfinite(args.max_wait_ms) and args.max_wait_ms >= 0
+    ):
+        parser.error(f"--max-wait-ms must be a finite number >= 0, got {args.max_wait_ms}")
     if args.max_wait_ms is not None and args.no_batching:
         print("note: --no-batching serves every request immediately; "
               "ignoring --max-wait-ms", file=sys.stderr)
     max_wait_ms = 5.0 if args.max_wait_ms is None else args.max_wait_ms
-    if args.slo is not None and args.slo < 0:
-        parser.error(f"--slo must be non-negative, got {args.slo}")
+    if args.slo is not None and not (math.isfinite(args.slo) and args.slo >= 0):
+        parser.error(f"--slo must be a finite number >= 0, got {args.slo}")
     autoscale = None
     if args.autoscale is not None:
         try:
@@ -365,8 +368,8 @@ def serve_main(argv: list[str] | None = None) -> int:
         parser.error(f"--batch-sizes needs at least one positive size, got {args.batch_sizes!r}")
     if len(set(batch_sizes)) != len(batch_sizes):
         parser.error(f"--batch-sizes must not repeat a size, got {args.batch_sizes!r}")
-    if args.window_ms <= 0:
-        parser.error(f"--window-ms must be positive, got {args.window_ms}")
+    if not (math.isfinite(args.window_ms) and args.window_ms > 0):
+        parser.error(f"--window-ms must be a finite number > 0, got {args.window_ms}")
     if args.trace_sample is not None and args.trace is None:
         parser.error("--trace-sample configures the trace recorder; "
                      "add --trace FILE")

@@ -47,10 +47,6 @@ class FrameworkResult:
     out_of_memory: bool = False
     peak_memory_gib: float = 0.0
 
-    @property
-    def succeeded(self) -> bool:
-        return not self.out_of_memory
-
 
 class FrameworkModel:
     """A simulated deep-learning inference framework.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import Block, Graph
-from .ops import Conv2d, Operator, SeparableConv2d
+from .ops import Operator
 
 __all__ = [
     "OperatorCost",
@@ -111,7 +111,3 @@ def conv_statistics(graph: Graph) -> ConvStatistics:
         average_flops_per_conv=avg,
         total_flops=graph.total_flops(),
     )
-
-
-def _is_conv(op: Operator) -> bool:
-    return isinstance(op, (Conv2d, SeparableConv2d))

@@ -14,7 +14,7 @@ one :class:`Block`; blocks execute in their definition order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ops import (
     Add,
@@ -236,16 +236,6 @@ class Graph:
         name_set = set(subset)
         return [n for n in order if n in name_set]
 
-    def induced_edges(self, subset: Sequence[str]) -> list[tuple[str, str]]:
-        """Edges of the subgraph induced by ``subset`` (direct edges only)."""
-        name_set = set(subset)
-        edges = []
-        for v in subset:
-            for u in self.nodes[v].inputs:
-                if u in name_set:
-                    edges.append((u, v))
-        return edges
-
     def edges(self) -> list[tuple[str, str]]:
         """All edges of the graph as (producer, consumer) pairs."""
         result = []
@@ -267,12 +257,6 @@ class Graph:
     def conv_operators(self) -> list[Operator]:
         """All convolution-like operators (Conv2d and SeparableConv2d)."""
         return [op for op in self.operators() if isinstance(op, (Conv2d, SeparableConv2d))]
-
-    def count_operators(self, predicate: Callable[[Operator], bool] | None = None) -> int:
-        ops = self.operators()
-        if predicate is None:
-            return len(ops)
-        return sum(1 for op in ops if predicate(op))
 
     # ------------------------------------------------------------- re-batching
     def with_batch_size(self, batch: int) -> "Graph":

@@ -14,7 +14,6 @@ from .common import (
     ModelSpec,
     default_optimize,
     list_models,
-    model_specs,
     register_model,
     resolve_zoo_builder,
     set_default_optimize,
@@ -41,7 +40,6 @@ __all__ = [
     "ModelSpec",
     "default_optimize",
     "list_models",
-    "model_specs",
     "register_model",
     "resolve_zoo_builder",
     "set_default_optimize",

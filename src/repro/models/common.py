@@ -8,7 +8,7 @@ by name so experiments and the CLI can instantiate networks uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..ir.graph import Graph
 
@@ -106,9 +106,3 @@ def resolve_zoo_builder(name: str) -> ModelBuilder:
 def list_models() -> list[str]:
     """Names of all registered models."""
     return sorted(MODEL_REGISTRY)
-
-
-def model_specs(names: Iterable[str] | None = None) -> list[ModelSpec]:
-    """Specs for the requested models (default: the four benchmark CNNs)."""
-    selected = list(names) if names is not None else BENCHMARK_MODELS
-    return [MODEL_REGISTRY[n] for n in selected]

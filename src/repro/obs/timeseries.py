@@ -28,6 +28,7 @@ run, not after it.
 from __future__ import annotations
 
 import bisect
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -362,8 +363,8 @@ class TimeSeriesRegistry(MetricsRegistry):
 
     def __init__(self, window_ms: float = 50.0, max_windows: int = 240,
                  sketch_bins: int = 64):
-        if window_ms <= 0:
-            raise ValueError(f"window_ms must be positive, got {window_ms}")
+        if not (math.isfinite(window_ms) and window_ms > 0):
+            raise ValueError(f"window_ms must be a finite number > 0, got {window_ms}")
         if max_windows < 1:
             raise ValueError(f"max_windows must be >= 1, got {max_windows}")
         super().__init__()

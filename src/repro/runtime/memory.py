@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from ..hardware.device import DeviceSpec
 from ..ir.graph import Graph
-from ..ir.ops import Placeholder
 
 __all__ = ["MemoryPlan", "MemoryPlanner", "OutOfMemoryError"]
 
@@ -143,7 +142,3 @@ class MemoryPlanner:
                 f"{device.memory_gb:.0f} GiB"
             )
         return plan
-
-
-def _is_placeholder(graph: Graph, name: str) -> bool:
-    return isinstance(graph.nodes[name], Placeholder)

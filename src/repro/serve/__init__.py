@@ -10,8 +10,8 @@ end-to-end inference service:
   :class:`repro.engine.Engine` per device, warm starts load the persisted
   artifacts with zero scheduler searches;
 * :mod:`repro.serve.loop` — :class:`ServingLoop`, the discrete-event core:
-  one heap of arrivals, batch-close timeouts, worker completions and scale
-  checks drives everything on the virtual clock;
+  arrivals in time order plus one heap of batch-close timeouts, worker
+  completions and scale checks drive everything on the virtual clock;
 * :mod:`repro.serve.batcher` — :class:`BatchPolicy` (the max-batch/max-wait
   knobs the loop applies) and :class:`BatchSizeSelector` (cross-evaluating
   schedule choice, reusing the Table-3 specialisation logic);
@@ -20,8 +20,9 @@ end-to-end inference service:
 * :mod:`repro.serve.autoscale` — :class:`Autoscaler` growing/shrinking the
   pool between :class:`AutoscaleConfig` bounds, every resize recorded as a
   :class:`ScaleEvent`;
-* :mod:`repro.serve.workers` — :class:`WorkerPool` executing compiled plans
-  across simulated devices, each worker with its own device identity;
+* :mod:`repro.serve.workers` — :class:`WorkerPool` executing the registry's
+  compiled models across simulated devices, each worker with its own device
+  identity;
 * :mod:`repro.serve.fleet` — heterogeneous fleets: :class:`FleetSpec`
   (``"k80:2,v100:4"`` worker groups, optionally elastic) and pluggable
   :class:`Router` policies (device-aware earliest-finish plus

@@ -24,6 +24,7 @@ set turns autoscaling on for every service using it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -59,17 +60,13 @@ class AutoscaleConfig:
                 f"max_workers ({self.max_workers}) must be >= min_workers "
                 f"({self.min_workers})"
             )
-        if self.interval_ms <= 0:
-            raise ValueError(f"interval_ms must be positive, got {self.interval_ms}")
-        if self.scale_up_backlog_ms < 0:
-            raise ValueError(
-                f"scale_up_backlog_ms must be non-negative, got "
-                f"{self.scale_up_backlog_ms}"
-            )
-        if self.cooldown_ms < 0:
-            raise ValueError(
-                f"cooldown_ms must be non-negative, got {self.cooldown_ms}"
-            )
+        for name, positive in (
+            ("interval_ms", True), ("scale_up_backlog_ms", False), ("cooldown_ms", False)
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                bound = "> 0" if positive else ">= 0"
+                raise ValueError(f"{name} must be a finite number {bound}, got {value}")
 
     @classmethod
     def parse(cls, spec: str, **overrides) -> "AutoscaleConfig":

@@ -20,14 +20,11 @@ one with the lowest measured latency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from ..core.schedule import Schedule
 from ..hardware.device import DeviceSpec
-from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
-from ..ir.graph import Graph
-from ..runtime.executor import ExecutionPlan, Executor
 from .registry import ScheduleRegistry
 
 __all__ = ["BatchPolicy", "BatchSizeSelector"]
@@ -45,8 +42,10 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {self.max_batch_size}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be non-negative, got {self.max_wait_ms}")
+        if not (math.isfinite(self.max_wait_ms) and self.max_wait_ms >= 0):
+            raise ValueError(
+                f"max_wait_ms must be a finite number >= 0, got {self.max_wait_ms}"
+            )
 
     def close_deadline_ms(self, first_arrival_ms: float) -> float:
         """When a batch opened at ``first_arrival_ms`` must be flushed.
@@ -66,31 +65,22 @@ class BatchSizeSelector:
     executed with the schedule specialised for ``c``; among all rungs that
     fit, the selector cross-evaluates the candidate schedules exactly as
     :func:`repro.core.specialization.specialize_for_batch_sizes` does and
-    picks the lowest-latency one.  Measurements are memoised, so steady-state
-    selection is a dictionary lookup.
+    picks the lowest-latency one.  A candidate's latency is its registry
+    :class:`~repro.engine.CompiledModel`'s
+    :meth:`~repro.engine.CompiledModel.latency_ms` — the same number a
+    dispatch of that rung charges — and is memoised, so steady-state selection
+    is a dictionary lookup.
     """
 
-    def __init__(
-        self,
-        registry: ScheduleRegistry,
-        batch_sizes: Sequence[int],
-        profile: KernelProfile = CUDNN_PROFILE,
-        measure: Callable[..., float] | None = None,
-    ):
+    def __init__(self, registry: ScheduleRegistry, batch_sizes: Sequence[int]):
         if not batch_sizes:
             raise ValueError("batch_sizes ladder must not be empty")
         if len(set(batch_sizes)) != len(batch_sizes):
             raise ValueError(f"duplicate batch sizes in ladder: {batch_sizes}")
         self.registry = registry
         self.batch_sizes = sorted(batch_sizes)
-        self.profile = profile
-        #: How candidate latency is measured: a callable
-        #: ``(graph, schedule, device, plan=...) -> float`` where ``plan`` is
-        #: the engine-lowered plan of the candidate's compiled model.  The
-        #: service injects the worker pool's cached measurement so plans are
-        #: lowered at most once and simulated once.
-        self._measure = measure or self._default_measure
-        #: Memoised candidate latency keyed by (model, device, rung).
+        #: Memoised candidate latency keyed by (model, device, rung); it also
+        #: spares the registry a lookup per selection.
         self._latency_cache: dict[tuple[str, str, int], float] = {}
         #: Memoised selection keyed by (model, device, batch samples).
         self._choice_cache: dict[tuple[str, str, int], int] = {}
@@ -142,15 +132,10 @@ class BatchSizeSelector:
             self._predicted_cache[key] = latency
         return latency
 
-    def _default_measure(self, graph: Graph, schedule: Schedule, device: DeviceSpec,
-                         plan: ExecutionPlan) -> float:
-        return Executor(device, self.profile).run(plan).latency_ms
-
     def _candidate_latency(self, model: str, rung: int, device: DeviceSpec) -> float:
         key = (model, device.name, rung)
         if key not in self._latency_cache:
-            compiled = self.registry.get_compiled(model, rung, device)
-            self._latency_cache[key] = self._measure(
-                compiled.graph, compiled.schedule, device, plan=compiled.plan
-            )
+            self._latency_cache[key] = self.registry.get_compiled(
+                model, rung, device
+            ).latency_ms()
         return self._latency_cache[key]

@@ -1,8 +1,9 @@
 """The discrete-event serving loop: the execution model behind the service.
 
 :class:`ServingLoop` replays a request stream on the virtual clock as a
-classic discrete-event simulation.  One event heap orders everything that can
-happen to the service:
+classic discrete-event simulation.  Arrivals come in time order from the
+stream (or an external driver) and one event heap orders the loop's own
+events; together they are everything that can happen to the service:
 
 * **arrivals** — a request enters; the admission policy decides whether it
   may queue, then the max-batch/max-wait rules decide whether the forming
@@ -58,8 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 __all__ = ["LoopResult", "LoopState", "ServingLoop"]
 
-#: Event kinds, in tie-break order at equal virtual time.
-_ARRIVAL, _COMPLETION, _TIMEOUT, _SCALE = 0, 1, 2, 3
+#: Internal event kinds, in tie-break order at equal virtual time.  Arrivals
+#: are not heap events: they are injected before any internal event at the
+#: same time is processed, so they win every tie.
+_COMPLETION, _TIMEOUT, _SCALE = 0, 1, 2
 
 
 @dataclass
@@ -108,11 +111,6 @@ class LoopState:
     def pool(self) -> "WorkerPool":
         """The worker pool (autoscalers resize it through this handle)."""
         return self._loop.pool
-
-    @property
-    def pending_requests(self) -> int:
-        """Requests in the forming batch."""
-        return len(self._loop._pending)
 
     @property
     def pending_samples(self) -> int:
@@ -222,8 +220,8 @@ class ServingLoop:
         samples, and each dispatch — with its stage and kernel child events —
         on per-worker tracks.  All timestamps are virtual-clock, so a traced
         run is exactly reproducible.  The default
-        :data:`~repro.obs.trace.NULL_TRACER` records nothing and keeps the
-        untraced event path byte-identical to pre-tracing behaviour.
+        :data:`~repro.obs.trace.NULL_TRACER` records nothing, and tracing
+        never changes a report.
     metrics:
         The run's :class:`~repro.obs.MetricsRegistry`; defaults to a fresh
         one.  :meth:`run` clears it at the start of every run, so one loop
@@ -297,39 +295,33 @@ class ServingLoop:
         self._bind_series()
         #: Optional hook fired after each completion event with the chunk's
         #: finished records (a cluster driver schedules stage handoffs from
-        #: it).  ``None`` — the default — keeps the loop byte-identical to
-        #: pre-hook behaviour.
+        #: it); ``None`` by default.
         self.completion_listener: Callable[[Sequence[RequestRecord]], None] | None = (
             None
         )
 
     # ----------------------------------------------------------------- driving
+    # One way to drive the loop: ``begin()`` → per arrival, ``advance_to()``
+    # its time then ``inject()`` it, with ``step()`` for any internal event
+    # in between → ``finish()``.  :meth:`run` is that sequence over one
+    # stream; the cluster co-simulation drives several loops the same way.
+    # ``advance_to`` drains only events *strictly* earlier than the arrival,
+    # so an arrival beats every same-time completion, timeout or scale check.
+    # The public methods wrap private twins that :meth:`run` calls, so a
+    # profiler wrapping the public ones counts only an external driver.
+
     def run(self, requests: Sequence[InferenceRequest]) -> LoopResult:
         """Replay ``requests`` (sorted by arrival) and return what happened."""
-        self._reset()
-        for index, request in enumerate(requests):
-            heapq.heappush(self._heap, (request.arrival_ms, _ARRIVAL, index, request))
-        self._seq = itertools.count(len(requests))
-        self._arrivals_left = len(requests)
-        if self.autoscaler is not None and requests:
-            first = requests[0].arrival_ms
-            self._push(first + self.autoscaler.config.interval_ms, _SCALE, None)
-
-        while self._heap:
-            self._step()
-        return self._finalize()
-
-    # ----------------------------------------------------- incremental driving
-    # An external driver (the cluster co-simulation) replays arrivals itself:
-    # ``begin()`` → interleaved ``advance_to()`` / ``inject()`` / ``step()``
-    # → ``finish()``.  Driven this way with the arrivals of a single stream,
-    # the loop pops the *same events in the same order* as :meth:`run` —
-    # arrivals still beat same-time completions/timeouts/scale checks because
-    # the driver injects before stepping equal-time internal events — so the
-    # result is byte-identical.
+        self.begin()
+        arrivals_left = len(requests)
+        for request in requests:
+            arrivals_left -= 1
+            self._advance_to(request.arrival_ms)
+            self._inject(request, arrivals_left)
+        return self.finish()
 
     def begin(self) -> None:
-        """Start an externally driven run; arrivals come via :meth:`inject`."""
+        """Start a run; arrivals come via :meth:`inject`."""
         self._reset()
         self._seq = itertools.count()
         self._scale_armed = self.autoscaler is None
@@ -339,10 +331,6 @@ class ServingLoop:
         """Virtual time of the earliest queued internal event (``inf`` if none)."""
         return self._heap[0][0] if self._heap else float("inf")
 
-    def has_events(self) -> bool:
-        """Whether any internal event (completion/timeout/scale) is queued."""
-        return bool(self._heap)
-
     def step(self) -> None:
         """Process exactly one queued internal event."""
         self._step()
@@ -351,11 +339,9 @@ class ServingLoop:
         """Drain every internal event strictly earlier than ``time_ms``.
 
         Strictly earlier: an arrival injected at ``time_ms`` afterwards still
-        wins the tie against same-time internal events, exactly as the heap's
-        kind ordering resolves it inside :meth:`run`.
+        wins the tie against same-time internal events.
         """
-        while self._heap and self._heap[0][0] < time_ms:
-            self._step()
+        self._advance_to(time_ms)
 
     def inject(self, request: InferenceRequest, arrivals_left: int) -> None:
         """Process one arrival now; ``arrivals_left`` arrivals are still due.
@@ -366,6 +352,19 @@ class ServingLoop:
         the *whole stream* still owes (cluster-wide for a cluster driver) so
         the drain-versus-timeout close reason keeps its meaning.
         """
+        self._inject(request, arrivals_left)
+
+    def finish(self) -> LoopResult:
+        """Drain the remaining internal events and assemble the result."""
+        while self._heap:
+            self._step()
+        return self._finalize()
+
+    def _advance_to(self, time_ms: float) -> None:
+        while self._heap and self._heap[0][0] < time_ms:
+            self._step()
+
+    def _inject(self, request: InferenceRequest, arrivals_left: int) -> None:
         self._arrivals_left = arrivals_left + 1
         if not self._scale_armed:
             self._scale_armed = True
@@ -375,18 +374,10 @@ class ServingLoop:
         self._advance_clock(request.arrival_ms)
         self._on_arrival(request)
 
-    def finish(self) -> LoopResult:
-        """Drain the remaining internal events and assemble the result."""
-        while self._heap:
-            self._step()
-        return self._finalize()
-
     def _step(self) -> None:
         time_ms, kind, _, payload = heapq.heappop(self._heap)
         self._advance_clock(time_ms)
-        if kind == _ARRIVAL:
-            self._on_arrival(payload)
-        elif kind == _COMPLETION:
+        if kind == _COMPLETION:
             self._on_completion(payload)
         elif kind == _TIMEOUT:
             self._on_timeout(payload)
@@ -746,12 +737,7 @@ class ServingLoop:
         rung = self.selector.select(self.model, num_samples, worker.device)
         compiled = self.registry.get_compiled(self.model, rung, worker.device)
         dispatch = self.pool.dispatch(
-            compiled.graph,
-            compiled.schedule,
-            worker,
-            ready_ms=batch.formed_ms,
-            num_samples=num_samples,
-            plan=compiled.plan,
+            compiled, worker, ready_ms=batch.formed_ms, num_samples=num_samples
         )
         self._executions[rung].inc()
         latency = self._latency[dispatch.device]
@@ -774,9 +760,9 @@ class ServingLoop:
         self._inflight += 1
         self._push(dispatch.end_ms, _COMPLETION, chunk_records)
         if self.tracer:
-            self._trace_dispatch(batch, chunk, rung, compiled, worker, dispatch)
+            self._trace_dispatch(batch, chunk, rung, compiled, dispatch)
 
-    def _trace_dispatch(self, batch, chunk, rung, compiled, worker, dispatch) -> None:
+    def _trace_dispatch(self, batch, chunk, rung, compiled, dispatch) -> None:
         """Record one dispatch: request phases, the batch span, kernel children.
 
         Every timestamp is virtual-clock, so the spans are exactly as
@@ -784,10 +770,10 @@ class ServingLoop:
         correlated by request id — queued (arrival → batch close),
         dispatch-wait (close → worker start) and execute (start → end) nest
         inside the ``request N`` span opened at arrival.  The batch itself
-        lands on the executing worker's ``batches`` row, with the memoised
-        execution's stage/kernel events replayed underneath at the dispatch's
-        start time (see
-        :meth:`~repro.serve.workers.WorkerPool.execution_result`).
+        lands on the executing worker's ``batches`` row, with the compiled
+        model's cached execution (:meth:`~repro.engine.CompiledModel.execute`)
+        replayed underneath as stage/kernel events at the dispatch's start
+        time.
         """
         tracer = self.tracer
         for request in chunk:
@@ -837,7 +823,4 @@ class ServingLoop:
                 "wait_for_worker_ms": dispatch.wait_for_worker_ms,
             },
         )
-        result = self.pool.execution_result(
-            compiled.graph, compiled.schedule, worker, plan=compiled.plan
-        )
-        add_execution_spans(tracer, result, track, dispatch.start_ms)
+        add_execution_spans(tracer, compiled.execute(), track, dispatch.start_ms)

@@ -214,7 +214,7 @@ class ServingReport:
     #: The run's full metrics registry (queue depth, admission outcomes,
     #: latency distributions, per-worker utilisation series, ...); ``None``
     #: for reports built without one.  Deliberately absent from
-    #: :meth:`describe`, which stays byte-compatible with pre-metrics output.
+    #: :meth:`describe`.
     metrics: MetricsRegistry | None = None
 
     @property
@@ -246,9 +246,9 @@ class ServingReport:
         ]
         if self.router:
             lines.append(f"router    : {self.router}")
-        # Keep pre-SLO output byte-compatible: the admission/SLO sections
-        # only print when there is something to say (a non-default policy,
-        # deadlines in play, shed requests, or several priority classes).
+        # The admission/SLO sections only print when there is something to
+        # say (a non-default policy, deadlines in play, shed requests, or
+        # several priority classes).
         if self.admission and self.admission != "admit-all":
             lines.append(f"admission : {self.admission}")
         slo = self.slo_summary
@@ -268,8 +268,7 @@ class ServingReport:
                 f"({ups} up, {downs} down), pool {sizes}"
             )
         # Alert section only for runs that evaluated rules AND saw
-        # transitions — alert-free runs print byte-identically to pre-alert
-        # output.
+        # transitions.
         if self.alerts:
             fired = sum(1 for event in self.alerts if event.state == "firing")
             lines.append(

@@ -84,11 +84,6 @@ class FormedBatch:
         """The model every request in the batch targets."""
         return self.requests[0].model
 
-    @property
-    def oldest_arrival_ms(self) -> float:
-        """Arrival time of the longest-waiting request in the batch."""
-        return min(request.arrival_ms for request in self.requests)
-
     def __len__(self) -> int:
         return len(self.requests)
 
@@ -125,11 +120,6 @@ class RequestRecord:
     def queue_delay_ms(self) -> float:
         """Time spent waiting (batching + worker queue): arrival → dispatch."""
         return self.dispatch_ms - self.request.arrival_ms
-
-    @property
-    def batching_delay_ms(self) -> float:
-        """Time spent waiting for the batch to form: arrival → batch close."""
-        return self.batched_ms - self.request.arrival_ms
 
     @property
     def service_time_ms(self) -> float:

@@ -19,10 +19,10 @@ full pipeline on the virtual clock, driven by the discrete-event
    worker's device from the :class:`~repro.serve.registry.ScheduleRegistry`
    (compiling through :class:`repro.engine.Engine` on a cold miss, loading
    the persisted artifact — zero scheduler searches — on a warm one);
-5. the :class:`~repro.serve.workers.WorkerPool` executes the compiled model's
-   execution plan on the simulated device and the per-request timeline is
-   recorded; an optional :class:`~repro.serve.autoscale.Autoscaler` grows and
-   shrinks the pool as the loop's scale-check events fire.
+5. the :class:`~repro.serve.workers.WorkerPool` executes that compiled
+   model on the chosen worker and the per-request timeline is recorded; an
+   optional :class:`~repro.serve.autoscale.Autoscaler` grows and shrinks the
+   pool as the loop's scale-check events fire.
 
 The result is a :class:`~repro.serve.metrics.ServingReport`, including
 per-device-group utilisation and latency when the fleet is heterogeneous,
@@ -37,7 +37,6 @@ from typing import Sequence
 
 from ..core.dp_scheduler import normalize_variant
 from ..hardware.device import get_device, get_devices
-from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
 from ..obs.alerts import AlertManager, AlertRule
 from ..obs.metrics import MetricsRegistry
 from ..obs.timeseries import TimeSeriesRegistry, WatchRenderer
@@ -46,7 +45,7 @@ from .admission import AdmissionPolicy, get_admission_policy
 from .autoscale import AutoscaleConfig, Autoscaler
 from .batcher import BatchPolicy, BatchSizeSelector
 from .fleet import FleetSpec, Router, get_router
-from .loop import ServingLoop
+from .loop import LoopResult, ServingLoop
 from .metrics import ServingReport, build_report
 from .registry import ScheduleRegistry
 from .request import InferenceRequest
@@ -124,6 +123,16 @@ class ServingConfig:
             raise ValueError("serving needs at least one device")
         if not self.batch_sizes:
             raise ValueError("batch_sizes ladder must not be empty")
+        # A rung names a compiled graph's batch size: a float, a bool or a
+        # non-positive rung would compile (or fail) far from this config.
+        for size in self.batch_sizes:
+            if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
+                raise ValueError(
+                    f"batch_sizes rungs must be positive ints, got {size!r} "
+                    f"in {self.batch_sizes!r}"
+                )
+        if len(set(self.batch_sizes)) != len(self.batch_sizes):
+            raise ValueError(f"batch_sizes must not repeat a rung, got {self.batch_sizes!r}")
         # Resolve router names eagerly so a typo fails at config time, not
         # mid-run; the service builds the instance.  A Router instance is
         # kept as-is (get_router passes it through).
@@ -167,9 +176,8 @@ class InferenceService:
     registry:
         Share a :class:`~repro.serve.registry.ScheduleRegistry` across
         services (a long-lived deployment); defaults to a fresh one rooted at
-        ``config.registry_root``.
-    profile:
-        Kernel-library profile used by the pool's executors and on compiles.
+        ``config.registry_root``.  Its kernel profile is the one every
+        compile and every dispatch runs under.
     router:
         Inject a pre-built :class:`~repro.serve.fleet.Router` instance
         (custom policies, tests); defaults to ``config.router`` by name.
@@ -202,7 +210,6 @@ class InferenceService:
         self,
         config: ServingConfig,
         registry: ScheduleRegistry | None = None,
-        profile: KernelProfile = CUDNN_PROFILE,
         router: Router | None = None,
         admission: AdmissionPolicy | None = None,
         tracer: Tracer | None = None,
@@ -212,15 +219,13 @@ class InferenceService:
         window_ms: float = 50.0,
     ):
         self.config = config
-        self.profile = profile
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry or ScheduleRegistry(
-            root=config.registry_root, profile=profile, variant=config.variant,
-            passes=config.passes,
+            root=config.registry_root, variant=config.variant, passes=config.passes,
         )
         if tracer is not None:
             self.registry.tracer = self.tracer
-        self.pool = WorkerPool(get_devices(config.devices), profile=profile)
+        self.pool = WorkerPool(get_devices(config.devices))
         self.router = router if router is not None else get_router(config.router)
         self.admission = (
             admission if admission is not None
@@ -230,10 +235,7 @@ class InferenceService:
             Autoscaler(config.autoscale, get_device(self._scale_device()))
             if config.autoscale is not None else None
         )
-        self.selector = BatchSizeSelector(
-            self.registry, config.batch_sizes, profile=profile,
-            measure=self.pool.plan_latency_for,
-        )
+        self.selector = BatchSizeSelector(self.registry, config.batch_sizes)
         if watch is True:
             watch = WatchRenderer()
         elif watch is False:
@@ -301,22 +303,28 @@ class InferenceService:
                     f"{self.selector.max_batch_size}"
                 )
         ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
+        return self.report(self.loop.run(ordered))
 
-        outcome = self.loop.run(ordered)
-        # Both summaries read the per-worker busy/lifetime series the loop
-        # exported into the run's registry — one bookkeeping, two views.
-        report = build_report(
-            records=outcome.records,
-            num_batches=outcome.num_executions,
-            batch_size_counts=outcome.batch_size_counts,
+    def report(self, result: LoopResult) -> ServingReport:
+        """The :class:`ServingReport` of one loop run of this service.
+
+        The one place a :class:`~repro.serve.loop.LoopResult` becomes a
+        report: :meth:`run` calls it, and so does the cluster for each host
+        it drove.  Both worker summaries read the per-worker busy/lifetime
+        series the loop exported into the run's registry — one bookkeeping,
+        two views.
+        """
+        return build_report(
+            records=result.records,
+            num_batches=result.num_executions,
+            batch_size_counts=result.batch_size_counts,
             registry_stats=self.registry.stats,
-            worker_summary=self.pool.summary(metrics=outcome.metrics),
-            group_summary=self.pool.group_summary(metrics=outcome.metrics),
+            worker_summary=self.pool.summary(metrics=result.metrics),
+            group_summary=self.pool.group_summary(metrics=result.metrics),
             router=self.router.name,
             admission=self.admission.name,
-            rejected=outcome.rejected,
-            scale_events=outcome.scale_events,
-            alerts=outcome.alerts,
-            metrics=outcome.metrics,
+            rejected=result.rejected,
+            scale_events=result.scale_events,
+            alerts=result.alerts,
+            metrics=result.metrics,
         )
-        return report

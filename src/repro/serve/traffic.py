@@ -20,6 +20,7 @@ priority class per request from a weighted mix.  Everything is driven by one
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -136,8 +137,14 @@ class TrafficConfig:
             raise ValueError("sample_sizes and sample_weights must have equal length")
         if not self.sample_sizes:
             raise ValueError("sample_sizes must not be empty")
-        if self.slo_ms is not None and self.slo_ms < 0:
-            raise ValueError(f"slo_ms must be non-negative, got {self.slo_ms}")
+        if not (math.isfinite(self.rate_rps) and self.rate_rps > 0):
+            raise ValueError(f"rate_rps must be a finite number > 0, got {self.rate_rps}")
+        if not (math.isfinite(self.burst_gap_ms) and self.burst_gap_ms > 0):
+            raise ValueError(
+                f"burst_gap_ms must be a finite number > 0, got {self.burst_gap_ms}"
+            )
+        if self.slo_ms is not None and not (math.isfinite(self.slo_ms) and self.slo_ms >= 0):
+            raise ValueError(f"slo_ms must be a finite number >= 0, got {self.slo_ms}")
         if len(self.priorities) != len(self.priority_weights):
             raise ValueError("priorities and priority_weights must have equal length")
         if not self.priorities:

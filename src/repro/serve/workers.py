@@ -1,35 +1,29 @@
-"""Worker pool: executing compiled plans across simulated devices.
+"""Worker pool: executing compiled models across simulated devices.
 
-Each worker wraps one simulated :class:`~repro.hardware.device.DeviceSpec`
-with an :class:`~repro.runtime.executor.Executor` and a ``busy_until_ms``
-horizon on the shared virtual clock.  Workers carry their *own* device
-identity, so a pool may freely mix device types (see
-:class:`~repro.serve.fleet.FleetSpec`); plan and latency caches are keyed by
-the worker's device, never by a pool-wide one.
+Each worker is one simulated :class:`~repro.hardware.device.DeviceSpec` with
+a ``busy_until_ms`` horizon on the shared virtual clock.  Workers carry their
+*own* device identity, so a pool may freely mix device types (see
+:class:`~repro.serve.fleet.FleetSpec`).
 
 *Which* worker a batch goes to is the router's decision
 (:mod:`repro.serve.fleet`) — the pool only executes: :meth:`WorkerPool.dispatch`
-runs an execution plan on the chosen worker, advances its horizon, and
-returns the batch timeline.
-
-Execution plans come from :class:`~repro.engine.CompiledModel` artifacts via
-the schedule registry; the pool memoises them per
-``(model, batch size, device, origin)`` so a steady-state dispatch is one
-simulated execution — no lowering, no scheduling.
+runs a :class:`~repro.engine.CompiledModel` on the chosen worker, advances its
+horizon, and returns the batch timeline.  The execution latency is the
+compiled model's own :meth:`~repro.engine.CompiledModel.latency_ms` — the
+registry hands out one compiled model per ``(model, batch size, device)``
+and each simulates at most once, so the pool keeps no cache of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ..core.lowering import lower_schedule
-from ..core.schedule import Schedule
 from ..hardware.device import DeviceSpec
-from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
-from ..ir.graph import Graph
 from ..obs.metrics import MetricsRegistry
-from ..runtime.executor import ExecutionPlan, ExecutionResult, Executor
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from ..engine import CompiledModel
 
 __all__ = ["Worker", "DispatchResult", "WorkerPool", "earliest_start_worker"]
 
@@ -52,7 +46,6 @@ class Worker:
 
     worker_id: int
     device: DeviceSpec
-    executor: Executor
     busy_until_ms: float = 0.0
     batches_executed: int = 0
     samples_executed: int = 0
@@ -90,7 +83,7 @@ class DispatchResult:
     start_ms: float
     #: When the batch finished executing.
     end_ms: float
-    #: Simulated device latency of the plan itself.
+    #: Simulated device latency of the compiled model itself.
     execution_ms: float
 
     @property
@@ -100,42 +93,29 @@ class DispatchResult:
 
 
 class WorkerPool:
-    """A pool of simulated devices executing lowered plans.
+    """A pool of simulated devices executing compiled models.
 
     Parameters
     ----------
     devices:
         One entry per worker.  Repeat a spec to model replicas of the same
         GPU; mix specs for a heterogeneous pool.
-    profile:
-        Kernel-library profile shared by all executors.
     """
 
-    def __init__(self, devices: Sequence[DeviceSpec], profile: KernelProfile = CUDNN_PROFILE):
+    def __init__(self, devices: Sequence[DeviceSpec]):
         if not devices:
             raise ValueError("worker pool needs at least one device")
-        self.profile = profile
         self._devices = tuple(devices)
         self.reset()
-        #: Lowered-plan cache keyed by (graph name, batch size, device name,
-        #: schedule origin) — lowering validates and rebuilds merged operators,
-        #: so it is worth skipping on the request path.
-        self._plan_cache: dict[tuple[str, int, str, str], ExecutionPlan] = {}
-        #: Full simulated execution per cache key (simulation is
-        #: deterministic, so one run stands for every dispatch of the plan).
-        #: Keeping the whole :class:`ExecutionResult` — not just its latency —
-        #: lets tracing replay the plan's stage/kernel events as child spans
-        #: of each dispatch.
-        self._result_cache: dict[tuple[str, int, str, str], ExecutionResult] = {}
 
     def reset(self) -> None:
         """Return to the configured idle pool: one fresh worker per device.
 
         Busy horizons, per-worker counters and autoscaled or retired workers
-        are dropped; the plan and latency caches stay warm.
+        are dropped.
         """
         self.workers = [
-            Worker(worker_id=index, device=device, executor=Executor(device, self.profile))
+            Worker(worker_id=index, device=device)
             for index, device in enumerate(self._devices)
         ]
         #: Workers removed by the autoscaler; they keep their executed-batch
@@ -166,68 +146,24 @@ class WorkerPool:
         return list(seen.values())
 
     # ---------------------------------------------------------------- dispatch
-    def execution_result(self, graph: Graph, schedule: Schedule, worker: Worker,
-                         plan: ExecutionPlan | None = None) -> ExecutionResult:
-        """The memoised simulated execution of the plan on the worker's device.
-
-        ``plan`` optionally seeds the pool's plan cache with an already
-        lowered plan (e.g. from a :class:`~repro.engine.CompiledModel`), so
-        the pool never re-lowers what the engine already produced.  The
-        returned result is shared — treat it as immutable.  Its timeline is
-        plan-local (starts at 0); dispatch tracing re-bases the stage/kernel
-        events at each dispatch's start time.
-        """
-        key = self._plan_key(graph, schedule, worker)
-        if key not in self._result_cache:
-            if plan is not None:
-                self._plan_cache.setdefault(key, plan)
-            plan = self._plan(key, graph, schedule)
-            self._result_cache[key] = worker.executor.run(plan)
-        return self._result_cache[key]
-
-    def plan_latency_ms(self, graph: Graph, schedule: Schedule, worker: Worker,
-                        plan: ExecutionPlan | None = None) -> float:
-        """Deterministic execution latency of the plan on the worker's device.
-
-        Convenience over :meth:`execution_result` (same cache, same seeding).
-        """
-        return self.execution_result(graph, schedule, worker, plan=plan).latency_ms
-
-    def plan_latency_for(self, graph: Graph, schedule: Schedule, device: DeviceSpec,
-                         plan: ExecutionPlan | None = None) -> float:
-        """Plan latency on whichever worker runs ``device`` (they are identical).
-
-        Lets schedule selection share the pool's lowered-plan/latency caches
-        instead of lowering and simulating the same plan a second time; an
-        engine-lowered ``plan`` seeds the cache (see :meth:`plan_latency_ms`).
-        """
-        for worker in self.workers:
-            if worker.device.name == device.name:
-                return self.plan_latency_ms(graph, schedule, worker, plan=plan)
-        raise ValueError(f"no worker in the pool runs device {device.name!r}")
-
     def dispatch(
         self,
-        graph: Graph,
-        schedule: Schedule,
+        compiled: "CompiledModel",
         worker: Worker,
         ready_ms: float,
         num_samples: int | None = None,
-        plan: ExecutionPlan | None = None,
     ) -> DispatchResult:
-        """Execute ``schedule`` for ``graph`` on ``worker``, advancing its horizon.
+        """Execute ``compiled`` on ``worker``, advancing its horizon.
 
         ``num_samples`` is the real demand carried by the batch; it defaults to
-        the graph's (possibly padded) batch size.  ``plan`` optionally seeds
-        the plan cache with an engine-lowered plan (see
-        :meth:`plan_latency_ms`).
+        the compiled model's (possibly padded) batch size.
         """
-        execution_ms = self.plan_latency_ms(graph, schedule, worker, plan=plan)
+        execution_ms = compiled.latency_ms()
         start_ms = max(worker.busy_until_ms, ready_ms)
         end_ms = start_ms + execution_ms
         worker.busy_until_ms = end_ms
         worker.batches_executed += 1
-        worker.samples_executed += graph.batch_size if num_samples is None else num_samples
+        worker.samples_executed += compiled.batch_size if num_samples is None else num_samples
         worker.busy_ms += execution_ms
         return DispatchResult(
             worker_id=worker.worker_id,
@@ -238,27 +174,12 @@ class WorkerPool:
             execution_ms=execution_ms,
         )
 
-    # ----------------------------------------------------------------- helpers
-    def _plan_key(self, graph: Graph, schedule: Schedule, worker: Worker) -> tuple[str, int, str, str]:
-        return (graph.name, graph.batch_size, worker.device.name, schedule.origin)
-
-    def _plan(self, key: tuple[str, int, str, str], graph: Graph, schedule: Schedule) -> ExecutionPlan:
-        if key not in self._plan_cache:
-            self._plan_cache[key] = lower_schedule(graph, schedule)
-        return self._plan_cache[key]
-
     # ------------------------------------------------------------- elasticity
     def add_worker(self, device: DeviceSpec, now_ms: float = 0.0) -> Worker:
-        """Grow the pool by one worker of ``device`` (autoscaler scale-up).
-
-        The new worker shares the pool's plan/latency caches (they are keyed
-        by device name, not worker), so a replica of an already-served device
-        type starts warm.
-        """
+        """Grow the pool by one worker of ``device`` (autoscaler scale-up)."""
         worker = Worker(
             worker_id=self._next_worker_id,
             device=device,
-            executor=Executor(device, self.profile),
             busy_until_ms=now_ms,
             spawned_ms=now_ms,
         )

@@ -111,20 +111,10 @@ class TestBatchSizeSelector:
         for other in selector.batch_sizes:
             assert latency_chosen <= selector._candidate_latency("m", other, v100)
 
-    def test_plan_aware_measure_receives_the_compiled_plan(self, v100):
-        registry = ScheduleRegistry(
-            graph_builder=lambda model, bs: chain_graph(length=3, batch_size=bs)
-        )
-        plans = []
-
-        def plan_measure(graph, schedule, device, plan=None):
-            plans.append(plan)
-            return 1.0
-
-        selector = BatchSizeSelector(registry, batch_sizes=(1,), measure=plan_measure)
-        selector.select("m", 1, v100)
-        compiled = registry.get_compiled("m", 1, v100)
-        assert plans and plans[0] is compiled.plan
+    def test_candidate_latency_is_the_compiled_model_latency(self, selector, v100):
+        for rung in selector.batch_sizes:
+            compiled = selector.registry.get_compiled("m", rung, v100)
+            assert selector._candidate_latency("m", rung, v100) == compiled.latency_ms()
 
     def test_oversized_demand_raises(self, selector, v100):
         with pytest.raises(ValueError, match="exceeds the ladder maximum"):

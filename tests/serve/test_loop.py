@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import CompiledModel
 from repro.models import chain_graph
 from repro.serve import (
     AutoscaleConfig,
@@ -85,11 +86,10 @@ class TestLoopMatchesOfflineBatcher:
 
 
 class TestLoopEdgeCases:
-    def test_zero_duration_batches_complete_instantly(self):
+    def test_zero_duration_batches_complete_instantly(self, monkeypatch):
+        # Dispatch and selection both price a batch by its compiled model.
+        monkeypatch.setattr(CompiledModel, "latency_ms", lambda self: 0.0)
         service = toy_service()
-        service.pool.plan_latency_ms = (
-            lambda graph, schedule, worker, plan=None: 0.0
-        )
         requests = [request(i, arrival_ms=float(i)) for i in range(10)]
         report = service.run(requests)
         assert report.num_requests == 10

@@ -26,17 +26,18 @@ MODEL = "toy"
 
 
 class _StubRegistry:
-    """Hands out a (model, rung) token per compile; the measure prices it."""
+    """Hands out compiled-model stand-ins priced from a latency table."""
+
+    def __init__(self, latencies: dict[tuple[str, int], float]):
+        self._latencies = latencies
 
     def get_compiled(self, model, rung, device):
-        return SimpleNamespace(graph=(model, rung), schedule=None, plan=None)
+        latency = self._latencies[(device.name, rung)]
+        return SimpleNamespace(latency_ms=lambda: latency)
 
 
 def _selector(latencies: dict[tuple[str, int], float]) -> BatchSizeSelector:
-    def measure(graph, schedule, device, plan=None):
-        return latencies[(device.name, graph[1])]
-
-    return BatchSizeSelector(_StubRegistry(), LADDER, measure=measure)
+    return BatchSizeSelector(_StubRegistry(latencies), LADDER)
 
 
 def oracle_completion_ms(loop, selector, request, immediate=False) -> float:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.hardware import get_device
 from repro.models import chain_graph
+from repro.obs import Tracer
+from repro.runtime.executor import Executor
 from repro.serve import (
     AutoscaleConfig,
     BatchPolicy,
@@ -85,26 +88,53 @@ class TestInferenceService:
         assert first.registry_stats.searches == searches_after_first
         assert first.registry_stats is not registry.stats
 
-    def test_selector_shares_the_pool_latency_cache(self):
+    def test_selector_prices_rungs_with_the_registry_compiled_models(self):
         service = toy_service()
         service.run(requests_for(20, num_samples=2))
-        # Selection cross-evaluated the ladder; every measurement must have
-        # landed in the pool's shared cache rather than a parallel one.
+        # Selection cross-evaluated the ladder; each price is the latency of
+        # the registry's compiled model for that rung, not a parallel one.
         assert service.selector._latency_cache
-        assert len(service.pool._result_cache) >= len(service.selector._latency_cache)
+        for (model, device, rung), latency in service.selector._latency_cache.items():
+            compiled = service.registry.get_compiled(model, rung, get_device(device))
+            assert latency == compiled.latency_ms()
 
-    def test_pool_executes_the_engine_lowered_plans(self):
-        # The pool must never re-lower what the engine already produced: every
-        # cached plan is the identical ExecutionPlan object carried by the
-        # registry's compiled models.
-        service = toy_service()
-        service.run(requests_for(20, num_samples=2))
-        assert service.pool._plan_cache
-        engine_plans = {
-            id(compiled.plan) for compiled in service.registry._cache.values()
-        }
-        for plan in service.pool._plan_cache.values():
-            assert id(plan) in engine_plans
+    def test_dispatches_charge_the_registry_compiled_model_latency(self):
+        service = toy_service(fleet="v100:1,k80:1", router="round-robin")
+        requests = TrafficGenerator(
+            TrafficConfig(model="toy", num_requests=60, rate_rps=4000.0, seed=3,
+                          sample_sizes=(1, 2), sample_weights=(0.5, 0.5))
+        ).generate()
+        report = service.run(requests)
+        assert {record.device for record in report.records} == {"v100", "k80"}
+        for record in report.records:
+            compiled = service.registry.get_compiled(
+                "toy", record.executed_batch_size, get_device(record.device)
+            )
+            assert record.completion_ms == record.dispatch_ms + compiled.latency_ms()
+
+    def test_each_compiled_model_executes_at_most_once(self, monkeypatch):
+        # One execution path: a traced service run, replayed, simulates each
+        # compiled model once.  A second execution cache would show up here
+        # as a repeated plan.
+        runs: list[int] = []
+        real_run = Executor.run
+
+        def counting_run(executor, plan):
+            runs.append(id(plan))
+            return real_run(executor, plan)
+
+        monkeypatch.setattr(Executor, "run", counting_run)
+        service = InferenceService(
+            ServingConfig(model="toy", fleet="v100:2", batch_sizes=(1, 2, 4),
+                          policy=BatchPolicy(max_batch_size=4, max_wait_ms=2.0)),
+            registry=toy_registry(),
+            tracer=Tracer(),
+        )
+        for _ in range(2):
+            service.run(requests_for(40, num_samples=2))
+        assert runs
+        assert len(runs) == len(set(runs))
+        assert set(runs) <= {id(c.plan) for c in service.registry._cache.values()}
 
     def test_wrong_model_rejected(self):
         service = toy_service()

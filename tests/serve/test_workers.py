@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import IOSScheduler, SimulatedCostModel
+from repro.engine import CompiledModel
 from repro.models import chain_graph
 from repro.serve import WorkerPool
 from repro.serve.workers import earliest_start_worker
@@ -20,29 +21,34 @@ def schedule(graph, v100):
     return IOSScheduler(SimulatedCostModel(v100)).optimize_graph(graph).schedule
 
 
+@pytest.fixture
+def compiled(graph, schedule, v100):
+    return CompiledModel.from_schedule(graph, schedule, v100)
+
+
 class TestWorkerPool:
     def test_requires_at_least_one_device(self):
         with pytest.raises(ValueError):
             WorkerPool([])
 
-    def test_dispatch_advances_the_worker_horizon(self, graph, schedule, v100):
+    def test_dispatch_advances_the_worker_horizon(self, compiled, v100):
         pool = WorkerPool([v100])
-        result = pool.dispatch(graph, schedule, pool.workers[0], ready_ms=10.0)
+        result = pool.dispatch(compiled, pool.workers[0], ready_ms=10.0)
         assert result.start_ms == 10.0
-        assert result.end_ms == pytest.approx(10.0 + result.execution_ms)
-        assert result.execution_ms > 0
+        assert result.end_ms == 10.0 + compiled.latency_ms()
+        assert result.execution_ms == compiled.latency_ms() > 0
         assert pool.workers[0].busy_until_ms == result.end_ms
 
-    def test_busy_worker_queues_the_batch(self, graph, schedule, v100):
+    def test_busy_worker_queues_the_batch(self, compiled, v100):
         pool = WorkerPool([v100])
-        first = pool.dispatch(graph, schedule, pool.workers[0], ready_ms=0.0)
-        second = pool.dispatch(graph, schedule, pool.workers[0], ready_ms=0.0)
+        first = pool.dispatch(compiled, pool.workers[0], ready_ms=0.0)
+        second = pool.dispatch(compiled, pool.workers[0], ready_ms=0.0)
         assert second.start_ms == first.end_ms
         assert second.wait_for_worker_ms == pytest.approx(first.end_ms)
 
-    def test_reset_restores_the_configured_idle_pool(self, graph, schedule, v100, k80):
+    def test_reset_restores_the_configured_idle_pool(self, compiled, v100, k80):
         pool = WorkerPool([v100, k80])
-        pool.dispatch(graph, schedule, pool.workers[0], ready_ms=0.0)
+        pool.dispatch(compiled, pool.workers[0], ready_ms=0.0)
         pool.remove_worker(pool.workers[1], now_ms=0.0)
         pool.add_worker(v100, now_ms=1.0)
         pool.reset()
@@ -50,30 +56,42 @@ class TestWorkerPool:
         assert all(w.busy_until_ms == 0.0 and w.batches_executed == 0 for w in pool.workers)
         assert pool.retired == []
         assert pool.add_worker(v100).worker_id == 2
-        # The plan/latency caches survive the reset.
-        assert len(pool._result_cache) == 1
 
-    def test_plan_latency_is_cached_and_deterministic(self, graph, schedule, v100):
-        pool = WorkerPool([v100])
-        worker = pool.workers[0]
-        first = pool.plan_latency_ms(graph, schedule, worker)
-        assert pool.plan_latency_ms(graph, schedule, worker) == first
-        assert len(pool._plan_cache) == 1
-        assert len(pool._result_cache) == 1
+    def test_dispatch_simulates_the_compiled_model_once(self, compiled, v100, monkeypatch):
+        # The compiled model's cached execution is the only one: repeated
+        # dispatches (on any worker) never simulate the plan again.
+        from repro.runtime.executor import Executor
+
+        runs = []
+        real_run = Executor.run
+        monkeypatch.setattr(
+            Executor, "run", lambda self, plan: runs.append(plan) or real_run(self, plan)
+        )
+        pool = WorkerPool([v100, v100])
+        latencies = {
+            pool.dispatch(compiled, worker, ready_ms=0.0).execution_ms
+            for worker in pool.workers * 2
+        }
+        assert latencies == {compiled.latency_ms()}
+        assert runs == [compiled.plan]
 
     def test_heterogeneous_pool_runs_faster_on_the_faster_device(
         self, graph, schedule, v100, k80
     ):
         pool = WorkerPool([v100, k80])
-        fast = pool.plan_latency_ms(graph, schedule, pool.workers[0])
-        slow = pool.plan_latency_ms(graph, schedule, pool.workers[1])
-        assert fast < slow
+        fast = pool.dispatch(
+            CompiledModel.from_schedule(graph, schedule, v100), pool.workers[0], ready_ms=0.0
+        )
+        slow = pool.dispatch(
+            CompiledModel.from_schedule(graph, schedule, k80), pool.workers[1], ready_ms=0.0
+        )
+        assert fast.execution_ms < slow.execution_ms
 
-    def test_summary_accounts_for_all_dispatches(self, graph, schedule, v100):
+    def test_summary_accounts_for_all_dispatches(self, compiled, graph, v100):
         pool = WorkerPool([v100, v100])
         for _ in range(4):
             worker = earliest_start_worker(pool.workers, 0.0)
-            pool.dispatch(graph, schedule, worker, ready_ms=0.0)
+            pool.dispatch(compiled, worker, ready_ms=0.0)
         summary = pool.summary()
         assert sum(row["batches"] for row in summary) == 4
         assert sum(row["samples"] for row in summary) == 4 * graph.batch_size
