@@ -31,6 +31,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -364,10 +365,23 @@ def serve_main(argv: list[str] | None = None) -> int:
         batch_sizes = tuple(int(part) for part in args.batch_sizes.split(",") if part.strip())
     except ValueError:
         parser.error(f"--batch-sizes must be comma-separated integers, got {args.batch_sizes!r}")
-    if not batch_sizes or any(size <= 0 for size in batch_sizes):
-        parser.error(f"--batch-sizes needs at least one positive size, got {args.batch_sizes!r}")
-    if len(set(batch_sizes)) != len(batch_sizes):
-        parser.error(f"--batch-sizes must not repeat a size, got {args.batch_sizes!r}")
+    pool = dict(fleet=fleet) if fleet is not None else dict(
+        devices=(device,) * num_workers
+    )
+    # The config validates the ladder (and every other knob it holds); the
+    # batching policy is sized from the ladder once the ladder is known good.
+    try:
+        serving = ServingConfig(
+            model=args.model, batch_sizes=batch_sizes, variant=args.variant,
+            registry_root=args.registry_dir, passes=args.passes, router=args.router,
+            admission=args.admission, autoscale=autoscale, **pool,
+        )
+        serving = replace(serving, policy=(
+            BatchPolicy(max_batch_size=1, max_wait_ms=0.0) if args.no_batching
+            else BatchPolicy(max_batch_size=max(batch_sizes), max_wait_ms=max_wait_ms)
+        ))
+    except ValueError as error:
+        parser.error(f"bad serving configuration: {error}")
     if not (math.isfinite(args.window_ms) and args.window_ms > 0):
         parser.error(f"--window-ms must be a finite number > 0, got {args.window_ms}")
     if args.trace_sample is not None and args.trace is None:
@@ -461,25 +475,6 @@ def serve_main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         traffic = capped
-    pool = dict(fleet=fleet) if fleet is not None else dict(
-        devices=(device,) * num_workers
-    )
-    if args.no_batching:
-        serving = ServingConfig.unbatched(
-            model=args.model, batch_sizes=batch_sizes, variant=args.variant,
-            registry_root=args.registry_dir, passes=args.passes,
-            router=args.router, admission=args.admission, autoscale=autoscale,
-            **pool,
-        )
-    else:
-        serving = ServingConfig(
-            model=args.model, batch_sizes=batch_sizes,
-            policy=BatchPolicy(max_batch_size=max(batch_sizes),
-                               max_wait_ms=max_wait_ms),
-            variant=args.variant, registry_root=args.registry_dir,
-            passes=args.passes, router=args.router, admission=args.admission,
-            autoscale=autoscale, **pool,
-        )
     alerts = None
     if args.alerts is not None:
         from ..obs import parse_alert_rules

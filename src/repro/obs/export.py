@@ -1,7 +1,7 @@
 """Exporters: Chrome-trace/Perfetto JSON and the trace schema checker.
 
-:func:`chrome_trace` renders a :class:`~repro.obs.trace.Tracer`'s records in
-the Chrome trace-event format (the JSON ``ui.perfetto.dev`` and
+:func:`chrome_trace_json` renders a :class:`~repro.obs.trace.Tracer`'s
+records in the Chrome trace-event format (the JSON ``ui.perfetto.dev`` and
 ``chrome://tracing`` load directly):
 
 * each ``"process/thread"`` track becomes one row — processes and threads are
@@ -14,13 +14,17 @@ the Chrome trace-event format (the JSON ``ui.perfetto.dev`` and
 
 The rendering is deterministic: given the same records the emitted JSON is
 byte-identical (keys sorted, insertion-ordered events, no wall-clock stamped
-at export time).  :func:`validate_chrome_trace` is the matching schema check
-used by ``tools/check_trace.py`` and the CI trace-smoke job.
+at export time).  It is the text ``json.dumps(document, sort_keys=True)``
+would give for the document, but written record by record from one
+template per kind, so a large trace never exists as a tree of dicts.
+:func:`validate_chrome_trace` is the matching schema check used by
+``tools/check_trace.py`` and the CI trace-smoke job.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from .trace import ASYNC_BEGIN, ASYNC_END, COUNTER, INSTANT, SPAN, Tracer
@@ -35,8 +39,12 @@ __all__ = [
 #: Default process (Perfetto row group) for tracks written without a "/".
 DEFAULT_PROCESS = "main"
 
-#: Chrome-trace phase per record kind.
-_PHASES = {SPAN: "X", INSTANT: "i", COUNTER: "C", ASYNC_BEGIN: "b", ASYNC_END: "e"}
+#: Chrome-trace phase of each async record kind.
+_ASYNC_PHASES = {ASYNC_BEGIN: "b", ASYNC_END: "e"}
+
+_INF = float("inf")
+_float_repr = float.__repr__
+_int_repr = int.__repr__
 
 
 def _split_track(track: str) -> tuple[str, str]:
@@ -47,75 +55,97 @@ def _split_track(track: str) -> tuple[str, str]:
     return DEFAULT_PROCESS, track
 
 
-def chrome_trace(tracer: Tracer) -> dict:
-    """Render the tracer's records as a Chrome trace-event document."""
-    events: list[dict] = []
+def _text(value) -> str:
+    """JSON text of a string, int or finite float, else ``json``'s own rendering."""
+    cls = value.__class__
+    if cls is str:
+        return _string(value)
+    if cls is float and -_INF < value < _INF:
+        return _float_repr(value)
+    if cls is int:
+        return _int_repr(value)
+    return json.dumps(value)
+
+
+def _chunks(tracer: Tracer) -> list[str]:
+    """The trace document's JSON text, as chunks to join or write in order.
+
+    Each event is written straight from its record, with its keys in sorted
+    order.  Every event chunk but the first starts with the list separator;
+    an args mapping is rendered once however many records share it.
+    """
+    chunks = [""]  # the document head, written once the track count is known
+    append = chunks.append
     pids: dict[str, int] = {}
     tids: dict[tuple[str, str], int] = {}
     #: Threads named so far per process (the next thread's tid is one more).
     threads: dict[str, int] = {}
-    #: Track → (pid, tid), resolved once per distinct track.
-    rows: dict[str, tuple[int, int]] = {}
+    #: Track → its ``"pid": P`` and ``"tid": T`` texts, resolved once.
+    rows: dict[str, tuple[str, str]] = {}
+    #: id(args mapping) → its ``"args": {...}, `` text.  The records keep every
+    #: mapping alive while they are rendered, so no id is reused meanwhile.
+    rendered_args: dict[int, str] = {}
 
-    def row(track: str) -> tuple[int, int]:
+    def row(track: str) -> tuple[str, str]:
         process, thread = _split_track(track)
         if process not in pids:
             pid = len(pids) + 1
             pids[process] = pid
             threads[process] = 0
-            events.append(
-                {
-                    "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                    "args": {"name": process},
-                }
+            append(
+                f', {{"args": {{"name": {_text(process)}}}, "name": "process_name", '
+                f'"ph": "M", "pid": {pid}, "tid": 0}}'
             )
-            events.append(
-                {
-                    "name": "process_sort_index", "ph": "M", "pid": pid, "tid": 0,
-                    "args": {"sort_index": pid},
-                }
+            append(
+                f', {{"args": {{"sort_index": {pid}}}, "name": "process_sort_index", '
+                f'"ph": "M", "pid": {pid}, "tid": 0}}'
             )
         pid = pids[process]
         if (process, thread) not in tids:
             tid = threads[process] + 1
             threads[process] = tid
             tids[(process, thread)] = tid
-            events.append(
-                {
-                    "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                    "args": {"name": thread},
-                }
+            append(
+                f', {{"args": {{"name": {_text(thread)}}}, "name": "thread_name", '
+                f'"ph": "M", "pid": {pid}, "tid": {tid}}}'
             )
-            events.append(
-                {
-                    "name": "thread_sort_index", "ph": "M", "pid": pid, "tid": tid,
-                    "args": {"sort_index": tid},
-                }
+            append(
+                f', {{"args": {{"sort_index": {tid}}}, "name": "thread_sort_index", '
+                f'"ph": "M", "pid": {pid}, "tid": {tid}}}'
             )
-        rows[track] = pid, tids[(process, thread)]
+        rows[track] = f'"pid": {pid}', f'"tid": {tids[(process, thread)]}'
         return rows[track]
 
-    for record in tracer.records:
-        pid, tid = rows.get(record.track) or row(record.track)
-        event: dict = {
-            "name": record.name,
-            "ph": _PHASES[record.kind],
-            "ts": record.ts_ms * 1e3,
-            "pid": pid,
-            "tid": tid,
-        }
-        if record.category:
-            event["cat"] = record.category
-        if record.kind == SPAN:
-            event["dur"] = record.dur_ms * 1e3
-        elif record.kind == INSTANT:
-            event["s"] = "t"  # thread-scoped marker
-        elif record.kind in (ASYNC_BEGIN, ASYNC_END):
-            event["cat"] = record.category or "async"
-            event["id"] = record.correlation
-        if record.args:
-            event["args"] = dict(record.args)
-        events.append(event)
+    for kind, name, track, ts_ms, dur_ms, category, correlation, args in tracer.records:
+        pid, tid = rows.get(track) or row(track)
+        head = ""
+        if args:
+            head = rendered_args.get(id(args))
+            if head is None:
+                head = f'"args": {json.dumps(dict(args), sort_keys=True)}, '
+                rendered_args[id(args)] = head
+        if category and kind != ASYNC_BEGIN and kind != ASYNC_END:
+            head += f'"cat": {_text(category)}, '
+        name = _text(name)
+        ts = _text(ts_ms * 1e3)
+        if kind == SPAN:
+            append(
+                f', {{{head}"dur": {_text(dur_ms * 1e3)}, "name": {name}, '
+                f'"ph": "X", {pid}, {tid}, "ts": {ts}}}'
+            )
+        elif kind == INSTANT:
+            append(
+                f', {{{head}"name": {name}, "ph": "i", {pid}, "s": "t", '
+                f'{tid}, "ts": {ts}}}'
+            )
+        elif kind == COUNTER:
+            append(f', {{{head}"name": {name}, "ph": "C", {pid}, {tid}, "ts": {ts}}}')
+        else:
+            append(
+                f', {{{head}"cat": {_text(category or "async")}, '
+                f'"id": {_text(correlation)}, "name": {name}, '
+                f'"ph": "{_ASYNC_PHASES[kind]}", {pid}, {tid}, "ts": {ts}}}'
+            )
 
     other: dict = {
         "generator": "repro.obs",
@@ -126,24 +156,33 @@ def chrome_trace(tracer: Tracer) -> dict:
     metadata = getattr(tracer, "sampling_metadata", None)
     if metadata is not None:
         other["sampling"] = dict(metadata())
+    chunks[0] = (
+        f'{{"displayTimeUnit": "ms", "otherData": {json.dumps(other, sort_keys=True)}, '
+        f'"traceEvents": ['
+    )
+    if len(chunks) > 1:
+        chunks[1] = chunks[1][2:]  # the first event has no separator
+    append("]}")
+    return chunks
 
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": other,
-    }
+
+def chrome_trace_json(tracer: Tracer) -> str:
+    """The tracer's records as a byte-deterministic Chrome-trace JSON text."""
+    return "".join(_chunks(tracer))
 
 
-def chrome_trace_json(tracer: Tracer, indent: int | None = None) -> str:
-    """Byte-deterministic JSON rendering of :func:`chrome_trace`."""
-    return json.dumps(chrome_trace(tracer), indent=indent, sort_keys=True)
+def chrome_trace(tracer: Tracer) -> dict:
+    """The Chrome trace-event document of :func:`chrome_trace_json`, parsed."""
+    return json.loads(chrome_trace_json(tracer))
 
 
 def write_chrome_trace(tracer: Tracer, path) -> Path:
-    """Write the trace JSON to ``path`` (parent directories created)."""
+    """Write the trace JSON and a newline to ``path`` (parent directories created)."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(chrome_trace_json(tracer) + "\n")
+    with target.open("w", encoding="ascii") as handle:
+        handle.writelines(_chunks(tracer))
+        handle.write("\n")
     return target
 
 

@@ -39,7 +39,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
-from .trace import ASYNC_BEGIN, ASYNC_END, TraceRecord, Tracer
+from .trace import (
+    ASYNC_BEGIN, ASYNC_END, COUNTER, INSTANT, SPAN, TraceRecord, Tracer,
+)
 
 __all__ = ["SamplingConfig", "SamplingTracer", "parse_sampling_spec"]
 
@@ -284,46 +286,67 @@ class SamplingTracer(Tracer):
                 self._stats["head_kept"] -= 1
 
     # ------------------------------------------------------------- recording
+    def _decimated(self, track: str, category: str) -> bool:
+        """Whether ``track``'s reservoir drops the next record.
+
+        A dropped record is counted as seen and dropped right here, exactly
+        as :meth:`_TrackReservoir.offer` would count it, so the recording
+        methods never build a record only for a reservoir to discard it.
+        Request lifecycle records never reach this check.
+        """
+        reservoir = self._tracks.get(track)
+        if (
+            reservoir is None
+            or not reservoir.seen % reservoir.stride
+            or category in _EXEMPT_CATEGORIES
+        ):
+            return False
+        reservoir.seen += 1
+        reservoir.dropped += 1
+        self._seq += 1
+        return True
+
     def add_span(self, name, track, start_ms, end_ms, *, category="", args=None):
-        self._ingest(
-            TraceRecord(
-                kind="span", name=name, track=track, ts_ms=start_ms,
-                dur_ms=max(0.0, end_ms - start_ms), category=category, args=args,
-            )
-        )
+        if self._decimated(track, category):
+            return
+        self._ingest(TraceRecord(
+            SPAN, name, track, start_ms, max(0.0, end_ms - start_ms), category,
+            None, args,
+        ))
 
     def instant(self, name, track, ts_ms=None, *, category="", args=None):
-        self._ingest(
-            TraceRecord(
-                kind="instant", name=name, track=track,
-                ts_ms=self.now_ms() if ts_ms is None else ts_ms,
-                category=category, args=args,
-            )
-        )
+        # Read the clock even for a dropped instant: an injected clock may
+        # tick on every read.
+        if ts_ms is None:
+            ts_ms = self.now_ms()
+        if self._decimated(track, category):
+            return
+        self._ingest(TraceRecord(INSTANT, name, track, ts_ms, 0.0, category, None, args))
 
     def counter(self, name, track, ts_ms, values):
-        self._ingest(
-            TraceRecord(
-                kind="counter", name=name, track=track, ts_ms=ts_ms,
-                args=dict(values),
-            )
-        )
+        if self._decimated(track, ""):
+            return
+        self._ingest(TraceRecord(COUNTER, name, track, ts_ms, 0.0, "", None, dict(values)))
 
     def async_begin(self, name, track, correlation, ts_ms, *, category="", args=None):
-        self._ingest(
-            TraceRecord(
-                kind="async_begin", name=name, track=track, ts_ms=ts_ms,
-                category=category, correlation=correlation, args=args,
-            )
-        )
+        if (
+            (category != "request" or correlation is None)
+            and self._decimated(track, category)
+        ):
+            return
+        self._ingest(TraceRecord(
+            ASYNC_BEGIN, name, track, ts_ms, 0.0, category, correlation, args,
+        ))
 
     def async_end(self, name, track, correlation, ts_ms, *, category="", args=None):
-        self._ingest(
-            TraceRecord(
-                kind="async_end", name=name, track=track, ts_ms=ts_ms,
-                category=category, correlation=correlation, args=args,
-            )
-        )
+        if (
+            (category != "request" or correlation is None)
+            and self._decimated(track, category)
+        ):
+            return
+        self._ingest(TraceRecord(
+            ASYNC_END, name, track, ts_ms, 0.0, category, correlation, args,
+        ))
 
     # --------------------------------------------------------------- metadata
     def sampling_metadata(self) -> Mapping[str, object]:

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "NULL_TRACER",
@@ -46,9 +45,14 @@ SPAN, INSTANT, COUNTER, ASYNC_BEGIN, ASYNC_END = (
 )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One recorded trace event (exporter-agnostic form)."""
+class TraceRecord(NamedTuple):
+    """One recorded trace event (exporter-agnostic form).
+
+    A tuple rather than an object with a ``__dict__``: a replay retains tens
+    of thousands of records, so each one costs only its eight slots.  The
+    ``args`` mapping is read-only by contract; one mapping may be shared by
+    many records (every dispatch of a plan replays the same kernel args).
+    """
 
     #: One of ``span`` / ``instant`` / ``counter`` / ``async_begin`` /
     #: ``async_end``.
@@ -116,12 +120,10 @@ class Tracer:
         args: Mapping[str, object] | None = None,
     ) -> None:
         """Record a complete span with explicit (e.g. virtual-clock) times."""
-        self.records.append(
-            TraceRecord(
-                kind=SPAN, name=name, track=track, ts_ms=start_ms,
-                dur_ms=max(0.0, end_ms - start_ms), category=category, args=args,
-            )
-        )
+        self.records.append(TraceRecord(
+            SPAN, name, track, start_ms, max(0.0, end_ms - start_ms), category,
+            None, args,
+        ))
 
     @contextmanager
     def span(
@@ -161,13 +163,10 @@ class Tracer:
         args: Mapping[str, object] | None = None,
     ) -> None:
         """Record a zero-duration marker (batch close, scale event, reject)."""
-        self.records.append(
-            TraceRecord(
-                kind=INSTANT, name=name, track=track,
-                ts_ms=self.now_ms() if ts_ms is None else ts_ms,
-                category=category, args=args,
-            )
-        )
+        self.records.append(TraceRecord(
+            INSTANT, name, track, self.now_ms() if ts_ms is None else ts_ms, 0.0,
+            category, None, args,
+        ))
 
     def counter(
         self,
@@ -177,12 +176,9 @@ class Tracer:
         values: Mapping[str, float],
     ) -> None:
         """Record a counter sample (rendered as a stacked area row)."""
-        self.records.append(
-            TraceRecord(
-                kind=COUNTER, name=name, track=track, ts_ms=ts_ms,
-                args=dict(values),
-            )
-        )
+        self.records.append(TraceRecord(
+            COUNTER, name, track, ts_ms, 0.0, "", None, dict(values),
+        ))
 
     def async_begin(
         self,
@@ -200,12 +196,9 @@ class Tracer:
         lane of the track, so concurrent request lifecycles each render as
         their own nested group instead of colliding on a single row.
         """
-        self.records.append(
-            TraceRecord(
-                kind=ASYNC_BEGIN, name=name, track=track, ts_ms=ts_ms,
-                category=category, correlation=correlation, args=args,
-            )
-        )
+        self.records.append(TraceRecord(
+            ASYNC_BEGIN, name, track, ts_ms, 0.0, category, correlation, args,
+        ))
 
     def async_end(
         self,
@@ -218,12 +211,9 @@ class Tracer:
         args: Mapping[str, object] | None = None,
     ) -> None:
         """Close the async span opened with the same ``(category, correlation)``."""
-        self.records.append(
-            TraceRecord(
-                kind=ASYNC_END, name=name, track=track, ts_ms=ts_ms,
-                category=category, correlation=correlation, args=args,
-            )
-        )
+        self.records.append(TraceRecord(
+            ASYNC_END, name, track, ts_ms, 0.0, category, correlation, args,
+        ))
 
     # ----------------------------------------------------------------- queries
     def spans(self, track: str | None = None) -> list[TraceRecord]:

@@ -10,8 +10,13 @@ dispatched batch down to its kernel/stream placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
-__all__ = ["StageEvent", "KernelEvent", "add_execution_spans"]
+__all__ = [
+    "ExecutionSpan", "KernelEvent", "StageEvent", "add_execution_spans",
+    "execution_spans",
+]
 
 
 @dataclass(frozen=True)
@@ -57,34 +62,56 @@ class StageEvent:
         return (self.flops / (self.duration_ms / 1e3)) / 1e12
 
 
-def add_execution_spans(tracer, result, track_prefix: str, offset_ms: float) -> None:
-    """Replay an execution's stage/kernel events as child spans of a dispatch.
+#: One replayable span of an execution: ``(name, track suffix, start_ms,
+#: end_ms, category, args)`` with plan-local times.
+ExecutionSpan = tuple[str, str, float, float, str, Mapping[str, object]]
+
+
+def execution_spans(result) -> tuple[ExecutionSpan, ...]:
+    """An execution's stage and kernel events as replayable spans.
 
     ``result`` is anything exposing ``stage_events()`` / ``kernel_events()``
     (an :class:`~repro.runtime.executor.ExecutionResult`; duck-typed to avoid
-    an import cycle).  Event times are plan-local, so ``offset_ms`` — the
-    dispatch's start on the virtual clock — re-bases them; the worker pool
-    memoises one simulated execution per plan, and every dispatch of that
-    plan replays the same events at its own start time.  Stage spans land on
-    ``"<track_prefix>/stages"``; kernels go to one ``"<track_prefix>/stream
-    N"`` track per stream, where concurrent kernels of a stage overlap
-    without colliding.
+    an import cycle).  Stage spans come first, on the ``"/stages"`` suffix;
+    kernels follow, one ``"/stream N"`` suffix per stream, where concurrent
+    kernels of a stage overlap without colliding.  The args mappings are
+    read-only views: every replay of the execution shares them.
     """
-    for event in result.stage_events():
-        tracer.add_span(
-            event.label, f"{track_prefix}/stages",
-            offset_ms + event.start_ms, offset_ms + event.end_ms,
-            category="stage",
-            args={
+    stages = [
+        (
+            event.label, "/stages", event.start_ms, event.end_ms, "stage",
+            MappingProxyType({
                 "strategy": event.strategy,
                 "groups": event.num_groups,
                 "kernels": event.num_kernels,
                 "gflops": event.gflops,
-            },
+            }),
         )
-    for event in result.kernel_events():
-        tracer.add_span(
-            event.kernel_name, f"{track_prefix}/stream {event.stream}",
-            offset_ms + event.start_ms, offset_ms + event.end_ms,
-            category="kernel", args={"stage": event.stage_index},
+        for event in result.stage_events()
+    ]
+    kernels = [
+        (
+            event.kernel_name, f"/stream {event.stream}", event.start_ms,
+            event.end_ms, "kernel", MappingProxyType({"stage": event.stage_index}),
+        )
+        for event in result.kernel_events()
+    ]
+    return (*stages, *kernels)
+
+
+def add_execution_spans(tracer, result, track_prefix: str, offset_ms: float) -> None:
+    """Replay an execution's stage/kernel spans as child spans of a dispatch.
+
+    ``result`` is an :class:`~repro.runtime.executor.ExecutionResult`, whose
+    ``trace_spans`` renders :func:`execution_spans` once.  Span times are
+    plan-local, so ``offset_ms`` — the dispatch's start on the virtual clock
+    — re-bases them, and ``track_prefix`` (the worker) prefixes each track:
+    every dispatch of a plan replays the same cached execution at its own
+    start time.
+    """
+    add_span = tracer.add_span
+    for name, suffix, start_ms, end_ms, category, args in result.trace_spans:
+        add_span(
+            name, track_prefix + suffix, offset_ms + start_ms, offset_ms + end_ms,
+            category=category, args=args,
         )

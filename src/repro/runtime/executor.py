@@ -16,6 +16,7 @@ its :class:`~repro.core.schedule.Schedule` objects into plans, but baselines
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from ..hardware.contention import SimulationResult, TimelineSegment, simulate_streams
@@ -23,7 +24,7 @@ from ..hardware.device import DeviceSpec
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile, KernelSpec, build_kernel
 from ..ir.graph import Graph
 from ..ir.ops import Operator
-from .events import KernelEvent, StageEvent
+from .events import ExecutionSpan, KernelEvent, StageEvent, execution_spans
 
 __all__ = ["ExecutionStage", "ExecutionPlan", "StageResult", "ExecutionResult", "Executor",
            "sequential_plan", "plan_flops"]
@@ -115,6 +116,15 @@ class ExecutionResult:
 
     def kernel_events(self) -> list[KernelEvent]:
         return [event for stage in self.stage_results for event in stage.kernel_events]
+
+    @cached_property
+    def trace_spans(self) -> tuple[ExecutionSpan, ...]:
+        """:func:`~repro.runtime.events.execution_spans`, rendered once.
+
+        Serving replays one cached execution per plan for every dispatch, so
+        the spans and their args are built on the first replay and shared.
+        """
+        return execution_spans(self)
 
 
 class Executor:

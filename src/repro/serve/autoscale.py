@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..hardware.device import DeviceSpec
+from .request import require_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..obs.alerts import AlertEvent
@@ -53,8 +54,8 @@ class AutoscaleConfig:
     cooldown_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.min_workers <= 0:
-            raise ValueError(f"min_workers must be positive, got {self.min_workers}")
+        require_positive_int("min_workers", self.min_workers)
+        require_positive_int("max_workers", self.max_workers)
         if self.max_workers < self.min_workers:
             raise ValueError(
                 f"max_workers ({self.max_workers}) must be >= min_workers "

@@ -26,6 +26,7 @@ from typing import Sequence
 
 from ..hardware.device import DeviceSpec
 from .registry import ScheduleRegistry
+from .request import require_positive_int
 
 __all__ = ["BatchPolicy", "BatchSizeSelector"]
 
@@ -40,8 +41,7 @@ class BatchPolicy:
     max_wait_ms: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.max_batch_size <= 0:
-            raise ValueError(f"max_batch_size must be positive, got {self.max_batch_size}")
+        require_positive_int("max_batch_size", self.max_batch_size)
         if not (math.isfinite(self.max_wait_ms) and self.max_wait_ms >= 0):
             raise ValueError(
                 f"max_wait_ms must be a finite number >= 0, got {self.max_wait_ms}"
@@ -55,6 +55,24 @@ class BatchPolicy:
         deadline with it.
         """
         return first_arrival_ms + self.max_wait_ms
+
+
+def check_ladder(batch_sizes: Sequence[int]) -> None:
+    """Raise a ``ValueError`` naming ``batch_sizes`` unless it is a valid ladder.
+
+    A ladder is a non-empty set of positive int rungs.  A rung names a
+    compiled graph's batch size: a float, a bool or a non-positive rung would
+    compile (or fail) far from the config that declared it.
+    """
+    if not batch_sizes:
+        raise ValueError("batch_sizes ladder must not be empty")
+    for size in batch_sizes:
+        try:
+            require_positive_int("batch_sizes rung", size)
+        except ValueError as error:
+            raise ValueError(f"{error} in {tuple(batch_sizes)!r}") from None
+    if len(set(batch_sizes)) != len(batch_sizes):
+        raise ValueError(f"batch_sizes must not repeat a rung, got {tuple(batch_sizes)!r}")
 
 
 class BatchSizeSelector:
@@ -73,10 +91,7 @@ class BatchSizeSelector:
     """
 
     def __init__(self, registry: ScheduleRegistry, batch_sizes: Sequence[int]):
-        if not batch_sizes:
-            raise ValueError("batch_sizes ladder must not be empty")
-        if len(set(batch_sizes)) != len(batch_sizes):
-            raise ValueError(f"duplicate batch sizes in ladder: {batch_sizes}")
+        check_ladder(batch_sizes)
         self.registry = registry
         self.batch_sizes = sorted(batch_sizes)
         #: Memoised candidate latency keyed by (model, device, rung); it also

@@ -43,7 +43,7 @@ from ..obs.timeseries import TimeSeriesRegistry, WatchRenderer
 from ..obs.trace import NULL_TRACER, Tracer
 from .admission import AdmissionPolicy, get_admission_policy
 from .autoscale import AutoscaleConfig, Autoscaler
-from .batcher import BatchPolicy, BatchSizeSelector
+from .batcher import BatchPolicy, BatchSizeSelector, check_ladder
 from .fleet import FleetSpec, Router, get_router
 from .loop import LoopResult, ServingLoop
 from .metrics import ServingReport, build_report
@@ -121,18 +121,7 @@ class ServingConfig:
                 )
         if not self.devices:
             raise ValueError("serving needs at least one device")
-        if not self.batch_sizes:
-            raise ValueError("batch_sizes ladder must not be empty")
-        # A rung names a compiled graph's batch size: a float, a bool or a
-        # non-positive rung would compile (or fail) far from this config.
-        for size in self.batch_sizes:
-            if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
-                raise ValueError(
-                    f"batch_sizes rungs must be positive ints, got {size!r} "
-                    f"in {self.batch_sizes!r}"
-                )
-        if len(set(self.batch_sizes)) != len(self.batch_sizes):
-            raise ValueError(f"batch_sizes must not repeat a rung, got {self.batch_sizes!r}")
+        check_ladder(self.batch_sizes)
         # Resolve router names eagerly so a typo fails at config time, not
         # mid-run; the service builds the instance.  A Router instance is
         # kept as-is (get_router passes it through).

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .request import InferenceRequest
+from .request import InferenceRequest, require_positive_int
 
 __all__ = ["TrafficConfig", "TrafficGenerator", "poisson_arrivals", "bursty_arrivals",
            "bursty_arrival_bursts", "uniform_arrivals"]
@@ -101,6 +101,21 @@ def uniform_arrivals(num_requests: int, rate_rps: float, rng: random.Random) -> 
     return [index * gap_ms for index in range(num_requests)]
 
 
+def _check_weights(field: str, weights: tuple[float, ...]) -> None:
+    """Raise a ``ValueError`` naming ``field`` unless ``weights`` can be drawn from.
+
+    ``random.choices`` accepts a negative weight and silently skews the mix;
+    a NaN or infinite weight, or weights summing to zero, break the draw.
+    """
+    for weight in weights:
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(
+                f"{field} must be finite numbers >= 0, got {weight} in {weights!r}"
+            )
+    if not sum(weights) > 0:
+        raise ValueError(f"{field} must not sum to zero, got {weights!r}")
+
+
 @dataclass(frozen=True)
 class TrafficConfig:
     """One reproducible synthetic workload."""
@@ -137,6 +152,11 @@ class TrafficConfig:
             raise ValueError("sample_sizes and sample_weights must have equal length")
         if not self.sample_sizes:
             raise ValueError("sample_sizes must not be empty")
+        for size in self.sample_sizes:
+            require_positive_int("sample_sizes entry", size)
+        _check_weights("sample_weights", self.sample_weights)
+        if self.burst_size < 1:
+            raise ValueError(f"burst_size must be >= 1, got {self.burst_size}")
         if not (math.isfinite(self.rate_rps) and self.rate_rps > 0):
             raise ValueError(f"rate_rps must be a finite number > 0, got {self.rate_rps}")
         if not (math.isfinite(self.burst_gap_ms) and self.burst_gap_ms > 0):
@@ -149,6 +169,7 @@ class TrafficConfig:
             raise ValueError("priorities and priority_weights must have equal length")
         if not self.priorities:
             raise ValueError("priorities must not be empty")
+        _check_weights("priority_weights", self.priority_weights)
 
     def capped_to(self, max_samples: int) -> "TrafficConfig":
         """A copy whose per-request sample counts all fit ``max_samples``.

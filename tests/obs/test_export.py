@@ -3,9 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
-from repro.obs import Tracer, chrome_trace, chrome_trace_json, validate_chrome_trace
+from hypothesis import given, settings, strategies as st
+
+from repro.obs import (
+    SamplingConfig,
+    SamplingTracer,
+    Tracer,
+    chrome_trace,
+    chrome_trace_json,
+    validate_chrome_trace,
+)
 from repro.obs.export import write_chrome_trace
+from repro.obs.trace import ASYNC_BEGIN, ASYNC_END, COUNTER, INSTANT, SPAN
 
 
 def sample_tracer() -> Tracer:
@@ -110,3 +123,188 @@ class TestValidateChromeTrace:
             if not (event["ph"] == "M" and event["name"] == "thread_name")
         ]
         assert any("thread_name" in e for e in validate_chrome_trace(document))
+
+
+# --------------------------------------------------------------------------- #
+# The direct writer against a dict-building oracle                             #
+# --------------------------------------------------------------------------- #
+#: The exporter as a dict builder handed to ``json.dumps``, kept verbatim as
+#: the oracle the direct writer must match byte for byte.
+_PHASES = {SPAN: "X", INSTANT: "i", COUNTER: "C", ASYNC_BEGIN: "b", ASYNC_END: "e"}
+
+
+def _split_track(track: str) -> tuple[str, str]:
+    if "/" in track:
+        process, thread = track.split("/", 1)
+        return process, thread
+    return "main", track
+
+
+def oracle_chrome_trace(tracer: Tracer) -> dict:
+    events: list[dict] = []
+    pids: dict[str, int] = {}
+    tids: dict[tuple[str, str], int] = {}
+    threads: dict[str, int] = {}
+    rows: dict[str, tuple[int, int]] = {}
+
+    def row(track: str) -> tuple[int, int]:
+        process, thread = _split_track(track)
+        if process not in pids:
+            pid = len(pids) + 1
+            pids[process] = pid
+            threads[process] = 0
+            events.append(
+                {
+                    "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                    "args": {"name": process},
+                }
+            )
+            events.append(
+                {
+                    "name": "process_sort_index", "ph": "M", "pid": pid, "tid": 0,
+                    "args": {"sort_index": pid},
+                }
+            )
+        pid = pids[process]
+        if (process, thread) not in tids:
+            tid = threads[process] + 1
+            threads[process] = tid
+            tids[(process, thread)] = tid
+            events.append(
+                {
+                    "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+                    "args": {"name": thread},
+                }
+            )
+            events.append(
+                {
+                    "name": "thread_sort_index", "ph": "M", "pid": pid, "tid": tid,
+                    "args": {"sort_index": tid},
+                }
+            )
+        rows[track] = pid, tids[(process, thread)]
+        return rows[track]
+
+    for record in tracer.records:
+        pid, tid = rows.get(record.track) or row(record.track)
+        event: dict = {
+            "name": record.name,
+            "ph": _PHASES[record.kind],
+            "ts": record.ts_ms * 1e3,
+            "pid": pid,
+            "tid": tid,
+        }
+        if record.category:
+            event["cat"] = record.category
+        if record.kind == SPAN:
+            event["dur"] = record.dur_ms * 1e3
+        elif record.kind == INSTANT:
+            event["s"] = "t"  # thread-scoped marker
+        elif record.kind in (ASYNC_BEGIN, ASYNC_END):
+            event["cat"] = record.category or "async"
+            event["id"] = record.correlation
+        if record.args:
+            event["args"] = dict(record.args)
+        events.append(event)
+
+    other: dict = {
+        "generator": "repro.obs",
+        "trackCount": len(tids),
+    }
+    metadata = getattr(tracer, "sampling_metadata", None)
+    if metadata is not None:
+        other["sampling"] = dict(metadata())
+
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": other,
+    }
+
+
+#: Characters JSON must escape, or that ASCII output must escape.
+_AWKWARD = st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+                            "é", "\u2028", "😀", "\ud800"])
+_text = st.text(st.one_of(_AWKWARD, st.characters()), max_size=6)
+_track = st.one_of(
+    st.sampled_from(["serving/requests", "worker 0 (v100)/stream 1", "bare", "a/b/c"]),
+    _text,
+)
+_time = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e-7, 123.456]),
+    st.integers(-10**6, 10**6),
+)
+_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64),
+    st.floats(allow_nan=True, allow_infinity=True), _text,
+)
+_json_value = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_text, inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_args = st.dictionaries(_text, _json_value, max_size=4)
+_category = st.one_of(st.just(""), _text)
+_correlation = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**63),
+)
+_record = st.tuples(
+    st.sampled_from(["span", "instant", "counter", "async_begin", "async_end"]),
+    _text, _track, _time, _time, _category, _correlation,
+    # An index into a pool of args mappings, so records share some of them;
+    # ``None`` records no args.
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+
+
+def _fill(tracer: Tracer, records, pool) -> Tracer:
+    for kind, name, track, ts, end, category, correlation, pick in records:
+        args = None if pick is None else pool[pick % len(pool)]
+        if kind == "span":
+            tracer.add_span(name, track, ts, end, category=category, args=args)
+        elif kind == "instant":
+            tracer.instant(name, track, ts, category=category, args=args)
+        elif kind == "counter":
+            values = {key: value for key, value in (args or {}).items()
+                      if isinstance(value, float)}
+            tracer.counter(name, track, ts, values)
+        elif kind == "async_begin":
+            tracer.async_begin(name, track, correlation, ts, category=category, args=args)
+        else:
+            tracer.async_end(name, track, correlation, ts, category=category, args=args)
+    return tracer
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_record, max_size=15),
+    st.lists(_args, min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_the_writer_matches_the_dict_building_oracle(records, pool, sampled):
+    if sampled:
+        # Request lifecycles need matched begin/end pairs; these records are
+        # arbitrary, so the sampler sees them on its track reservoirs only.
+        records = [record for record in records if record[5] != "request"]
+        tracer = SamplingTracer(SamplingConfig(track_budget=2))
+    else:
+        tracer = Tracer()
+    _fill(tracer, records, pool)
+    text = chrome_trace_json(tracer)
+    assert text == json.dumps(oracle_chrome_trace(tracer), sort_keys=True)
+    with tempfile.TemporaryDirectory() as directory:
+        target = write_chrome_trace(tracer, Path(directory) / "trace.json")
+        assert target.read_bytes() == (text + "\n").encode("ascii")
+
+
+def test_chrome_trace_is_the_parsed_json():
+    tracer = sample_tracer()
+    tracer.add_span("nan", "main", math.nan, math.inf, args={"x": -math.inf})
+    document = chrome_trace(tracer)
+    assert json.dumps(document, sort_keys=True) == chrome_trace_json(tracer)
+    assert json.dumps(oracle_chrome_trace(tracer), sort_keys=True) == chrome_trace_json(
+        tracer
+    )

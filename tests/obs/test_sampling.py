@@ -12,6 +12,9 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.obs.export import chrome_trace
+from repro.obs.trace import (
+    ASYNC_BEGIN, ASYNC_END, COUNTER, INSTANT, SPAN, TraceRecord,
+)
 
 
 def _request(
@@ -282,23 +285,43 @@ def _apply(tracer: SamplingTracer, operation, state: dict) -> None:
             tracer.add_span("conv", track, now, now + 0.25, category="kernel")
         elif operation[2] == "counter":
             tracer.counter("queue depth", track, now, {"requests": 1.0})
+        elif operation[2] == "async":
+            tracer.async_begin("copy", track, operation[1], now, category="transfer")
+            tracer.async_end("copy", track, operation[1], now + 0.25, category="transfer")
         else:
             tracer.instant("batch-close", track, now, category="batch")
     elif kind == "exempt":
         tracer.instant(f"{operation[1]} event", f"serving/{operation[1]}", now,
                        category=operation[1])
+    elif kind == "exempt on track":
+        tracer.instant(f"{operation[2]} event", f"worker {operation[1]} (k80)/stream 0",
+                       now, category=operation[2])
 
 
 class _RecountingTracer(SamplingTracer):
-    """Checks the running counts against a full rescan after every record."""
+    """Checks the running counts against a full rescan after every record.
+
+    A record its track reservoir drops is never built, so it is counted
+    where the sampler decides that, not in ``_ingest``.
+    """
 
     def __init__(self, config: SamplingConfig):
         self.emitted = self.peak_retained = self.peak_request_records = 0
         super().__init__(config)
 
+    def _decimated(self, track, category) -> bool:
+        dropped = super()._decimated(track, category)
+        if dropped:
+            self.emitted += 1
+            self._recount()
+        return dropped
+
     def _ingest(self, record) -> None:
         super()._ingest(record)
         self.emitted += 1
+        self._recount()
+
+    def _recount(self) -> None:
         kept_requests = sum(len(group) for group in self._kept_groups.values())
         open_requests = sum(len(group) for _, group in self._open.values())
         track_records = sum(len(r.kept) for r in self._tracks.values())
@@ -335,3 +358,91 @@ def test_running_counts_equal_a_brute_force_recount(
     assert tracer.emitted == tracer._seq
     tracer.clear()
     assert len(tracer) == tracer._open_records() == 0
+
+
+# --------------------------------------------------------------------------- #
+# Dropping before building equals building, then offering                     #
+# --------------------------------------------------------------------------- #
+class _BuildThenOffer(SamplingTracer):
+    """The sampler with every record built and offered to its reservoir."""
+
+    def add_span(self, name, track, start_ms, end_ms, *, category="", args=None):
+        self._ingest(TraceRecord(
+            SPAN, name, track, start_ms, max(0.0, end_ms - start_ms), category,
+            None, args,
+        ))
+
+    def instant(self, name, track, ts_ms=None, *, category="", args=None):
+        ts_ms = self.now_ms() if ts_ms is None else ts_ms
+        self._ingest(TraceRecord(INSTANT, name, track, ts_ms, 0.0, category, None, args))
+
+    def counter(self, name, track, ts_ms, values):
+        self._ingest(TraceRecord(COUNTER, name, track, ts_ms, 0.0, "", None, dict(values)))
+
+    def async_begin(self, name, track, correlation, ts_ms, *, category="", args=None):
+        self._ingest(TraceRecord(
+            ASYNC_BEGIN, name, track, ts_ms, 0.0, category, correlation, args,
+        ))
+
+    def async_end(self, name, track, correlation, ts_ms, *, category="", args=None):
+        self._ingest(TraceRecord(
+            ASYNC_END, name, track, ts_ms, 0.0, category, correlation, args,
+        ))
+
+
+#: Like ``_operations``, but on three tracks, so their reservoirs halve often,
+#: with the exempt instants written onto those same tracks.
+_dense_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("open"), st.sampled_from([None, 2.0, 5.0])),
+        st.tuples(st.just("phase"), st.integers(0, 7)),
+        st.tuples(
+            st.just("close"), st.integers(0, 7),
+            st.floats(0.0, 10.0, allow_nan=False), st.booleans(),
+        ),
+        st.tuples(
+            st.just("track"), st.integers(0, 2),
+            st.sampled_from(["span", "counter", "instant", "async"]),
+        ),
+        st.tuples(
+            st.just("exempt on track"), st.integers(0, 2),
+            st.sampled_from(["alert", "autoscale"]),
+        ),
+    ),
+    max_size=150,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dense_operations, st.integers(1, 12), st.integers(2, 5))
+def test_halving_reservoirs_keep_what_build_then_offer_keeps(
+    operations, max_records, track_budget
+):
+    config = SamplingConfig(
+        max_records=max_records, head_every=3, track_budget=track_budget,
+    )
+    sampler, reference = SamplingTracer(config), _BuildThenOffer(config)
+    for tracer in (sampler, reference):
+        state = {"now": 0.0, "next_id": 1, "open": {}}
+        for operation in operations:
+            _apply(tracer, operation, state)
+    assert sampler.records == reference.records
+    assert sampler.sampling_metadata() == reference.sampling_metadata()
+    assert len(sampler) == len(reference)
+    assert sampler._seq == reference._seq
+
+
+def test_a_decimated_record_is_never_built(monkeypatch):
+    tracer = SamplingTracer(SamplingConfig(track_budget=2))
+    built = []
+    monkeypatch.setattr(
+        "repro.obs.sampling.TraceRecord",
+        lambda *fields: built.append(fields) or TraceRecord(*fields),
+    )
+    for step in range(8):
+        tracer.add_span("conv", "worker 0 (k80)/stream 0", step, step + 1.0)
+    # Kept: 0, 1 (halves to 0, stride 2), 2 (halves to 0, stride 4), 4 (halves
+    # to 0, stride 8); 3, 5, 6 and 7 are dropped unbuilt.
+    assert [fields[3] for fields in built] == [0, 1, 2, 4]
+    assert [record.ts_ms for record in tracer.records] == [0]
+    assert tracer.sampling_metadata()["records"]["dropped"] == 7

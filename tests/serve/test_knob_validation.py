@@ -1,9 +1,10 @@
-"""Serving knobs reject NaN, infinities and malformed batch-size ladders.
+"""Serving knobs reject NaN, infinities, non-integer counts and bad ladders.
 
 NaN compares false against every bound, so a plain ``< 0`` check lets it
 through: a NaN ``max_wait_ms`` silently halves the batches and multiplies the
-p99, an infinite one makes the makespan infinite.  Each knob fails at
-construction with a ``ValueError`` that names it.
+p99, an infinite one makes the makespan infinite.  A count that is a bool or
+a float passes a ``<= 0`` check too (``True`` silently means 1).  Each knob
+fails at construction with a ``ValueError`` that names it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import pytest
 
 from repro.experiments.cli import main
 from repro.obs import TimeSeriesRegistry
-from repro.serve import AutoscaleConfig, BatchPolicy, ServingConfig, TrafficConfig
+from repro.serve import (
+    AutoscaleConfig,
+    BatchPolicy,
+    BatchSizeSelector,
+    ServingConfig,
+    TrafficConfig,
+    TrafficGenerator,
+)
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -54,3 +62,85 @@ def test_cli_rejects_a_non_finite_flag_with_a_usage_error(flag, capsys):
 def test_malformed_ladder_is_rejected_at_config_time(ladder):
     with pytest.raises(ValueError, match="batch_sizes"):
         ServingConfig(model="squeezenet", batch_sizes=ladder)
+
+
+NOT_COUNTS = (True, False, 2.0, 2.5, "2", None, 0, -1)
+
+
+@pytest.mark.parametrize(
+    "field,build",
+    [
+        ("max_batch_size", lambda value: BatchPolicy(value, 2.0)),
+        ("min_workers", lambda value: AutoscaleConfig(min_workers=value, max_workers=4)),
+        ("max_workers", lambda value: AutoscaleConfig(min_workers=1, max_workers=value)),
+    ],
+    ids=["max_batch_size", "min_workers", "max_workers"],
+)
+@pytest.mark.parametrize("value", NOT_COUNTS, ids=repr)
+def test_a_count_that_is_not_a_positive_int_is_rejected_by_name(field, build, value):
+    with pytest.raises(ValueError, match=field):
+        build(value)
+
+
+def test_bool_batch_size_no_longer_means_one():
+    with pytest.raises(ValueError, match="max_batch_size"):
+        BatchPolicy(True, 2.0)
+    assert BatchPolicy(1, 2.0).max_batch_size == 1
+
+
+@pytest.mark.parametrize(
+    "field,overrides",
+    [
+        ("sample_sizes", dict(sample_sizes=(0, 1), sample_weights=(0.5, 0.5))),
+        ("sample_sizes", dict(sample_sizes=(1.5,), sample_weights=(1.0,))),
+        ("sample_sizes", dict(sample_sizes=(True, 2), sample_weights=(0.5, 0.5))),
+        ("sample_sizes", dict(sample_sizes=(-4,), sample_weights=(1.0,))),
+        ("burst_size", dict(pattern="bursty", burst_size=0)),
+        ("burst_size", dict(burst_size=-3)),
+        ("sample_weights", dict(sample_weights=(-0.1, 0.6, 0.5))),
+        ("sample_weights", dict(sample_weights=(math.nan, 0.5, 0.5))),
+        ("sample_weights", dict(sample_weights=(math.inf, 0.5, 0.5))),
+        ("sample_weights", dict(sample_weights=(0.0, 0.0, 0.0))),
+        ("priority_weights", dict(priorities=(0, 1), priority_weights=(-1.0, 2.0))),
+        ("priority_weights", dict(priorities=(0, 1), priority_weights=(math.nan, 1.0))),
+        ("priority_weights", dict(priorities=(0, 1), priority_weights=(1.0, -math.inf))),
+        ("priority_weights", dict(priorities=(0,), priority_weights=(0.0,))),
+    ],
+    ids=[
+        "zero-size", "float-size", "bool-size", "negative-size", "zero-burst",
+        "negative-burst", "negative-weight", "nan-weight", "inf-weight",
+        "zero-sum-weights", "negative-priority-weight", "nan-priority-weight",
+        "inf-priority-weight", "zero-sum-priority-weights",
+    ],
+)
+def test_malformed_traffic_is_rejected_at_construction(field, overrides):
+    with pytest.raises(ValueError, match=field):
+        TrafficConfig(**overrides)
+
+
+def test_valid_traffic_still_generates():
+    config = TrafficConfig(
+        pattern="bursty", num_requests=40, burst_size=1, sample_sizes=(1, 3),
+        sample_weights=(0.0, 2.0), priorities=(0, 2), priority_weights=(1, 0),
+        seed=4,
+    )
+    requests = TrafficGenerator(config).generate()
+    assert {request.num_samples for request in requests} == {3}
+    assert {request.priority for request in requests} == {0}
+
+
+@pytest.mark.parametrize(
+    "ladder", [(1.5, 2), (True, 2), (0, 1, 2), (-2, 4), (1, 2, 2), ()],
+    ids=["float", "bool", "zero", "negative", "duplicate", "empty"],
+)
+def test_the_selector_shares_the_config_ladder_check(ladder):
+    with pytest.raises(ValueError, match="batch_sizes"):
+        BatchSizeSelector(registry=None, batch_sizes=ladder)
+
+
+@pytest.mark.parametrize("ladder", ["0,1", "1,2,2", "-2,4", ","])
+def test_cli_reports_a_malformed_ladder_from_the_config(ladder, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--model", "squeezenet", f"--batch-sizes={ladder}"])
+    assert exit_info.value.code == 2
+    assert "batch_sizes" in capsys.readouterr().err

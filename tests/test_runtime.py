@@ -6,6 +6,7 @@ import pytest
 
 from repro.frontend import load
 from repro.models import figure2_block
+from repro.obs import Tracer
 from repro.runtime import (
     ExecutionPlan,
     ExecutionStage,
@@ -17,6 +18,7 @@ from repro.runtime import (
     sequential_plan,
     trace_from_timeline,
 )
+from repro.runtime.events import add_execution_spans
 
 
 class TestExecutor:
@@ -68,6 +70,38 @@ class TestExecutor:
         kernel_events = result.kernel_events()
         assert len(kernel_events) == 5
         assert kernel_events[1].start_ms >= kernel_events[0].end_ms - 1e-9
+
+
+class TestExecutionSpans:
+    def test_every_replay_shares_one_rendering(self, fig2, v100):
+        result = Executor(v100).run(sequential_plan(fig2))
+        tracer = Tracer()
+        add_execution_spans(tracer, result, "worker 0 (v100)", 10.0)
+        add_execution_spans(tracer, result, "worker 1 (v100)", 20.0)
+        assert result.trace_spans is result.trace_spans
+        first, second = tracer.records[:len(tracer) // 2], tracer.records[len(tracer) // 2:]
+        assert all(a.args is b.args for a, b in zip(first, second))
+        assert [r.track for r in second[:2]] == ["worker 1 (v100)/stages"] * 2
+
+    def test_spans_are_the_events_rebased(self, fig2, v100):
+        result = Executor(v100).run(sequential_plan(fig2))
+        tracer = Tracer()
+        add_execution_spans(tracer, result, "w", 2.5)
+        stages, kernels = result.stage_events(), result.kernel_events()
+        expected = [
+            ("span", event.label, "w/stages", 2.5 + event.start_ms,
+             max(0.0, (2.5 + event.end_ms) - (2.5 + event.start_ms)), "stage", None,
+             {"strategy": event.strategy, "groups": event.num_groups,
+              "kernels": event.num_kernels, "gflops": event.gflops})
+            for event in stages
+        ] + [
+            ("span", event.kernel_name, f"w/stream {event.stream}",
+             2.5 + event.start_ms,
+             max(0.0, (2.5 + event.end_ms) - (2.5 + event.start_ms)), "kernel", None,
+             {"stage": event.stage_index})
+            for event in kernels
+        ]
+        assert tracer.records == expected
 
 
 class TestWarpTrace:
