@@ -2,10 +2,10 @@
 
 A :class:`Host` owns a full single-host serving stack — an
 :class:`~repro.serve.service.InferenceService` whose
-:class:`~repro.serve.loop.ServingLoop` the cluster loop drives through the
-incremental API (``begin``/``inject``/``step``/``finish``) — and the one
-piece of state that lives *between* hosts: the time its ingress NIC is busy
-until.  Requests routed to a host pass through
+:class:`~repro.serve.loop.ServingLoop` the cluster loop starts on its shared
+event queue (``begin``), hands arrivals (``arrive``) and finishes
+(``finish``) — and the one piece of state that lives *between* hosts: the
+time its ingress NIC is busy until.  Requests routed to a host pass through
 :meth:`Host.ingress_delivery_ms`, which serialises concurrent deliveries when
 the cluster's :class:`~repro.cluster.link.LinkModel` models ingress (and is
 the identity function when it does not, keeping a 1-host cluster
@@ -66,9 +66,9 @@ class HostSpec:
 class Host:
     """A serving stack pinned to one host id, advancing on the shared clock.
 
-    The cluster loop is the only writer: it injects arrivals into
-    ``host.loop``, steps the loop's internal events in global time order, and
-    moves stage tensors between hosts.  The host itself only adds the ingress
+    The cluster loop is the only writer: it hands arrivals to ``host.loop``,
+    whose internal events share the cluster's event queue and so process in
+    global time order, and moves stage tensors between hosts.  The host itself only adds the ingress
     horizon — everything else delegates to the wrapped service.
     """
 

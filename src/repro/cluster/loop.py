@@ -1,20 +1,20 @@
 """The cluster co-simulation: N host loops advancing on one virtual clock.
 
-:class:`ClusterLoop` interleaves the discrete-event loops of its
-:class:`~repro.cluster.host.Host`\\ s with a cluster-level event heap of its
-own — request routing/delivery and partitioned stage handoffs — so every
-event in the whole cluster processes in global time order:
+:class:`ClusterLoop` puts every event of a run on one
+:class:`~repro.serve.loop.EventQueue`: its own actions — routing an external
+arrival, delivering a request to a host — and the completions, timeouts and
+scale checks of every :class:`~repro.cluster.host.Host`'s loop.  One
+pop-and-dispatch loop then handles them in global time order:
 
-* the earliest **cluster event** (an arrival to route, a delivery landing on
-  a host) wins ties against host-internal events, exactly as arrivals beat
-  same-time completions inside :meth:`~repro.serve.loop.ServingLoop.run`;
-* otherwise the host with the earliest internal event steps once (ties break
-  by host id), which may in turn schedule new cluster events — a completed
-  stage schedules its tensor's send/recv to the next stage's host, costed by
-  the :class:`~repro.cluster.link.LinkModel`.
+* at equal times a **cluster action** goes first, in push order, exactly as
+  arrivals beat same-time completions inside
+  :meth:`~repro.serve.loop.ServingLoop.run`;
+* then the host events, host by host in id order; a completed stage may
+  push a new cluster action — its tensor's send/recv to the next stage's
+  host, costed by the :class:`~repro.cluster.link.LinkModel`.
 
 Driven this way with one host, the default link and no partition, the
-injected arrivals reproduce :meth:`ServingLoop.run`'s event sequence
+routed arrivals reproduce :meth:`ServingLoop.run`'s event sequence
 *exactly* — a ``--cluster 1`` run is byte-identical to the single-host loop,
 which is the regression anchor the cluster layer is tested against.
 
@@ -26,14 +26,12 @@ arrival), so cluster-wide SLO attainment is judged on what the client saw.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 from ..obs.metrics import LazySeries, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
-from ..serve.loop import LoopResult
+from ..serve.loop import EventQueue, LoopResult
 from ..serve.request import InferenceRequest, RejectedRequest, RequestRecord
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -43,10 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from .router import ClusterRouter
 
 __all__ = ["ClusterLoop", "ClusterOutcome", "TransferStats"]
-
-#: Cluster event kinds, in tie-break order at equal virtual time: external
-#: arrivals route first, then deliveries (ingress/handoff) land.
-_ROUTE, _DELIVER = 0, 1
 
 
 @dataclass
@@ -90,6 +84,25 @@ class _Journey:
         self.stage = 0
         self.first_record: RequestRecord | None = None
         self.final_record: RequestRecord | None = None
+
+
+def _arriving(
+    request: InferenceRequest, arrival_ms: float, model: str | None = None
+) -> InferenceRequest:
+    """``request`` arriving at ``arrival_ms`` (as ``model``, if given).
+
+    The deadline stays absolute: the residual budget is what is left of it
+    at the new arrival, never below zero.
+    """
+    deadline_ms = request.deadline_ms
+    if deadline_ms is not None:
+        deadline_ms = max(0.0, request.absolute_deadline_ms - arrival_ms)
+    return replace(
+        request,
+        model=request.model if model is None else model,
+        arrival_ms=arrival_ms,
+        deadline_ms=deadline_ms,
+    )
 
 
 class ClusterLoop:
@@ -147,8 +160,7 @@ class ClusterLoop:
         self.input_bytes_per_sample = input_bytes_per_sample
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Mutable run state.
-        self._events: list[tuple] = []
-        self._seq = itertools.count()
+        self._queue = EventQueue()
         self._journeys: dict[int, _Journey] = {}
         self._outcome = ClusterOutcome()
         self._bind_series()
@@ -162,8 +174,7 @@ class ClusterLoop:
             raise ValueError(
                 "cluster runs track requests by id; request_ids must be unique"
             )
-        self._events = []
-        self._seq = itertools.count()
+        queue = self._queue = EventQueue()
         self._journeys = {}
         self._outcome = ClusterOutcome()
         self._bind_series()
@@ -171,45 +182,17 @@ class ClusterLoop:
         for host in self.hosts:
             host.reset()
             host.loop.completion_listener = self._listener_for(host)
-            host.loop.begin()
+            host.loop.begin(queue, host.host_id)
         if self.plan is not None and hasattr(self.router, "plan"):
             self.router.plan = self.plan
         for request in ordered:
-            self._push(request.arrival_ms, _ROUTE, request)
-
-        while True:
-            next_host = None
-            host_ms = float("inf")
-            for host in self.hosts:
-                event_ms = host.loop.next_event_ms
-                if event_ms < host_ms:
-                    host_ms, next_host = event_ms, host
-            if self._events and self._events[0][0] <= host_ms:
-                time_ms, _, action, payload = heapq.heappop(self._events)
-                if action == _ROUTE:
-                    self._route(time_ms, payload)
-                else:
-                    self._deliver(time_ms, *payload)
-                continue
-            if next_host is None:
-                break
-            if not self._events:
-                # No known future arrival anywhere: let every host see an
-                # empty horizon so trailing batch closes read "drain" and
-                # autoscale checks stop re-arming (a later stage handoff
-                # re-raises the count through inject).
-                for host in self.hosts:
-                    host.loop._arrivals_left = 0
-            next_host.loop.step()
-
+            queue.push(request.arrival_ms, self._route, request)
+        queue.run()
         for host in self.hosts:
             self._outcome.host_results.append(host.loop.finish())
             host.loop.completion_listener = None
         self._assemble()
         return self._outcome
-
-    def _push(self, time_ms: float, action: int, payload) -> None:
-        heapq.heappush(self._events, (time_ms, next(self._seq), action, payload))
 
     def _bind_series(self) -> None:
         """Bind the per-event series of the run's fresh cluster registry.
@@ -244,39 +227,16 @@ class ClusterLoop:
         self._journeys[request.request_id] = _Journey(request)
         sub = request
         if self.plan is not None and self.plan.num_stages > 1:
-            sub = self._stage_request(request, 0, now_ms)
+            sub = _arriving(request, now_ms, self.plan.stages[0].model)
         num_bytes = self.input_bytes_per_sample * request.num_samples
         delivery_ms = host.ingress_delivery_ms(now_ms, num_bytes, self.link)
         if delivery_ms > now_ms:
             self._count_transfer(None, host, now_ms, delivery_ms, num_bytes)
-            sub = self._retime(sub, delivery_ms)
-            self._push(delivery_ms, _DELIVER, (host.host_id, sub))
+            self._queue.push(
+                delivery_ms, host.loop.arrive, _arriving(sub, delivery_ms)
+            )
         else:
-            host.loop.inject(sub, arrivals_left=len(self._events))
-
-    def _deliver(self, now_ms: float, host_id: int, sub: InferenceRequest) -> None:
-        self.hosts[host_id].loop.inject(sub, arrivals_left=len(self._events))
-
-    def _stage_request(
-        self, request: InferenceRequest, stage: int, arrival_ms: float
-    ) -> InferenceRequest:
-        """The subrequest stage ``stage`` serves: stage model, residual deadline."""
-        assert self.plan is not None
-        spec = self.plan.stages[stage]
-        deadline_ms = request.deadline_ms
-        if deadline_ms is not None:
-            deadline_ms = max(0.0, request.absolute_deadline_ms - arrival_ms)
-        return replace(
-            request, model=spec.model, arrival_ms=arrival_ms, deadline_ms=deadline_ms
-        )
-
-    @staticmethod
-    def _retime(request: InferenceRequest, arrival_ms: float) -> InferenceRequest:
-        """The same request arriving later (ingress delay), deadline absolute."""
-        deadline_ms = request.deadline_ms
-        if deadline_ms is not None:
-            deadline_ms = max(0.0, request.absolute_deadline_ms - arrival_ms)
-        return replace(request, arrival_ms=arrival_ms, deadline_ms=deadline_ms)
+            host.loop.arrive(now_ms, sub)
 
     # --------------------------------------------------------------- handoffs
     def _listener_for(self, host: "Host"):
@@ -306,8 +266,8 @@ class ClusterLoop:
         )
         journey.stage += 1
         self._count_transfer(src, dst, sent_ms, delivery_ms, num_bytes)
-        sub = self._stage_request(journey.request, journey.stage, delivery_ms)
-        self._push(delivery_ms, _DELIVER, (dst.host_id, sub))
+        sub = _arriving(journey.request, delivery_ms, next_stage.model)
+        self._queue.push(delivery_ms, dst.loop.arrive, sub)
 
     def _count_transfer(
         self,

@@ -333,12 +333,17 @@ def serve_main(argv: list[str] | None = None) -> int:
     if args.watch and args.cluster is not None and args.cluster > 1:
         print("note: --watch follows a single host's live windows; "
               "ignoring it for a multi-host cluster", file=sys.stderr)
-    if not (math.isfinite(args.rate) and args.rate > 0):
-        parser.error(f"--rate must be a finite number > 0, got {args.rate}")
-    if args.burst_size <= 0:
-        parser.error(f"--burst-size must be positive, got {args.burst_size}")
-    if not (math.isfinite(args.burst_gap_ms) and args.burst_gap_ms > 0):
-        parser.error(f"--burst-gap-ms must be a finite number > 0, got {args.burst_gap_ms}")
+    # The config validates every traffic knob (--rate, --burst-size,
+    # --burst-gap-ms, --slo), naming the field, on every path below.
+    try:
+        traffic = TrafficConfig(
+            model=args.model, pattern=args.pattern or "poisson",
+            num_requests=args.requests, rate_rps=args.rate,
+            burst_size=args.burst_size, burst_gap_ms=args.burst_gap_ms,
+            slo_ms=args.slo, seed=args.seed,
+        )
+    except ValueError as error:
+        parser.error(f"bad traffic configuration: {error}")
     if args.max_wait_ms is not None and not (
         math.isfinite(args.max_wait_ms) and args.max_wait_ms >= 0
     ):
@@ -347,8 +352,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         print("note: --no-batching serves every request immediately; "
               "ignoring --max-wait-ms", file=sys.stderr)
     max_wait_ms = 5.0 if args.max_wait_ms is None else args.max_wait_ms
-    if args.slo is not None and not (math.isfinite(args.slo) and args.slo >= 0):
-        parser.error(f"--slo must be a finite number >= 0, got {args.slo}")
     autoscale = None
     if args.autoscale is not None:
         try:
@@ -455,12 +458,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         _write_csv(table, args.csv_dir)
         return 0
 
-    traffic = TrafficConfig(
-        model=args.model, pattern=args.pattern or "poisson",
-        num_requests=args.requests, rate_rps=args.rate,
-        burst_size=args.burst_size, burst_gap_ms=args.burst_gap_ms,
-        slo_ms=args.slo, seed=args.seed,
-    )
     try:
         capped = traffic.capped_to(max(batch_sizes))
     except ValueError:

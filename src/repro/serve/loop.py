@@ -2,7 +2,7 @@
 
 :class:`ServingLoop` replays a request stream on the virtual clock as a
 classic discrete-event simulation.  Arrivals come in time order from the
-stream (or an external driver) and one event heap orders the loop's own
+stream (or a cluster run) and an :class:`EventQueue` orders the loop's own
 events; together they are everything that can happen to the service:
 
 * **arrivals** — a request enters; the admission policy decides whether it
@@ -18,10 +18,12 @@ events; together they are everything that can happen to the service:
 Events at the same instant process deterministically: arrivals first (a
 request arriving exactly at a batch's close deadline still joins it), then
 completions, then timeouts, then scale checks; ties within a kind break by
-insertion order.  Given the same requests and config the loop is therefore a
-pure function — same report, down to the last timestamp — and every run
-starts from the configured pool, router and autoscaler, so replaying a
-stream through one loop reproduces it.
+insertion order.  A cluster run puts every host's loop on one shared queue,
+so the same order holds across hosts (see :class:`EventQueue`).  Given the
+same requests and config the loop is therefore a pure function — same
+report, down to the last timestamp — and every run starts from the
+configured pool, router and autoscaler, so replaying a stream through one
+loop reproduces it.
 
 With the default admit-all policy and no autoscaler the loop forms exactly
 the batches of a plain max-batch/max-wait replay of the arrivals; the event
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -57,12 +60,52 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from .registry import ScheduleRegistry
     from .workers import Worker, WorkerPool
 
-__all__ = ["LoopResult", "LoopState", "ServingLoop"]
+__all__ = ["EventQueue", "LoopResult", "LoopState", "ServingLoop"]
 
-#: Internal event kinds, in tie-break order at equal virtual time.  Arrivals
-#: are not heap events: they are injected before any internal event at the
-#: same time is processed, so they win every tie.
+#: A loop's event kinds, in tie-break order at equal virtual time.
 _COMPLETION, _TIMEOUT, _SCALE = 0, 1, 2
+
+
+class EventQueue:
+    """Every event of one run on one heap, ordered by ``(time_ms, rank, seq)``.
+
+    Rank 0 is an arrival-side action — in a cluster run, routing an external
+    arrival or delivering a request to a host.  Loop ``i`` on the queue (host
+    ``i`` of a cluster, loop 0 of a standalone run) ranks its completions,
+    timeouts and scale checks ``1 + 3*i + kind``.  At equal times arrival-side
+    actions therefore go first, then the loops in index order, each loop's
+    kinds in tie-break order; ``seq`` keeps push order within a rank.
+
+    ``arrivals_left`` counts the arrivals still due: rank-0 entries on the
+    heap, or the requests a standalone :meth:`ServingLoop.run` has not yet
+    handed to its loop.  ``drained`` counts the loop events handled while none
+    was due (see :meth:`ServingLoop._arrivals_due`).
+    """
+
+    __slots__ = ("_heap", "_seq", "arrivals_left", "drained")
+
+    def __init__(self) -> None:
+        self._heap: list[tuple] = []
+        self._seq = itertools.count()
+        self.arrivals_left = 0
+        self.drained = 0
+
+    def push(self, time_ms: float, handler: Callable, payload, rank: int = 0) -> None:
+        """Schedule ``handler(time_ms, payload)``; rank 0 is an arrival."""
+        if not rank:
+            self.arrivals_left += 1
+        heapq.heappush(self._heap, (time_ms, rank, next(self._seq), handler, payload))
+
+    def run(self, until_ms: float = math.inf) -> None:
+        """Handle, in order, every event strictly earlier than ``until_ms``."""
+        heap = self._heap
+        while heap and heap[0][0] < until_ms:
+            time_ms, rank, _, handler, payload = heapq.heappop(heap)
+            if not rank:
+                self.arrivals_left -= 1
+            elif not self.arrivals_left:
+                self.drained += 1
+            handler(time_ms, payload)
 
 
 @dataclass
@@ -286,10 +329,11 @@ class ServingLoop:
         self._pending_samples = 0
         self._batch_deadline_ms = 0.0
         self._batch_id = 0
-        self._arrivals_left = 0
+        self._arrival_drains = -1
         self._inflight = 0
-        self._heap: list[tuple] = []
-        self._seq = itertools.count()
+        self._queue = EventQueue()
+        self._rank = 1
+        self._handlers = (self._on_completion, self._on_timeout, self._on_scale_check)
         self._result = LoopResult()
         self._scale_armed = True
         self._bind_series()
@@ -301,88 +345,74 @@ class ServingLoop:
         )
 
     # ----------------------------------------------------------------- driving
-    # One way to drive the loop: ``begin()`` → per arrival, ``advance_to()``
-    # its time then ``inject()`` it, with ``step()`` for any internal event
-    # in between → ``finish()``.  :meth:`run` is that sequence over one
-    # stream; the cluster co-simulation drives several loops the same way.
-    # ``advance_to`` drains only events *strictly* earlier than the arrival,
-    # so an arrival beats every same-time completion, timeout or scale check.
-    # The public methods wrap private twins that :meth:`run` calls, so a
-    # profiler wrapping the public ones counts only an external driver.
-
     def run(self, requests: Sequence[InferenceRequest]) -> LoopResult:
         """Replay ``requests`` (sorted by arrival) and return what happened."""
-        self.begin()
-        arrivals_left = len(requests)
+        queue = EventQueue()
+        self.begin(queue)
+        queue.arrivals_left = len(requests)
         for request in requests:
-            arrivals_left -= 1
-            self._advance_to(request.arrival_ms)
-            self._inject(request, arrivals_left)
+            queue.run(request.arrival_ms)
+            queue.arrivals_left -= 1
+            self.arrive(request.arrival_ms, request)
+        queue.run()
         return self.finish()
 
-    def begin(self) -> None:
-        """Start a run; arrivals come via :meth:`inject`."""
+    def begin(self, queue: EventQueue, index: int = 0) -> None:
+        """Start a run whose events go on ``queue`` as loop ``index``.
+
+        :meth:`run` gives the loop a queue of its own; a cluster run shares
+        one queue among its hosts' loops and drains it, then calls
+        :meth:`finish` on each.
+        """
         self._reset()
-        self._seq = itertools.count()
+        self._queue = queue
+        self._rank = 1 + len(self._handlers) * index
         self._scale_armed = self.autoscaler is None
 
-    @property
-    def next_event_ms(self) -> float:
-        """Virtual time of the earliest queued internal event (``inf`` if none)."""
-        return self._heap[0][0] if self._heap else float("inf")
+    def _arrivals_due(self) -> bool:
+        """Whether more arrivals are due, as this loop last saw them.
 
-    def step(self) -> None:
-        """Process exactly one queued internal event."""
-        self._step()
-
-    def advance_to(self, time_ms: float) -> None:
-        """Drain every internal event strictly earlier than ``time_ms``.
-
-        Strictly earlier: an arrival injected at ``time_ms`` afterwards still
-        wins the tie against same-time internal events.
+        While they are, a batch closing on its deadline reads "timeout"
+        rather than "drain", and scale checks keep re-arming.  The answer
+        turns true at each arrival at this loop and false on every loop of
+        the queue as soon as any loop handles an event while the queue counts
+        no arrival due; only this loop's next arrival turns it true again.  In
+        a standalone run that is "requests still to come".  In a cluster the
+        queue counts pending routes and deliveries, and a later stage handoff
+        turns it true again only on the host it lands on.
         """
-        self._advance_to(time_ms)
-
-    def inject(self, request: InferenceRequest, arrivals_left: int) -> None:
-        """Process one arrival now; ``arrivals_left`` arrivals are still due.
-
-        The driver must have drained internal events earlier than the arrival
-        (:meth:`advance_to`) and must inject arrivals in
-        ``(arrival_ms, request_id)`` order.  ``arrivals_left`` counts arrivals
-        the *whole stream* still owes (cluster-wide for a cluster driver) so
-        the drain-versus-timeout close reason keeps its meaning.
-        """
-        self._inject(request, arrivals_left)
+        return self._arrival_drains == self._queue.drained
 
     def finish(self) -> LoopResult:
-        """Drain the remaining internal events and assemble the result."""
-        while self._heap:
-            self._step()
-        return self._finalize()
+        """Assemble the result once the run's queue is drained.
 
-    def _advance_to(self, time_ms: float) -> None:
-        while self._heap and self._heap[0][0] < time_ms:
-            self._step()
-
-    def _inject(self, request: InferenceRequest, arrivals_left: int) -> None:
-        self._arrivals_left = arrivals_left + 1
-        if not self._scale_armed:
-            self._scale_armed = True
-            self._push(
-                request.arrival_ms + self.autoscaler.config.interval_ms, _SCALE, None
-            )
-        self._advance_clock(request.arrival_ms)
-        self._on_arrival(request)
-
-    def _step(self) -> None:
-        time_ms, kind, _, payload = heapq.heappop(self._heap)
-        self._advance_clock(time_ms)
-        if kind == _COMPLETION:
-            self._on_completion(payload)
-        elif kind == _TIMEOUT:
-            self._on_timeout(payload)
-        else:
-            self._on_scale_check()
+        The execution count and batch-size mix the report prints come from
+        the ``serve.executions`` counter — the registry is the bookkeeping,
+        not a copy of it — and the pool's busy/lifetime utilisation series
+        lands in the registry alongside (the single series both report
+        summaries read).  Registry-of-schedules counters are exported too so
+        the metrics dump carries the compile-cache hit rate.
+        """
+        # The last (partial) window never sees a later event; close it
+        # explicitly so trailing activity still reaches alerts and --watch.
+        if self._timeseries is not None:
+            self._close_window(self._timeseries.flush())
+        result = self._result
+        executions = self.metrics.counter(
+            "serve.executions", "device executions per specialised batch size"
+        )
+        result.num_executions = int(executions.total())
+        result.batch_size_counts = {
+            int(size): int(count)
+            for size, count in executions.by_label("batch_size").items()
+        }
+        self.pool.export_utilization(self.metrics)
+        lookups = self.metrics.gauge(
+            "serve.registry.lookups", "schedule-registry counters (cumulative)"
+        )
+        for name, value in self.registry.stats.as_dict().items():
+            lookups.set(value, kind=name)
+        return result
 
     def _advance_clock(self, time_ms: float) -> None:
         self._now_ms = time_ms
@@ -407,9 +437,8 @@ class ServingLoop:
         self._pending_samples = 0
         self._batch_deadline_ms = 0.0
         self._batch_id = 0
-        self._arrivals_left = 0
+        self._arrival_drains = -1
         self._inflight = 0
-        self._heap = []
         self.metrics.clear()
         self._bind_series()
         self._result = LoopResult(metrics=self.metrics)
@@ -462,39 +491,8 @@ class ServingLoop:
             histogram, "serve.queue_delay_ms", "arrival-to-dispatch request delay", "device"
         )
 
-    def _finalize(self) -> LoopResult:
-        """Assemble the derived tallies of the result from the run's metrics.
-
-        The execution count and batch-size mix the report prints come from
-        the ``serve.executions`` counter — the registry is the bookkeeping,
-        not a copy of it — and the pool's busy/lifetime utilisation series
-        lands in the registry alongside (the single series both report
-        summaries read).  Registry-of-schedules counters are exported too so
-        the metrics dump carries the compile-cache hit rate.
-        """
-        # The last (partial) window never sees a later event; close it
-        # explicitly so trailing activity still reaches alerts and --watch.
-        if self._timeseries is not None:
-            self._close_window(self._timeseries.flush())
-        result = self._result
-        executions = self.metrics.counter(
-            "serve.executions", "device executions per specialised batch size"
-        )
-        result.num_executions = int(executions.total())
-        result.batch_size_counts = {
-            int(size): int(count)
-            for size, count in executions.by_label("batch_size").items()
-        }
-        self.pool.export_utilization(self.metrics)
-        lookups = self.metrics.gauge(
-            "serve.registry.lookups", "schedule-registry counters (cumulative)"
-        )
-        for name, value in self.registry.stats.as_dict().items():
-            lookups.set(value, kind=name)
-        return result
-
     def _push(self, time_ms: float, kind: int, payload) -> None:
-        heapq.heappush(self._heap, (time_ms, kind, next(self._seq), payload))
+        self._queue.push(time_ms, self._handlers[kind], payload, self._rank + kind)
 
     # ----------------------------------------------------------------- windows
     def _close_window(self, window: WindowSpan) -> None:
@@ -534,8 +532,18 @@ class ServingLoop:
                 )
 
     # ------------------------------------------------------------------ events
-    def _on_arrival(self, request: InferenceRequest) -> None:
-        self._arrivals_left -= 1
+    def arrive(self, time_ms: float, request: InferenceRequest) -> None:
+        """Process ``request`` arriving at ``time_ms`` (its ``arrival_ms``).
+
+        Callers hand requests in ``(arrival_ms, request_id)`` order, once every
+        queued event strictly earlier is handled, so an arrival wins its tie
+        against same-time completions, timeouts and scale checks.
+        """
+        self._arrival_drains = self._queue.drained
+        if not self._scale_armed:
+            self._scale_armed = True
+            self._push(time_ms + self.autoscaler.config.interval_ms, _SCALE, None)
+        self._advance_clock(time_ms)
         tracer = self.tracer
         self._offered[None].inc()
         if tracer:
@@ -599,13 +607,14 @@ class ServingLoop:
         elif preempt:
             self._close_batch(self._now_ms, "priority")
 
-    def _on_completion(self, records: "Sequence[RequestRecord] | None") -> None:
+    def _on_completion(self, time_ms: float, records: Sequence[RequestRecord]) -> None:
+        self._advance_clock(time_ms)
         self._inflight -= 1
         # SLO outcomes count at *completion* time, so the attainment series
         # lands in the window the client actually observed the result in.
         met = self._slo_met[None]
         missed = self._slo_missed["deadline"]
-        for record in records or ():
+        for record in records:
             if record.deadline_met:
                 met.inc()
             else:
@@ -613,18 +622,20 @@ class ServingLoop:
         if self.autoscaler is not None:
             self._record_scale_events(self.autoscaler.evaluate(self.state))
         if self.completion_listener is not None:
-            self.completion_listener(records or ())
+            self.completion_listener(records)
 
-    def _on_timeout(self, batch_id: int) -> None:
+    def _on_timeout(self, time_ms: float, batch_id: int) -> None:
+        self._advance_clock(time_ms)
         if batch_id != self._batch_id or not self._pending:
             return  # the batch already closed (full/priority); stale deadline
-        reason = "timeout" if self._arrivals_left else "drain"
+        reason = "timeout" if self._arrivals_due() else "drain"
         self._close_batch(self._now_ms, reason)
 
-    def _on_scale_check(self) -> None:
+    def _on_scale_check(self, time_ms: float, _payload: None) -> None:
+        self._advance_clock(time_ms)
         assert self.autoscaler is not None
         self._record_scale_events(self.autoscaler.evaluate(self.state))
-        if self._arrivals_left or self._pending or self._inflight:
+        if self._arrivals_due() or self._pending or self._inflight:
             self._push(self._now_ms + self.autoscaler.config.interval_ms, _SCALE, None)
 
     def _record_scale_events(self, events) -> None:

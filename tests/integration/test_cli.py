@@ -103,6 +103,20 @@ class TestServeCLI:
         with pytest.raises(SystemExit):
             main(["serve"] + bad)
 
+    @pytest.mark.parametrize("bad,field", [
+        (["--rate", "0"], "rate_rps must be a finite number > 0"),
+        (["--burst-size", "0"], "burst_size must be >= 1"),
+        (["--burst-gap-ms", "0"], "burst_gap_ms must be a finite number > 0"),
+        (["--slo", "-1"], "slo_ms must be a finite number >= 0"),
+        (["--slo", "-1", "--compare"], "slo_ms must be a finite number >= 0"),
+        (["--rate", "-5", "--compare"], "rate_rps must be a finite number > 0"),
+    ])
+    def test_serve_traffic_errors_name_the_config_field(self, bad, field, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve"] + bad)
+        assert exit_info.value.code == 2
+        assert f"bad traffic configuration: {field}" in capsys.readouterr().err
+
     def test_serve_passes_flag_round_trips_warm(self, capsys, tmp_path):
         # A warm serve run on a pass-optimised graph must still perform zero
         # scheduler searches: the fingerprinted registry entries are reused.

@@ -4,17 +4,23 @@ Everything pinned here is deterministic. The serving loops run on a virtual
 clock, and the DP's work counts do not depend on the machine. So every pin is
 an exact equality: a change that moves one latency by one ulp fails.
 
-Serving scenarios, 240 requests each:
+Serving scenarios, 240 requests each unless noted:
 
 * bursty: squeezenet on a ``k80:1,v100:2`` fleet, bursty deadline-carrying
   traffic, deadline admission, seed 0;
 * transformer: ``examples/transformer_block.json`` served from its file on two
   v100 workers with the pass pipeline, seed 5;
 * cluster: squeezenet partitioned across four k80 hosts over a
-  ``bw=12.5,lat=0.05`` link, seed 11.
+  ``bw=12.5,lat=0.05`` link, seed 11;
+* elastic-cluster: squeezenet replicated on three elastic k80 hosts
+  (deadline admission, autoscaled 1-3 workers) behind a modeled ingress
+  link, 400 bursty requests, seed 11.  Every arrival is an ingress
+  delivery, most are rejected and every host scales, so it pins how host
+  events interleave with cluster deliveries.
 
 Each pins its latency, throughput and attainment figures and a sha256 over
-every completed and rejected request.
+every completed and rejected request; elastic-cluster also pins each host's
+batch closes by reason and its scale events.
 
 Cold compiles on ``Engine("v100")`` without passes: squeezenet, inception_v3
 and the zoo ``transformer_block``. Each pins its latency and the search's
@@ -39,7 +45,13 @@ import pytest
 from repro.cluster import ClusterConfig, run_cluster_serving
 from repro.core import IOSScheduler, clear_schedule_memo
 from repro.engine import CompiledModel, Engine
-from repro.serve import BatchPolicy, ServingConfig, TrafficConfig, run_serving
+from repro.serve import (
+    AutoscaleConfig,
+    BatchPolicy,
+    ServingConfig,
+    TrafficConfig,
+    run_serving,
+)
 
 TRANSFORMER_EXAMPLE = str(
     Path(__file__).resolve().parents[2] / "examples" / "transformer_block.json"
@@ -62,6 +74,16 @@ SERVING_PINS = {
         "transfers": 720,
         "transfer_ms": 137.29244159999948,
         "records_sha256": "a160c03d1914519f4340fc8fb0713e8704141da18ffb2e97ee443fd5f139515a",
+    },
+    "elastic-cluster": {
+        "attainment": 0.3175,
+        "p99_ms": 14.974239292236359,
+        "rejected": 272,
+        "transfers": 400,
+        "transfer_ms": 34314.977228382246,
+        "closes": [{"timeout": 2.0}, {"timeout": 43.0}, {"timeout": 39.0}],
+        "scale_events": [2, 26, 24],
+        "records_sha256": "437da6e9cffb525abd32897febff936aae41429998b910084ee3a74e2a44eb40",
     },
     "transformer": {
         "p99_ms": 2.1246612475845836,
@@ -170,7 +192,44 @@ def cluster() -> dict:
     }
 
 
-SCENARIOS = {"bursty": bursty, "transformer": transformer, "cluster": cluster}
+def elastic_cluster() -> dict:
+    serving = ServingConfig(
+        model="squeezenet", devices=("k80",), batch_sizes=LADDER, policy=POLICY,
+        admission="deadline",
+        autoscale=AutoscaleConfig(
+            min_workers=1, max_workers=3, interval_ms=1.0, scale_up_backlog_ms=2.0
+        ),
+    )
+    result = run_cluster_serving(
+        TrafficConfig(
+            model="squeezenet", pattern="bursty", num_requests=400, rate_rps=400.0,
+            burst_size=32, burst_gap_ms=25.0, slo_ms=15.0, seed=11,
+        ).capped_to(8),
+        ClusterConfig(
+            serving=serving, num_hosts=3, link="bw=12.5,lat=0.05,ingress=0.5"
+        ),
+    )
+    return {
+        "attainment": result.attainment,
+        "p99_ms": result.report.latency.p99_ms,
+        "rejected": len(result.report.rejected),
+        "transfers": result.transfers.count,
+        "transfer_ms": result.transfers.total_ms,
+        "closes": [
+            report.metrics.counter("serve.batch.closes").by_label("reason")
+            for report in result.host_reports
+        ],
+        "scale_events": [len(report.scale_events) for report in result.host_reports],
+        "records_sha256": records_sha256(result.report),
+    }
+
+
+SCENARIOS = {
+    "bursty": bursty,
+    "transformer": transformer,
+    "cluster": cluster,
+    "elastic-cluster": elastic_cluster,
+}
 
 
 def cold_compile(model: str) -> tuple[Engine, CompiledModel]:

@@ -39,17 +39,22 @@ def request(request_id, arrival_ms, **kwargs):
 def run_with_backlog(service, requests, busy_until_ms):
     """Replay ``requests`` with worker 0 busy until ``busy_until_ms`` from the start.
 
-    Every run resets the pool, so the horizon is pinned between the loop's
-    ``begin()`` and the first arrival, and the arrivals are driven in.
+    Every run resets the pool first, so the horizon is pinned right after
+    that reset.
     """
-    loop = service.loop
-    loop.begin()
-    service.pool.workers[0].busy_until_ms = busy_until_ms
-    ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
-    for index, arrival in enumerate(ordered):
-        loop.advance_to(arrival.arrival_ms)
-        loop.inject(arrival, arrivals_left=len(ordered) - index - 1)
-    return loop.finish()
+    pool = service.pool
+    reset = pool.reset
+
+    def reset_then_occupy():
+        reset()
+        pool.workers[0].busy_until_ms = busy_until_ms
+
+    pool.reset = reset_then_occupy
+    try:
+        ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
+        return service.loop.run(ordered)
+    finally:
+        del pool.reset
 
 
 class TestRegistry:

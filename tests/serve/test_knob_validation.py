@@ -45,6 +45,10 @@ def test_non_finite_knob_is_rejected_by_name(field, build, value):
         build(value)
 
 
+#: Traffic flags are validated by TrafficConfig, whose message names the field.
+TRAFFIC_FIELDS = {"--rate": "rate_rps", "--burst-gap-ms": "burst_gap_ms", "--slo": "slo_ms"}
+
+
 @pytest.mark.parametrize(
     "flag", ["--max-wait-ms", "--rate", "--burst-gap-ms", "--slo", "--window-ms"]
 )
@@ -52,7 +56,8 @@ def test_cli_rejects_a_non_finite_flag_with_a_usage_error(flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["serve", "--model", "squeezenet", flag, "nan"])
     assert exit_info.value.code == 2
-    assert f"{flag} must be a finite number" in capsys.readouterr().err
+    name = TRAFFIC_FIELDS.get(flag, flag)
+    assert f"{name} must be a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from repro.serve import (
     TrafficConfig,
     TrafficGenerator,
 )
+from repro.serve.loop import _COMPLETION, _SCALE, _TIMEOUT, EventQueue
 
 from offline_batcher import DynamicBatcher
 
@@ -176,6 +177,59 @@ class TestDirectlyDrivenLoop:
         assert second.scale_events == first.scale_events
         assert second.batch_size_counts == first.batch_size_counts
         assert second_metrics == first_metrics
+
+
+class TestEventQueue:
+    """One heap orders every event of a run by ``(time_ms, rank, seq)``."""
+
+    def test_same_time_events_pop_cluster_actions_then_each_hosts_kinds(self):
+        queue = EventQueue()
+        loops = [toy_service().loop, toy_service().loop]
+        for index, loop in enumerate(loops):
+            loop.begin(queue, index)
+        popped = []
+
+        def cluster_action(time_ms, payload):
+            popped.append(("cluster", payload))
+
+        for loop in loops:
+            # Record which loop and kind each handler belongs to, not run it.
+            loop._handlers = tuple(
+                lambda time_ms, payload, owner=loop, kind=kind: popped.append(
+                    (loops.index(owner), kind, payload)
+                )
+                for kind in (_COMPLETION, _TIMEOUT, _SCALE)
+            )
+        scrambled = [
+            (1, _SCALE), (0, _TIMEOUT), "a", (1, _COMPLETION), (0, _SCALE),
+            (1, _TIMEOUT), "b", (0, _COMPLETION), "c", (0, _TIMEOUT),
+        ]
+        for seq, push in enumerate(scrambled):
+            if isinstance(push, str):
+                queue.push(5.0, cluster_action, push)
+            else:
+                host, kind = push
+                loops[host]._push(5.0, kind, seq)
+        assert queue.arrivals_left == 3
+        queue.run()
+        assert popped == [
+            ("cluster", "a"), ("cluster", "b"), ("cluster", "c"),
+            (0, _COMPLETION, 7), (0, _TIMEOUT, 1), (0, _TIMEOUT, 9), (0, _SCALE, 4),
+            (1, _COMPLETION, 3), (1, _TIMEOUT, 5), (1, _SCALE, 0),
+        ]
+        assert queue.arrivals_left == 0
+        # Only the loop events handled with no arrival left count as drained.
+        assert queue.drained == 7
+
+    def test_run_handles_only_events_strictly_before_the_horizon(self):
+        queue = EventQueue()
+        seen = []
+        for time_ms in (3.0, 1.0, 2.0):
+            queue.push(time_ms, lambda t, payload: seen.append(t), None, rank=1)
+        queue.run(2.0)
+        assert seen == [1.0]
+        queue.run()
+        assert seen == [1.0, 2.0, 3.0]
 
 
 class TestReportContract:
