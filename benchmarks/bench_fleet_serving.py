@@ -17,7 +17,13 @@ from conftest import full_run, run_once
 
 from repro.engine import get_engines
 from repro.frontend import load
-from repro.serve import FleetSpec, run_fleet_comparison
+from repro.serve import (
+    BatchPolicy,
+    FleetSpec,
+    ServingConfig,
+    TrafficConfig,
+    run_fleet_comparison,
+)
 
 FLEET = "k80:2,v100:2"
 LADDER = (1, 2, 4, 8)
@@ -29,12 +35,14 @@ def _by_fleet(table, pattern):
 
 def test_fleet_serving_overloaded(benchmark, device_name):
     num_requests = 600 if full_run() else 200
-    table = run_once(
-        benchmark, run_fleet_comparison,
-        model="squeezenet", fleet=FLEET, num_requests=num_requests,
-        rate_rps=4000.0, batch_sizes=LADDER, max_wait_ms=3.0,
-        patterns=("poisson",), seed=11,
+    traffic = TrafficConfig(
+        model="squeezenet", num_requests=num_requests, rate_rps=4000.0, seed=11,
     )
+    serving = ServingConfig(
+        model="squeezenet", fleet=FLEET, batch_sizes=LADDER,
+        policy=BatchPolicy(max_batch_size=max(LADDER), max_wait_ms=3.0),
+    )
+    table = run_once(benchmark, run_fleet_comparison, traffic, serving, ("poisson",))
     rows = _by_fleet(table, "poisson")
     mixed, slow, fast = rows[FLEET], rows["k80:4"], rows["v100:4"]
     # Heterogeneity pays: the mixed fleet beats the slow homogeneous fleet...

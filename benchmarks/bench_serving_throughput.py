@@ -9,7 +9,7 @@ Under overload, batching onto specialised schedules must win throughput.
 
 from conftest import full_run, run_once
 
-from repro.serve import run_serving_comparison
+from repro.serve import BatchPolicy, ServingConfig, TrafficConfig, run_serving_comparison
 
 
 def _rows(table, pattern):
@@ -19,11 +19,16 @@ def _rows(table, pattern):
 
 def test_serving_throughput_overloaded(benchmark, device_name):
     num_requests = 1000 if full_run() else 300
+    traffic = TrafficConfig(
+        model="squeezenet", num_requests=num_requests, rate_rps=3000.0,
+        burst_size=32, burst_gap_ms=5.0,
+    )
+    serving = ServingConfig(
+        model="squeezenet", devices=(device_name,),
+        policy=BatchPolicy(max_batch_size=16, max_wait_ms=3.0),
+    )
     table = run_once(
-        benchmark, run_serving_comparison,
-        model="squeezenet", device=device_name, num_workers=1,
-        num_requests=num_requests, rate_rps=3000.0, max_wait_ms=3.0,
-        patterns=("poisson", "bursty"), burst_size=32, burst_gap_ms=5.0,
+        benchmark, run_serving_comparison, traffic, serving, ("poisson", "bursty"),
     )
     for pattern in ("poisson", "bursty"):
         dynamic, unbatched = _rows(table, pattern)
@@ -39,12 +44,14 @@ def test_serving_throughput_overloaded(benchmark, device_name):
 
 def test_serving_latency_light_load(benchmark, device_name):
     """Light load: batching must not blow up tail latency beyond the wait bound."""
-    table = run_once(
-        benchmark, run_serving_comparison,
-        model="squeezenet", device=device_name, num_workers=2,
-        num_requests=200 if not full_run() else 500, rate_rps=100.0,
-        max_wait_ms=2.0, patterns=("poisson",),
+    traffic = TrafficConfig(
+        model="squeezenet", num_requests=200 if not full_run() else 500, rate_rps=100.0,
     )
+    serving = ServingConfig(
+        model="squeezenet", devices=(device_name,) * 2,
+        policy=BatchPolicy(max_batch_size=16, max_wait_ms=2.0),
+    )
+    table = run_once(benchmark, run_serving_comparison, traffic, serving, ("poisson",))
     dynamic, unbatched = _rows(table, "poisson")
     # The p95 penalty of waiting for batches is bounded by the policy knob
     # plus one batch execution.

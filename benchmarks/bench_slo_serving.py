@@ -43,22 +43,23 @@ def _rows_by_admission(table):
 
 def test_deadline_admission_beats_admit_all_under_bursty_overload(benchmark):
     num_requests = 640 if full_run() else (160 if fast_run() else 320)
-    table = run_once(
-        benchmark,
-        run_slo_comparison,
+    traffic = TrafficConfig(
         model=MODEL,
-        device=DEVICE,
-        num_workers=1,
-        slo_ms=SLO_MS,
-        admissions=("admit-all", "deadline"),
-        autoscale=AUTOSCALE,
+        pattern="bursty",
         num_requests=num_requests,
         burst_size=64,
         burst_gap_ms=30.0,
-        batch_sizes=LADDER,
-        max_wait_ms=2.0,
+        slo_ms=SLO_MS,
         seed=0,
     )
+    serving = ServingConfig(
+        model=MODEL,
+        devices=(DEVICE,),
+        batch_sizes=LADDER,
+        policy=BatchPolicy(max_batch_size=max(LADDER), max_wait_ms=2.0),
+        autoscale=AUTOSCALE,
+    )
+    table = run_once(benchmark, run_slo_comparison, traffic, serving, ("admit-all", "deadline"))
     rows = _rows_by_admission(table)
     admit_all, deadline = rows["admit-all"], rows["deadline"]
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
+from ..checks import require_int
 from ..frontend import load
 from ..obs.alerts import AlertManager, AlertRule, per_host_alert_rules
 from ..obs.metrics import MetricsRegistry
@@ -67,8 +68,7 @@ class ClusterConfig:
     link: "LinkModel | str" = field(default_factory=LinkModel)
 
     def __post_init__(self) -> None:
-        if self.num_hosts < 1:
-            raise ValueError(f"num_hosts must be >= 1, got {self.num_hosts}")
+        require_int("num_hosts", self.num_hosts)
         if self.host_fleets is not None:
             fleets = tuple(FleetSpec.of(fleet) for fleet in self.host_fleets)
             if len(fleets) != self.num_hosts:
@@ -92,24 +92,12 @@ class ClusterConfig:
             )
         if isinstance(self.link, str):
             object.__setattr__(self, "link", LinkModel.parse(self.link))
-
-    def template_fleet(self) -> FleetSpec:
-        """The per-host fleet the template declares (fleet or devices).
-
-        A plain ``devices`` tuple is summarised into per-device counts (first
-        occurrence keeps the order) — this fleet only *describes* the host; the
-        host's service still runs the template's exact device tuple.
-        """
-        if self.serving.fleet is not None:
-            return self.serving.fleet
-        counts: dict[str, int] = {}
-        for name in self.serving.devices:
-            counts[name] = counts.get(name, 0) + 1
-        return FleetSpec(groups=tuple(counts.items()))
+        # Each HostSpec checks its memory bound; build them once to fail here.
+        self.host_specs()
 
     def host_specs(self) -> list[HostSpec]:
         """One :class:`~repro.cluster.host.HostSpec` per host, in id order."""
-        template = self.template_fleet()
+        template = self.serving.as_fleet()
         specs = []
         for host_id in range(self.num_hosts):
             fleet = (

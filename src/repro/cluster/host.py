@@ -20,10 +20,10 @@ what makes partitioned placement win on small-memory fleets (see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..checks import require_number
 from ..serve.fleet import FleetSpec
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -45,12 +45,8 @@ class HostSpec:
     memory_gb: float | None = None
 
     def __post_init__(self) -> None:
-        if self.memory_gb is not None and not (
-            math.isfinite(self.memory_gb) and self.memory_gb > 0
-        ):
-            raise ValueError(
-                f"host memory_gb must be a finite number > 0, got {self.memory_gb}"
-            )
+        if self.memory_gb is not None:
+            require_number("host memory_gb", self.memory_gb, positive=True)
 
     def fits(self, weight_bytes: int) -> bool:
         """Whether ``weight_bytes`` of resident weights fit this host."""

@@ -25,22 +25,15 @@ All sizes are bytes, all times milliseconds, bandwidths GB/s
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
+
+from ..checks import require_number
 
 __all__ = ["LinkModel"]
 
 #: 1 GB/s expressed in bytes per millisecond.
 _BYTES_PER_MS_PER_GBS = 1e6
-
-
-def _check_link_value(name: str, value: float, *, positive: bool) -> None:
-    """Reject NaN, infinities and out-of-range values, naming the field."""
-    in_range = value > 0 if positive else value >= 0
-    if not (math.isfinite(value) and in_range):
-        bound = "> 0" if positive else ">= 0"
-        raise ValueError(f"link {name} must be a finite number {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,14 +55,14 @@ class LinkModel:
     )
 
     def __post_init__(self) -> None:
-        _check_link_value("bandwidth_gb_s", self.bandwidth_gb_s, positive=True)
-        _check_link_value("latency_ms", self.latency_ms, positive=False)
+        require_number("link bandwidth_gb_s", self.bandwidth_gb_s, positive=True)
+        require_number("link latency_ms", self.latency_ms)
         if self.ingress_gb_s is not None:
-            _check_link_value("ingress_gb_s", self.ingress_gb_s, positive=True)
-        _check_link_value("ingress_latency_ms", self.ingress_latency_ms, positive=False)
+            require_number("link ingress_gb_s", self.ingress_gb_s, positive=True)
+        require_number("link ingress_latency_ms", self.ingress_latency_ms)
         for pair, (bandwidth, latency) in self.pair_overrides.items():
-            _check_link_value(f"pair_overrides[{pair}] bandwidth", bandwidth, positive=True)
-            _check_link_value(f"pair_overrides[{pair}] latency", latency, positive=False)
+            require_number(f"link pair_overrides[{pair}] bandwidth", bandwidth, positive=True)
+            require_number(f"link pair_overrides[{pair}] latency", latency)
 
     # ------------------------------------------------------------------- costs
     def pair(self, src: int, dst: int) -> tuple[float, float]:

@@ -27,10 +27,10 @@ bounds; ties break lexicographically so the plan is deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ..checks import require_number
 from ..ir.graph import Graph
 from ..ir.ops import Placeholder, operator_from_config
 from ..ir.validate import validate_graph
@@ -194,11 +194,11 @@ def partition_graph(
     if not bounds:
         bounds = [None] * num_stages
     for host, bound in enumerate(bounds):
-        if bound is not None and not (math.isfinite(bound) and bound > 0):
-            raise PartitionError(
-                f"memory_bounds[{host}] must be a finite number > 0 or None, "
-                f"got {bound}"
-            )
+        if bound is not None:
+            try:
+                require_number(f"memory_bounds[{host}]", bound, positive=True)
+            except ValueError as error:
+                raise PartitionError(str(error)) from None
 
     # Block index of every node; placeholders ride with stage 0 (index -1).
     block_index: dict[str, int] = {}

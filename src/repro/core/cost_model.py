@@ -11,9 +11,9 @@ mean of :data:`REPEATS` runs after :data:`WARMUP` discarded ones, as the paper
 profiles.  :class:`FlopsCostModel` is a cheap analytical stand-in used by tests
 and by the contention-model ablation.
 
-Stage measurements are memoised: different schedules share sub-schedules (the
-very observation that motivates the dynamic program), so the same candidate
-stage is priced many times during a search.
+Every call measures: the DP prices each candidate stage of a block once and
+keeps the price with the ending it belongs to, so the cost model keeps no
+cache of its own.
 
 A cost model may also supply :class:`StageFloors` — a first-principles lower
 bound on every stage of a block that it can compute without measuring — which
@@ -123,9 +123,8 @@ class CostModel(ABC):
     """Latency oracle used by the dynamic-programming scheduler."""
 
     def __init__(self) -> None:
-        #: Number of distinct stage latencies actually measured (cache misses).
+        #: Number of stage latencies measured so far.
         self.num_measurements = 0
-        self._cache: dict[tuple, float] = {}
 
     # --------------------------------------------------------------- interface
     @abstractmethod
@@ -136,7 +135,7 @@ class CostModel(ABC):
         strategy: ParallelizationStrategy,
         groups: Sequence[Sequence[str]] | None = None,
     ) -> float:
-        """Measure (simulate) the latency of one stage; no caching.
+        """Measure (simulate) the latency of one stage.
 
         ``groups`` optionally carries the stage's connected-group
         decomposition when the caller already knows it (the DP enumerates
@@ -174,9 +173,9 @@ class CostModel(ABC):
         """A fresh, state-free clone for a worker process, or ``None``.
 
         Used by the multiprocessing search fan-out: each worker prices stages
-        on its own clone (empty measurement cache, zero counters).  ``None``
-        (the default) means this model cannot be cloned deterministically and
-        parallel search must fall back to serial.
+        on its own clone (zero counters).  ``None`` (the default) means this
+        model cannot be cloned deterministically and parallel search must
+        fall back to serial.
         """
         return None
 
@@ -188,17 +187,9 @@ class CostModel(ABC):
         strategy: ParallelizationStrategy,
         groups: Sequence[Sequence[str]] | None = None,
     ) -> float:
-        """Memoised latency of executing ``op_names`` as one stage."""
-        # The structural fingerprint keeps the cache honest across graph
-        # *versions*: recompiling a mutated graph keeps the graph name and
-        # operator names, and must not see stale prices.
-        key = (graph.name, graph.batch_size, graph.fingerprint(), frozenset(op_names), strategy)
-        if key in self._cache:
-            return self._cache[key]
-        latency = self._measure_stage(graph, tuple(op_names), strategy, groups)
-        self._cache[key] = latency
+        """Measured latency of executing ``op_names`` as one stage."""
         self.num_measurements += 1
-        return latency
+        return self._measure_stage(graph, tuple(op_names), strategy, groups)
 
     def generate_stage(self, graph: Graph, op_names: Sequence[str],
                        strategies: Sequence[ParallelizationStrategy] | None = None,
@@ -236,12 +227,6 @@ class CostModel(ABC):
             )
             best = StageChoice(latency_ms=latency, strategy=ParallelizationStrategy.CONCURRENT)
         return best
-
-    def cache_size(self) -> int:
-        return len(self._cache)
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
 
 
 def stage_to_execution(graph: Graph, op_names: Sequence[str],

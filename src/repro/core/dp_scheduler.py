@@ -33,6 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+from ..checks import require_int
 from ..ir.graph import Block, Graph
 from .cost_model import CostModel, StageChoice
 from .endings import BlockIndex, PruningStrategy, enumerate_endings
@@ -686,22 +687,18 @@ def resolve_compile_jobs(jobs: int | str | None = None) -> int:
     """Resolve a compile-parallelism setting to a concrete worker count.
 
     ``None`` reads the ``REPRO_COMPILE_JOBS`` environment variable (default
-    ``1`` — serial).  ``"auto"``, ``"0"`` or any non-positive number mean
-    "one worker per CPU".  Anything else must be a positive integer.
+    ``1`` — serial).  ``0`` or ``"auto"`` mean "one worker per CPU"; any
+    other value must be a positive integer (a negative count is an error).
     """
     if jobs is None:
         jobs = os.environ.get("REPRO_COMPILE_JOBS", "1")
     if isinstance(jobs, str):
         text = jobs.strip().lower()
-        if text in ("auto", "0"):
-            return max(1, os.cpu_count() or 1)
         try:
-            jobs = int(text or "1")
+            jobs = 0 if text == "auto" else int(text or "1")
         except ValueError:
             raise ValueError(
-                f"invalid compile jobs value {jobs!r}; expected a positive "
-                "integer, '0' or 'auto'"
+                f"compile jobs must be an int >= 0 or 'auto', got {jobs!r}"
             ) from None
-    if jobs <= 0:
-        return max(1, os.cpu_count() or 1)
-    return int(jobs)
+    require_int("compile jobs", jobs, minimum=0)
+    return jobs or max(1, os.cpu_count() or 1)

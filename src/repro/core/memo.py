@@ -23,8 +23,7 @@ memo hit can only ever return a schedule that the searching scheduler would
 have found itself.
 
 A caller that must not share passes ``use_memo=False`` to
-:meth:`~repro.core.dp_scheduler.IOSScheduler.optimize_graph`, as the engine's
-``compile(..., use_cache=False)`` does.
+:meth:`~repro.core.dp_scheduler.IOSScheduler.optimize_graph`.
 """
 
 from __future__ import annotations

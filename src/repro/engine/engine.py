@@ -173,7 +173,7 @@ class Engine:
         return self.scheduler.cost_model
 
     # --------------------------------------------------------------- compile
-    def compile(self, graph: Graph, *, use_cache: bool = True) -> CompiledModel:
+    def compile(self, graph: Graph) -> CompiledModel:
         """Run the staged pipeline on ``graph`` and return the compiled model.
 
         Cache hits return the previously compiled model object — treat it as
@@ -181,16 +181,15 @@ class Engine:
         """
         tracer = self.tracer
         key = graph_identity(graph)
-        if use_cache:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                if tracer:
-                    tracer.instant(
-                        "compile-cache-hit", "compile/stages", category="compile",
-                        args={"graph": graph.name, "device": self.device.name},
-                    )
-                return cached
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.stats.cache_hits += 1
+            if tracer:
+                tracer.instant(
+                    "compile-cache-hit", "compile/stages", category="compile",
+                    args={"graph": graph.name, "device": self.device.name},
+                )
+            return cached
 
         timings: list[StageTiming] = []
         operators_in = len(graph.schedulable_names())
@@ -219,7 +218,7 @@ class Engine:
         span_start = tracer.now_ms() if tracer else 0.0
         start = time.perf_counter()
         jobs = resolve_compile_jobs(self.jobs)
-        result = self.scheduler.optimize_graph(optimized, jobs=jobs, use_memo=use_cache)
+        result = self.scheduler.optimize_graph(optimized, jobs=jobs)
         if pass_stats is not None:
             result.pass_stats = pass_stats
         # Taken from the block stats, not the cost model's counters: blocks
@@ -291,8 +290,7 @@ class Engine:
         )
         self.stats.compiles += 1
         self.stats.searches += 1
-        if use_cache:
-            self._cache[key] = compiled
+        self._cache[key] = compiled
         return compiled
 
     def compile_model(self, name: str, batch_size: int = 1, **kwargs) -> CompiledModel:

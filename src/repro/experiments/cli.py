@@ -28,7 +28,6 @@ figures reuse the cache.  Examples::
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -140,9 +139,10 @@ def serve_main(argv: list[str] | None = None) -> int:
     """Entry point of the ``ios-bench serve`` subcommand."""
     # Imported lazily: repro.serve pulls in the whole serving stack, which the
     # figure/table experiments never need.
-    from ..cluster import LinkModel, list_cluster_routers
+    from ..checks import require_number
+    from ..cluster import ClusterConfig, LinkModel, list_cluster_routers, run_cluster_serving
+    from ..core import resolve_compile_jobs
     from ..serve import (
-        AutoscaleConfig,
         BatchPolicy,
         FleetSpec,
         ServingConfig,
@@ -272,121 +272,91 @@ def serve_main(argv: list[str] | None = None) -> int:
                         "rejected requests are always kept (requires --trace)")
     args = parser.parse_args(argv)
 
-    if args.requests <= 0:
-        parser.error(f"--requests must be positive, got {args.requests}")
-    if args.compile_jobs is not None:
-        if args.compile_jobs < 0:
-            parser.error(f"--compile-jobs must be >= 0, got {args.compile_jobs}")
-        # Engines read REPRO_COMPILE_JOBS at each compile, so the flag reaches
-        # every engine the serving stack builds — pooled or per-device.
-        os.environ["REPRO_COMPILE_JOBS"] = str(args.compile_jobs)
-    if args.num_workers is not None and args.num_workers <= 0:
-        parser.error(f"--num-workers must be positive, got {args.num_workers}")
-    _validate_topology_flags(args, parser)
-    fleet = None
-    if args.fleet is not None:
-        try:
-            fleet = FleetSpec.parse(args.fleet)
-        except (KeyError, ValueError) as error:
-            # str(KeyError) is the repr of its argument; unwrap for a clean
-            # message.
-            message = error.args[0] if isinstance(error, KeyError) else error
-            parser.error(f"bad --fleet spec: {message}")
-    device = args.device or "v100"
-    num_workers = args.num_workers or 2
-    if args.cluster is not None and args.cluster < 1:
-        parser.error(f"--cluster needs at least one host, got {args.cluster}")
-    if args.partition and (args.cluster is None or args.cluster < 2):
-        parser.error("--partition cuts the model across hosts; "
-                     "add --cluster N with N > 1")
-    if args.cluster is None and (
-        args.link is not None or args.host_memory is not None
-    ):
-        parser.error("--link/--host-memory configure a cluster run; "
-                     "add --cluster N")
-    if args.cluster is not None and args.compare:
-        parser.error("--cluster replays a single run; drop --compare")
-    link = LinkModel()
-    if args.link is not None:
-        try:
-            link = LinkModel.parse(args.link)
-        except ValueError as error:
-            parser.error(f"bad --link spec: {error}")
-    host_memory = None
-    if args.host_memory is not None:
-        try:
-            memory_values = tuple(
-                float(part) for part in args.host_memory.split(",") if part.strip()
-            )
-        except ValueError:
-            parser.error(f"--host-memory must be comma-separated numbers in GB, "
-                         f"got {args.host_memory!r}")
-        if not memory_values or any(value <= 0 for value in memory_values):
-            parser.error(f"--host-memory needs positive sizes in GB, "
-                         f"got {args.host_memory!r}")
-        if len(memory_values) > 1 and len(memory_values) != args.cluster:
-            parser.error(f"--host-memory lists {len(memory_values)} bounds for "
-                         f"--cluster {args.cluster} hosts")
-        host_memory = (
-            memory_values[0] if len(memory_values) == 1 else memory_values
-        )
-    if args.watch and args.cluster is not None and args.cluster > 1:
-        print("note: --watch follows a single host's live windows; "
-              "ignoring it for a multi-host cluster", file=sys.stderr)
-    # The config validates every traffic knob (--rate, --burst-size,
-    # --burst-gap-ms, --slo), naming the field, on every path below.
+    # Every knob is checked by the config that declares it, which names the
+    # field in its ValueError; the CLI only turns that into a usage error.
+    pattern = args.pattern or (
+        "bursty" if args.compare and args.slo is not None else "poisson"
+    )
     try:
         traffic = TrafficConfig(
-            model=args.model, pattern=args.pattern or "poisson",
+            model=args.model, pattern=pattern,
             num_requests=args.requests, rate_rps=args.rate,
             burst_size=args.burst_size, burst_gap_ms=args.burst_gap_ms,
             slo_ms=args.slo, seed=args.seed,
         )
     except ValueError as error:
         parser.error(f"bad traffic configuration: {error}")
-    if args.max_wait_ms is not None and not (
-        math.isfinite(args.max_wait_ms) and args.max_wait_ms >= 0
-    ):
-        parser.error(f"--max-wait-ms must be a finite number >= 0, got {args.max_wait_ms}")
-    if args.max_wait_ms is not None and args.no_batching:
-        print("note: --no-batching serves every request immediately; "
-              "ignoring --max-wait-ms", file=sys.stderr)
-    max_wait_ms = 5.0 if args.max_wait_ms is None else args.max_wait_ms
-    autoscale = None
-    if args.autoscale is not None:
-        try:
-            autoscale = AutoscaleConfig.parse(args.autoscale)
-        except ValueError as error:
-            parser.error(f"bad --autoscale spec: {error}")
-        pool_size = fleet.num_workers if fleet is not None else num_workers
-        if not autoscale.min_workers <= pool_size <= autoscale.max_workers:
-            parser.error(
-                f"the pool starts at {pool_size} workers, outside the "
-                f"--autoscale bounds {args.autoscale}"
-            )
     try:
         batch_sizes = tuple(int(part) for part in args.batch_sizes.split(",") if part.strip())
     except ValueError:
         parser.error(f"--batch-sizes must be comma-separated integers, got {args.batch_sizes!r}")
-    pool = dict(fleet=fleet) if fleet is not None else dict(
-        devices=(device,) * num_workers
-    )
-    # The config validates the ladder (and every other knob it holds); the
-    # batching policy is sized from the ladder once the ladder is known good.
+    max_wait_ms = 5.0 if args.max_wait_ms is None else args.max_wait_ms
     try:
+        pool = dict(fleet=args.fleet) if args.fleet is not None else dict(
+            devices=FleetSpec.homogeneous(
+                "v100" if args.device is None else args.device,
+                2 if args.num_workers is None else args.num_workers,
+            ).device_names()
+        )
         serving = ServingConfig(
             model=args.model, batch_sizes=batch_sizes, variant=args.variant,
             registry_root=args.registry_dir, passes=args.passes, router=args.router,
-            admission=args.admission, autoscale=autoscale, **pool,
+            admission=args.admission, autoscale=args.autoscale, **pool,
         )
+        # The ladder is known good here, so the batching policy can be sized
+        # from it; a bad --max-wait-ms fails even when --no-batching ignores it.
+        policy = BatchPolicy(max_batch_size=max(batch_sizes), max_wait_ms=max_wait_ms)
         serving = replace(serving, policy=(
-            BatchPolicy(max_batch_size=1, max_wait_ms=0.0) if args.no_batching
-            else BatchPolicy(max_batch_size=max(batch_sizes), max_wait_ms=max_wait_ms)
+            BatchPolicy(max_batch_size=1, max_wait_ms=0.0) if args.no_batching else policy
         ))
+        # No windowed registry is built without --alerts/--watch, so the
+        # window is checked here; compile jobs have their one rule too.
+        require_number("window_ms", args.window_ms, positive=True)
+        resolve_compile_jobs(args.compile_jobs)
     except ValueError as error:
         parser.error(f"bad serving configuration: {error}")
-    if not (math.isfinite(args.window_ms) and args.window_ms > 0):
-        parser.error(f"--window-ms must be a finite number > 0, got {args.window_ms}")
+    if args.compile_jobs is not None:
+        # Engines read REPRO_COMPILE_JOBS at each compile, so the flag reaches
+        # every engine the serving stack builds — pooled or per-device.
+        os.environ["REPRO_COMPILE_JOBS"] = str(args.compile_jobs)
+    cluster = None
+    if args.cluster is not None:
+        host_memory = None
+        if args.host_memory is not None:
+            try:
+                host_memory = tuple(
+                    float(part) for part in args.host_memory.split(",") if part.strip()
+                )
+            except ValueError:
+                parser.error(f"--host-memory must be comma-separated numbers in GB, "
+                             f"got {args.host_memory!r}")
+            if len(host_memory) == 1:
+                host_memory = host_memory[0]
+        try:
+            cluster = ClusterConfig(
+                serving=serving, num_hosts=args.cluster,
+                host_memory_gb=host_memory, partition=args.partition,
+                router=args.cluster_router,
+                link=LinkModel() if args.link is None else args.link,
+            )
+        except ValueError as error:
+            parser.error(f"bad cluster configuration: {error}")
+
+    _validate_topology_flags(args, parser)
+    if args.partition and (cluster is None or cluster.num_hosts < 2):
+        parser.error("--partition cuts the model across hosts; "
+                     "add --cluster N with N > 1")
+    if cluster is None and (args.link is not None or args.host_memory is not None):
+        parser.error("--link/--host-memory configure a cluster run; "
+                     "add --cluster N")
+    if cluster is not None and args.compare:
+        parser.error("--cluster replays a single run; drop --compare")
+    if args.watch and cluster is not None and cluster.num_hosts > 1:
+        print("note: --watch follows a single host's live windows; "
+              "ignoring it for a multi-host cluster", file=sys.stderr)
+    if args.max_wait_ms is not None and args.no_batching:
+        print("note: --no-batching serves every request immediately; "
+              "ignoring --max-wait-ms", file=sys.stderr)
     if args.trace_sample is not None and args.trace is None:
         parser.error("--trace-sample configures the trace recorder; "
                      "add --trace FILE")
@@ -403,56 +373,29 @@ def serve_main(argv: list[str] | None = None) -> int:
         if args.no_batching:
             parser.error("--no-batching conflicts with --compare "
                          "(the comparison already includes the unbatched baseline)")
-        if args.slo is None and (args.admission != "admit-all" or autoscale is not None):
-            print("note: the dynamic-vs-unbatched and fleet comparisons run "
-                  "admit-all on fixed pools; ignoring --admission/--autoscale "
-                  "(add --slo for the admission-policy comparison)",
-                  file=sys.stderr)
         if args.slo is not None:
             # Admission-policy comparison: the same deadline-carrying workload
             # through every policy, admit-all as the baseline.
-            if fleet is not None:
+            if serving.fleet is not None:
                 parser.error("--slo --compare runs on a homogeneous pool; "
                              "drop --fleet")
             admissions = (
                 ("admit-all", args.admission)
                 if args.admission != "admit-all" else ("admit-all", "deadline")
             )
-            table = run_slo_comparison(
-                model=args.model, device=device, num_workers=num_workers,
-                slo_ms=args.slo, admissions=admissions, autoscale=autoscale,
-                router=args.router,
-                num_requests=args.requests, rate_rps=args.rate,
-                batch_sizes=batch_sizes, max_wait_ms=max_wait_ms,
-                pattern=args.pattern or "bursty",
-                burst_size=args.burst_size, burst_gap_ms=args.burst_gap_ms,
-                variant=args.variant, registry_root=args.registry_dir,
-                seed=args.seed, passes=args.passes,
-            )
-            print(table.to_text())
-            _write_csv(table, args.csv_dir)
-            return 0
-        if fleet is not None:
-            # Fleet comparison: the mixed fleet vs equally-sized homogeneous
-            # fleets of each member device type.
-            table = run_fleet_comparison(
-                model=args.model, fleet=fleet, routers=(args.router,),
-                num_requests=args.requests, rate_rps=args.rate,
-                batch_sizes=batch_sizes, max_wait_ms=max_wait_ms,
-                patterns=(args.pattern,) if args.pattern else ("poisson", "bursty"),
-                burst_size=args.burst_size, burst_gap_ms=args.burst_gap_ms,
-                variant=args.variant, registry_root=args.registry_dir,
-                seed=args.seed, passes=args.passes,
-            )
+            table = run_slo_comparison(traffic, serving, admissions)
         else:
-            table = run_serving_comparison(
-                model=args.model, device=device, num_workers=num_workers,
-                num_requests=args.requests, rate_rps=args.rate, batch_sizes=batch_sizes,
-                max_wait_ms=max_wait_ms,
-                patterns=(args.pattern,) if args.pattern else ("poisson", "bursty"),
-                burst_size=args.burst_size, burst_gap_ms=args.burst_gap_ms,
-                variant=args.variant, registry_root=args.registry_dir,
-                seed=args.seed, passes=args.passes,
+            if args.admission != "admit-all" or args.autoscale is not None:
+                print("note: the dynamic-vs-unbatched and fleet comparisons run "
+                      "admit-all on fixed pools; ignoring --admission/--autoscale "
+                      "(add --slo for the admission-policy comparison)",
+                      file=sys.stderr)
+            # The fleet comparison pits a mixed fleet against homogeneous
+            # fleets of each member device type.
+            compare = run_fleet_comparison if serving.fleet is not None else run_serving_comparison
+            table = compare(
+                traffic, replace(serving, admission="admit-all", autoscale=None),
+                (args.pattern,) if args.pattern else ("poisson", "bursty"),
             )
         print(table.to_text())
         _write_csv(table, args.csv_dir)
@@ -493,17 +436,10 @@ def serve_main(argv: list[str] | None = None) -> int:
             from ..obs import Tracer
 
             tracer = Tracer()
-    if args.cluster is not None:
-        from ..cluster import ClusterConfig, run_cluster_serving
-
-        cluster_config = ClusterConfig(
-            serving=serving, num_hosts=args.cluster,
-            host_memory_gb=host_memory, partition=args.partition,
-            router=args.cluster_router, link=link,
-        )
+    if cluster is not None:
         try:
             cluster_report = run_cluster_serving(
-                traffic, cluster_config, tracer=tracer,
+                traffic, cluster, tracer=tracer,
                 alerts=alerts, watch=True if args.watch else None,
                 window_ms=args.window_ms,
             )

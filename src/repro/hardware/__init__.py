@@ -6,7 +6,14 @@ parameters, operators are lowered to kernel launch geometries, and concurrent
 execution across CUDA streams is simulated with a fluid contention model.
 """
 
-from .device import DEVICE_REGISTRY, DeviceSpec, get_device, get_devices, list_devices
+from .device import (
+    DEVICE_REGISTRY,
+    DeviceSpec,
+    UnknownDeviceError,
+    get_device,
+    get_devices,
+    list_devices,
+)
 from .kernel import (
     CUDNN_PROFILE,
     KERNEL_PROFILES,
@@ -27,6 +34,7 @@ from .contention import (
 __all__ = [
     "DeviceSpec",
     "DEVICE_REGISTRY",
+    "UnknownDeviceError",
     "get_device",
     "get_devices",
     "list_devices",

@@ -17,11 +17,15 @@ set of published architectural parameters that the simulator consumes:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
-__all__ = ["DeviceSpec", "DEVICE_REGISTRY", "get_device", "get_devices", "list_devices"]
+from ..checks import require_number
+
+__all__ = [
+    "DeviceSpec", "DEVICE_REGISTRY", "UnknownDeviceError", "get_device", "get_devices",
+    "list_devices",
+]
 
 
 @dataclass(frozen=True)
@@ -55,26 +59,12 @@ class DeviceSpec:
     year: int = 2018
 
     def __post_init__(self) -> None:
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            if isinstance(value, (int, float)) and not math.isfinite(value):
-                raise ValueError(f"{spec_field.name} must be finite, got {value}")
-        for name in ("kernel_launch_overhead_ms", "stream_sync_overhead_ms"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.num_sms <= 0:
-            raise ValueError(f"num_sms must be positive, got {self.num_sms}")
-        if self.peak_fp32_tflops <= 0:
-            raise ValueError(f"peak_fp32_tflops must be positive, got {self.peak_fp32_tflops}")
-        if self.memory_bandwidth_gb_s <= 0:
-            raise ValueError(
-                f"memory_bandwidth_gb_s must be positive, got "
-                f"{self.memory_bandwidth_gb_s}"
-            )
-        if self.blocks_per_sm <= 0:
-            raise ValueError(f"blocks_per_sm must be positive, got {self.blocks_per_sm}")
-        if self.contention_alpha < 0:
-            raise ValueError("contention_alpha must be non-negative")
+        for name in ("num_sms", "peak_fp32_tflops", "memory_bandwidth_gb_s",
+                     "blocks_per_sm", "warp_size", "warps_per_block"):
+            require_number(name, getattr(self, name), positive=True)
+        for name in ("memory_gb", "kernel_launch_overhead_ms", "stream_sync_overhead_ms",
+                     "contention_alpha", "year"):
+            require_number(name, getattr(self, name))
 
     # ------------------------------------------------------------ derived units
     @property
@@ -202,9 +192,23 @@ _PRESETS = [
 DEVICE_REGISTRY: dict[str, DeviceSpec] = {spec.name: spec for spec in _PRESETS}
 
 
+class UnknownDeviceError(KeyError, ValueError):
+    """A device name that :func:`get_device` cannot resolve.
+
+    Subclasses both :class:`KeyError` (the historical exception of a catalog
+    lookup) and :class:`ValueError` (what a bad user-supplied name is), so a
+    config can report it like any other bad knob.
+    """
+
+    def __str__(self) -> str:  # KeyError would repr() the message
+        return self.args[0] if self.args else ""
+
+
 def get_device(name: str) -> DeviceSpec:
     """Look up a device preset by (case-insensitive) name."""
-    key = name.lower().replace(" ", "").replace("-", "").replace("_", "")
+    key = None
+    if isinstance(name, str):
+        key = name.lower().replace(" ", "").replace("-", "").replace("_", "")
     aliases = {
         "teslav100": "v100",
         "teslak80": "k80",
@@ -215,7 +219,9 @@ def get_device(name: str) -> DeviceSpec:
     }
     key = aliases.get(key, key)
     if key not in DEVICE_REGISTRY:
-        raise KeyError(f"unknown device {name!r}; available: {sorted(DEVICE_REGISTRY)}")
+        raise UnknownDeviceError(
+            f"unknown device {name!r}; available: {sorted(DEVICE_REGISTRY)}"
+        )
     return DEVICE_REGISTRY[key]
 
 
@@ -223,7 +229,7 @@ def get_devices(names: "Iterable[str]") -> list[DeviceSpec]:
     """Look up several device presets at once (fleet members, worker pools).
 
     Order and multiplicity are preserved — pass one name per worker.  Raises
-    :class:`KeyError` (listing the catalog) on the first unknown name.
+    :class:`UnknownDeviceError` (listing the catalog) on the first unknown name.
     """
     return [get_device(name) for name in names]
 

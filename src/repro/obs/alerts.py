@@ -32,6 +32,8 @@ import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ..checks import require_number
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .timeseries import TimeSeriesRegistry, WindowSpan
 
@@ -439,8 +441,10 @@ def parse_alert_rules(
         if key == "burn-rate":
             rules.append(BurnRateRule("slo-burn-rate", value))
         elif key == "queue":
+            require_number("alert rule queue", value, positive=True)
             rules.append(QueueSaturationRule("queue-saturation", value))
         elif key == "p99":
+            require_number("alert rule p99", value, positive=True)
             rules.append(
                 ThresholdRule(
                     "p99-latency", "serve.latency_ms", "p99", value, for_windows=2

@@ -39,6 +39,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
+from ..checks import require_int
 from .trace import (
     ASYNC_BEGIN, ASYNC_END, COUNTER, INSTANT, SPAN, TraceRecord, Tracer,
 )
@@ -67,12 +68,9 @@ class SamplingConfig:
     track_budget: int = 4_000
 
     def __post_init__(self):
-        if self.max_records < 1:
-            raise ValueError(f"max_records must be >= 1, got {self.max_records}")
-        if self.head_every < 0:
-            raise ValueError(f"head_every must be >= 0, got {self.head_every}")
-        if self.track_budget < 2:
-            raise ValueError(f"track_budget must be >= 2, got {self.track_budget}")
+        require_int("max_records", self.max_records)
+        require_int("head_every", self.head_every, minimum=0)
+        require_int("track_budget", self.track_budget, minimum=2)
 
 
 class _TrackReservoir:

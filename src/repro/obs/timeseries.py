@@ -28,11 +28,11 @@ run, not after it.
 from __future__ import annotations
 
 import bisect
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
+from ..checks import require_int, require_number
 from .metrics import Counter, Gauge, Histogram, Metric, MetricsRegistry, _label_key
 
 __all__ = [
@@ -363,10 +363,8 @@ class TimeSeriesRegistry(MetricsRegistry):
 
     def __init__(self, window_ms: float = 50.0, max_windows: int = 240,
                  sketch_bins: int = 64):
-        if not (math.isfinite(window_ms) and window_ms > 0):
-            raise ValueError(f"window_ms must be a finite number > 0, got {window_ms}")
-        if max_windows < 1:
-            raise ValueError(f"max_windows must be >= 1, got {max_windows}")
+        require_number("window_ms", window_ms, positive=True)
+        require_int("max_windows", max_windows)
         super().__init__()
         self.window_ms = float(window_ms)
         self.max_windows = int(max_windows)

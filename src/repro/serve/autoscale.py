@@ -24,12 +24,11 @@ set turns autoscaling on for every service using it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..checks import require_int, require_number
 from ..hardware.device import DeviceSpec
-from .request import require_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..obs.alerts import AlertEvent
@@ -54,20 +53,16 @@ class AutoscaleConfig:
     cooldown_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        require_positive_int("min_workers", self.min_workers)
-        require_positive_int("max_workers", self.max_workers)
+        require_int("min_workers", self.min_workers)
+        require_int("max_workers", self.max_workers)
         if self.max_workers < self.min_workers:
             raise ValueError(
                 f"max_workers ({self.max_workers}) must be >= min_workers "
                 f"({self.min_workers})"
             )
-        for name, positive in (
-            ("interval_ms", True), ("scale_up_backlog_ms", False), ("cooldown_ms", False)
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-                bound = "> 0" if positive else ">= 0"
-                raise ValueError(f"{name} must be a finite number {bound}, got {value}")
+        require_number("interval_ms", self.interval_ms, positive=True)
+        require_number("scale_up_backlog_ms", self.scale_up_backlog_ms)
+        require_number("cooldown_ms", self.cooldown_ms)
 
     @classmethod
     def parse(cls, spec: str, **overrides) -> "AutoscaleConfig":

@@ -20,13 +20,12 @@ one with the lowest measured latency.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..checks import require_int, require_number
 from ..hardware.device import DeviceSpec
 from .registry import ScheduleRegistry
-from .request import require_positive_int
 
 __all__ = ["BatchPolicy", "BatchSizeSelector"]
 
@@ -41,11 +40,8 @@ class BatchPolicy:
     max_wait_ms: float = 5.0
 
     def __post_init__(self) -> None:
-        require_positive_int("max_batch_size", self.max_batch_size)
-        if not (math.isfinite(self.max_wait_ms) and self.max_wait_ms >= 0):
-            raise ValueError(
-                f"max_wait_ms must be a finite number >= 0, got {self.max_wait_ms}"
-            )
+        require_int("max_batch_size", self.max_batch_size)
+        require_number("max_wait_ms", self.max_wait_ms)
 
     def close_deadline_ms(self, first_arrival_ms: float) -> float:
         """When a batch opened at ``first_arrival_ms`` must be flushed.
@@ -66,11 +62,8 @@ def check_ladder(batch_sizes: Sequence[int]) -> None:
     """
     if not batch_sizes:
         raise ValueError("batch_sizes ladder must not be empty")
-    for size in batch_sizes:
-        try:
-            require_positive_int("batch_sizes rung", size)
-        except ValueError as error:
-            raise ValueError(f"{error} in {tuple(batch_sizes)!r}") from None
+    for index, size in enumerate(batch_sizes):
+        require_int(f"batch_sizes[{index}]", size)
     if len(set(batch_sizes)) != len(batch_sizes):
         raise ValueError(f"batch_sizes must not repeat a rung, got {tuple(batch_sizes)!r}")
 

@@ -21,6 +21,9 @@ Three comparisons are provided:
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Sequence
+
 from ..experiments.tables import ExperimentTable
 from ..obs.trace import Tracer
 from .batcher import BatchPolicy
@@ -75,32 +78,35 @@ def run_serving(
     return service.run(requests)
 
 
+def _pool(serving: ServingConfig) -> str:
+    """The pool as worker groups in declaration order, e.g. ``2×v100``."""
+    return " + ".join(f"{count}×{device}" for device, count in serving.as_fleet().groups)
+
+
+def _registry(serving: ServingConfig) -> ScheduleRegistry:
+    """The one schedule registry every row of a comparison shares."""
+    return ScheduleRegistry(
+        root=serving.registry_root, variant=serving.variant, passes=serving.passes
+    )
+
+
 def run_serving_comparison(
-    model: str = "inception_v3",
-    device: str = "v100",
-    num_workers: int = 2,
-    num_requests: int = 200,
-    rate_rps: float = 200.0,
-    batch_sizes: tuple[int, ...] = (1, 2, 4, 8, 16),
-    max_wait_ms: float = 5.0,
-    patterns: tuple[str, ...] = ("poisson", "bursty"),
-    burst_size: int = 16,
-    burst_gap_ms: float = 50.0,
-    variant: str = "ios-both",
-    registry_root: str | None = None,
-    seed: int = 0,
-    passes: bool = False,
+    traffic: TrafficConfig,
+    serving: ServingConfig,
+    patterns: Sequence[str] = ("poisson", "bursty"),
 ) -> ExperimentTable:
     """Dynamic batching vs. the no-batching baseline across traffic patterns.
 
-    One registry (and hence one set of scheduler searches) is shared by all
-    runs, exactly as a deployed service would share its schedule store.  The
-    per-request sample mix is capped to the ladder maximum so every generated
-    request is servable.
+    Each pattern replays ``traffic`` with that arrival pattern, through
+    ``serving`` as given (the dynamic row) and through a copy that executes
+    every request by itself (the unbatched row).  One registry (and hence one
+    set of scheduler searches) is shared by all runs, exactly as a deployed
+    service would share its schedule store.  The per-request sample mix is
+    capped to the ladder maximum so every generated request is servable.
     """
     table = ExperimentTable(
         experiment_id="serving_comparison",
-        title=f"Serving {model} on {num_workers}×{device}: "
+        title=f"Serving {serving.model} on {_pool(serving)}: "
         "dynamic batching vs. no batching",
         columns=[
             "pattern", "policy", "requests", "batches", "throughput_rps",
@@ -110,27 +116,15 @@ def run_serving_comparison(
         "cumulative number of IOS scheduler runs it performed so far",
     )
 
-    registry = ScheduleRegistry(root=registry_root, variant=variant, passes=passes)
-    devices = (device,) * num_workers
+    registry = _registry(serving)
     configs = {
-        "dynamic": ServingConfig(
-            model=model, devices=devices, batch_sizes=batch_sizes,
-            policy=BatchPolicy(max_batch_size=max(batch_sizes), max_wait_ms=max_wait_ms),
-            variant=variant, passes=passes,
-        ),
-        "unbatched": ServingConfig.unbatched(
-            model=model, devices=devices, batch_sizes=batch_sizes, variant=variant,
-            passes=passes,
-        ),
+        "dynamic": serving,
+        "unbatched": replace(serving, policy=BatchPolicy(max_batch_size=1, max_wait_ms=0.0)),
     }
     for pattern in patterns:
-        traffic = TrafficConfig(
-            model=model, pattern=pattern, num_requests=num_requests,
-            rate_rps=rate_rps, burst_size=burst_size, burst_gap_ms=burst_gap_ms,
-            seed=seed,
-        ).capped_to(max(batch_sizes))
-        for policy_name, serving in configs.items():
-            report = run_serving(traffic, serving, registry=registry)
+        pattern_traffic = replace(traffic, pattern=pattern).capped_to(max(serving.batch_sizes))
+        for policy_name, config in configs.items():
+            report = run_serving(pattern_traffic, config, registry=registry)
             table.add_row(
                 pattern=pattern,
                 policy=policy_name,
@@ -147,62 +141,30 @@ def run_serving_comparison(
 
 
 def run_slo_comparison(
-    model: str = "squeezenet",
-    device: str = "k80",
-    num_workers: int = 1,
-    slo_ms: float = 20.0,
-    admissions: tuple[str, ...] = ("admit-all", "deadline"),
-    autoscale: "str | object | None" = None,
-    router: str = "earliest-finish",
-    num_requests: int = 320,
-    burst_size: int = 64,
-    burst_gap_ms: float = 30.0,
-    batch_sizes: tuple[int, ...] = (1, 2, 4, 8),
-    max_wait_ms: float = 2.0,
-    pattern: str = "bursty",
-    rate_rps: float = 2000.0,
-    variant: str = "ios-both",
-    registry_root: str | None = None,
-    seed: int = 0,
-    passes: bool = False,
+    traffic: TrafficConfig,
+    serving: ServingConfig,
+    admissions: Sequence[str] = ("admit-all", "deadline"),
 ) -> ExperimentTable:
     """Admission policies head-to-head on one deadline-carrying workload.
 
-    Every row serves the identical seeded workload — bursty overload by
-    default, each request carrying an ``slo_ms`` latency budget — through
-    the same pool shape, varying only the admission policy (and applying the
-    same ``autoscale`` bounds to every row, so the comparison isolates
-    admission).  One schedule registry is shared by all rows.
+    Every row serves the identical seeded ``traffic`` — which must carry an
+    ``slo_ms`` latency budget — through ``serving``, varying only the
+    admission policy (pool, router and any ``autoscale`` bounds are shared by
+    every row, so the comparison isolates admission).  One schedule registry
+    is shared by all rows.
 
     The headline columns: ``attainment`` (fraction of *offered* requests that
     completed within their deadline — a rejected request never attains) and
     the latency percentiles of the admitted requests.  Under overload,
     deadline-aware shedding must beat admit-all on attainment *and* p99: the
     benchmark suite asserts exactly that.
-
-    Parameters
-    ----------
-    model, batch_sizes, max_wait_ms, variant, registry_root, passes:
-        Service knobs, as in :func:`run_serving_comparison`.
-    device, num_workers:
-        The (homogeneous) pool every policy serves on.
-    slo_ms:
-        Latency budget attached to every generated request.
-    admissions:
-        Admission policies to measure; each gets one row.
-    autoscale:
-        Optional elastic bounds applied to every row: a ``"min:max"``
-        string, or a full :class:`~repro.serve.autoscale.AutoscaleConfig`
-        when the watermarks need tuning too.
-    router:
-        Routing policy every row dispatches with.
-    num_requests, pattern, rate_rps, burst_size, burst_gap_ms, seed:
-        Traffic shape, shared by every row.
     """
+    if traffic.slo_ms is None:
+        raise ValueError("the admission comparison needs traffic with slo_ms set")
     table = ExperimentTable(
         experiment_id="slo_comparison",
-        title=f"Serving {model} with a {slo_ms:.0f}ms SLO on "
-        f"{num_workers}×{device} ({pattern} overload): admission policies",
+        title=f"Serving {serving.model} with a {traffic.slo_ms:.0f}ms SLO on "
+        f"{_pool(serving)} ({traffic.pattern} overload): admission policies",
         columns=[
             "admission", "offered", "admitted", "rejected", "attainment",
             "violations", "p50_ms", "p99_ms", "scale_events", "peak_workers",
@@ -213,25 +175,13 @@ def run_slo_comparison(
         "one schedule registry is shared across rows",
     )
 
-    registry = ScheduleRegistry(root=registry_root, variant=variant, passes=passes)
-    traffic = TrafficConfig(
-        model=model, pattern=pattern, num_requests=num_requests,
-        rate_rps=rate_rps, burst_size=burst_size, burst_gap_ms=burst_gap_ms,
-        slo_ms=slo_ms, seed=seed,
-    ).capped_to(max(batch_sizes))
+    registry = _registry(serving)
+    traffic = traffic.capped_to(max(serving.batch_sizes))
     for admission in admissions:
-        serving = ServingConfig(
-            model=model, devices=(device,) * num_workers,
-            batch_sizes=batch_sizes,
-            policy=BatchPolicy(max_batch_size=max(batch_sizes),
-                               max_wait_ms=max_wait_ms),
-            admission=admission, autoscale=autoscale, router=router,
-            variant=variant, passes=passes,
-        )
-        report = run_serving(traffic, serving, registry=registry)
+        report = run_serving(traffic, replace(serving, admission=admission), registry=registry)
         slo = report.slo_summary
         peak_workers = max(
-            [num_workers]
+            [len(serving.devices)]
             + [event.num_workers for event in report.scale_events]
         )
         table.add_row(
@@ -258,44 +208,23 @@ def _group_utilization(report: ServingReport) -> str:
 
 
 def run_fleet_comparison(
-    model: str = "squeezenet",
-    fleet: "FleetSpec | str" = "k80:2,v100:4",
-    routers: tuple[str, ...] = ("earliest-finish",),
-    num_requests: int = 300,
-    rate_rps: float = 2000.0,
-    batch_sizes: tuple[int, ...] = (1, 2, 4, 8, 16),
-    max_wait_ms: float = 5.0,
-    patterns: tuple[str, ...] = ("poisson", "bursty"),
-    burst_size: int = 32,
-    burst_gap_ms: float = 20.0,
-    variant: str = "ios-both",
-    registry_root: str | None = None,
-    seed: int = 0,
-    passes: bool = False,
+    traffic: TrafficConfig,
+    serving: ServingConfig,
+    patterns: Sequence[str] = ("poisson", "bursty"),
 ) -> ExperimentTable:
     """Mixed fleet vs. equally-sized homogeneous fleets, per traffic pattern.
 
-    For the given (typically mixed) ``fleet``, every member device type also
-    runs as a *homogeneous* fleet of the same total worker count, so the
-    comparison isolates device heterogeneity from pool size.  Each row serves
-    the identical seeded workload; one schedule registry is shared by all
-    runs (fleets sharing a device type reuse its compiled artifacts, exactly
-    like deployments sharing a schedule store).  Under load, the mixed fleet
-    must beat the homogeneous fleet of its slowest member device — that is
-    the acceptance bar the fleet tests assert on.
-
-    Parameters
-    ----------
-    model, batch_sizes, max_wait_ms, variant, registry_root, passes:
-        Service knobs, as in :func:`run_serving_comparison`.
-    fleet:
-        The mixed fleet under study (spec object or ``"k80:2,v100:4"``).
-    routers:
-        Routing policies to measure; each gets its own rows.
-    num_requests, rate_rps, patterns, burst_size, burst_gap_ms, seed:
-        Traffic shape per pattern, shared by every fleet.
+    For the (typically mixed) pool of ``serving``, every member device type
+    also runs as a *homogeneous* fleet of the same total worker count, so the
+    comparison isolates device heterogeneity from pool size.  Each row
+    replays ``traffic`` with one of ``patterns`` through ``serving`` with
+    only the fleet replaced; one schedule registry is shared by all runs
+    (fleets sharing a device type reuse its compiled artifacts, exactly like
+    deployments sharing a schedule store).  Under load, the mixed fleet must
+    beat the homogeneous fleet of its slowest member device — that is the
+    acceptance bar the fleet tests assert on.
     """
-    fleet = FleetSpec.of(fleet)
+    fleet = serving.as_fleet()
     fleets: dict[str, FleetSpec] = {fleet.describe(): fleet}
     for device in fleet.device_types():
         homogeneous = FleetSpec.homogeneous(device, fleet.num_workers)
@@ -303,7 +232,7 @@ def run_fleet_comparison(
 
     table = ExperimentTable(
         experiment_id="fleet_comparison",
-        title=f"Serving {model} on mixed vs homogeneous fleets "
+        title=f"Serving {serving.model} on mixed vs homogeneous fleets "
         f"({fleet.describe()}, {fleet.num_workers} workers each)",
         columns=[
             "fleet", "pattern", "router", "requests", "batches",
@@ -315,33 +244,23 @@ def run_fleet_comparison(
         "'searches' is cumulative across rows",
     )
 
-    registry = ScheduleRegistry(root=registry_root, variant=variant, passes=passes)
-    policy = BatchPolicy(max_batch_size=max(batch_sizes), max_wait_ms=max_wait_ms)
+    registry = _registry(serving)
     for pattern in patterns:
-        traffic = TrafficConfig(
-            model=model, pattern=pattern, num_requests=num_requests,
-            rate_rps=rate_rps, burst_size=burst_size, burst_gap_ms=burst_gap_ms,
-            seed=seed,
-        ).capped_to(max(batch_sizes))
+        pattern_traffic = replace(traffic, pattern=pattern).capped_to(max(serving.batch_sizes))
         for fleet_name, members in fleets.items():
-            for router in routers:
-                serving = ServingConfig(
-                    model=model, fleet=members, router=router,
-                    batch_sizes=batch_sizes, policy=policy, variant=variant,
-                    passes=passes,
-                )
-                report = run_serving(traffic, serving, registry=registry)
-                table.add_row(
-                    fleet=fleet_name,
-                    pattern=pattern,
-                    router=router,
-                    requests=report.num_requests,
-                    batches=report.num_batches,
-                    throughput_rps=report.throughput_rps,
-                    samples_per_s=report.throughput_samples_per_s,
-                    p50_ms=report.latency.p50_ms,
-                    p95_ms=report.latency.p95_ms,
-                    groups=_group_utilization(report),
-                    searches=registry.stats.searches,
-                )
+            report = run_serving(pattern_traffic, replace(serving, fleet=members),
+                                 registry=registry)
+            table.add_row(
+                fleet=fleet_name,
+                pattern=pattern,
+                router=report.router,
+                requests=report.num_requests,
+                batches=report.num_batches,
+                throughput_rps=report.throughput_rps,
+                samples_per_s=report.throughput_samples_per_s,
+                p50_ms=report.latency.p50_ms,
+                p95_ms=report.latency.p95_ms,
+                groups=_group_utilization(report),
+                searches=registry.stats.searches,
+            )
     return table

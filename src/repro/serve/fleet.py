@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from ..checks import require_int
 from ..hardware.device import get_device
 from .workers import Worker, earliest_start_worker
 
@@ -80,12 +81,8 @@ class FleetSpec:
             raise ValueError("a fleet needs at least one worker group")
         canonicalised: dict[str, int] = {}
         for name, count in self.groups:
-            if not isinstance(count, int) or isinstance(count, bool) or count <= 0:
-                raise ValueError(
-                    f"worker count for device {name!r} must be a positive "
-                    f"integer, got {count!r}"
-                )
-            canonical = get_device(name).name  # raises KeyError on unknown names
+            require_int(f"worker count for device {name!r}", count)
+            canonical = get_device(name).name
             if canonical in canonicalised:
                 raise ValueError(
                     f"duplicate device group {canonical!r} (declared again as "
@@ -98,10 +95,8 @@ class FleetSpec:
                 "set min_workers and max_workers together (or neither)"
             )
         if self.min_workers is not None:
-            if self.min_workers <= 0:
-                raise ValueError(
-                    f"min_workers must be positive, got {self.min_workers}"
-                )
+            require_int("min_workers", self.min_workers)
+            require_int("max_workers", self.max_workers)
             if not self.min_workers <= self.num_workers <= self.max_workers:
                 raise ValueError(
                     f"declared fleet size {self.num_workers} must lie within "
@@ -116,8 +111,9 @@ class FleetSpec:
 
         A bare device name means one worker (``"v100"`` == ``"v100:1"``).
         Raises :class:`ValueError` on malformed entries and duplicate device
-        groups, :class:`KeyError` (listing the available presets) on unknown
-        device names; every message quotes the full ``spec`` verbatim so the
+        groups, and :class:`~repro.hardware.UnknownDeviceError` (a
+        ``ValueError`` listing the available presets) on unknown device
+        names; every message quotes the full ``spec`` verbatim so the
         offending CLI argument is identifiable in the error alone.
         """
         groups: list[tuple[str, int]] = []
@@ -144,13 +140,9 @@ class FleetSpec:
             raise ValueError(f"empty fleet spec {spec!r}")
         try:
             return cls(groups=tuple(groups))
-        except KeyError as error:
-            # get_device raises without the spec; re-raise so the offending
-            # CLI argument survives into the message.
-            detail = error.args[0] if error.args else error
-            raise KeyError(f"{detail} (in fleet spec {spec!r})") from None
         except ValueError as error:
-            raise ValueError(f"{error} (in fleet spec {spec!r})") from None
+            # Same error type, with the offending CLI argument in the message.
+            raise type(error)(f"{error} (in fleet spec {spec!r})") from None
 
     @classmethod
     def homogeneous(cls, device: str, count: int) -> "FleetSpec":

@@ -14,6 +14,8 @@ events; together they are everything that can happen to the service:
   in-flight accounting drops and the autoscaler gets a chance to react;
 * **scale checks** — every ``interval_ms`` the autoscaler compares the
   pool's backlog against its watermarks and may add or retire a worker.
+  The chain stops once the loop is idle with no arrival due, and the next
+  arrival starts it again.
 
 Events at the same instant process deterministically: arrivals first (a
 request arriving exactly at a batch's close deadline still joins it), then
@@ -637,6 +639,10 @@ class ServingLoop:
         self._record_scale_events(self.autoscaler.evaluate(self.state))
         if self._arrivals_due() or self._pending or self._inflight:
             self._push(self._now_ms + self.autoscaler.config.interval_ms, _SCALE, None)
+        else:
+            # The chain stops; a later arrival (a stage handoff in a
+            # partitioned cluster) re-arms it.
+            self._scale_armed = False
 
     def _record_scale_events(self, events) -> None:
         """Append autoscaler resizes, counting and tracing each one."""

@@ -24,18 +24,6 @@ from dataclasses import dataclass, field
 __all__ = ["InferenceRequest", "FormedBatch", "RequestRecord", "RejectedRequest"]
 
 
-def require_positive_int(field: str, value: object) -> None:
-    """Raise a ``ValueError`` naming ``field`` unless ``value`` is an int >= 1.
-
-    A bool is an int to Python but never a count: ``True`` would silently
-    mean 1.  A float such as ``2.5`` or ``2.0`` is rejected too, since a
-    count that is not an int would be compared and summed as one far from
-    where it was declared.
-    """
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{field} must be a positive int, got {value!r}")
-
-
 @dataclass(frozen=True)
 class InferenceRequest:
     """One inference demand entering the service."""

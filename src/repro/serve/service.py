@@ -121,6 +121,11 @@ class ServingConfig:
                 )
         if not self.devices:
             raise ValueError("serving needs at least one device")
+        # Device names resolve like router and admission names: a typo fails
+        # here, listing the presets, and aliases become preset names.
+        object.__setattr__(
+            self, "devices", tuple(device.name for device in get_devices(self.devices))
+        )
         check_ladder(self.batch_sizes)
         # Resolve router names eagerly so a typo fails at config time, not
         # mid-run; the service builds the instance.  A Router instance is
@@ -148,11 +153,19 @@ class ServingConfig:
         # key and the CLI can never disagree.
         object.__setattr__(self, "variant", normalize_variant(self.variant))
 
-    @classmethod
-    def unbatched(cls, **overrides) -> "ServingConfig":
-        """A no-batching baseline: every request executes by itself."""
-        overrides.setdefault("policy", BatchPolicy(max_batch_size=1, max_wait_ms=0.0))
-        return cls(**overrides)
+    def as_fleet(self) -> FleetSpec:
+        """The worker pool as a fleet: ``fleet`` when declared, else ``devices``.
+
+        A plain ``devices`` tuple is summarised into per-device counts (first
+        occurrence keeps the order); this fleet only *describes* the pool — a
+        service still runs the exact device tuple.
+        """
+        if self.fleet is not None:
+            return self.fleet
+        counts: dict[str, int] = {}
+        for name in self.devices:
+            counts[name] = counts.get(name, 0) + 1
+        return FleetSpec(groups=tuple(counts.items()))
 
 
 class InferenceService:

@@ -20,11 +20,11 @@ priority class per request from a weighted mix.  Everything is driven by one
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
 
-from .request import InferenceRequest, require_positive_int
+from ..checks import require_int, require_number
+from .request import InferenceRequest
 
 __all__ = ["TrafficConfig", "TrafficGenerator", "poisson_arrivals", "bursty_arrivals",
            "bursty_arrival_bursts", "uniform_arrivals"]
@@ -32,8 +32,7 @@ __all__ = ["TrafficConfig", "TrafficGenerator", "poisson_arrivals", "bursty_arri
 
 def poisson_arrivals(num_requests: int, rate_rps: float, rng: random.Random) -> list[float]:
     """Arrival times (ms) of a Poisson process at ``rate_rps`` requests/second."""
-    if rate_rps <= 0:
-        raise ValueError(f"rate_rps must be positive, got {rate_rps}")
+    require_number("rate_rps", rate_rps, positive=True)
     now = 0.0
     arrivals = []
     for _ in range(num_requests):
@@ -60,10 +59,8 @@ def bursty_arrival_bursts(
     information that is unrecoverable from the flat arrival list once jitter
     blurs the gaps.
     """
-    if burst_size <= 0:
-        raise ValueError(f"burst_size must be positive, got {burst_size}")
-    if burst_gap_ms <= 0:
-        raise ValueError(f"burst_gap_ms must be positive, got {burst_gap_ms}")
+    require_int("burst_size", burst_size)
+    require_number("burst_gap_ms", burst_gap_ms, positive=True)
     pairs: list[tuple[float, int]] = []
     burst_start = 0.0
     burst_id = 0
@@ -95,8 +92,7 @@ def bursty_arrivals(
 
 def uniform_arrivals(num_requests: int, rate_rps: float, rng: random.Random) -> list[float]:
     """Evenly spaced arrivals at ``rate_rps`` (a deterministic control pattern)."""
-    if rate_rps <= 0:
-        raise ValueError(f"rate_rps must be positive, got {rate_rps}")
+    require_number("rate_rps", rate_rps, positive=True)
     gap_ms = 1e3 / rate_rps
     return [index * gap_ms for index in range(num_requests)]
 
@@ -107,11 +103,8 @@ def _check_weights(field: str, weights: tuple[float, ...]) -> None:
     ``random.choices`` accepts a negative weight and silently skews the mix;
     a NaN or infinite weight, or weights summing to zero, break the draw.
     """
-    for weight in weights:
-        if not (math.isfinite(weight) and weight >= 0):
-            raise ValueError(
-                f"{field} must be finite numbers >= 0, got {weight} in {weights!r}"
-            )
+    for index, weight in enumerate(weights):
+        require_number(f"{field}[{index}]", weight)
     if not sum(weights) > 0:
         raise ValueError(f"{field} must not sum to zero, got {weights!r}")
 
@@ -146,25 +139,19 @@ class TrafficConfig:
                 f"unknown traffic pattern {self.pattern!r}; "
                 "choose from poisson, bursty, uniform"
             )
-        if self.num_requests <= 0:
-            raise ValueError(f"num_requests must be positive, got {self.num_requests}")
+        require_int("num_requests", self.num_requests)
         if len(self.sample_sizes) != len(self.sample_weights):
             raise ValueError("sample_sizes and sample_weights must have equal length")
         if not self.sample_sizes:
             raise ValueError("sample_sizes must not be empty")
-        for size in self.sample_sizes:
-            require_positive_int("sample_sizes entry", size)
+        for index, size in enumerate(self.sample_sizes):
+            require_int(f"sample_sizes[{index}]", size)
         _check_weights("sample_weights", self.sample_weights)
-        if self.burst_size < 1:
-            raise ValueError(f"burst_size must be >= 1, got {self.burst_size}")
-        if not (math.isfinite(self.rate_rps) and self.rate_rps > 0):
-            raise ValueError(f"rate_rps must be a finite number > 0, got {self.rate_rps}")
-        if not (math.isfinite(self.burst_gap_ms) and self.burst_gap_ms > 0):
-            raise ValueError(
-                f"burst_gap_ms must be a finite number > 0, got {self.burst_gap_ms}"
-            )
-        if self.slo_ms is not None and not (math.isfinite(self.slo_ms) and self.slo_ms >= 0):
-            raise ValueError(f"slo_ms must be a finite number >= 0, got {self.slo_ms}")
+        require_int("burst_size", self.burst_size)
+        require_number("rate_rps", self.rate_rps, positive=True)
+        require_number("burst_gap_ms", self.burst_gap_ms, positive=True)
+        if self.slo_ms is not None:
+            require_number("slo_ms", self.slo_ms)
         if len(self.priorities) != len(self.priority_weights):
             raise ValueError("priorities and priority_weights must have equal length")
         if not self.priorities:

@@ -49,7 +49,7 @@ class TestTopologyFlagConflicts:
 class TestClusterFlagValidation:
     def test_cluster_must_be_positive(self, capsys):
         err = error_of(capsys, ["--cluster", "0"])
-        assert "--cluster needs at least one host" in err
+        assert "bad cluster configuration: num_hosts must be an int >= 1, got 0" in err
 
     def test_partition_requires_a_real_cluster(self, capsys):
         err = error_of(capsys, ["--partition"])
@@ -69,11 +69,11 @@ class TestClusterFlagValidation:
 
     def test_bad_link_spec_is_reported(self, capsys):
         err = error_of(capsys, ["--cluster", "2", "--link", "speed=9"])
-        assert "bad --link spec" in err
+        assert "bad cluster configuration: malformed link entry 'speed=9'" in err
 
     def test_host_memory_count_must_match_hosts(self, capsys):
         err = error_of(capsys, ["--cluster", "3", "--host-memory", "1,2"])
-        assert "--host-memory lists 2 bounds" in err
+        assert "host_memory_gb has 2 entries for 3 hosts" in err
 
     def test_bad_fleet_spec_quotes_the_spec(self, capsys):
         err = error_of(capsys, ["--fleet", "k80:2,v100:x"])

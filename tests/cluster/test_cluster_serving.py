@@ -26,6 +26,7 @@ from repro.serve import (
     TrafficGenerator,
 )
 from repro.serve.experiment import run_serving
+from repro.serve.loop import ServingLoop
 
 
 def traffic(**overrides) -> TrafficConfig:
@@ -222,6 +223,41 @@ class TestPartitionedCluster:
                 router="partition-affinity",
             ),
         )
+
+    def test_every_stage_handoff_is_followed_by_a_scale_check(self, monkeypatch):
+        # A host's scale-check chain stops when it goes idle between bursts;
+        # the stage handoffs that reach it later must start the chain again.
+        checks, arrivals = {}, {}
+        on_check, arrive = ServingLoop._on_scale_check, ServingLoop.arrive
+
+        def record_check(loop, time_ms, payload):
+            checks.setdefault(id(loop), []).append(time_ms)
+            on_check(loop, time_ms, payload)
+
+        def record_arrival(loop, time_ms, request):
+            arrivals.setdefault(id(loop), []).append(time_ms)
+            arrive(loop, time_ms, request)
+
+        monkeypatch.setattr(ServingLoop, "_on_scale_check", record_check)
+        monkeypatch.setattr(ServingLoop, "arrive", record_arrival)
+        elastic = ServingConfig(
+            model="squeezenet", devices=("k80",), batch_sizes=(1, 2, 4, 8),
+            policy=BatchPolicy(max_batch_size=8, max_wait_ms=2.0),
+            autoscale=AutoscaleConfig(min_workers=1, max_workers=3, interval_ms=1.0),
+        )
+        run_cluster_serving(
+            TrafficConfig(
+                model="squeezenet", pattern="bursty", num_requests=240, seed=11
+            ).capped_to(8),
+            ClusterConfig(
+                serving=elastic, num_hosts=4, partition=True,
+                router="partition-affinity", link="bw=12.5,lat=0.05",
+            ),
+        )
+        assert len(arrivals) == 4
+        for loop, times in arrivals.items():
+            assert len(times) == 240
+            assert max(checks[loop]) >= max(times)
 
     def test_one_transfer_per_stage_boundary(self, report):
         assert report.plan is not None

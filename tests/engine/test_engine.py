@@ -88,14 +88,6 @@ class TestCompileCache:
         engine.compile(load("squeezenet", batch_size=2))
         assert engine.stats.searches == 2
 
-    def test_use_cache_false_bypasses(self, v100, fig2):
-        engine = Engine(v100)
-        first = engine.compile(fig2, use_cache=False)
-        second = engine.compile(fig2, use_cache=False)
-        assert second is not first
-        assert engine.stats.cache_hits == 0
-        assert second.schedule == first.schedule
-
     def test_engine_pool_shares_engines_per_environment(self, v100):
         clear_engine_pool()
         try:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import EXPERIMENTS
 from repro.experiments.cli import main
+from repro.hardware import list_devices
 
 
 class TestCLI:
@@ -105,7 +106,7 @@ class TestServeCLI:
 
     @pytest.mark.parametrize("bad,field", [
         (["--rate", "0"], "rate_rps must be a finite number > 0"),
-        (["--burst-size", "0"], "burst_size must be >= 1"),
+        (["--burst-size", "0"], "burst_size must be an int >= 1"),
         (["--burst-gap-ms", "0"], "burst_gap_ms must be a finite number > 0"),
         (["--slo", "-1"], "slo_ms must be a finite number >= 0"),
         (["--slo", "-1", "--compare"], "slo_ms must be a finite number >= 0"),
@@ -116,6 +117,35 @@ class TestServeCLI:
             main(["serve"] + bad)
         assert exit_info.value.code == 2
         assert f"bad traffic configuration: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad,message", [
+        (["--requests", "0"], "bad traffic configuration: num_requests must be an int >= 1"),
+        (["--num-workers", "0"], "worker count for device 'v100' must be an int >= 1"),
+        (["--num-workers", "-2"], "worker count for device 'v100' must be an int >= 1"),
+        (["--cluster", "-1"], "bad cluster configuration: num_hosts must be an int >= 1"),
+        (["--cluster", "2", "--host-memory", "-4"],
+         "bad cluster configuration: host memory_gb must be a finite number > 0"),
+        (["--cluster", "2", "--host-memory", "nan"], "host memory_gb must be a finite number"),
+        (["--cluster", "3", "--host-memory", "1,2"], "host_memory_gb has 2 entries for 3 hosts"),
+        (["--autoscale", "2:4", "--num-workers", "1"], "must lie within the autoscale bounds"),
+        (["--max-wait-ms", "-1"], "max_wait_ms must be a finite number >= 0"),
+        (["--max-wait-ms", "nan", "--no-batching"], "max_wait_ms must be a finite number >= 0"),
+        (["--window-ms", "0"], "window_ms must be a finite number > 0"),
+        (["--compile-jobs", "-1"], "compile jobs must be an int >= 0, got -1"),
+    ])
+    def test_serve_knob_errors_name_the_config_field(self, bad, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--model", "squeezenet"] + bad)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_serve_unknown_device_lists_the_presets(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--model", "squeezenet", "--device", "bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad serving configuration: unknown device 'bogus'" in err
+        assert all(name in err for name in list_devices())
 
     def test_serve_passes_flag_round_trips_warm(self, capsys, tmp_path):
         # A warm serve run on a pass-optimised graph must still perform zero

@@ -6,6 +6,7 @@ import pytest
 
 from repro.hardware import get_device
 from repro.serve import (
+    BatchPolicy,
     EarliestFinishRouter,
     FleetSpec,
     InferenceService,
@@ -264,9 +265,9 @@ class TestMixedFleetServing:
 class TestFleetComparison:
     def test_mixed_fleet_beats_the_worse_homogeneous_fleet(self):
         table = run_fleet_comparison(
-            model=MODEL, fleet="k80:2,v100:2", num_requests=150,
-            rate_rps=4000.0, batch_sizes=LADDER, patterns=("poisson",),
-            seed=3,
+            TrafficConfig(model=MODEL, num_requests=150, rate_rps=4000.0, seed=3),
+            fleet_config("k80:2,v100:2", policy=BatchPolicy(max(LADDER), 5.0)),
+            ("poisson",),
         )
         rows = {row["fleet"]: row for row in table.rows}
         assert set(rows) == {"k80:2,v100:2", "k80:4", "v100:4"}
@@ -278,8 +279,9 @@ class TestFleetComparison:
 
     def test_registry_is_shared_across_fleets(self):
         table = run_fleet_comparison(
-            model=MODEL, fleet="k80:1,v100:1", num_requests=60,
-            rate_rps=3000.0, batch_sizes=(1, 2), patterns=("uniform",),
+            TrafficConfig(model=MODEL, num_requests=60, rate_rps=3000.0),
+            fleet_config("k80:1,v100:1", batch_sizes=(1, 2), policy=BatchPolicy(2, 5.0)),
+            ("uniform",),
         )
         # Two device types × two rungs: four searches total, cumulative
         # across rows (later fleets reuse the earlier fleets' artifacts).

@@ -14,6 +14,7 @@ import math
 import pytest
 
 from repro.experiments.cli import main
+from repro.hardware import UnknownDeviceError
 from repro.obs import TimeSeriesRegistry
 from repro.serve import (
     AutoscaleConfig,
@@ -45,19 +46,19 @@ def test_non_finite_knob_is_rejected_by_name(field, build, value):
         build(value)
 
 
-#: Traffic flags are validated by TrafficConfig, whose message names the field.
-TRAFFIC_FIELDS = {"--rate": "rate_rps", "--burst-gap-ms": "burst_gap_ms", "--slo": "slo_ms"}
+#: Each flag is checked where its knob is declared; the message names the field.
+FIELDS = {
+    "--max-wait-ms": "max_wait_ms", "--rate": "rate_rps", "--burst-gap-ms": "burst_gap_ms",
+    "--slo": "slo_ms", "--window-ms": "window_ms",
+}
 
 
-@pytest.mark.parametrize(
-    "flag", ["--max-wait-ms", "--rate", "--burst-gap-ms", "--slo", "--window-ms"]
-)
+@pytest.mark.parametrize("flag", list(FIELDS))
 def test_cli_rejects_a_non_finite_flag_with_a_usage_error(flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["serve", "--model", "squeezenet", flag, "nan"])
     assert exit_info.value.code == 2
-    name = TRAFFIC_FIELDS.get(flag, flag)
-    assert f"{name} must be a finite number" in capsys.readouterr().err
+    assert f"{FIELDS[flag]} must be a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -149,3 +150,11 @@ def test_cli_reports_a_malformed_ladder_from_the_config(ladder, capsys):
         main(["serve", "--model", "squeezenet", f"--batch-sizes={ladder}"])
     assert exit_info.value.code == 2
     assert "batch_sizes" in capsys.readouterr().err
+
+
+def test_device_names_resolve_when_the_config_is_built():
+    assert ServingConfig(model="squeezenet", devices=("Tesla V100", "k80")).devices == (
+        "v100", "k80",
+    )
+    with pytest.raises(UnknownDeviceError, match="available"):
+        ServingConfig(model="squeezenet", devices=("v100", "bogus"))

@@ -175,7 +175,8 @@ class TestInferenceService:
 
     def test_unbatched_config_serves_each_request_alone(self):
         unbatched = InferenceService(
-            ServingConfig.unbatched(model="toy", devices=("v100",), batch_sizes=(1, 2, 4)),
+            ServingConfig(model="toy", devices=("v100",), batch_sizes=(1, 2, 4),
+                          policy=BatchPolicy(max_batch_size=1, max_wait_ms=0.0)),
             registry=toy_registry(),
         )
         report = unbatched.run(requests_for(12, num_samples=2))

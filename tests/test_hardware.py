@@ -15,6 +15,7 @@ from repro.hardware import (
     TVM_AUTOTUNE_PROFILE,
     DeviceSpec,
     KernelProfile,
+    UnknownDeviceError,
     build_kernel,
     get_device,
     list_devices,
@@ -44,6 +45,12 @@ class TestDeviceSpecs:
     def test_unknown_device(self):
         with pytest.raises(KeyError):
             get_device("tpu-v9000")
+
+    @pytest.mark.parametrize("name", ["tpu-v9000", None, 3])
+    def test_unknown_device_is_a_typed_value_error(self, name):
+        with pytest.raises(UnknownDeviceError, match="available") as info:
+            get_device(name)
+        assert isinstance(info.value, ValueError)
 
     def test_derived_units(self, v100):
         assert v100.peak_flops_per_ms == pytest.approx(15.7e9)
