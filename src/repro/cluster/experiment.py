@@ -24,10 +24,10 @@ from typing import Callable, Sequence
 from ..checks import require_int
 from ..frontend import load
 from ..obs.alerts import AlertManager, AlertRule, per_host_alert_rules
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, percentile
 from ..obs.trace import PrefixedTracer, Tracer
 from ..serve.fleet import FleetSpec
-from ..serve.metrics import ServingReport, build_report, percentile
+from ..serve.metrics import ServingReport, build_report
 from ..serve.registry import ScheduleRegistry
 from ..serve.service import InferenceService, ServingConfig
 from ..serve.traffic import TrafficConfig, TrafficGenerator

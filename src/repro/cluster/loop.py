@@ -223,7 +223,7 @@ class ClusterLoop:
         self._outcome.routed[host.host_id] = (
             self._outcome.routed.get(host.host_id, 0) + 1
         )
-        self._routed[host.name].inc()
+        self._routed[host.name](1.0)
         self._journeys[request.request_id] = _Journey(request)
         sub = request
         if self.plan is not None and self.plan.num_stages > 1:
@@ -283,9 +283,9 @@ class ClusterLoop:
         stats.total_bytes += num_bytes
         stats.total_ms += delivery_ms - sent_ms
         pair = f"{src.name if src is not None else 'client'}->{dst.name}"
-        self._transfers[pair].inc()
-        self._transfer_ms[pair].observe(delivery_ms - sent_ms)
-        self._transfer_bytes[pair].observe(num_bytes)
+        self._transfers[pair](1.0)
+        self._transfer_ms[pair](delivery_ms - sent_ms)
+        self._transfer_bytes[pair](num_bytes)
         if self.tracer:
             args = {
                 "bytes": num_bytes,

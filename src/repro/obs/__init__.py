@@ -10,10 +10,11 @@ engine :class:`~repro.engine.engine.StageTiming`, serving
   timeline from a request's arrival down to the kernel/stream placement that
   served it.  Disabled tracing is a falsy no-op (:data:`NULL_TRACER`).
 * :mod:`repro.obs.metrics` — typed counters/gauges/histograms with
-  deterministic snapshots; the single home of a serving run's tallies.
+  deterministic snapshots; the single home of a serving run's tallies.  The
+  same three families bucket into virtual-time windows (bounded ring,
+  streaming quantile sketches) when a windowed registry creates them.
 * :mod:`repro.obs.timeseries` — windowed live metrics: a drop-in
-  :class:`TimeSeriesRegistry` bucketing observations into fixed virtual-time
-  windows (bounded ring, streaming quantile sketches) behind the same
+  :class:`TimeSeriesRegistry` that owns the window clock, behind the same
   call-site API.
 * :mod:`repro.obs.alerts` — declarative alert rules (threshold, multi-window
   SLO burn rate, queue saturation) evaluated on window close inside the
@@ -46,28 +47,18 @@ from .export import (
 from .metrics import (
     HISTOGRAM_QUANTILES,
     QUANTILE_DECIMALS,
-    BoundCounter,
-    BoundGauge,
-    BoundHistogram,
     Counter,
     Gauge,
     Histogram,
     LazySeries,
     Metric,
     MetricsRegistry,
+    StreamingQuantile,
+    percentile,
     quantiles_reference,
 )
 from .sampling import SamplingConfig, SamplingTracer, parse_sampling_spec
-from .timeseries import (
-    StreamingQuantile,
-    TimeSeriesRegistry,
-    WatchRenderer,
-    WindowedCounter,
-    WindowedGauge,
-    WindowedHistogram,
-    WindowedSeries,
-    WindowSpan,
-)
+from .timeseries import TimeSeriesRegistry, WatchRenderer, WindowSpan
 from .trace import NULL_TRACER, NullTracer, PrefixedTracer, TraceRecord, Tracer
 
 __all__ = [
@@ -77,9 +68,6 @@ __all__ = [
     "AlertEvent",
     "AlertManager",
     "AlertRule",
-    "BoundCounter",
-    "BoundGauge",
-    "BoundHistogram",
     "BurnRateRule",
     "Counter",
     "Gauge",
@@ -100,10 +88,6 @@ __all__ = [
     "Tracer",
     "WatchRenderer",
     "WindowSpan",
-    "WindowedCounter",
-    "WindowedGauge",
-    "WindowedHistogram",
-    "WindowedSeries",
     "alerts_snapshot",
     "chrome_trace",
     "chrome_trace_json",
@@ -111,6 +95,7 @@ __all__ = [
     "parse_alert_rules",
     "parse_sampling_spec",
     "per_host_alert_rules",
+    "percentile",
     "quantiles_reference",
     "validate_chrome_trace",
     "write_chrome_trace",

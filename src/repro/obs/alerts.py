@@ -32,7 +32,7 @@ import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..checks import require_number
+from ..checks import require_int, require_number
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .timeseries import TimeSeriesRegistry, WindowSpan
@@ -110,10 +110,12 @@ class AlertRule:
 class ThresholdRule(AlertRule):
     """A window statistic of one metric crossed a threshold.
 
-    ``stat`` selects the statistic per family kind: counters support
+    ``stat`` is a statistic of the family's
+    :meth:`~repro.obs.metrics.Metric.window_stat`: counters support
     ``"sum"``/``"rate"`` (increments per window / per second), gauges
-    ``"last"``/``"max"``, histograms ``"p<q>"`` sketch quantiles (``"p99"``)
-    or ``"mean"``.  Windows with no data for the metric do not breach.
+    ``"last"``/``"max"``, histograms ``"p<q>"`` sketch quantiles (``"p99"``),
+    ``"mean"``, ``"count"`` or ``"sum"``.  Windows with no data for the
+    metric do not breach.
     """
 
     def __init__(
@@ -130,8 +132,8 @@ class ThresholdRule(AlertRule):
         super().__init__(name, severity)
         if op not in (">", ">=", "<", "<="):
             raise ValueError(f"unsupported comparison {op!r}")
-        if for_windows < 1:
-            raise ValueError(f"for_windows must be >= 1, got {for_windows}")
+        require_number("threshold", threshold)
+        require_int("for_windows", for_windows)
         self.metric = metric
         self.stat = stat
         self.threshold = float(threshold)
@@ -143,21 +145,7 @@ class ThresholdRule(AlertRule):
         self, registry: "TimeSeriesRegistry", window: "WindowSpan"
     ) -> float | None:
         family = registry.get(self.metric)
-        if family is None:
-            return None
-        stat = self.stat
-        if family.kind == "counter":
-            if stat == "rate":
-                return family.window_rate(window.index)
-            return family.window_total(window.index)
-        if family.kind == "gauge":
-            if stat == "last":
-                return family.window_last(window.index)
-            return family.window_max(window.index)
-        if stat == "mean":
-            sketch = family.window_sketch(window.index)
-            return sketch.mean if sketch is not None else None
-        return family.window_quantile(window.index, float(stat.lstrip("p")))
+        return None if family is None else family.window_stat(window.index, self.stat)
 
     def observe(
         self, registry: "TimeSeriesRegistry", window: "WindowSpan"
@@ -208,7 +196,10 @@ class BurnRateRule(AlertRule):
         super().__init__(name, severity)
         if not 0.0 < target < 1.0:
             raise ValueError(f"attainment target must be in (0, 1), got {target}")
-        if short_windows < 1 or long_windows < short_windows:
+        require_number("factor", factor, positive=True)
+        require_int("short_windows", short_windows)
+        require_int("long_windows", long_windows)
+        if long_windows < short_windows:
             raise ValueError(
                 f"need 1 <= short_windows <= long_windows, got "
                 f"{short_windows}/{long_windows}"
@@ -225,9 +216,9 @@ class BurnRateRule(AlertRule):
         met = missed = 0.0
         for index in range(last - span + 1, last + 1):
             if met_family is not None:
-                met += met_family.window_total(index)
+                met += met_family.window_stat(index, "sum")
             if missed_family is not None:
-                missed += missed_family.window_total(index)
+                missed += missed_family.window_stat(index, "sum")
         finished = met + missed
         if not finished:
             return None

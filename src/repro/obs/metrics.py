@@ -14,10 +14,17 @@ bookkeeping with one typed store:
 
 Each metric is a *family*: series within a family are keyed by labels
 (``counter.inc(reason="predicted-deadline-miss")``), so one counter holds the
-whole breakdown.  A series exists once something is recorded into it.  Hot
-paths bind a series once — ``family.bind(reason=...)`` returns a handle that
-holds the canonical label key — and record through the handle; the keyword
-calls and the handles share one per-family ``_record(key, value)``.
+whole breakdown.  A series exists once something is recorded into it.  Every
+write lands in the family's one ``_record(key, value)``: the keyword calls
+canonicalise their labels on each call, and hot paths record through a
+:class:`LazySeries`, which binds ``_record`` to the canonical key once.
+
+A family created by a :class:`~repro.obs.timeseries.TimeSeriesRegistry` also
+buckets each series into fixed virtual-time windows on that registry's clock:
+a counter keeps the per-window increment sum, a gauge the per-window
+``(last, max)`` pair, a histogram one bounded :class:`StreamingQuantile` per
+window.  :meth:`Metric.window_stat` is the one read of those buckets.
+
 :meth:`MetricsRegistry.snapshot` exports everything as one nested dict with
 sorted keys, and :meth:`MetricsRegistry.to_json` renders it
 byte-deterministically — the same run always dumps the same document.
@@ -25,23 +32,29 @@ byte-deterministically — the same run always dumps the same document.
 
 from __future__ import annotations
 
+import bisect
 import json
-from typing import Callable, Mapping, Sequence
+from array import array
+from collections import OrderedDict
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .timeseries import TimeSeriesRegistry
 
 __all__ = [
     "HISTOGRAM_QUANTILES",
     "QUANTILE_DECIMALS",
-    "BoundCounter",
-    "BoundGauge",
-    "BoundHistogram",
     "Counter",
     "Gauge",
     "Histogram",
     "LazySeries",
     "Metric",
     "MetricsRegistry",
+    "StreamingQuantile",
+    "percentile",
     "quantiles_reference",
 ]
 
@@ -57,6 +70,23 @@ HISTOGRAM_QUANTILES = (50.0, 95.0, 99.0)
 #: :meth:`MetricsRegistry.to_json` byte-stable everywhere.
 QUANTILE_DECIMALS = 6
 
+#: Bin budget of each per-window :class:`StreamingQuantile`.
+SKETCH_BINS = 64
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) of ``values``, linearly interpolated.
+
+    The one percentile of the package: histogram quantiles and snapshots,
+    the serving report's latency summaries and the cluster report's host
+    rows all read it, so they always agree.
+    """
+    if not len(values):
+        raise ValueError("cannot take a percentile of no values")
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    return float(np.percentile(values, q))
+
 
 def _label_key(labels: Mapping[str, object]) -> _LabelKey:
     """Canonical hashable form of a label set (sorted, values stringified)."""
@@ -65,63 +95,154 @@ def _label_key(labels: Mapping[str, object]) -> _LabelKey:
     return tuple(sorted((name, str(value)) for name, value in labels.items()))
 
 
-class _BoundSeries:
-    """One series of a family with its label key canonicalised once.
+class StreamingQuantile:
+    """A bounded, mergeable, deterministic quantile sketch.
 
-    Binding creates nothing: the series appears on the first record, exactly
-    as it would through the keyword call.
+    The classic streaming histogram of Ben-Haim & Tom-Yossef: observations
+    insert as unit-weight bins; when the sketch exceeds ``max_bins`` the two
+    *closest* adjacent bins merge into their weighted centroid (ties break on
+    the lower index, so the compaction is deterministic).  While fewer than
+    ``max_bins`` distinct values have been observed the sketch is exact;
+    beyond that, quantiles interpolate between centroids and are clamped to
+    the true ``[min, max]``, which the sketch tracks exactly alongside
+    ``count`` and ``sum``.
     """
 
-    __slots__ = ("key", "_record")
+    __slots__ = ("max_bins", "_centroids", "_weights", "count", "sum", "min", "max")
 
-    def __init__(self, family: "Metric", key: _LabelKey):
-        self.key = key
-        self._record = family._record
-
-
-class BoundCounter(_BoundSeries):
-    """A bound :class:`Counter` series."""
-
-    __slots__ = ()
-
-    def inc(self, value: float = 1.0) -> None:
-        self._record(self.key, value)
-
-
-class BoundGauge(_BoundSeries):
-    """A bound :class:`Gauge` series."""
-
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        self._record(self.key, value)
-
-
-class BoundHistogram(_BoundSeries):
-    """A bound :class:`Histogram` series."""
-
-    __slots__ = ()
+    def __init__(self, max_bins: int = 64):
+        if max_bins < 2:
+            raise ValueError(f"a quantile sketch needs >= 2 bins, got {max_bins}")
+        self.max_bins = max_bins
+        self._centroids: list[float] = []
+        self._weights: list[float] = []
+        self.count = 0
+        self.sum = 0.0
+        self.min = float("inf")
+        self.max = float("-inf")
 
     def observe(self, value: float) -> None:
-        self._record(self.key, value)
+        """Fold one observation into the sketch."""
+        value = float(value)
+        self.count += 1
+        self.sum += value
+        self.min = min(self.min, value)
+        self.max = max(self.max, value)
+        index = bisect.bisect_left(self._centroids, value)
+        if index < len(self._centroids) and self._centroids[index] == value:
+            self._weights[index] += 1.0
+        else:
+            self._centroids.insert(index, value)
+            self._weights.insert(index, 1.0)
+            if len(self._centroids) > self.max_bins:
+                self._compact()
+
+    def _compact(self) -> None:
+        """Merge the closest adjacent bin pair (lowest index wins ties)."""
+        centroids, weights = self._centroids, self._weights
+        best, best_gap = 0, float("inf")
+        for i in range(len(centroids) - 1):
+            gap = centroids[i + 1] - centroids[i]
+            if gap < best_gap:
+                best, best_gap = i, gap
+        w = weights[best] + weights[best + 1]
+        centroids[best] = (
+            centroids[best] * weights[best] + centroids[best + 1] * weights[best + 1]
+        ) / w
+        weights[best] = w
+        del centroids[best + 1]
+        del weights[best + 1]
+
+    def merge(self, other: "StreamingQuantile") -> "StreamingQuantile":
+        """Fold ``other`` into this sketch (used to aggregate label sets)."""
+        for centroid, weight in zip(other._centroids, other._weights):
+            index = bisect.bisect_left(self._centroids, centroid)
+            if index < len(self._centroids) and self._centroids[index] == centroid:
+                self._weights[index] += weight
+            else:
+                self._centroids.insert(index, centroid)
+                self._weights.insert(index, weight)
+        while len(self._centroids) > self.max_bins:
+            self._compact()
+        self.count += other.count
+        self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        return self
+
+    def copy(self) -> "StreamingQuantile":
+        clone = StreamingQuantile(self.max_bins)
+        clone._centroids = list(self._centroids)
+        clone._weights = list(self._weights)
+        clone.count, clone.sum = self.count, self.sum
+        clone.min, clone.max = self.min, self.max
+        return clone
+
+    @property
+    def mean(self) -> float:
+        return self.sum / self.count if self.count else 0.0
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-th percentile (0..100), clamped to the exact [min, max]."""
+        if not 0 <= q <= 100:
+            raise ValueError(f"percentile must be in [0, 100], got {q}")
+        if not self.count:
+            raise ValueError("quantile of an empty sketch")
+        centroids, weights = self._centroids, self._weights
+        if len(centroids) == 1:
+            return centroids[0]
+        target = q / 100.0 * self.count
+        # Each bin is treated as centred on its centroid: the cumulative
+        # weight *at* centroid i is sum(w[:i]) + w[i]/2.
+        cumulative = 0.0
+        previous_c, previous_cum = self.min, 0.0
+        for centroid, weight in zip(centroids, weights):
+            centre = cumulative + weight / 2.0
+            if target <= centre:
+                span = centre - previous_cum
+                fraction = (target - previous_cum) / span if span > 0 else 0.0
+                value = previous_c + fraction * (centroid - previous_c)
+                return min(max(value, self.min), self.max)
+            previous_c, previous_cum = centroid, centre
+            cumulative += weight
+        return self.max
+
+    def __len__(self) -> int:
+        return len(self._centroids)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return (
+            f"<StreamingQuantile n={self.count} bins={len(self._centroids)}"
+            f"/{self.max_bins}>"
+        )
 
 
 class Metric:
-    """Base of all metric families: a name, a kind, and labelled series."""
+    """Base of the three metric families: a name, a kind and labelled series.
+
+    ``clock`` is the :class:`~repro.obs.timeseries.TimeSeriesRegistry` whose
+    windows the family buckets into, or ``None`` for a cumulative-only
+    family.  Each concrete family defines its window bucket
+    (:meth:`_new_bucket`), how a write updates it (in ``_record``), how the
+    buckets of one window combine across label sets (:meth:`_merged`) and
+    how a statistic reads a bucket (:meth:`_read`).
+    """
 
     kind = "metric"
-    #: Handle type :meth:`bind` returns (set by each concrete family).
-    _handle: type[_BoundSeries]
+    #: Statistics each window of a series exports, in export order.
+    window_exports: tuple[str, ...] = ()
 
-    def __init__(self, name: str, description: str = ""):
+    def __init__(self, name: str, description: str = "",
+                 clock: "TimeSeriesRegistry | None" = None):
         if not name:
             raise ValueError("a metric needs a non-empty name")
         self.name = name
         self.description = description
-
-    def bind(self, **labels) -> _BoundSeries:
-        """A handle on the series selected by ``labels`` (created on first record)."""
-        return self._handle(self, _label_key(labels))
+        self._clock = clock
+        #: The cumulative value of each series (a histogram's observations).
+        self._series: dict[_LabelKey, object] = {}
+        #: Per series: window index -> bucket, at most ``max_windows`` of them.
+        self._windows: dict[_LabelKey, OrderedDict] = {}
 
     def _record(self, key: _LabelKey, value: float) -> None:
         """Record ``value`` into the series ``key`` — every write lands here."""
@@ -150,6 +271,74 @@ class Metric:
             ],
         }
 
+    # ------------------------------------------------------------- windows
+    def _new_bucket(self):
+        raise NotImplementedError
+
+    def _ring(self, key: _LabelKey) -> tuple[OrderedDict, int]:
+        """The window ring of series ``key`` and the current window's index.
+
+        Opening a window's bucket evicts the ring's oldest window once it
+        holds ``max_windows`` (the clock never moves backwards, so windows
+        open in index order).
+        """
+        clock = self._clock
+        index = clock.window_index()
+        ring = self._windows.get(key)
+        if ring is None:
+            ring = self._windows[key] = OrderedDict()
+        if index not in ring:
+            ring[index] = self._new_bucket()
+            if len(ring) > clock.max_windows:
+                ring.popitem(last=False)
+        return ring, index
+
+    def _buckets(self, index: int) -> list:
+        """The buckets of window ``index`` across every label set."""
+        return [ring[index] for ring in self._windows.values() if index in ring]
+
+    def _merged(self, index: int):
+        """Window ``index`` across every label set, as one bucket (or ``None``)."""
+        raise NotImplementedError
+
+    def _read(self, bucket, stat: str) -> float | None:
+        raise NotImplementedError
+
+    def window_stat(self, index: int, stat: str) -> float | None:
+        """Statistic ``stat`` of window ``index`` over every label set.
+
+        Counters read ``"sum"`` (increments) or ``"rate"`` (per second),
+        gauges ``"last"`` (the unlabelled series) or ``"max"``, histograms
+        ``"count"``, ``"sum"``, ``"mean"`` or a sketch quantile ``"p<q>"``.
+        ``None`` when the window holds no data (a counter reads 0 instead).
+        """
+        bucket = self._merged(index)
+        return None if bucket is None else self._read(bucket, stat)
+
+    def window_snapshot(self, indices: Sequence[int] | None = None) -> list[dict]:
+        """Deterministic per-series rows of the windowed data.
+
+        Each row lists the series' windows (every retained one, or those of
+        ``indices`` with data) with their span and :attr:`window_exports`.
+        """
+        rows = []
+        for key in sorted(self._windows):
+            ring = self._windows[key]
+            wanted = list(ring) if indices is None else [i for i in indices if i in ring]
+            windows = []
+            for index in wanted:
+                span = self._clock.window_span(index)
+                entry: dict[str, object] = {
+                    "index": index, "start_ms": span.start_ms, "end_ms": span.end_ms,
+                }
+                entry.update(self._window_entry(ring[index]))
+                windows.append(entry)
+            rows.append({"labels": dict(key), "windows": windows})
+        return rows
+
+    def _window_entry(self, bucket) -> dict[str, object]:
+        return {stat: self._read(bucket, stat) for stat in self.window_exports}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} {self.name!r} ({len(self._series)} series)>"
 
@@ -158,11 +347,7 @@ class Counter(Metric):
     """A monotonically increasing total, optionally split by labels."""
 
     kind = "counter"
-    _handle = BoundCounter
-
-    def __init__(self, name: str, description: str = ""):
-        super().__init__(name, description)
-        self._series: dict[_LabelKey, float] = {}
+    window_exports = ("sum",)
 
     def inc(self, value: float = 1.0, **labels) -> None:
         """Add ``value`` (>= 0) to the series selected by ``labels``."""
@@ -175,6 +360,9 @@ class Counter(Metric):
                 f"(labels {dict(key)})"
             )
         self._series[key] = self._series.get(key, 0.0) + value
+        if self._clock is not None:
+            ring, index = self._ring(key)
+            ring[index] += float(value)
 
     def value(self, **labels) -> float:
         """Current total of one series (0 if it never incremented)."""
@@ -196,16 +384,25 @@ class Counter(Metric):
     def _snapshot_series(self, key: _LabelKey) -> dict[str, object]:
         return {"value": self._series[key]}
 
+    def _new_bucket(self) -> float:
+        return 0.0
+
+    def _merged(self, index: int) -> float:
+        return float(sum(self._buckets(index)))
+
+    def _read(self, total: float, stat: str) -> float:
+        return total / (self._clock.window_ms / 1e3) if stat == "rate" else total
+
 
 class Gauge(Metric):
     """A last-written value per label set (queue depth, pool size)."""
 
     kind = "gauge"
-    _handle = BoundGauge
+    window_exports = ("last", "max")
 
-    def __init__(self, name: str, description: str = ""):
-        super().__init__(name, description)
-        self._series: dict[_LabelKey, float] = {}
+    def __init__(self, name: str, description: str = "",
+                 clock: "TimeSeriesRegistry | None" = None):
+        super().__init__(name, description, clock)
         self._max: dict[_LabelKey, float] = {}
 
     def set(self, value: float, **labels) -> None:
@@ -223,6 +420,9 @@ class Gauge(Metric):
             raise self._nan_error(key)
         self._series[key] = value
         self._max[key] = max(self._max.get(key, float("-inf")), value)
+        if self._clock is not None:
+            ring, index = self._ring(key)
+            ring[index] = (value, max(ring[index][1], value))
 
     def value(self, **labels) -> float:
         """Current value of one series (0 if never set)."""
@@ -236,22 +436,35 @@ class Gauge(Metric):
     def _snapshot_series(self, key: _LabelKey) -> dict[str, object]:
         return {"value": self._series[key], "max": self._max[key]}
 
+    def _new_bucket(self) -> tuple[float, float]:
+        return (0.0, float("-inf"))
+
+    def _merged(self, index: int) -> tuple[float | None, float] | None:
+        """The unlabelled series' last value, and the max over every label set."""
+        buckets = self._buckets(index)
+        if not buckets:
+            return None
+        unlabelled = self._windows.get((), {}).get(index)
+        last = unlabelled[0] if unlabelled is not None else None
+        return (last, max(high for _, high in buckets))
+
+    def _read(self, bucket: tuple, stat: str) -> float | None:
+        return bucket[0] if stat == "last" else bucket[1]
+
 
 class Histogram(Metric):
     """A full value distribution per label set.
 
-    Observations are kept verbatim (runs are bounded and deterministic), so
-    quantiles are *exact* — the same linear-interpolation arithmetic as
-    ``numpy.percentile``, which the serving report's latency summaries already
-    use.  No bucket-boundary approximation can drift from the report.
+    Observations are kept verbatim, eight bytes each in one ``array('d')``
+    per series (runs are bounded and deterministic), so quantiles are
+    *exact* — :func:`percentile`, which the serving report's latency
+    summaries use too.  No bucket-boundary approximation can drift from the
+    report.  The per-window buckets are bounded :class:`StreamingQuantile`
+    sketches instead.
     """
 
     kind = "histogram"
-    _handle = BoundHistogram
-
-    def __init__(self, name: str, description: str = ""):
-        super().__init__(name, description)
-        self._series: dict[_LabelKey, list[float]] = {}
+    window_exports = ("count", "sum", "p50", "p95", "p99")
 
     def observe(self, value: float, **labels) -> None:
         """Record one observation in the series selected by ``labels``."""
@@ -263,9 +476,11 @@ class Histogram(Metric):
             raise self._nan_error(key)
         values = self._series.get(key)
         if values is None:
-            self._series[key] = [value]
-        else:
-            values.append(value)
+            values = self._series[key] = array("d")
+        values.append(value)
+        if self._clock is not None:
+            ring, index = self._ring(key)
+            ring[index].observe(value)
 
     def values(self, **labels) -> list[float]:
         """All observations of one series, in observation order."""
@@ -284,34 +499,58 @@ class Histogram(Metric):
             raise ValueError(
                 f"histogram {self.name!r} has no observations for labels {labels!r}"
             )
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        return float(np.percentile(values, q))
+        return percentile(values, q)
 
     def _snapshot_series(self, key: _LabelKey) -> dict[str, object]:
         values = self._series[key]
+        total = float(sum(values))
         summary: dict[str, object] = {
             "count": len(values),
-            "sum": float(sum(values)),
+            "sum": total,
             "min": min(values),
             "max": max(values),
-            "mean": float(sum(values)) / len(values),
+            "mean": total / len(values),
         }
         for q in HISTOGRAM_QUANTILES:
-            summary[f"p{q:g}"] = round(float(np.percentile(values, q)), QUANTILE_DECIMALS)
+            summary[f"p{q:g}"] = round(percentile(values, q), QUANTILE_DECIMALS)
         return summary
+
+    def _new_bucket(self) -> "StreamingQuantile":
+        return StreamingQuantile(SKETCH_BINS)
+
+    def _merged(self, index: int) -> "StreamingQuantile | None":
+        buckets = self._buckets(index)
+        if not buckets:
+            return None
+        merged = buckets[0].copy()
+        for bucket in buckets[1:]:
+            merged.merge(bucket)
+        return merged
+
+    def _read(self, sketch: "StreamingQuantile", stat: str) -> float:
+        if stat in ("count", "sum", "mean"):
+            return getattr(sketch, stat)
+        return sketch.quantile(float(stat.lstrip("p")))
+
+    def _window_entry(self, sketch: "StreamingQuantile") -> dict[str, object]:
+        return {
+            stat: round(self._read(sketch, stat), QUANTILE_DECIMALS)
+            for stat in self.window_exports
+        }
 
 
 class LazySeries(dict):
-    """Bound series of one family, keyed by the value of one label.
+    """Record callables of one family's series, keyed by the value of one label.
 
-    ``series[value]`` is the handle of the series ``{label: value}`` — of the
-    unlabelled series, keyed ``None``, when ``label`` is ``None`` — bound on
-    first lookup.  The family itself resolves through ``factory`` (a registry
-    factory such as :meth:`MetricsRegistry.counter`) on that first lookup
-    too, so a hot path that sets these up once per run still creates each
-    family at the event that first touches it, exactly as the keyword call
-    it replaces would have.
+    ``series[value]`` records into the series ``{label: value}`` — into the
+    unlabelled series, keyed ``None``, when ``label`` is ``None``.  It is the
+    family's own ``_record`` with the canonical label key bound on first
+    lookup, so ``series["full"](1.0)`` checks, stores and windows exactly as
+    ``family.inc(1.0, reason="full")`` would.  The family itself resolves
+    through ``factory`` (a registry factory such as
+    :meth:`MetricsRegistry.counter`) on that first lookup too, so a hot path
+    that sets these up once per run still creates each family at the event
+    that first touches it, exactly as the keyword call it replaces would have.
     """
 
     __slots__ = ("_factory", "_name", "_description", "_label")
@@ -324,13 +563,11 @@ class LazySeries(dict):
         self._description = description
         self._label = label
 
-    def __missing__(self, value) -> _BoundSeries:
+    def __missing__(self, value) -> Callable[[float], None]:
         family = self._factory(self._name, self._description)
-        handle = family.bind() if self._label is None else family.bind(
-            **{self._label: value}
-        )
-        self[value] = handle
-        return handle
+        key = () if self._label is None else _label_key({self._label: value})
+        record = self[value] = partial(family._record, key)
+        return record
 
 
 class MetricsRegistry:
@@ -342,6 +579,10 @@ class MetricsRegistry:
     different type raises, so two subsystems can never fight over a name.
     """
 
+    #: Whether this registry's families bucket into windows on its clock
+    #: (true for :class:`~repro.obs.timeseries.TimeSeriesRegistry`).
+    windowed = False
+
     def __init__(self):
         self._metrics: dict[str, Metric] = {}
 
@@ -349,7 +590,7 @@ class MetricsRegistry:
     def _get_or_create(self, cls: type[Metric], name: str, description: str) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = cls(name, description)
+            metric = cls(name, description, self if self.windowed else None)
             self._metrics[name] = metric
         elif not isinstance(metric, cls):
             raise TypeError(

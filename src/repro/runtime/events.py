@@ -9,6 +9,7 @@ dispatched batch down to its kernel/stream placement.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -107,11 +108,12 @@ def add_execution_spans(tracer, result, track_prefix: str, offset_ms: float) -> 
     plan-local, so ``offset_ms`` — the dispatch's start on the virtual clock
     — re-bases them, and ``track_prefix`` (the worker) prefixes each track:
     every dispatch of a plan replays the same cached execution at its own
-    start time.
+    start time.  Track names are interned, so the spans a traced replay
+    retains share one string per worker track instead of one per span.
     """
     add_span = tracer.add_span
     for name, suffix, start_ms, end_ms, category, args in result.trace_spans:
         add_span(
-            name, track_prefix + suffix, offset_ms + start_ms, offset_ms + end_ms,
-            category=category, args=args,
+            name, sys.intern(track_prefix + suffix), offset_ms + start_ms,
+            offset_ms + end_ms, category=category, args=args,
         )

@@ -98,7 +98,6 @@ from .metrics import (
     SloSummary,
     build_report,
     build_slo_summary,
-    percentile,
 )
 from .registry import (
     RegistryError,
@@ -175,7 +174,6 @@ __all__ = [
     "list_admission_policies",
     "list_routers",
     "model_dirname",
-    "percentile",
     "poisson_arrivals",
     "run_fleet_comparison",
     "run_serving",

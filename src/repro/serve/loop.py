@@ -453,7 +453,8 @@ class ServingLoop:
 
         Each family still resolves on first use, at the event whose keyword
         call created it before, so the run's registry holds the same families
-        and series; unlabelled series are keyed ``None``.
+        and series.  A lookup yields the series' record callable
+        (``self._rejected[reason](1.0)``); unlabelled series are keyed ``None``.
         """
         metrics = self.metrics
         counter, gauge, histogram = metrics.counter, metrics.gauge, metrics.histogram
@@ -547,7 +548,7 @@ class ServingLoop:
             self._push(time_ms + self.autoscaler.config.interval_ms, _SCALE, None)
         self._advance_clock(time_ms)
         tracer = self.tracer
-        self._offered[None].inc()
+        self._offered[None](1.0)
         if tracer:
             tracer.async_begin(
                 f"request {request.request_id}", "serving/requests",
@@ -562,10 +563,10 @@ class ServingLoop:
         decision = self.admission.admit(request, self.state)
         if not decision.admitted:
             reason = decision.reason or "rejected"
-            self._rejected[reason].inc()
+            self._rejected[reason](1.0)
             # A shed request is a spent error budget too: the burn-rate
             # alert must see rejections, not just deadline overruns.
-            self._slo_missed["rejected"].inc()
+            self._slo_missed["rejected"](1.0)
             if tracer:
                 tracer.instant(
                     "reject", "serving/admission", self._now_ms,
@@ -585,7 +586,7 @@ class ServingLoop:
                 )
             )
             return
-        self._admitted[None].inc()
+        self._admitted[None](1.0)
         policy = self.policy
         # A priority-preemptive policy expedites this arrival: the batch
         # closes *with the request inside* the moment it joins — whatever
@@ -618,9 +619,9 @@ class ServingLoop:
         missed = self._slo_missed["deadline"]
         for record in records:
             if record.deadline_met:
-                met.inc()
+                met(1.0)
             else:
-                missed.inc()
+                missed(1.0)
         if self.autoscaler is not None:
             self._record_scale_events(self.autoscaler.evaluate(self.state))
         if self.completion_listener is not None:
@@ -678,8 +679,8 @@ class ServingLoop:
 
     def _sample_queue(self) -> None:
         """Sample the forming batch's depth into the gauge and the trace."""
-        self._queue_depth[None].set(len(self._pending))
-        self._queue_samples[None].set(self._pending_samples)
+        self._queue_depth[None](len(self._pending))
+        self._queue_samples[None](self._pending_samples)
         if self.tracer:
             self.tracer.counter(
                 "queue depth", "serving/loop", self._now_ms,
@@ -694,8 +695,8 @@ class ServingLoop:
         self._batch_id += 1
         self._observe_queue()
         self._sample_queue()
-        self._batch_closes[reason].inc()
-        self._batch_occupancy[None].observe(batch.num_samples)
+        self._batch_closes[reason](1.0)
+        self._batch_occupancy[None](batch.num_samples)
         if self.tracer:
             self.tracer.instant(
                 "batch-close", "serving/loop", formed_ms, category="batch",
@@ -756,7 +757,7 @@ class ServingLoop:
         dispatch = self.pool.dispatch(
             compiled, worker, ready_ms=batch.formed_ms, num_samples=num_samples
         )
-        self._executions[rung].inc()
+        self._executions[rung](1.0)
         latency = self._latency[dispatch.device]
         queue_delay = self._queue_delay[dispatch.device]
         chunk_records: list[RequestRecord] = []
@@ -772,8 +773,8 @@ class ServingLoop:
             )
             self._result.records.append(record)
             chunk_records.append(record)
-            latency.observe(record.latency_ms)
-            queue_delay.observe(record.queue_delay_ms)
+            latency(record.latency_ms)
+            queue_delay(record.queue_delay_ms)
         self._inflight += 1
         self._push(dispatch.end_ms, _COMPLETION, chunk_records)
         if self.tracer:

@@ -24,14 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-import numpy as np
-
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, percentile
 from .registry import RegistryStats
 from .request import RejectedRequest, RequestRecord
 
 __all__ = [
-    "percentile",
     "LatencySummary",
     "PriorityClassSlo",
     "BurstSlo",
@@ -40,15 +37,6 @@ __all__ = [
     "build_report",
     "build_slo_summary",
 ]
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..100) with linear interpolation."""
-    if not values:
-        raise ValueError("cannot take a percentile of no values")
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    return float(np.percentile(values, q))
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,11 @@ class ServingConfig:
                         max_workers=fleet.max_workers,
                     ),
                 )
+        if isinstance(self.devices, str):
+            raise ValueError(
+                f"devices takes a tuple of device names, got the string "
+                f"{self.devices!r}; write devices=({self.devices!r},)"
+            )
         if not self.devices:
             raise ValueError("serving needs at least one device")
         # Device names resolve like router and admission names: a typo fails

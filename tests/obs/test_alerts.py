@@ -70,6 +70,31 @@ class TestThresholdRule:
             ThresholdRule("x", "m", "sum", 1.0, op="!=")
 
 
+#: Rule knobs that must fail where they are declared, naming the field.
+BAD_RULE_KNOBS = {
+    "nan-threshold": ("threshold", lambda: ThresholdRule(
+        "x", "serve.latency_ms", "p99", float("nan"))),
+    "inf-threshold": ("threshold", lambda: ThresholdRule("x", "m", "sum", float("inf"))),
+    "inf-queue-limit": ("threshold", lambda: QueueSaturationRule("q", float("inf"))),
+    "bool-for-windows": ("for_windows", lambda: ThresholdRule(
+        "x", "m", "sum", 1.0, for_windows=True)),
+    "float-for-windows": ("for_windows", lambda: QueueSaturationRule(
+        "q", 32.0, for_windows=1.5)),
+    "nan-factor": ("factor", lambda: BurnRateRule("b", 0.9, factor=float("nan"))),
+    "zero-factor": ("factor", lambda: BurnRateRule("b", 0.9, factor=0.0)),
+    "bool-short-windows": ("short_windows", lambda: BurnRateRule(
+        "b", 0.9, short_windows=True)),
+    "float-long-windows": ("long_windows", lambda: BurnRateRule(
+        "b", 0.9, long_windows=8.0)),
+}
+
+
+@pytest.mark.parametrize("field,build", BAD_RULE_KNOBS.values(), ids=list(BAD_RULE_KNOBS))
+def test_rule_knobs_are_checked_where_declared(field, build):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 class TestBurnRateRule:
     def test_fires_only_when_both_spans_burn(self):
         # Target 0.9 -> error budget 10%; factor 2 fires at >= 20% misses.

@@ -1,8 +1,9 @@
-"""Bound series handles: one recording path shared with the keyword API.
+"""Pre-bound series: ``LazySeries`` shares the keyword API's one recording path.
 
-A handle canonicalises its labels once at ``bind`` time; every write still
-lands in the family's ``_record``, so a handle and a keyword call must be
-indistinguishable in every export — cumulative and windowed.
+A ``LazySeries`` lookup binds the family's ``_record`` to the canonical label
+key once; every write still lands in that ``_record``, so a lazy series and a
+keyword call must be indistinguishable in every export — cumulative and
+windowed.
 """
 
 from __future__ import annotations
@@ -11,12 +12,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.models import chain_graph
 from repro.obs import (
-    BoundCounter,
-    BoundGauge,
-    BoundHistogram,
     Counter,
     LazySeries,
     MetricsRegistry,
@@ -51,7 +50,7 @@ SCRIPT = [
 ]
 
 
-#: Write method of each family kind (the same name on family and handle).
+#: Keyword write method of each family kind.
 WRITE = {"counter": "inc", "gauge": "set", "histogram": "observe"}
 
 
@@ -59,66 +58,121 @@ def _family(registry, kind, name):
     return getattr(registry, kind)(name, f"{name} family")
 
 
-def _keyword_run(registry):
-    for time_ms, kind, name, value, labels in SCRIPT:
+def _keyword_run(registry, script=SCRIPT):
+    for time_ms, kind, name, value, labels in script:
         if isinstance(registry, TimeSeriesRegistry):
             registry.advance(time_ms)
         getattr(_family(registry, kind, name), WRITE[kind])(value, **labels)
     return registry
 
 
-def _bound_run(registry):
-    handles = {}
-    for time_ms, kind, name, value, labels in SCRIPT:
+def _lazy_run(registry, script=SCRIPT):
+    """The script through one ``LazySeries`` per family (one label each)."""
+    series = {}
+    for time_ms, kind, name, value, labels in script:
         if isinstance(registry, TimeSeriesRegistry):
             registry.advance(time_ms)
-        key = (name, tuple(sorted(labels.items())))
-        if key not in handles:
-            handles[key] = _family(registry, kind, name).bind(**labels)
-        getattr(handles[key], WRITE[kind])(value)
+        ((label, label_value),) = labels.items() or [(None, None)]
+        if name not in series:
+            series[name] = LazySeries(
+                getattr(registry, kind), name, f"{name} family", label
+            )
+        series[name][label_value](value)
     return registry
 
 
-class TestBoundAndKeywordPathsAgree:
+def _window_json(registry) -> str:
+    return json.dumps(registry.window_snapshot(), sort_keys=True)
+
+
+class TestLazyAndKeywordPathsAgree:
     def test_plain_registry_exports_are_byte_identical(self):
         keyword = _keyword_run(MetricsRegistry())
-        bound = _bound_run(MetricsRegistry())
-        assert bound.to_json() == keyword.to_json()
+        lazy = _lazy_run(MetricsRegistry())
+        assert lazy.to_json() == keyword.to_json()
 
     def test_windowed_exports_are_byte_identical(self):
         keyword = _keyword_run(TimeSeriesRegistry(window_ms=2.0, max_windows=8))
-        bound = _bound_run(TimeSeriesRegistry(window_ms=2.0, max_windows=8))
-        assert bound.to_json() == keyword.to_json()
-        assert json.dumps(bound.window_snapshot(), sort_keys=True) == json.dumps(
-            keyword.window_snapshot(), sort_keys=True
-        )
+        lazy = _lazy_run(TimeSeriesRegistry(window_ms=2.0, max_windows=8))
+        assert lazy.to_json() == keyword.to_json()
+        assert _window_json(lazy) == _window_json(keyword)
 
-    def test_handle_types_follow_the_family(self):
+    def test_lookup_is_the_family_record_bound_to_one_series(self):
         registry = MetricsRegistry()
-        assert isinstance(registry.counter("c").bind(), BoundCounter)
-        assert isinstance(registry.gauge("g").bind(), BoundGauge)
-        assert isinstance(registry.histogram("h").bind(), BoundHistogram)
+        executions = LazySeries(registry.counter, "executions", label="batch_size")
+        record = executions[4]
+        record(1.0)
+        executions["4"](2.0)  # labels are stringified: the same series
+        counter = registry.counter("executions")
+        assert counter.labelsets() == [{"batch_size": "4"}]
+        assert counter.value(batch_size=4) == 3.0
+        assert executions[4] is record
 
-    def test_handle_labels_are_canonical(self):
-        handle = Counter("executions").bind(batch_size=4, device="k80")
-        assert handle.key == (("batch_size", "4"), ("device", "k80"))
+
+#: Family name -> (kind, label name or None); LazySeries binds one label.
+FAMILIES = {
+    "requests": ("counter", None),
+    "rejected": ("counter", "reason"),
+    "depth": ("gauge", None),
+    "busy": ("gauge", "worker"),
+    "latency": ("histogram", "device"),
+    "occupancy": ("histogram", None),
+}
+#: Label values, an int and its string form included (one series both).
+LABEL_VALUES = ["k80", "v100", "deadline", 4, "4"]
+VALUES = {
+    "counter": st.floats(min_value=0.0, max_value=1e6),
+    "gauge": st.floats(min_value=-1e6, max_value=1e6),
+    "histogram": st.floats(min_value=-1e3, max_value=1e6),
+}
 
 
-class TestBindingIsLazy:
-    def test_binding_alone_creates_no_series(self):
+@st.composite
+def scripts(draw):
+    """A generated script: family, label, non-decreasing time and a value per step."""
+    script, now_ms = [], 0.0
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        name = draw(st.sampled_from(sorted(FAMILIES)))
+        kind, label = FAMILIES[name]
+        labels = {} if label is None else {label: draw(st.sampled_from(LABEL_VALUES))}
+        now_ms += draw(st.sampled_from([0.0, 0.25, 1.0, 2.5, 7.0]))
+        script.append((now_ms, kind, name, draw(VALUES[kind]), labels))
+    return script
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=scripts(), window_ms=st.sampled_from([1.0, 2.0, 5.0]),
+       max_windows=st.integers(min_value=1, max_value=4))
+def test_generated_scripts_export_identically_on_both_paths(script, window_ms, max_windows):
+    keyword = _keyword_run(MetricsRegistry(), script)
+    assert _lazy_run(MetricsRegistry(), script).to_json() == keyword.to_json()
+
+    def windowed():
+        return TimeSeriesRegistry(window_ms=window_ms, max_windows=max_windows)
+
+    windowed_keyword = _keyword_run(windowed(), script)
+    windowed_lazy = _lazy_run(windowed(), script)
+    assert windowed_lazy.to_json() == windowed_keyword.to_json()
+    assert _window_json(windowed_lazy) == _window_json(windowed_keyword)
+    # Windowing leaves the cumulative view untouched.
+    assert windowed_keyword.to_json() == keyword.to_json()
+
+
+class TestLookupIsLazy:
+    def test_lookup_alone_creates_no_series(self):
         registry = TimeSeriesRegistry(window_ms=1.0)
-        counter = registry.counter("requests")
-        counter.bind(reason="deadline")
-        registry.gauge("depth").bind()
-        registry.histogram("latency").bind(device="k80")
+        LazySeries(registry.counter, "requests", label="reason")["deadline"]
+        LazySeries(registry.gauge, "depth")[None]
+        LazySeries(registry.histogram, "latency", label="device")["k80"]
+        assert registry.names() == ["depth", "latency", "requests"]
         for name in registry.names():
             assert registry.get(name).labelsets() == []
         assert registry.window_snapshot() == {}
 
     def test_first_record_creates_the_series(self):
-        counter = Counter("requests")
-        handle = counter.bind(reason="deadline")
-        handle.inc()
+        registry = MetricsRegistry()
+        LazySeries(registry.counter, "requests", label="reason")["deadline"](1.0)
+        counter = registry.counter("requests")
         assert counter.labelsets() == [{"reason": "deadline"}]
         assert counter.value(reason="deadline") == 1.0
 
@@ -126,37 +180,43 @@ class TestBindingIsLazy:
         registry = MetricsRegistry()
         closes = LazySeries(registry.counter, "batch.closes", "closes by reason", "reason")
         assert "batch.closes" not in registry
-        handle = closes["full"]
+        record = closes["full"]
         assert "batch.closes" in registry
         assert registry.get("batch.closes").labelsets() == []
-        assert closes["full"] is handle
-        handle.inc()
+        assert closes["full"] is record
+        record(1.0)
         assert registry.counter("batch.closes").value(reason="full") == 1.0
         assert registry.get("batch.closes").description == "closes by reason"
 
     def test_unlabelled_lazy_series_is_keyed_none(self):
         registry = MetricsRegistry()
         offered = LazySeries(registry.counter, "offered")
-        offered[None].inc()
-        offered[None].inc()
+        offered[None](1.0)
+        offered[None](1.0)
         assert registry.counter("offered").value() == 2.0
 
 
-class TestBoundWritesAreChecked:
-    def test_negative_increment_through_a_handle_raises(self):
-        handle = Counter("requests").bind(reason="x")
+class TestLazyWritesAreChecked:
+    def test_negative_increment_through_a_lazy_series_raises(self):
+        registry = MetricsRegistry()
+        record = LazySeries(registry.counter, "requests", label="reason")["x"]
         with pytest.raises(ValueError, match="only increase"):
-            handle.inc(-1.0)
+            record(-1.0)
+        assert registry.counter("requests").labelsets() == []
 
     @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
-    def test_nan_through_a_handle_raises_and_records_nothing(self, kind):
+    def test_nan_through_a_lazy_series_raises_and_records_nothing(self, kind):
         registry = TimeSeriesRegistry(window_ms=1.0)
-        family = getattr(registry, kind)("latency")
-        handle = family.bind(device="k80")
+        record = LazySeries(getattr(registry, kind), "latency", label="device")["k80"]
         with pytest.raises(ValueError, match=r"'latency'.*device"):
-            getattr(handle, WRITE[kind])(math.nan)
-        assert family.labelsets() == []
+            record(math.nan)
+        assert registry.get("latency").labelsets() == []
         assert registry.window_snapshot() == {}
+
+    def test_a_standalone_family_keeps_no_windows(self):
+        counter = Counter("requests")
+        counter.inc(reason="x")
+        assert counter.window_snapshot() == []
 
 
 def _service(metrics):

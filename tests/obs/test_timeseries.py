@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from repro.obs import (
+    Counter,
+    Gauge,
+    Histogram,
     MetricsRegistry,
     StreamingQuantile,
     TimeSeriesRegistry,
     WatchRenderer,
-    WindowedCounter,
-    WindowedGauge,
-    WindowedHistogram,
 )
 
 
@@ -109,8 +109,8 @@ class TestWindowBucketing:
         closed = registry.advance(50.0)
         assert [span.index for span in closed] == [0]
         counter.inc()  # exactly at 50.0 -> window 1: [50, 100)
-        assert counter.window_total(0) == 2.0
-        assert counter.window_total(1) == 1.0
+        assert counter.window_stat(0, "sum") == 2.0
+        assert counter.window_stat(1, "sum") == 1.0
 
     def test_window_spans_are_half_open(self):
         registry = TimeSeriesRegistry(window_ms=20.0)
@@ -146,7 +146,7 @@ class TestWindowBucketing:
         counter.inc()
         span = registry.flush()
         assert span.index == 1
-        assert counter.window_total(1) == 1.0
+        assert counter.window_stat(1, "sum") == 1.0
 
     def test_ring_evicts_the_oldest_window(self):
         registry = TimeSeriesRegistry(window_ms=1.0, max_windows=3)
@@ -154,20 +154,20 @@ class TestWindowBucketing:
         for index in range(5):
             registry.advance(float(index))
             counter.inc()
-        series = counter.window_series()
-        assert series.indices() == [2, 3, 4]
-        assert counter.window_total(0) == 0.0
-        assert counter.window_total(4) == 1.0
+        (series,) = registry.window_snapshot()["hits"]["series"]
+        assert [window["index"] for window in series["windows"]] == [2, 3, 4]
+        assert counter.window_stat(0, "sum") == 0.0
+        assert counter.window_stat(4, "sum") == 1.0
 
-    def test_windowed_families_replace_the_plain_kinds(self):
+    def test_windowed_registry_builds_the_plain_kinds(self):
         registry = TimeSeriesRegistry()
-        assert isinstance(registry.counter("c"), WindowedCounter)
-        assert isinstance(registry.gauge("g"), WindowedGauge)
-        assert isinstance(registry.histogram("h"), WindowedHistogram)
+        assert type(registry.counter("c")) is Counter
+        assert type(registry.gauge("g")) is Gauge
+        assert type(registry.histogram("h")) is Histogram
 
     def test_cumulative_view_is_unchanged(self):
-        # The windowed families still behave as their plain base kind, so
-        # existing call sites and reports read the same totals.
+        # Windowing adds buckets beside the cumulative series, so existing
+        # call sites and reports read the same totals.
         plain = MetricsRegistry()
         windowed = TimeSeriesRegistry(window_ms=10.0)
         for registry in (plain, windowed):
@@ -184,7 +184,7 @@ class TestWindowBucketing:
         registry = TimeSeriesRegistry(window_ms=20.0)
         counter = registry.counter("hits")
         counter.inc(10.0)
-        assert counter.window_rate(0) == pytest.approx(500.0)  # 10 per 20ms
+        assert counter.window_stat(0, "rate") == pytest.approx(500.0)  # 10 per 20ms
 
     def test_gauge_tracks_last_and_max_per_window(self):
         registry = TimeSeriesRegistry(window_ms=10.0)
@@ -192,9 +192,9 @@ class TestWindowBucketing:
         gauge.set(5.0)
         gauge.set(9.0)
         gauge.set(2.0)
-        assert gauge.window_last(0) == 2.0
-        assert gauge.window_max(0) == 9.0
-        assert gauge.window_last(1) is None
+        assert gauge.window_stat(0, "last") == 2.0
+        assert gauge.window_stat(0, "max") == 9.0
+        assert gauge.window_stat(1, "last") is None
 
     def test_histogram_window_quantile_reads_one_window(self):
         registry = TimeSeriesRegistry(window_ms=10.0)
@@ -202,9 +202,9 @@ class TestWindowBucketing:
         histogram.observe(1.0)
         registry.advance(10.0)
         histogram.observe(100.0)
-        assert histogram.window_quantile(0, 50) == 1.0
-        assert histogram.window_quantile(1, 50) == 100.0
-        assert histogram.window_quantile(5, 50) is None
+        assert histogram.window_stat(0, "p50") == 1.0
+        assert histogram.window_stat(1, "p50") == 100.0
+        assert histogram.window_stat(5, "p50") is None
 
     def test_window_snapshot_is_deterministic(self):
         registry = TimeSeriesRegistry(window_ms=10.0)

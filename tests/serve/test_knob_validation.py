@@ -158,3 +158,8 @@ def test_device_names_resolve_when_the_config_is_built():
     )
     with pytest.raises(UnknownDeviceError, match="available"):
         ServingConfig(model="squeezenet", devices=("v100", "bogus"))
+
+
+def test_a_device_string_is_not_read_as_a_tuple_of_names():
+    with pytest.raises(ValueError, match=r"devices takes a tuple of device names.*'v100'"):
+        ServingConfig(model="squeezenet", devices="v100")

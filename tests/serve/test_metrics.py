@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs import percentile
 from repro.serve import (
     InferenceRequest,
     LatencySummary,
@@ -11,7 +12,6 @@ from repro.serve import (
     RequestRecord,
     build_report,
     build_slo_summary,
-    percentile,
 )
 from repro.serve.registry import RegistryStats
 

@@ -83,6 +83,15 @@ class TestExecutionSpans:
         assert all(a.args is b.args for a, b in zip(first, second))
         assert [r.track for r in second[:2]] == ["worker 1 (v100)/stages"] * 2
 
+    def test_dispatches_on_one_worker_share_track_strings(self, fig2, v100):
+        result = Executor(v100).run(sequential_plan(fig2))
+        tracer = Tracer()
+        # Built at run time, as the serving loop builds each dispatch's prefix.
+        for worker in (0, 0):
+            add_execution_spans(tracer, result, f"worker {worker} (v100)", 10.0)
+        first, second = tracer.records[:len(tracer) // 2], tracer.records[len(tracer) // 2:]
+        assert all(a.track is b.track for a, b in zip(first, second))
+
     def test_spans_are_the_events_rebased(self, fig2, v100):
         result = Executor(v100).run(sequential_plan(fig2))
         tracer = Tracer()
