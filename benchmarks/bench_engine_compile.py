@@ -11,7 +11,7 @@ cache/artifact invariants that the serving stack depends on.
 from conftest import bench_device, bench_models, run_once
 
 from repro.engine import Engine
-from repro.experiments.tables import ExperimentTable
+from repro.tables import ExperimentTable
 from repro.frontend import load
 
 

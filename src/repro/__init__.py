@@ -15,6 +15,8 @@ The package is organised as:
   lowering, with a fingerprint-keyed cache and serializable artifacts;
 * :mod:`repro.frameworks` — simulated baseline frameworks (TF, XLA, TASO, TVM, TensorRT);
 * :mod:`repro.experiments` — one harness per table/figure of the paper;
+* :mod:`repro.tables` — :class:`~repro.tables.ExperimentTable`, the result
+  table every paper harness and serving study returns;
 * :mod:`repro.serve` — batch-aware inference serving: persistent compiled-model
   registry, dynamic batcher, heterogeneous device fleets with pluggable
   routing, simulated worker pool, synthetic traffic;

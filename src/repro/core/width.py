@@ -6,14 +6,14 @@ complexity of IOS (Theorem in Section 4.2).  By Dilworth's theorem the largest
 antichain equals the minimum number of chains needed to cover the DAG, and the
 minimum chain cover of a DAG with ``n`` vertices equals ``n - M`` where ``M``
 is a maximum matching of the bipartite graph whose edges are the pairs
-``(u, v)`` with a path from ``u`` to ``v`` (the transitive closure).
+``(u, v)`` with a path from ``u`` to ``v`` (the transitive closure).  The
+matching grows along augmenting paths until none is left, which makes it
+maximum (Berge's lemma).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-import networkx as nx
 
 from ..ir.graph import Block, Graph
 
@@ -34,29 +34,55 @@ def transitive_closure_masks(graph: Graph, op_names: Sequence[str]) -> dict[str,
     return reachable
 
 
+def _maximum_matching_size(adjacency: Sequence[Sequence[int]]) -> int:
+    """Size of a maximum matching of a bipartite graph.
+
+    ``adjacency[u]`` lists the right vertices (``0..len(adjacency)-1``) the
+    left vertex ``u`` connects to.  Each left vertex in turn searches for an
+    augmenting path with an explicit depth-first stack, so deep graphs need
+    no recursion.
+    """
+    match = [-1] * len(adjacency)  # right vertex -> its matched left vertex
+    matched = 0
+    for root in range(len(adjacency)):
+        visited = [False] * len(adjacency)
+        #: Left vertices on the current alternating path, each with the
+        #: iterator over its untried neighbours; ``path[i]`` is the right
+        #: vertex ``stack[i]`` reaches the next left vertex through.
+        stack = [(root, iter(adjacency[root]))]
+        path: list[int] = []
+        while stack:
+            for v in stack[-1][1]:
+                if visited[v]:
+                    continue
+                visited[v] = True
+                path.append(v)
+                if match[v] == -1:
+                    for (u, _), right in zip(stack, path):
+                        match[right] = u
+                    matched += 1
+                    stack = []
+                else:
+                    stack.append((match[v], iter(adjacency[match[v]])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+    return matched
+
+
 def maximum_antichain_size(graph: Graph, op_names: Sequence[str]) -> int:
     """Size of the largest antichain of the subgraph induced by ``op_names``."""
-    names = [n for n in graph.topological_order(list(op_names))]
-    n = len(names)
-    if n == 0:
+    names = graph.topological_order(list(op_names))
+    if not names:
         return 0
     reachable = transitive_closure_masks(graph, names)
-
-    # Minimum chain cover via König: build the bipartite "split" graph where
-    # the left copy of u connects to the right copy of v iff v is reachable
-    # from u, and find a maximum matching.
-    bipartite = nx.Graph()
-    left = {name: ("L", name) for name in names}
-    right = {name: ("R", name) for name in names}
-    bipartite.add_nodes_from(left.values(), bipartite=0)
-    bipartite.add_nodes_from(right.values(), bipartite=1)
-    for u in names:
-        for v in reachable[u]:
-            bipartite.add_edge(left[u], right[v])
-    matching = nx.bipartite.maximum_matching(bipartite, top_nodes=list(left.values()))
-    # `maximum_matching` returns both directions; count matched left nodes.
-    matched = sum(1 for node in matching if node[0] == "L")
-    return n - matched
+    # Minimum chain cover via König: the left copy of u connects to the
+    # right copy of v iff v is reachable from u.
+    index = {name: i for i, name in enumerate(names)}
+    adjacency = [sorted(index[v] for v in reachable[name]) for name in names]
+    return len(names) - _maximum_matching_size(adjacency)
 
 
 def dag_width(graph: Graph, op_names: Sequence[str] | None = None) -> int:

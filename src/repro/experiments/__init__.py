@@ -1,12 +1,12 @@
 """Experiment harness: one module per table/figure of the paper.
 
-Every ``run_*`` function returns an :class:`~repro.experiments.tables.ExperimentTable`
+Every ``run_*`` function returns an :class:`~repro.tables.ExperimentTable`
 whose rows mirror the rows/series of the corresponding table or figure; the
 benchmark suite under ``benchmarks/`` simply invokes these functions and prints
 the tables, and ``ios-bench`` exposes them on the command line.
 """
 
-from .tables import ExperimentTable, geometric_mean, normalize_to_best
+from ..tables import ExperimentTable, geometric_mean, normalize_to_best
 from .runner import SCHEDULE_LABELS, ExperimentContext, ScheduleRun, default_context
 from .fig01_trends import TREND_POINTS, run_figure1
 from .fig02_motivating import run_figure2

@@ -27,7 +27,7 @@ from ..engine import get_engine
 from ..hardware.device import get_device
 from ..frontend import load
 from ..passes import default_pipeline, unfuse_activations
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_pass_ablation"]
 

@@ -25,7 +25,7 @@ from ..engine import Engine
 from ..hardware.device import DeviceSpec
 from ..ir.graph import Graph
 from .runner import ExperimentContext, default_context
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_cost_model_ablation", "run_blockwise_ablation", "flatten_blocks"]
 

@@ -51,7 +51,7 @@ from .resnet_note import run_resnet_note
 from .tab01_complexity import run_table1
 from .tab02_networks import run_table2
 from .tab03_specialization import run_table3_batch, run_table3_device
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["main", "serve_main", "trace_main", "EXPERIMENTS", "QUICK_MODELS"]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..hardware.device import get_device
 from ..ir.flops import conv_statistics
 from ..frontend import load
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_figure1", "TREND_POINTS"]
 

@@ -12,7 +12,7 @@ from ..core.lowering import measure_schedule
 from ..hardware.device import DeviceSpec
 from ..models import figure2_block
 from .runner import ExperimentContext, default_context
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_figure2"]
 

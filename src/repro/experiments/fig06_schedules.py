@@ -14,7 +14,7 @@ from typing import Sequence
 from ..hardware.device import DeviceSpec
 from ..models import BENCHMARK_MODELS
 from .runner import SCHEDULE_LABELS, ExperimentContext, default_context
-from .tables import ExperimentTable, geometric_mean, normalize_to_best
+from ..tables import ExperimentTable, geometric_mean, normalize_to_best
 
 __all__ = ["run_figure6", "run_figure14"]
 

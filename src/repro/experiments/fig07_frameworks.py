@@ -14,7 +14,7 @@ from ..frameworks import get_framework
 from ..hardware.device import DeviceSpec
 from ..models import BENCHMARK_MODELS
 from .runner import ExperimentContext, default_context
-from .tables import ExperimentTable, geometric_mean, normalize_to_best
+from ..tables import ExperimentTable, geometric_mean, normalize_to_best
 
 __all__ = ["run_figure7", "run_figure15", "FRAMEWORK_LABELS"]
 

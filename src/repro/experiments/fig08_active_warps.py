@@ -14,7 +14,7 @@ from ..hardware.device import DeviceSpec
 from ..models import figure2_block
 from ..runtime.warp_trace import compare_traces, trace_from_timeline
 from .runner import ExperimentContext, default_context
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_figure8"]
 

@@ -18,7 +18,7 @@ from ..core.endings import PruningStrategy
 from ..core.lowering import measure_schedule
 from ..hardware.device import DeviceSpec
 from .runner import ExperimentContext, default_context
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_figure9", "DEFAULT_PRUNING_GRID"]
 

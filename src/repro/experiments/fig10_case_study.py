@@ -16,7 +16,7 @@ from ..engine import get_engine
 from ..hardware.device import DeviceSpec, get_device
 from ..ir.graph import Graph
 from ..frontend import load
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_figure10", "last_block_subgraph"]
 

@@ -13,7 +13,7 @@ from typing import Sequence
 from ..frameworks import get_framework
 from ..hardware.device import DeviceSpec
 from .runner import ExperimentContext, default_context
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_figure11", "BATCH_SWEEP", "FIG11_SYSTEMS"]
 

@@ -17,7 +17,7 @@ from ..frameworks import TVMAutoTuneModel
 from ..hardware.device import DeviceSpec
 from ..models import BENCHMARK_MODELS
 from .runner import ExperimentContext, default_context
-from .tables import ExperimentTable, geometric_mean, normalize_to_best
+from ..tables import ExperimentTable, geometric_mean, normalize_to_best
 
 __all__ = ["run_figure12"]
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from ..core.complexity import count_transitions_and_states, transition_upper_bound
 from ..models import parallel_chains_graph
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_figure13", "DEFAULT_CHAIN_CONFIGS"]
 

@@ -15,7 +15,7 @@ from ..models import INCEPTION_BLOCK_NAMES
 from ..runtime.executor import ExecutionPlan, Executor
 from ..core.cost_model import stage_to_execution
 from .runner import ExperimentContext, default_context
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_figure16"]
 

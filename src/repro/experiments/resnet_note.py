@@ -13,7 +13,7 @@ from typing import Sequence
 
 from ..hardware.device import DeviceSpec
 from .runner import ExperimentContext, default_context
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_resnet_note"]
 

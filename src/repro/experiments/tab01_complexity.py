@@ -15,7 +15,7 @@ from typing import Sequence
 from ..core.complexity import block_complexity
 from ..frontend import load
 from ..models import BENCHMARK_MODELS
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_table1", "PAPER_TABLE1"]
 

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from ..frontend import load
 from ..models import BENCHMARK_MODELS, MODEL_REGISTRY
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_table2"]
 

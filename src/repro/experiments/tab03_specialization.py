@@ -15,7 +15,7 @@ from typing import Sequence
 from ..core.specialization import specialize_for_batch_sizes, specialize_for_devices
 from ..hardware.device import DeviceSpec, get_device
 from ..frontend import load
-from .tables import ExperimentTable
+from ..tables import ExperimentTable
 
 __all__ = ["run_table3_batch", "run_table3_device"]
 

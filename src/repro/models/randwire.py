@@ -16,8 +16,6 @@ reproducible; the default configuration yields roughly 110 operators across
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..ir.graph import Graph, GraphBuilder
 from ..ir.tensor import TensorShape
 from .common import ModelSpec, register_model
@@ -30,8 +28,11 @@ def random_dag_edges(num_nodes: int, k: int, p: float, seed: int) -> list[tuple[
 
     A connected Watts-Strogatz graph is generated and each undirected edge
     ``{u, v}`` becomes the directed edge ``(min, max)``, which guarantees
-    acyclicity.
+    acyclicity.  networkx is imported here, not with the module, so only
+    building a RandWire network loads it.
     """
+    import networkx as nx
+
     if num_nodes < 3:
         raise ValueError("a randomly wired stage needs at least 3 nodes")
     graph = nx.connected_watts_strogatz_graph(num_nodes, k, p, tries=200, seed=seed)

@@ -55,6 +55,7 @@ from .metrics import (
     MetricsRegistry,
     StreamingQuantile,
     percentile,
+    percentiles,
     quantiles_reference,
 )
 from .sampling import SamplingConfig, SamplingTracer, parse_sampling_spec
@@ -96,6 +97,7 @@ __all__ = [
     "parse_sampling_spec",
     "per_host_alert_rules",
     "percentile",
+    "percentiles",
     "quantiles_reference",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..checks import require_int, require_number
+from .metrics import Counter, Gauge, Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .timeseries import TimeSeriesRegistry, WindowSpan
@@ -132,6 +133,13 @@ class ThresholdRule(AlertRule):
         super().__init__(name, severity)
         if op not in (">", ">=", "<", "<="):
             raise ValueError(f"unsupported comparison {op!r}")
+        kinds = (Counter, Gauge, Histogram)
+        if not any(kind.supports(stat) for kind in kinds):
+            raise ValueError(
+                f"no metric kind has the window stat {stat!r}; "
+                + "; ".join(f"{kind.kind}s support {', '.join(kind.window_stats)}"
+                            for kind in kinds)
+            )
         require_number("threshold", threshold)
         require_int("for_windows", for_windows)
         self.metric = metric

@@ -177,13 +177,22 @@ class WatchRenderer:
         window: WindowSpan,
         firing: Sequence[str] = (),
     ) -> str | None:
-        """Render (and print) the dashboard line of one closed window."""
+        """Render (and print) the dashboard line of one closed window.
+
+        A family the run never created reads as no data; rendering creates
+        none.
+        """
         index = window.index
-        rate = registry.counter("serve.requests.offered").window_stat(index, "rate")
-        p99 = registry.histogram("serve.latency_ms").window_stat(index, "p99")
-        depth = registry.gauge("serve.queue.depth").window_stat(index, "max")
-        met = registry.counter("serve.slo.met").window_stat(index, "sum")
-        missed = registry.counter("serve.slo.missed").window_stat(index, "sum")
+
+        def read(name: str, stat: str) -> float | None:
+            family = registry.get(name)
+            return None if family is None else family.window_stat(index, stat)
+
+        rate = read("serve.requests.offered", "rate") or 0.0
+        p99 = read("serve.latency_ms", "p99")
+        depth = read("serve.queue.depth", "max")
+        met = read("serve.slo.met", "sum") or 0.0
+        missed = read("serve.slo.missed", "sum") or 0.0
         if not rate and p99 is None and depth is None and not (met or missed):
             return None
         self._emitted += 1

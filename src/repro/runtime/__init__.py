@@ -1,4 +1,8 @@
-"""Simulated execution engine: executor, warp tracing, memory planner."""
+"""Simulated execution engine: executor and memory planner.
+
+Warp tracing (Figure 8) lives in :mod:`repro.runtime.warp_trace`; it needs
+numpy, so importing this package does not load it.
+"""
 
 from .events import KernelEvent, StageEvent
 from .executor import (
@@ -10,7 +14,6 @@ from .executor import (
     plan_flops,
     sequential_plan,
 )
-from .warp_trace import WarpTrace, compare_traces, trace_from_timeline
 from .memory import MemoryPlan, MemoryPlanner, OutOfMemoryError
 
 __all__ = [
@@ -23,9 +26,6 @@ __all__ = [
     "Executor",
     "sequential_plan",
     "plan_flops",
-    "WarpTrace",
-    "trace_from_timeline",
-    "compare_traces",
     "MemoryPlan",
     "MemoryPlanner",
     "OutOfMemoryError",

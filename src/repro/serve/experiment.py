@@ -3,7 +3,7 @@
 The paper's figures measure schedules in isolation; these harnesses measure
 them *in service*: synthetic traffic flows through the batcher → router →
 registry → worker pool pipeline and the resulting throughput/latency numbers
-land in the same :class:`~repro.experiments.tables.ExperimentTable` container
+land in the same :class:`~repro.tables.ExperimentTable` container
 as every paper figure, so serving runs are printable, CSV-exportable and
 benchmarkable with the existing machinery.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
-from ..experiments.tables import ExperimentTable
+from ..tables import ExperimentTable
 from ..obs.trace import Tracer
 from .batcher import BatchPolicy
 from .fleet import FleetSpec

@@ -21,10 +21,11 @@ p50/p95/p99 per priority class (and per traffic burst when requests carry
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ..obs.metrics import MetricsRegistry, percentile
+from ..obs.metrics import MetricsRegistry, percentiles
 from .registry import RegistryStats
 from .request import RejectedRequest, RequestRecord
 
@@ -52,11 +53,12 @@ class LatencySummary:
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "LatencySummary":
         """Summarise a non-empty sequence of latency samples."""
+        p50, p95, p99 = percentiles(values, (50, 95, 99))
         return cls(
             mean_ms=sum(values) / len(values),
-            p50_ms=percentile(values, 50),
-            p95_ms=percentile(values, 95),
-            p99_ms=percentile(values, 99),
+            p50_ms=p50,
+            p95_ms=p95,
+            p99_ms=p99,
             max_ms=max(values),
         )
 
@@ -296,81 +298,78 @@ def build_slo_summary(
     records: Sequence[RequestRecord],
     rejected: Sequence[RejectedRequest] = (),
 ) -> SloSummary:
-    """Fold completed records and rejections into an :class:`SloSummary`."""
-    offered = len(records) + len(rejected)
-    met = sum(1 for record in records if record.deadline_met)
-    violations = len(records) - met
-    with_deadline = sum(
-        1 for record in records if record.request.deadline_ms is not None
-    )
+    """Fold completed records and rejections into an :class:`SloSummary`.
+
+    One walk over the records and one over the rejections group everything
+    by priority class and by burst.
+    """
+    met = with_deadline = 0
+    # priority -> [completed latencies, met, rejected]
+    classes: dict[int, list] = defaultdict(lambda: [[], 0, 0])
+    # burst id -> [admitted, met, rejected]
+    bursts: dict[int, list[int]] = defaultdict(lambda: [0, 0, 0])
+    for record in records:
+        request = record.request
+        hit = record.deadline_met
+        met += hit
+        with_deadline += request.deadline_ms is not None
+        group = classes[request.priority]
+        group[0].append(record.latency_ms)
+        group[1] += hit
+        if request.burst_id is not None:
+            burst = bursts[request.burst_id]
+            burst[0] += 1
+            burst[1] += hit
     reasons: dict[str, int] = {}
     for rejection in rejected:
         reasons[rejection.reason] = reasons.get(rejection.reason, 0) + 1
+        request = rejection.request
+        classes[request.priority][2] += 1
+        if request.burst_id is not None:
+            bursts[request.burst_id][2] += 1
 
     per_priority: list[PriorityClassSlo] = []
-    priorities = sorted(
-        {record.request.priority for record in records}
-        | {rejection.request.priority for rejection in rejected},
-        reverse=True,
-    )
-    for priority in priorities:
-        class_records = [r for r in records if r.request.priority == priority]
-        class_rejected = [
-            r for r in rejected if r.request.priority == priority
-        ]
-        class_met = sum(1 for record in class_records if record.deadline_met)
-        class_offered = len(class_records) + len(class_rejected)
-        latencies = [record.latency_ms for record in class_records]
+    for priority in sorted(classes, reverse=True):
+        latencies, class_met, class_rejected = classes[priority]
+        class_offered = len(latencies) + class_rejected
+        p50, p95, p99 = percentiles(latencies, (50, 95, 99)) if latencies else (0.0,) * 3
         per_priority.append(
             PriorityClassSlo(
                 priority=priority,
                 offered=class_offered,
-                admitted=len(class_records),
-                rejected=len(class_rejected),
+                admitted=len(latencies),
+                rejected=class_rejected,
                 met=class_met,
-                violations=len(class_records) - class_met,
+                violations=len(latencies) - class_met,
                 attainment=class_met / class_offered if class_offered else 0.0,
-                p50_ms=percentile(latencies, 50) if latencies else 0.0,
-                p95_ms=percentile(latencies, 95) if latencies else 0.0,
-                p99_ms=percentile(latencies, 99) if latencies else 0.0,
+                p50_ms=p50,
+                p95_ms=p95,
+                p99_ms=p99,
             )
         )
 
     per_burst: list[BurstSlo] = []
-    burst_ids = sorted(
-        {
-            record.request.burst_id
-            for record in records
-            if record.request.burst_id is not None
-        }
-        | {
-            rejection.request.burst_id
-            for rejection in rejected
-            if rejection.request.burst_id is not None
-        }
-    )
-    for burst_id in burst_ids:
-        burst_records = [r for r in records if r.request.burst_id == burst_id]
-        burst_rejected = [r for r in rejected if r.request.burst_id == burst_id]
-        burst_met = sum(1 for record in burst_records if record.deadline_met)
-        burst_offered = len(burst_records) + len(burst_rejected)
+    for burst_id in sorted(bursts):
+        admitted, burst_met, burst_rejected = bursts[burst_id]
+        burst_offered = admitted + burst_rejected
         per_burst.append(
             BurstSlo(
                 burst_id=burst_id,
                 offered=burst_offered,
-                admitted=len(burst_records),
+                admitted=admitted,
                 met=burst_met,
                 attainment=burst_met / burst_offered if burst_offered else 0.0,
             )
         )
 
+    offered = len(records) + len(rejected)
     return SloSummary(
         offered=offered,
         admitted=len(records),
         rejected=len(rejected),
         with_deadline=with_deadline,
         met=met,
-        violations=violations,
+        violations=len(records) - met,
         attainment_rate=met / offered if offered else 0.0,
         rejection_reasons=reasons,
         per_priority=per_priority,

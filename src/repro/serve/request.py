@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 __all__ = ["InferenceRequest", "FormedBatch", "RequestRecord", "RejectedRequest"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InferenceRequest:
     """One inference demand entering the service."""
 
@@ -88,7 +88,7 @@ class FormedBatch:
         return len(self.requests)
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """A finished request with its full timeline.
 
@@ -132,7 +132,7 @@ class RequestRecord:
         return self.completion_ms <= self.request.absolute_deadline_ms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RejectedRequest:
     """A request the admission policy refused to queue."""
 

@@ -1,9 +1,13 @@
 """Result containers and text rendering for experiments.
 
-Every experiment module produces an :class:`ExperimentTable`: a list of rows
-(dicts) plus metadata.  The table renders itself as aligned text (what the
-benchmark harness prints) and as CSV (for post-processing / plotting outside
-this repository — no plotting library is required to reproduce the numbers).
+Every experiment module — each paper figure in :mod:`repro.experiments` and
+each serving study in :mod:`repro.serve.experiment` — produces an
+:class:`ExperimentTable`: a list of rows (dicts) plus metadata.  The table
+renders itself as aligned text (what the benchmark harness prints) and as CSV
+(for post-processing / plotting outside this repository — no plotting library
+is required to reproduce the numbers).  The module sits outside
+:mod:`repro.experiments` so the serving stack can use it without importing
+the paper harness.
 """
 
 from __future__ import annotations

@@ -69,6 +69,21 @@ class TestThresholdRule:
         with pytest.raises(ValueError, match="comparison"):
             ThresholdRule("x", "m", "sum", 1.0, op="!=")
 
+    def test_stat_no_kind_has_is_rejected(self):
+        with pytest.raises(ValueError, match="no metric kind has the window stat 'bogus'"):
+            ThresholdRule("x", "m", "bogus", 1.0)
+
+    def test_stat_the_family_lacks_raises_naming_it(self):
+        # 'max' is a gauge stat, so the rule builds; a histogram cannot read it.
+        registry = TimeSeriesRegistry(window_ms=10.0)
+        registry.histogram("serve.latency_ms").observe(3.0)
+        rule = ThresholdRule("x", "serve.latency_ms", "max", 1.0)
+        with pytest.raises(ValueError, match=(
+            r"histogram 'serve.latency_ms' has no window stat 'max'; "
+            r"a histogram supports count, sum, mean, p<q>"
+        )):
+            AlertManager([rule]).evaluate(registry, registry.window_span(0))
+
 
 #: Rule knobs that must fail where they are declared, naming the field.
 BAD_RULE_KNOBS = {

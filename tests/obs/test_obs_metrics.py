@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs import (
     HISTOGRAM_QUANTILES,
@@ -13,8 +16,60 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    percentile,
+    percentiles,
     quantiles_reference,
 )
+
+#: Value lists the percentile oracle is checked on: any finite or infinite
+#: double, integers, and few distinct values (many duplicates).
+PERCENTILE_VALUES = st.one_of(
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+    st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=40),
+    st.lists(st.sampled_from([0.0, 1.0, 2.5, -3.0, math.inf, -math.inf]),
+             min_size=1, max_size=40),
+)
+PERCENTILE_QS = st.lists(
+    st.one_of(st.sampled_from([0, 50, 95, 99, 100]), st.floats(0, 100)),
+    min_size=1, max_size=5,
+)
+
+
+def same_double(ours: float, reference: float) -> bool:
+    """Bit-identical doubles, up to the sign of a zero and a NaN's payload.
+
+    numpy partitions instead of sorting, and where ``0.0`` and ``-0.0`` tie
+    its order of the two is its own, so only the sign of a zero result may
+    differ from a stable sort's.
+    """
+    if math.isnan(ours) or math.isnan(reference):
+        return math.isnan(ours) and math.isnan(reference)
+    if ours == 0 and reference == 0:
+        return True
+    return struct.pack("<d", ours) == struct.pack("<d", reference)
+
+
+class TestPercentiles:
+    @settings(max_examples=300, deadline=None)
+    @given(values=PERCENTILE_VALUES, qs=PERCENTILE_QS)
+    @example(values=[7.5], qs=[0, 50, 100])
+    @example(values=[1.0, 2.0, math.inf], qs=[50, 99])
+    def test_bit_identical_to_numpy(self, values, qs):
+        ours = percentiles(values, qs)
+        with np.errstate(all="ignore"):  # inf - inf is nan in both
+            reference = [float(np.percentile(values, q)) for q in qs]
+        assert all(map(same_double, ours, reference)), (ours, reference)
+
+    def test_one_sort_serves_every_quantile(self):
+        values = [5.0, 1.0, 4.0, 2.0, 3.0]
+        assert percentiles(values, (0, 50, 90)) == [percentile(values, q) for q in (0, 50, 90)]
+        assert values == [5.0, 1.0, 4.0, 2.0, 3.0]  # sorted a copy
+
+    def test_empty_and_out_of_range_raise(self):
+        with pytest.raises(ValueError, match="no values"):
+            percentiles([], (50,))
+        with pytest.raises(ValueError, match=r"\[0, 100\]"):
+            percentiles([1.0], (50, -1))
 
 
 class TestCounter:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,20 @@ class TestWindowBucketing:
         assert gauge.window_stat(0, "max") == 9.0
         assert gauge.window_stat(1, "last") is None
 
+    @pytest.mark.parametrize("kind,write,stat,supported", [
+        ("histogram", "observe", "max", "count, sum, mean, p<q>"),
+        ("histogram", "observe", "p101", "count, sum, mean, p<q>"),
+        ("gauge", "set", "bogus", "last, max"),
+        ("counter", "inc", "last", "sum, rate"),
+    ])
+    def test_unsupported_stat_raises_naming_the_family(self, kind, write, stat, supported):
+        registry = TimeSeriesRegistry(window_ms=10.0)
+        family = getattr(registry, kind)("m")
+        getattr(family, write)(5.0)
+        message = f"{kind} 'm' has no window stat '{stat}'; a {kind} supports {supported}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            family.window_stat(0, stat)
+
     def test_histogram_window_quantile_reads_one_window(self):
         registry = TimeSeriesRegistry(window_ms=10.0)
         histogram = registry.histogram("latency")
@@ -248,6 +263,11 @@ class TestWatchRenderer:
             registry, registry.window_span(0)
         ) is None
         assert stream.getvalue() == ""
+
+    def test_emit_creates_no_family(self):
+        registry = TimeSeriesRegistry(window_ms=20.0)
+        WatchRenderer(stream=io.StringIO()).emit(registry, registry.window_span(0))
+        assert registry.names() == []
 
     def test_every_skips_intermediate_windows(self):
         registry = self._overloaded_registry()

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+import random
+
 import pytest
 
 from repro.obs import percentile
 from repro.serve import (
+    BurstSlo,
     InferenceRequest,
     LatencySummary,
+    PriorityClassSlo,
     RejectedRequest,
     RequestRecord,
     build_report,
@@ -185,7 +191,58 @@ class TestSloSummary:
         assert "1/2 met" in text
         assert "predicted-deadline-miss×1" in text
 
+    def test_rows_match_a_recount_of_each_group(self):
+        rng = random.Random(5)
+        records = [
+            record(i, float(i), i + rng.uniform(1.0, 20.0), deadline_ms=10.0,
+                   priority=rng.choice((0, 1, 2)), burst_id=rng.choice((None, 0, 1, 2)))
+            for i in range(200)
+        ]
+        rejected = [
+            rejection(i, float(i), priority=rng.choice((0, 3)), burst_id=rng.choice((None, 2, 4)))
+            for i in range(200, 240)
+        ]
+        slo = build_slo_summary(records, rejected)
+        for row in slo.per_priority:
+            done = [r for r in records if r.request.priority == row.priority]
+            shed = [r for r in rejected if r.request.priority == row.priority]
+            met = sum(r.deadline_met for r in done)
+            latencies = [r.latency_ms for r in done]
+            assert row == PriorityClassSlo(
+                row.priority, len(done) + len(shed), len(done), len(shed), met,
+                len(done) - met, met / (len(done) + len(shed)),
+                *((percentile(latencies, q) for q in (50, 95, 99)) if done else (0.0,) * 3),
+            )
+        for row in slo.per_burst:
+            done = [r for r in records if r.request.burst_id == row.burst_id]
+            shed = [r for r in rejected if r.request.burst_id == row.burst_id]
+            met = sum(r.deadline_met for r in done)
+            assert row == BurstSlo(
+                row.burst_id, len(done) + len(shed), len(done), met,
+                met / (len(done) + len(shed)),
+            )
+        assert [row.priority for row in slo.per_priority] == [3, 2, 1, 0]
+        assert [row.burst_id for row in slo.per_burst] == [0, 1, 2, 4]
+
     def test_deadline_met_property(self):
         assert record(0, 0.0, 5.0, deadline_ms=10.0).deadline_met
         assert not record(0, 0.0, 15.0, deadline_ms=10.0).deadline_met
         assert record(0, 0.0, 1e9).deadline_met  # no SLO is never violated
+
+
+class TestRequestTypesAreSlotted:
+    """Replays hold one record per request: the types carry no ``__dict__``."""
+
+    def test_pickle_and_replace_round_trip(self):
+        request = InferenceRequest(7, "m", 1.5, num_samples=2, deadline_ms=9.0,
+                                   priority=1, burst_id=3)
+        done = record(7, 1.5, 4.0, deadline_ms=9.0)
+        shed = rejection(8, 2.0, reason="predicted-deadline-miss")
+        for value in (request, done, shed):
+            assert not hasattr(value, "__dict__")
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert dataclasses.replace(value) == value
+        assert dataclasses.replace(request, priority=2).priority == 2
+        assert dataclasses.replace(done, worker_id=3).worker_id == 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            request.priority = 5

@@ -16,7 +16,16 @@ from repro.core import (
     groups_of_mask,
     is_ending,
 )
-from repro.models import chain_graph, diamond_graph, figure2_block, figure5_graph, parallel_chains_graph
+from repro.core.width import transitive_closure_masks
+from repro.models import (
+    chain_graph,
+    diamond_graph,
+    figure2_block,
+    figure5_graph,
+    list_models,
+    parallel_chains_graph,
+    resolve_zoo_builder,
+)
 
 
 def block_index(graph):
@@ -184,7 +193,40 @@ class TestEnumerateEndings:
             assert is_ending(index, mask, state)
 
 
+def networkx_width(graph, op_names) -> int:
+    """Dilworth width through networkx's Hopcroft-Karp matching (the oracle)."""
+    import networkx as nx
+
+    names = graph.topological_order(list(op_names))
+    reachable = transitive_closure_masks(graph, names)
+    split = nx.Graph()
+    split.add_nodes_from(("L", name) for name in names)
+    split.add_nodes_from(("R", name) for name in names)
+    split.add_edges_from(
+        (("L", u), ("R", v)) for u in names for v in reachable[u]
+    )
+    matching = nx.bipartite.maximum_matching(split, top_nodes=[("L", n) for n in names])
+    return len(names) - sum(1 for side, _ in matching if side == "L")
+
+
 class TestWidth:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), num_blocks=st.integers(1, 3),
+           ops_per_block=st.integers(1, 14))
+    def test_matches_networkx_on_random_dags(
+        self, random_graph_factory, seed, num_blocks, ops_per_block
+    ):
+        graph = random_graph_factory(seed, num_blocks=num_blocks, ops_per_block=ops_per_block)
+        assert dag_width(graph) == networkx_width(graph, graph.schedulable_names())
+        for block in graph.blocks:
+            names = graph.schedulable_names(block)
+            assert block_width(graph, block) == networkx_width(graph, names)
+
+    @pytest.mark.parametrize("model", list_models())
+    def test_matches_networkx_on_every_zoo_model(self, model):
+        graph = resolve_zoo_builder(model)()
+        assert dag_width(graph) == networkx_width(graph, graph.schedulable_names())
+
     def test_chain_width_is_one(self):
         assert dag_width(chain_graph(length=5)) == 1
 

@@ -1,0 +1,58 @@
+"""Serving and cluster runs load neither the paper harness nor numpy/networkx.
+
+The serving stack computes its percentiles and the scheduler its DAG width in
+plain Python, so a process that only serves never pays for those libraries or
+for the figure modules of :mod:`repro.experiments`.  Each check runs in a
+fresh interpreter: the test process itself has imported all of them.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Imports the serving, cluster and observability packages, serves 20
+#: requests on one host and on a 2-host partitioned cluster, then prints the
+#: heavy modules that got loaded.
+SERVE_AND_CLUSTER = """
+import sys
+
+import repro.cluster
+import repro.obs
+import repro.serve
+from repro.cluster import ClusterConfig, run_cluster_serving
+from repro.serve import InferenceService, ServingConfig, TrafficConfig, TrafficGenerator
+from repro.serve.batcher import BatchPolicy
+
+serving = ServingConfig(
+    model="squeezenet", devices=("k80",), batch_sizes=(1, 2, 4),
+    policy=BatchPolicy(max_batch_size=4, max_wait_ms=3.0),
+)
+traffic = TrafficConfig(model="squeezenet", num_requests=20, seed=1)
+report = InferenceService(serving).run(TrafficGenerator(traffic).generate())
+assert report.num_requests == 20, report.num_requests
+cluster = ClusterConfig(
+    serving=serving, num_hosts=2, partition=True, router="partition-affinity"
+)
+assert run_cluster_serving(traffic, cluster).describe()
+print(sorted(
+    name for name in sys.modules
+    if name.split(".")[0] in ("numpy", "networkx")
+    or name.startswith("repro.experiments")
+))
+"""
+
+
+def test_serving_and_cluster_runs_load_no_heavy_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", SERVE_AND_CLUSTER],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"

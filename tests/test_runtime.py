@@ -13,12 +13,10 @@ from repro.runtime import (
     Executor,
     MemoryPlanner,
     OutOfMemoryError,
-    WarpTrace,
-    compare_traces,
     sequential_plan,
-    trace_from_timeline,
 )
 from repro.runtime.events import add_execution_spans
+from repro.runtime.warp_trace import WarpTrace, compare_traces, trace_from_timeline
 
 
 class TestExecutor:
