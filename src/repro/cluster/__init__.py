@@ -33,9 +33,8 @@ from .partition import PartitionError, PartitionPlan, StageSpec, partition_graph
 from .router import (
     CLUSTER_ROUTERS,
     ClusterRouter,
-    EarliestFinishHostRouter,
-    LeastLoadedHostRouter,
     PartitionAffinityRouter,
+    RankingHostRouter,
     RoundRobinHostRouter,
     get_cluster_router,
     list_cluster_routers,
@@ -48,14 +47,13 @@ __all__ = [
     "ClusterOutcome",
     "ClusterReport",
     "ClusterRouter",
-    "EarliestFinishHostRouter",
     "Host",
     "HostSpec",
-    "LeastLoadedHostRouter",
     "LinkModel",
     "PartitionAffinityRouter",
     "PartitionError",
     "PartitionPlan",
+    "RankingHostRouter",
     "RoundRobinHostRouter",
     "StageSpec",
     "TransferStats",

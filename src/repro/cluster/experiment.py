@@ -35,7 +35,7 @@ from .host import Host, HostSpec
 from .link import LinkModel
 from .loop import ClusterLoop, ClusterOutcome, TransferStats
 from .partition import PartitionPlan, partition_graph
-from .router import ClusterRouter, get_cluster_router
+from .router import CLUSTER_ROUTERS, ClusterRouter, get_cluster_router
 
 __all__ = ["ClusterConfig", "ClusterReport", "run_cluster_serving"]
 
@@ -87,9 +87,7 @@ class ClusterConfig:
             )
         object.__setattr__(self, "host_memory_gb", memory)
         if not isinstance(self.router, ClusterRouter):
-            object.__setattr__(
-                self, "router", get_cluster_router(self.router).name
-            )
+            object.__setattr__(self, "router", CLUSTER_ROUTERS.canonical(self.router))
         if isinstance(self.link, str):
             object.__setattr__(self, "link", LinkModel.parse(self.link))
         # Each HostSpec checks its memory bound; build them once to fail here.

@@ -6,10 +6,11 @@ request before it ever reaches a loop.  The two layers compose: the cluster
 router spreads requests over hosts, then each host's worker router places the
 batches its loop forms.
 
-Policies mirror the fleet registry idiom — a ``name`` attribute, a
-``CLUSTER_ROUTERS`` table, :func:`get_cluster_router` /
+Policies resolve through a :class:`~repro.checks.Registry` like the fleet
+routers — ``CLUSTER_ROUTERS``, :func:`get_cluster_router`,
 :func:`list_cluster_routers` — so the CLI spelling is uniform
-(``--cluster-router earliest-finish-host``).
+(``--cluster-router earliest-finish-host``).  The ranking policies are one
+:class:`RankingHostRouter` each, differing only in their key.
 
 ``eligible`` is the placement-filtered host list: under partitioning only the
 stage-0 host receives external arrivals, and under per-host memory bounds
@@ -19,7 +20,11 @@ never second-guess eligibility.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from functools import partial
+from operator import attrgetter, methodcaller
+from typing import TYPE_CHECKING, Any, Callable, Sequence
+
+from ..checks import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..serve.request import InferenceRequest
@@ -27,14 +32,24 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 __all__ = [
     "ClusterRouter",
-    "EarliestFinishHostRouter",
-    "LeastLoadedHostRouter",
+    "RankingHostRouter",
     "PartitionAffinityRouter",
     "RoundRobinHostRouter",
     "CLUSTER_ROUTERS",
     "get_cluster_router",
     "list_cluster_routers",
 ]
+
+#: Built once per pick from the request and the clock; ranks one host
+#: (lower is better).
+HostKey = Callable[["InferenceRequest", float], Callable[["Host"], Any]]
+
+_HOST_ID = attrgetter("host_id")
+
+
+def _ranked(hosts: Sequence["Host"], rank: Callable[["Host"], Any]) -> "Host":
+    """The host with the lowest ``(rank, host id)``."""
+    return min(zip(map(rank, hosts), map(_HOST_ID, hosts), hosts))[2]
 
 
 class ClusterRouter:
@@ -61,49 +76,44 @@ class ClusterRouter:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}()"
+        return f"{type(self).__name__}({self.name!r})"
 
 
-class EarliestFinishHostRouter(ClusterRouter):
-    """Minimise the host's predicted completion of the request (the default).
+class RankingHostRouter(ClusterRouter):
+    """Pick the host with the lowest ``(key, host id)``.
+
+    ``key(request, now_ms)`` is built once per pick and ranks each host; ties
+    break by host id for determinism.
+    """
+
+    def __init__(self, name: str, key: HostKey) -> None:
+        self.name = name
+        self.key = key
+
+    def pick(self, hosts, request, now_ms):
+        """The host ranked first by this router's key."""
+        return _ranked(hosts, self.key(request, now_ms))
+
+
+def _earliest_finish(request: "InferenceRequest", now_ms: float):
+    """The host's predicted completion of the request (the default).
 
     Each host predicts the request's completion with the same arithmetic its
     own earliest-finish worker router uses — batching wait bound, queued work
     ahead, per-worker horizons plus the device execution estimate — so a host
     with fast idle silicon wins over a backlogged one even when queue depths
-    look equal.  Ties break by host id.
+    look equal.
     """
-
-    name = "earliest-finish-host"
-
-    def pick(self, hosts, request, now_ms):
-        """The host with the earliest predicted request completion."""
-        return min(
-            hosts,
-            key=lambda host: (host.predicted_completion_ms(request), host.host_id),
-        )
+    return methodcaller("predicted_completion_ms", request)
 
 
-class LeastLoadedHostRouter(ClusterRouter):
-    """Pick the host with the least outstanding work right now.
+def _least_loaded(request: "InferenceRequest", now_ms: float):
+    """Outstanding work right now: worker-busy milliseconds, then queued samples.
 
-    Ranks by remaining worker-busy milliseconds, then samples waiting in the
-    forming batch, then host id.  Blind to device speed — the baseline the
-    prediction-driven router is measured against.
+    Blind to device speed — the baseline the prediction-driven router is
+    measured against.
     """
-
-    name = "least-loaded-host"
-
-    def pick(self, hosts, request, now_ms):
-        """The host with the smallest (busy horizon, queued samples)."""
-        return min(
-            hosts,
-            key=lambda host: (
-                host.remaining_work_ms(now_ms),
-                host.pending_samples,
-                host.host_id,
-            ),
-        )
+    return lambda host: (host.remaining_work_ms(now_ms), host.pending_samples)
 
 
 class RoundRobinHostRouter(ClusterRouter):
@@ -139,7 +149,6 @@ class PartitionAffinityRouter(ClusterRouter):
     def __init__(self) -> None:
         #: Set by the cluster loop when the run is partitioned.
         self.plan = None
-        self._fallback = LeastLoadedHostRouter()
 
     def pick(self, hosts, request, now_ms):
         """The plan's stage-0 host, or least-loaded when the plan is silent."""
@@ -151,36 +160,21 @@ class PartitionAffinityRouter(ClusterRouter):
             for host in hosts:
                 if host.host_id == entry:
                     return host
-        return self._fallback.pick(hosts, request, now_ms)
+        return _ranked(hosts, _least_loaded(request, now_ms))
 
 
-#: Cluster router registry: name → zero-argument constructor.
-CLUSTER_ROUTERS: dict[str, Callable[[], ClusterRouter]] = {
-    EarliestFinishHostRouter.name: EarliestFinishHostRouter,
-    LeastLoadedHostRouter.name: LeastLoadedHostRouter,
-    PartitionAffinityRouter.name: PartitionAffinityRouter,
-    RoundRobinHostRouter.name: RoundRobinHostRouter,
-}
+#: Cluster router registry: name -> zero-argument constructor.
+CLUSTER_ROUTERS: Registry[Callable[[], ClusterRouter]] = Registry(
+    "cluster router", instance_of=ClusterRouter
+)
+for _name, _key in (("earliest-finish-host", _earliest_finish),
+                    ("least-loaded-host", _least_loaded)):
+    CLUSTER_ROUTERS[_name] = partial(RankingHostRouter, _name, _key)
+CLUSTER_ROUTERS[PartitionAffinityRouter.name] = PartitionAffinityRouter
+CLUSTER_ROUTERS[RoundRobinHostRouter.name] = RoundRobinHostRouter
 
-
-def get_cluster_router(name: "str | ClusterRouter") -> ClusterRouter:
-    """A fresh cluster router for ``name`` (case/underscore tolerant).
-
-    Accepts an already-built :class:`ClusterRouter` unchanged; raises
-    :class:`ValueError` listing the registered policies on an unknown name.
-    """
-    if isinstance(name, ClusterRouter):
-        return name
-    key = name.strip().lower().replace("_", "-").replace(" ", "-")
-    factory = CLUSTER_ROUTERS.get(key)
-    if factory is None:
-        raise ValueError(
-            f"unknown cluster router {name!r}; registered routers: "
-            f"{', '.join(sorted(CLUSTER_ROUTERS))}"
-        )
-    return factory()
-
-
-def list_cluster_routers() -> list[str]:
-    """Names of all registered cluster routing policies."""
-    return sorted(CLUSTER_ROUTERS)
+#: A fresh cluster router for any spelling of its name; a
+#: :class:`ClusterRouter` instance passes through unchanged.
+get_cluster_router = CLUSTER_ROUTERS.create
+#: Names of all registered cluster routing policies, sorted.
+list_cluster_routers = CLUSTER_ROUTERS.names

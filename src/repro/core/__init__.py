@@ -46,7 +46,6 @@ from .dp_scheduler import (
     IOSVariant,
     ScheduleResult,
     SchedulerConfig,
-    UnknownVariantError,
     VALID_VARIANTS,
     normalize_variant,
     resolve_compile_jobs,
@@ -99,7 +98,6 @@ __all__ = [
     "IOSScheduler",
     "IOSVariant",
     "SchedulerConfig",
-    "UnknownVariantError",
     "VALID_VARIANTS",
     "normalize_variant",
     "variant_label",

@@ -33,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ..checks import require_int
+from ..checks import Registry, require_int
 from ..ir.graph import Block, Graph
 from .cost_model import CostModel, StageChoice
 from .endings import BlockIndex, PruningStrategy, enumerate_endings
@@ -48,7 +48,6 @@ __all__ = [
     "ScheduleResult",
     "IOSScheduler",
     "IOSVariant",
-    "UnknownVariantError",
     "VALID_VARIANTS",
     "normalize_variant",
     "variant_label",
@@ -57,51 +56,27 @@ __all__ = [
 ]
 
 
-#: Named strategy sets corresponding to the paper's IOS variants (Section 6.1).
-IOSVariant = {
+#: Named strategy sets corresponding to the paper's IOS variants (Section 6.1),
+#: in the paper's presentation order.  Every layer that keys on a variant
+#: (``SchedulerConfig.variant``, the serve registry, the CLI, the engine)
+#: resolves it here, so the same variant never lands under two keys; the bare
+#: suffix (``"both"``) is an alias.
+IOSVariant: Registry[tuple[ParallelizationStrategy, ...]] = Registry(
+    "IOS variant",
+    aliases={"both": "ios-both", "parallel": "ios-parallel", "merge": "ios-merge"},
+)
+IOSVariant.update({
     "ios-both": (ParallelizationStrategy.CONCURRENT, ParallelizationStrategy.MERGE),
     "ios-parallel": (ParallelizationStrategy.CONCURRENT,),
     "ios-merge": (ParallelizationStrategy.MERGE,),
-}
+})
 
 #: Canonical variant names, in the paper's presentation order.
 VALID_VARIANTS = tuple(IOSVariant)
 
-
-class UnknownVariantError(KeyError, ValueError):
-    """An IOS variant name that :func:`normalize_variant` cannot resolve.
-
-    Subclasses both :class:`KeyError` (the historical exception of
-    ``SchedulerConfig.variant``) and :class:`ValueError` (what a bad
-    user-supplied name morally is), so both idioms keep working.
-    """
-
-    def __str__(self) -> str:  # KeyError would repr() the message
-        return self.args[0] if self.args else ""
-
-
-def normalize_variant(name: str) -> str:
-    """Resolve a variant spelling to its canonical ``ios-*`` name.
-
-    Accepts the canonical names plus the obvious drifted spellings seen in
-    configs and CLIs — case differences, underscores instead of dashes, and
-    the bare suffix (``"both"`` → ``"ios-both"``).  Every layer that keys on
-    a variant (``SchedulerConfig.variant``, the serve registry, the CLI, the
-    engine) funnels through this one function so the same variant can never
-    land under two different keys.
-
-    Raises :class:`UnknownVariantError` (a ``ValueError``) listing the valid
-    variants on bad input.
-    """
-    if isinstance(name, str):
-        key = name.strip().lower().replace("_", "-").replace(" ", "-")
-        if key in IOSVariant:
-            return key
-        if f"ios-{key}" in IOSVariant:
-            return f"ios-{key}"
-    raise UnknownVariantError(
-        f"unknown IOS variant {name!r}; valid variants: {', '.join(VALID_VARIANTS)}"
-    )
+#: Resolve a variant spelling (``"BOTH"``, ``"ios_merge"``) to its canonical
+#: ``ios-*`` name; raises :class:`~repro.checks.UnknownNameError`.
+normalize_variant = IOSVariant.canonical
 
 
 def variant_label(config: "SchedulerConfig") -> str:
@@ -150,12 +125,12 @@ class SchedulerConfig:
 
         The name goes through :func:`normalize_variant`, so drifted spellings
         (``"BOTH"``, ``"ios_merge"``) resolve to the canonical variant and bad
-        names raise :class:`UnknownVariantError` listing the valid ones.
+        names raise :class:`~repro.checks.UnknownNameError` listing the valid
+        ones.
         """
-        key = normalize_variant(name)
         return cls(
             pruning=pruning if pruning is not None else PruningStrategy(3, 8),
-            strategies=IOSVariant[key],
+            strategies=IOSVariant[name],
             reuse_identical_blocks=reuse_identical_blocks,
         )
 

@@ -35,7 +35,6 @@ comparison, the registry's compile-on-miss — goes through
 """
 
 from ..core.dp_scheduler import (
-    UnknownVariantError,
     VALID_VARIANTS,
     normalize_variant,
     variant_label,
@@ -59,6 +58,5 @@ __all__ = [
     "node_digest",
     "normalize_variant",
     "variant_label",
-    "UnknownVariantError",
     "VALID_VARIANTS",
 ]

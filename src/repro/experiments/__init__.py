@@ -4,67 +4,47 @@ Every ``run_*`` function returns an :class:`~repro.tables.ExperimentTable`
 whose rows mirror the rows/series of the corresponding table or figure; the
 benchmark suite under ``benchmarks/`` simply invokes these functions and prints
 the tables, and ``ios-bench`` exposes them on the command line.
+
+The exports below are resolved on first access (PEP 562), so importing this
+package — which ``ios-bench serve`` does on its way to the serving stack —
+loads no figure module, no numpy and no frameworks package.
 """
 
-from ..tables import ExperimentTable, geometric_mean, normalize_to_best
-from .runner import SCHEDULE_LABELS, ExperimentContext, ScheduleRun, default_context
-from .fig01_trends import TREND_POINTS, run_figure1
-from .fig02_motivating import run_figure2
-from .tab01_complexity import PAPER_TABLE1, run_table1
-from .tab02_networks import run_table2
-from .fig06_schedules import run_figure6, run_figure14
-from .fig07_frameworks import FRAMEWORK_LABELS, run_figure7, run_figure15
-from .fig08_active_warps import run_figure8
-from .fig09_pruning import DEFAULT_PRUNING_GRID, run_figure9
-from .tab03_specialization import run_table3_batch, run_table3_device
-from .fig10_case_study import last_block_subgraph, run_figure10
-from .fig11_batch_sizes import BATCH_SWEEP, FIG11_SYSTEMS, run_figure11
-from .fig12_intra_vs_inter import run_figure12
-from .fig13_worst_case import DEFAULT_CHAIN_CONFIGS, run_figure13
-from .fig16_blockwise import run_figure16
-from .resnet_note import run_resnet_note
-from .ablation_passes import run_pass_ablation
-from .ablations import flatten_blocks, run_blockwise_ablation, run_cost_model_ablation
-from .cli import EXPERIMENTS, main
+import importlib
 
-__all__ = [
-    "ExperimentTable",
-    "geometric_mean",
-    "normalize_to_best",
-    "ExperimentContext",
-    "ScheduleRun",
-    "SCHEDULE_LABELS",
-    "default_context",
-    "run_figure1",
-    "TREND_POINTS",
-    "run_figure2",
-    "run_table1",
-    "PAPER_TABLE1",
-    "run_table2",
-    "run_figure6",
-    "run_figure14",
-    "run_figure7",
-    "run_figure15",
-    "FRAMEWORK_LABELS",
-    "run_figure8",
-    "run_figure9",
-    "DEFAULT_PRUNING_GRID",
-    "run_table3_batch",
-    "run_table3_device",
-    "run_figure10",
-    "last_block_subgraph",
-    "run_figure11",
-    "BATCH_SWEEP",
-    "FIG11_SYSTEMS",
-    "run_figure12",
-    "run_figure13",
-    "DEFAULT_CHAIN_CONFIGS",
-    "run_figure16",
-    "run_resnet_note",
-    "run_cost_model_ablation",
-    "run_blockwise_ablation",
-    "run_pass_ablation",
-    "flatten_blocks",
-    "EXPERIMENTS",
-    "main",
-]
+from ..tables import ExperimentTable, geometric_mean, normalize_to_best
+
+#: Submodule -> the names it exports from this package.
+_EXPORTS = {
+    "runner": ("SCHEDULE_LABELS", "ExperimentContext", "ScheduleRun", "default_context"),
+    "fig01_trends": ("TREND_POINTS", "run_figure1"),
+    "fig02_motivating": ("run_figure2",),
+    "tab01_complexity": ("PAPER_TABLE1", "run_table1"),
+    "tab02_networks": ("run_table2",),
+    "fig06_schedules": ("run_figure6", "run_figure14"),
+    "fig07_frameworks": ("FRAMEWORK_LABELS", "run_figure7", "run_figure15"),
+    "fig08_active_warps": ("run_figure8",),
+    "fig09_pruning": ("DEFAULT_PRUNING_GRID", "run_figure9"),
+    "tab03_specialization": ("run_table3_batch", "run_table3_device"),
+    "fig10_case_study": ("last_block_subgraph", "run_figure10"),
+    "fig11_batch_sizes": ("BATCH_SWEEP", "FIG11_SYSTEMS", "run_figure11"),
+    "fig12_intra_vs_inter": ("run_figure12",),
+    "fig13_worst_case": ("DEFAULT_CHAIN_CONFIGS", "run_figure13"),
+    "fig16_blockwise": ("run_figure16",),
+    "resnet_note": ("run_resnet_note",),
+    "ablation_passes": ("run_pass_ablation",),
+    "ablations": ("flatten_blocks", "run_blockwise_ablation", "run_cost_model_ablation"),
+    "cli": ("EXPERIMENTS", "main"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["ExperimentTable", "geometric_mean", "normalize_to_best", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -28,29 +28,14 @@ figures reuse the cache.  Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
-from .ablation_passes import run_pass_ablation
-from .ablations import run_blockwise_ablation, run_cost_model_ablation
-from .fig01_trends import run_figure1
-from .fig02_motivating import run_figure2
-from .fig06_schedules import run_figure6, run_figure14
-from .fig07_frameworks import run_figure7, run_figure15
-from .fig08_active_warps import run_figure8
-from .fig09_pruning import run_figure9
-from .fig10_case_study import run_figure10
-from .fig11_batch_sizes import run_figure11
-from .fig12_intra_vs_inter import run_figure12
-from .fig13_worst_case import run_figure13
-from .fig16_blockwise import run_figure16
-from .resnet_note import run_resnet_note
-from .tab01_complexity import run_table1
-from .tab02_networks import run_table2
-from .tab03_specialization import run_table3_batch, run_table3_device
+from ..checks import UnknownNameError
 from ..tables import ExperimentTable
 
 __all__ = ["main", "serve_main", "trace_main", "EXPERIMENTS", "QUICK_MODELS"]
@@ -59,44 +44,59 @@ __all__ = ["main", "serve_main", "trace_main", "EXPERIMENTS", "QUICK_MODELS"]
 QUICK_MODELS = ["inception_v3", "squeezenet"]
 
 
-def _variant_arg(value: str) -> str:
-    """argparse type for IOS variants: normalises drifted spellings.
+def _registry_arg(registry) -> Callable[[str], str]:
+    """argparse type resolving a flag through a name :class:`~repro.checks.Registry`.
 
-    Accepts ``ios-both`` / ``both`` / ``IOS_Both`` etc. and turns an unknown
-    name into a clean argparse error listing the valid variants.
+    Accepts every spelling the API accepts (``Round_Robin``, ``IOS_Both``)
+    and turns an unknown name into a clean argparse error listing the
+    registered names.
     """
-    from ..core import UnknownVariantError, normalize_variant
 
-    try:
-        return normalize_variant(value)
-    except UnknownVariantError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+    def resolve(value: str) -> str:
+        try:
+            return registry.canonical(value)
+        except UnknownNameError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return resolve
+
+
+def _choices(registry) -> str:
+    """The ``{a,b,...}`` metavar argparse shows for a ``choices`` flag."""
+    return "{" + ",".join(registry.names()) + "}"
+
+
+def _run(target: str, **kwargs) -> ExperimentTable:
+    """Import the experiment's ``module:function`` only now and run it."""
+    module, _, function = target.partition(":")
+    return getattr(importlib.import_module(f".{module}", __package__), function)(**kwargs)
 
 
 def _experiments(quick: bool, device: str) -> dict[str, Callable[[], ExperimentTable]]:
     models = QUICK_MODELS if quick else None
     return {
-        "figure1": lambda: run_figure1(),
-        "figure2": lambda: run_figure2(device=device),
-        "table1": lambda: run_table1(models=models),
-        "table2": lambda: run_table2(models=models),
-        "figure6": lambda: run_figure6(device=device, models=models),
-        "figure7": lambda: run_figure7(device=device, models=models),
-        "figure8": lambda: run_figure8(device=device),
-        "figure9": lambda: run_figure9(models=("inception_v3",) if quick else ("inception_v3", "nasnet_a"), device=device),
-        "table3-batch": lambda: run_table3_batch(device=device, batch_sizes=(1, 32) if quick else (1, 32, 128)),
-        "table3-device": lambda: run_table3_device(),
-        "figure10": lambda: run_figure10(device=device),
-        "figure11": lambda: run_figure11(device=device, batch_sizes=(1, 16, 32) if quick else (1, 16, 32, 64, 128)),
-        "figure12": lambda: run_figure12(device=device, models=models),
-        "figure13": lambda: run_figure13(),
-        "figure14": lambda: run_figure14(models=models),
-        "figure15": lambda: run_figure15(models=models),
-        "figure16": lambda: run_figure16(device=device),
-        "resnet-note": lambda: run_resnet_note(device=device),
-        "ablation-cost-model": lambda: run_cost_model_ablation(device=device),
-        "ablation-blockwise": lambda: run_blockwise_ablation(device=device),
-        "ablation-passes": lambda: run_pass_ablation(
+        "figure1": lambda: _run("fig01_trends:run_figure1"),
+        "figure2": lambda: _run("fig02_motivating:run_figure2", device=device),
+        "table1": lambda: _run("tab01_complexity:run_table1", models=models),
+        "table2": lambda: _run("tab02_networks:run_table2", models=models),
+        "figure6": lambda: _run("fig06_schedules:run_figure6", device=device, models=models),
+        "figure7": lambda: _run("fig07_frameworks:run_figure7", device=device, models=models),
+        "figure8": lambda: _run("fig08_active_warps:run_figure8", device=device),
+        "figure9": lambda: _run("fig09_pruning:run_figure9", models=("inception_v3",) if quick else ("inception_v3", "nasnet_a"), device=device),
+        "table3-batch": lambda: _run("tab03_specialization:run_table3_batch", device=device, batch_sizes=(1, 32) if quick else (1, 32, 128)),
+        "table3-device": lambda: _run("tab03_specialization:run_table3_device"),
+        "figure10": lambda: _run("fig10_case_study:run_figure10", device=device),
+        "figure11": lambda: _run("fig11_batch_sizes:run_figure11", device=device, batch_sizes=(1, 16, 32) if quick else (1, 16, 32, 64, 128)),
+        "figure12": lambda: _run("fig12_intra_vs_inter:run_figure12", device=device, models=models),
+        "figure13": lambda: _run("fig13_worst_case:run_figure13"),
+        "figure14": lambda: _run("fig06_schedules:run_figure14", models=models),
+        "figure15": lambda: _run("fig07_frameworks:run_figure15", models=models),
+        "figure16": lambda: _run("fig16_blockwise:run_figure16", device=device),
+        "resnet-note": lambda: _run("resnet_note:run_resnet_note", device=device),
+        "ablation-cost-model": lambda: _run("ablations:run_cost_model_ablation", device=device),
+        "ablation-blockwise": lambda: _run("ablations:run_blockwise_ablation", device=device),
+        "ablation-passes": lambda: _run(
+            "ablation_passes:run_pass_ablation",
             device=device,
             models=("inception_v3", "squeezenet") if quick else ("inception_v3", "nasnet_a"),
         ),
@@ -140,15 +140,15 @@ def serve_main(argv: list[str] | None = None) -> int:
     # Imported lazily: repro.serve pulls in the whole serving stack, which the
     # figure/table experiments never need.
     from ..checks import require_number
-    from ..cluster import ClusterConfig, LinkModel, list_cluster_routers, run_cluster_serving
-    from ..core import resolve_compile_jobs
+    from ..cluster import CLUSTER_ROUTERS, ClusterConfig, LinkModel, run_cluster_serving
+    from ..core import IOSVariant, resolve_compile_jobs
     from ..serve import (
+        ADMISSION_POLICIES,
+        ROUTERS,
         BatchPolicy,
         FleetSpec,
         ServingConfig,
         TrafficConfig,
-        list_admission_policies,
-        list_routers,
         run_fleet_comparison,
         run_serving,
         run_serving_comparison,
@@ -172,7 +172,8 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fleet", default=None, metavar="DEV:N[,DEV:N...]",
                         help="mixed-device worker groups, e.g. 'k80:2,v100:4'; "
                         "with --compare, runs the mixed-vs-homogeneous fleet table")
-    parser.add_argument("--router", default="earliest-finish", choices=list_routers(),
+    parser.add_argument("--router", default="earliest-finish", type=_registry_arg(ROUTERS),
+                        metavar=_choices(ROUTERS),
                         help="routing policy dispatching batches to workers "
                         "(default: earliest-finish, the device-aware policy)")
     parser.add_argument("--cluster", type=int, default=None, metavar="N",
@@ -184,7 +185,8 @@ def serve_main(argv: list[str] | None = None) -> int:
                         "(requires --cluster > 1); stage handoffs pay modeled "
                         "--link transfer costs")
     parser.add_argument("--cluster-router", default="earliest-finish-host",
-                        choices=list_cluster_routers(),
+                        type=_registry_arg(CLUSTER_ROUTERS),
+                        metavar=_choices(CLUSTER_ROUTERS),
                         help="cluster-level policy placing arrivals on hosts "
                         "(default: earliest-finish-host)")
     parser.add_argument("--link", default=None, metavar="SPEC",
@@ -211,7 +213,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-wait-ms", type=float, default=None,
                         help="dynamic batcher wait bound in ms (default: 5.0; "
                         "meaningless with --no-batching)")
-    parser.add_argument("--variant", default="ios-both", type=_variant_arg,
+    parser.add_argument("--variant", default="ios-both", type=_registry_arg(IOSVariant),
                         metavar="{ios-both,ios-parallel,ios-merge}",
                         help="IOS variant compiled on registry misses "
                         "(drifted spellings like 'both' or 'IOS_Merge' are "
@@ -231,7 +233,8 @@ def serve_main(argv: list[str] | None = None) -> int:
                         "(enables SLO accounting; with --compare, runs the "
                         "admission-policy comparison table)")
     parser.add_argument("--admission", default="admit-all",
-                        choices=list_admission_policies(),
+                        type=_registry_arg(ADMISSION_POLICIES),
+                        metavar=_choices(ADMISSION_POLICIES),
                         help="admission policy gating arrivals "
                         "(default: admit-all, the no-shedding baseline)")
     parser.add_argument("--autoscale", default=None, metavar="MIN:MAX",

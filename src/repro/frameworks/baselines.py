@@ -14,12 +14,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..hardware.kernel import (
-    CUDNN_PROFILE,
-    TENSORRT_PROFILE,
-    TVM_AUTOTUNE_PROFILE,
-    KernelProfile,
-)
+from ..checks import Registry
+from ..hardware.kernel import CUDNN_PROFILE, TENSORRT_PROFILE, TVM_AUTOTUNE_PROFILE
 from ..ir.graph import Graph
 from ..runtime.executor import ExecutionPlan
 from .base import FrameworkModel
@@ -164,8 +160,12 @@ class TensorRTModel(FrameworkModel):
 
 
 #: Factories for every simulated framework, keyed by the name used in figures.
-FRAMEWORK_REGISTRY: dict[str, type[FrameworkModel]] = {
-    cls.name: cls
+FRAMEWORK_REGISTRY: Registry[type[FrameworkModel]] = Registry("framework", aliases={
+    "tf": "tensorflow", "xla": "tensorflow-xla", "tf-xla": "tensorflow-xla",
+    "tvm": "tvm-cudnn", "trt": "tensorrt",
+})
+FRAMEWORK_REGISTRY.update(
+    (cls.name, cls)
     for cls in (
         TensorFlowModel,
         TensorFlowXLAModel,
@@ -174,25 +174,9 @@ FRAMEWORK_REGISTRY: dict[str, type[FrameworkModel]] = {
         TVMAutoTuneModel,
         TensorRTModel,
     )
-}
+)
 
-
-def get_framework(name: str) -> FrameworkModel:
-    """Instantiate a simulated framework by name."""
-    key = name.lower()
-    aliases = {
-        "tf": "tensorflow",
-        "tf-xla": "tensorflow-xla",
-        "xla": "tensorflow-xla",
-        "tvm": "tvm-cudnn",
-        "trt": "tensorrt",
-    }
-    key = aliases.get(key, key)
-    if key not in FRAMEWORK_REGISTRY:
-        raise KeyError(f"unknown framework {name!r}; available: {sorted(FRAMEWORK_REGISTRY)}")
-    return FRAMEWORK_REGISTRY[key]()
-
-
-def list_frameworks() -> list[str]:
-    """Names of all registered simulated frameworks."""
-    return sorted(FRAMEWORK_REGISTRY)
+#: Instantiate a simulated framework by any spelling of its name or an alias.
+get_framework = FRAMEWORK_REGISTRY.create
+#: Names of all registered simulated frameworks, sorted.
+list_frameworks = FRAMEWORK_REGISTRY.names

@@ -9,9 +9,7 @@ execution across CUDA streams is simulated with a fluid contention model.
 from .device import (
     DEVICE_REGISTRY,
     DeviceSpec,
-    UnknownDeviceError,
     get_device,
-    get_devices,
     list_devices,
 )
 from .kernel import (
@@ -34,9 +32,7 @@ from .contention import (
 __all__ = [
     "DeviceSpec",
     "DEVICE_REGISTRY",
-    "UnknownDeviceError",
     "get_device",
-    "get_devices",
     "list_devices",
     "KernelProfile",
     "KernelSpec",

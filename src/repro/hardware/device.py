@@ -18,14 +18,10 @@ set of published architectural parameters that the simulator consumes:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
 
-from ..checks import require_number
+from ..checks import Registry, require_number
 
-__all__ = [
-    "DeviceSpec", "DEVICE_REGISTRY", "UnknownDeviceError", "get_device", "get_devices",
-    "list_devices",
-]
+__all__ = ["DeviceSpec", "DEVICE_REGISTRY", "get_device", "list_devices"]
 
 
 @dataclass(frozen=True)
@@ -189,51 +185,14 @@ _PRESETS = [
     ),
 ]
 
-DEVICE_REGISTRY: dict[str, DeviceSpec] = {spec.name: spec for spec in _PRESETS}
+#: The device catalog: preset name (or a spelling of it) -> spec.
+DEVICE_REGISTRY: Registry[DeviceSpec] = Registry("device", aliases={
+    "tesla-v100": "v100", "tesla-k80": "k80", "2080ti": "rtx2080ti",
+    "rtx2080": "rtx2080ti", "1080": "gtx1080", "980ti": "gtx980ti",
+})
+DEVICE_REGISTRY.update((spec.name, spec) for spec in _PRESETS)
 
-
-class UnknownDeviceError(KeyError, ValueError):
-    """A device name that :func:`get_device` cannot resolve.
-
-    Subclasses both :class:`KeyError` (the historical exception of a catalog
-    lookup) and :class:`ValueError` (what a bad user-supplied name is), so a
-    config can report it like any other bad knob.
-    """
-
-    def __str__(self) -> str:  # KeyError would repr() the message
-        return self.args[0] if self.args else ""
-
-
-def get_device(name: str) -> DeviceSpec:
-    """Look up a device preset by (case-insensitive) name."""
-    key = None
-    if isinstance(name, str):
-        key = name.lower().replace(" ", "").replace("-", "").replace("_", "")
-    aliases = {
-        "teslav100": "v100",
-        "teslak80": "k80",
-        "2080ti": "rtx2080ti",
-        "rtx2080": "rtx2080ti",
-        "1080": "gtx1080",
-        "980ti": "gtx980ti",
-    }
-    key = aliases.get(key, key)
-    if key not in DEVICE_REGISTRY:
-        raise UnknownDeviceError(
-            f"unknown device {name!r}; available: {sorted(DEVICE_REGISTRY)}"
-        )
-    return DEVICE_REGISTRY[key]
-
-
-def get_devices(names: "Iterable[str]") -> list[DeviceSpec]:
-    """Look up several device presets at once (fleet members, worker pools).
-
-    Order and multiplicity are preserved — pass one name per worker.  Raises
-    :class:`UnknownDeviceError` (listing the catalog) on the first unknown name.
-    """
-    return [get_device(name) for name in names]
-
-
-def list_devices() -> list[str]:
-    """Names of all registered device presets."""
-    return sorted(DEVICE_REGISTRY)
+#: Look up a device preset by any spelling of its name or an alias.
+get_device = DEVICE_REGISTRY.__getitem__
+#: Names of all registered device presets, sorted.
+list_devices = DEVICE_REGISTRY.names

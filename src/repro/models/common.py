@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..checks import Registry
 from ..ir.graph import Graph
 
 __all__ = [
@@ -40,7 +41,10 @@ class ModelSpec:
     operator_type: str = ""
 
 
-MODEL_REGISTRY: dict[str, ModelSpec] = {}
+#: Zoo model name (or a spelling of it) -> spec.
+MODEL_REGISTRY: Registry[ModelSpec] = Registry("model", aliases={
+    "inception": "inception_v3", "nasnet": "nasnet_a", "randwire_small": "randwire",
+})
 
 #: The four CNNs benchmarked throughout the paper's evaluation (Table 2).
 BENCHMARK_MODELS = ["inception_v3", "randwire", "nasnet_a", "squeezenet"]
@@ -48,8 +52,6 @@ BENCHMARK_MODELS = ["inception_v3", "randwire", "nasnet_a", "squeezenet"]
 
 def register_model(spec: ModelSpec) -> ModelSpec:
     """Register a model spec; raises on duplicate names."""
-    if spec.name in MODEL_REGISTRY:
-        raise ValueError(f"model {spec.name!r} is already registered")
     MODEL_REGISTRY[spec.name] = spec
     return spec
 
@@ -75,34 +77,13 @@ def default_optimize() -> bool:
     return _DEFAULT_OPTIMIZE
 
 
-_MODEL_ALIASES = {
-    "inceptionv3": "inception_v3",
-    "inception": "inception_v3",
-    "nasnet": "nasnet_a",
-    "nasneta": "nasnet_a",
-    "randwire_small": "randwire",
-    "resnet50": "resnet_50",
-    "resnet34": "resnet_34",
-    "resnet18": "resnet_18",
-    "vgg16": "vgg_16",
-}
-
-
 def resolve_zoo_builder(name: str) -> ModelBuilder:
-    """Resolve a (possibly aliased) zoo model name to its builder function.
+    """The builder of the zoo model ``name`` spells (an alias or any spelling).
 
-    Raises
-    ------
-    KeyError
-        If no registered model matches; the message lists every known name.
+    Raises :class:`~repro.checks.UnknownNameError` listing every known name.
     """
-    key = name.lower().replace("-", "_").replace(" ", "_")
-    key = _MODEL_ALIASES.get(key, key)
-    if key not in MODEL_REGISTRY:
-        raise KeyError(f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}")
-    return MODEL_REGISTRY[key].builder
+    return MODEL_REGISTRY[name].builder
 
 
-def list_models() -> list[str]:
-    """Names of all registered models."""
-    return sorted(MODEL_REGISTRY)
+#: Names of all registered models, sorted.
+list_models = MODEL_REGISTRY.names

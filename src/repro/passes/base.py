@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
+from ..checks import Registry
 from ..ir.graph import Graph
 from ..ir.validate import GraphValidationError, validate_graph
 from ..obs.trace import NULL_TRACER, Tracer
@@ -73,8 +74,8 @@ class GraphPass:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-#: Registered pass factories, keyed by pass name (see :func:`register_pass`).
-PASS_REGISTRY: dict[str, Callable[[], GraphPass]] = {}
+#: Registered pass classes, keyed by pass name (see :func:`register_pass`).
+PASS_REGISTRY: Registry[type[GraphPass]] = Registry("pass", instance_of=GraphPass)
 
 
 def register_pass(cls: type[GraphPass]) -> type[GraphPass]:
@@ -89,18 +90,13 @@ def register_pass(cls: type[GraphPass]) -> type[GraphPass]:
     """
     if not cls.name or cls.name == GraphPass.name:
         raise ValueError(f"pass class {cls.__name__} must define a unique 'name'")
-    existing = PASS_REGISTRY.get(cls.name)
-    if existing is not None and existing is not cls:
-        raise ValueError(f"duplicate pass name {cls.name!r}")
     PASS_REGISTRY[cls.name] = cls
     return cls
 
 
-def make_pass(name: str) -> GraphPass:
-    """Instantiate a registered pass by name."""
-    if name not in PASS_REGISTRY:
-        raise KeyError(f"unknown pass {name!r}; registered passes: {sorted(PASS_REGISTRY)}")
-    return PASS_REGISTRY[name]()
+#: Instantiate a registered pass by any spelling of its name; a
+#: :class:`GraphPass` instance passes through unchanged.
+make_pass = PASS_REGISTRY.create
 
 
 @dataclass
@@ -171,9 +167,7 @@ class PassManager:
     ):
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-        self.passes: list[GraphPass] = [
-            make_pass(p) if isinstance(p, str) else p for p in passes
-        ]
+        self.passes: list[GraphPass] = [make_pass(p) for p in passes]
         if not self.passes:
             raise ValueError("a PassManager needs at least one pass")
         self.fixed_point = fixed_point

@@ -80,10 +80,8 @@ from .experiment import (
 )
 from .fleet import (
     ROUTERS,
-    EarliestFinishRouter,
-    EarliestStartRouter,
     FleetSpec,
-    LeastLoadedRouter,
+    RankingRouter,
     RoundRobinRouter,
     Router,
     get_router,
@@ -135,19 +133,17 @@ __all__ = [
     "BurstSlo",
     "DeadlineAwareAdmission",
     "DispatchResult",
-    "EarliestFinishRouter",
-    "EarliestStartRouter",
     "FleetSpec",
     "FormedBatch",
     "InferenceRequest",
     "InferenceService",
     "LatencySummary",
-    "LeastLoadedRouter",
     "LoopResult",
     "LoopState",
     "PriorityAdmission",
     "PriorityClassSlo",
     "ROUTERS",
+    "RankingRouter",
     "RegistryError",
     "RegistryKey",
     "RegistryStats",

@@ -31,8 +31,9 @@ depth, worker horizons, latency estimates) and return an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
+from ..checks import Registry
 from .request import InferenceRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -286,33 +287,17 @@ class PriorityAdmission(DeadlineAwareAdmission):
         self._highest_queued = highest_priority
 
 
-#: Admission-policy registry: name → zero-argument constructor.
-ADMISSION_POLICIES: dict[str, Callable[[], AdmissionPolicy]] = {
-    AdmitAll.name: AdmitAll,
-    DeadlineAwareAdmission.name: DeadlineAwareAdmission,
-    PriorityAdmission.name: PriorityAdmission,
-}
+#: Admission-policy registry: name -> zero-argument constructor.
+ADMISSION_POLICIES: Registry[type[AdmissionPolicy]] = Registry(
+    "admission policy", instance_of=AdmissionPolicy
+)
+ADMISSION_POLICIES.update(
+    (cls.name, cls) for cls in (AdmitAll, DeadlineAwareAdmission, PriorityAdmission)
+)
 
-
-def get_admission_policy(name: "str | AdmissionPolicy") -> AdmissionPolicy:
-    """A fresh admission policy for ``name`` (case/underscore tolerant).
-
-    Accepts an already-built :class:`AdmissionPolicy` unchanged, so configs
-    can carry either a name or an instance.  Raises :class:`ValueError`
-    listing the registered policies on an unknown name.
-    """
-    if isinstance(name, AdmissionPolicy):
-        return name
-    key = name.strip().lower().replace("_", "-").replace(" ", "-")
-    factory = ADMISSION_POLICIES.get(key)
-    if factory is None:
-        raise ValueError(
-            f"unknown admission policy {name!r}; registered policies: "
-            f"{', '.join(sorted(ADMISSION_POLICIES))}"
-        )
-    return factory()
-
-
-def list_admission_policies() -> list[str]:
-    """Names of all registered admission policies."""
-    return sorted(ADMISSION_POLICIES)
+#: A fresh admission policy for any spelling of its name; an
+#: :class:`AdmissionPolicy` instance passes through unchanged, so configs can
+#: carry either.
+get_admission_policy = ADMISSION_POLICIES.create
+#: Names of all registered admission policies, sorted.
+list_admission_policies = ADMISSION_POLICIES.names

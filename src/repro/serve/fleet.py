@@ -7,12 +7,12 @@ makes the *pool itself* heterogeneous:
 * :class:`FleetSpec` declares worker groups — how many workers of each device
   preset the fleet runs (``FleetSpec.parse("k80:2,v100:4")``);
 * :class:`Router` is the pluggable dispatch policy choosing a worker for each
-  formed batch.  The default :class:`EarliestFinishRouter` minimises the
-  *predicted completion time* — queueing delay **plus** the device's predicted
-  execution latency from its registry-compiled model — so fast devices absorb
-  more traffic without starving the slow ones.  :class:`EarliestStartRouter`
-  (the old homogeneous tiebreak), :class:`RoundRobinRouter` and
-  :class:`LeastLoadedRouter` are the baselines it is measured against.
+  formed batch.  The default ``earliest-finish`` :class:`RankingRouter`
+  minimises the *predicted completion time* — queueing delay **plus** the
+  device's predicted execution latency from its registry-compiled model — so
+  fast devices absorb more traffic without starving the slow ones.
+  ``earliest-start`` (the old homogeneous tiebreak), ``least-loaded`` and
+  :class:`RoundRobinRouter` are the baselines it is measured against.
 
 A router never measures a device itself: it receives a lazy ``estimate``
 callback from the service that resolves to the predicted execution latency of
@@ -32,19 +32,19 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from operator import attrgetter
+from typing import Any, Callable, Mapping, Sequence
 
-from ..checks import require_int
+from ..checks import Registry, require_int
 from ..hardware.device import get_device
-from .workers import Worker, earliest_start_worker
+from .workers import Worker
 
 __all__ = [
     "FleetSpec",
     "Router",
-    "EarliestFinishRouter",
-    "EarliestStartRouter",
+    "RankingRouter",
     "RoundRobinRouter",
-    "LeastLoadedRouter",
     "ROUTERS",
     "get_router",
     "list_routers",
@@ -111,7 +111,7 @@ class FleetSpec:
 
         A bare device name means one worker (``"v100"`` == ``"v100:1"``).
         Raises :class:`ValueError` on malformed entries and duplicate device
-        groups, and :class:`~repro.hardware.UnknownDeviceError` (a
+        groups, and :class:`~repro.checks.UnknownNameError` (a
         ``ValueError`` listing the available presets) on unknown device
         names; every message quotes the full ``spec`` verbatim so the
         offending CLI argument is identifiable in the error alone.
@@ -213,6 +213,12 @@ class FleetSpec:
 
 #: Lazy predicted execution latency (ms) of the batch on a worker's device.
 LatencyEstimate = Callable[[Worker], float]
+#: Built once per pick from the batch's ``ready_ms`` and ``estimate``; ranks
+#: one worker (lower is better).
+RankKey = Callable[[float, LatencyEstimate], Callable[[Worker], Any]]
+
+_WORKER_ID = attrgetter("worker_id")
+_BUSY_MS = attrgetter("busy_ms")
 
 
 class Router:
@@ -238,48 +244,63 @@ class Router:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}()"
+        return f"{type(self).__name__}({self.name!r})"
 
 
-class EarliestFinishRouter(Router):
-    """Minimise predicted completion: start time + device execution latency.
+class RankingRouter(Router):
+    """Pick the worker with the lowest ``(key, worker id)``.
 
-    The device-aware policy: a fast device with a short queue wins over an
-    idle slow one whenever its predicted finish is earlier, so mixed fleets
-    put their fast silicon to work without letting slow workers idle under
-    load.  Ties break by worker id for determinism.
+    ``key(ready_ms, estimate)`` is built once per pick and ranks each worker;
+    ties break by worker id for determinism.
     """
 
-    name = "earliest-finish"
+    def __init__(self, name: str, key: RankKey) -> None:
+        self.name = name
+        self.key = key
 
     def pick(self, workers: Sequence[Worker], ready_ms: float,
              estimate: LatencyEstimate) -> Worker:
-        """The worker with the earliest ``start + estimate(worker)``."""
-        # One estimate per device type, not per worker: replicas are identical.
-        per_device: dict[str, float] = {}
-
-        def finish(worker: Worker) -> float:
-            latency = per_device.get(worker.device.name)
-            if latency is None:
-                latency = per_device[worker.device.name] = estimate(worker)
-            return max(worker.busy_until_ms, ready_ms) + latency
-
-        return min(workers, key=lambda worker: (finish(worker), worker.worker_id))
+        """The worker ranked first by this router's key."""
+        rank = self.key(ready_ms, estimate)
+        return min(zip(map(rank, workers), map(_WORKER_ID, workers), workers))[2]
 
 
-class EarliestStartRouter(Router):
-    """Pick the worker that can *start* earliest (the homogeneous-pool rule).
+def _earliest_finish(ready_ms: float, estimate: LatencyEstimate) -> Callable[[Worker], float]:
+    """Predicted completion: start time + the device's execution latency.
+
+    The device-aware default: a fast device with a short queue wins over an
+    idle slow one whenever its predicted finish is earlier, so mixed fleets
+    put their fast silicon to work without letting slow workers idle under
+    load.  ``estimate`` is asked once per device type: replicas are identical.
+    """
+    per_device: dict[str, float] = {}
+
+    def finish(worker: Worker) -> float:
+        latency = per_device.get(worker.device.name)
+        if latency is None:
+            latency = per_device[worker.device.name] = estimate(worker)
+        return max(worker.busy_until_ms, ready_ms) + latency
+
+    return finish
+
+
+def _earliest_start(ready_ms: float, estimate: LatencyEstimate) -> Callable[[Worker], float]:
+    """When the worker's horizon clears (the homogeneous-pool rule).
 
     Ignores device speed entirely — correct when every worker runs the same
     device, a baseline to beat when they do not.
     """
+    return lambda worker: max(worker.busy_until_ms, ready_ms)
 
-    name = "earliest-start"
 
-    def pick(self, workers: Sequence[Worker], ready_ms: float,
-             estimate: LatencyEstimate) -> Worker:
-        """The worker whose horizon clears first (``estimate`` unused)."""
-        return earliest_start_worker(workers, ready_ms)
+def _least_loaded(ready_ms: float, estimate: LatencyEstimate) -> Callable[[Worker], float]:
+    """Total work assigned so far (``busy_ms``).
+
+    Balances cumulative load rather than instantaneous queue depth; on a
+    mixed fleet it systematically under-uses fast devices (they finish their
+    share early), which is exactly why it is a useful baseline.
+    """
+    return _BUSY_MS
 
 
 class RoundRobinRouter(Router):
@@ -301,49 +322,16 @@ class RoundRobinRouter(Router):
         return worker
 
 
-class LeastLoadedRouter(Router):
-    """Pick the worker with the least total work assigned so far (``busy_ms``).
+#: Router registry: name -> zero-argument constructor.
+ROUTERS: Registry[Callable[[], Router]] = Registry("router", instance_of=Router)
+for _name, _key in (("earliest-finish", _earliest_finish),
+                   ("earliest-start", _earliest_start),
+                   ("least-loaded", _least_loaded)):
+    ROUTERS[_name] = partial(RankingRouter, _name, _key)
+ROUTERS[RoundRobinRouter.name] = RoundRobinRouter
 
-    Balances cumulative load rather than instantaneous queue depth; on a
-    mixed fleet it systematically under-uses fast devices (they finish their
-    share early), which is exactly why it is a useful baseline.
-    """
-
-    name = "least-loaded"
-
-    def pick(self, workers: Sequence[Worker], ready_ms: float,
-             estimate: LatencyEstimate) -> Worker:
-        """The worker with the smallest ``busy_ms`` (``estimate`` unused)."""
-        return min(workers, key=lambda worker: (worker.busy_ms, worker.worker_id))
-
-
-#: Router registry: name → zero-argument constructor.
-ROUTERS: dict[str, Callable[[], Router]] = {
-    EarliestFinishRouter.name: EarliestFinishRouter,
-    EarliestStartRouter.name: EarliestStartRouter,
-    RoundRobinRouter.name: RoundRobinRouter,
-    LeastLoadedRouter.name: LeastLoadedRouter,
-}
-
-
-def get_router(name: "str | Router") -> Router:
-    """A fresh router instance for ``name`` (case/underscore tolerant).
-
-    Accepts an already-built :class:`Router` unchanged, so configs can carry
-    either a name or an instance.  Raises :class:`ValueError` listing the
-    registered policies on an unknown name.
-    """
-    if isinstance(name, Router):
-        return name
-    key = name.strip().lower().replace("_", "-").replace(" ", "-")
-    factory = ROUTERS.get(key)
-    if factory is None:
-        raise ValueError(
-            f"unknown router {name!r}; registered routers: {', '.join(sorted(ROUTERS))}"
-        )
-    return factory()
-
-
-def list_routers() -> list[str]:
-    """Names of all registered routing policies."""
-    return sorted(ROUTERS)
+#: A fresh router for any spelling of its name; a :class:`Router` instance
+#: passes through unchanged, so configs can carry either.
+get_router = ROUTERS.create
+#: Names of all registered routing policies, sorted.
+list_routers = ROUTERS.names

@@ -11,8 +11,8 @@ full pipeline on the virtual clock, driven by the discrete-event
 2. the loop forms batches under the max-batch/max-wait policy of
    :class:`~repro.serve.batcher.BatchPolicy`;
 3. the :class:`~repro.serve.fleet.Router` picks the worker each formed batch
-   executes on — by default :class:`~repro.serve.fleet.EarliestFinishRouter`,
-   which ranks workers by queueing delay *plus* the device's predicted
+   executes on — by default the ``earliest-finish`` ranking router, which
+   ranks workers by queueing delay *plus* the device's predicted
    execution latency, so mixed-device fleets route device-aware;
 4. the :class:`~repro.serve.batcher.BatchSizeSelector` picks the best
    batch-size-specialised :class:`~repro.engine.CompiledModel` for the chosen
@@ -36,15 +36,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.dp_scheduler import normalize_variant
-from ..hardware.device import get_device, get_devices
+from ..hardware.device import DEVICE_REGISTRY, get_device
 from ..obs.alerts import AlertManager, AlertRule
 from ..obs.metrics import MetricsRegistry
 from ..obs.timeseries import TimeSeriesRegistry, WatchRenderer
 from ..obs.trace import NULL_TRACER, Tracer
-from .admission import AdmissionPolicy, get_admission_policy
+from .admission import ADMISSION_POLICIES, AdmissionPolicy, get_admission_policy
 from .autoscale import AutoscaleConfig, Autoscaler
 from .batcher import BatchPolicy, BatchSizeSelector, check_ladder
-from .fleet import FleetSpec, Router, get_router
+from .fleet import ROUTERS, FleetSpec, Router, get_router
 from .loop import LoopResult, ServingLoop
 from .metrics import ServingReport, build_report
 from .registry import ScheduleRegistry
@@ -128,19 +128,16 @@ class ServingConfig:
             raise ValueError("serving needs at least one device")
         # Device names resolve like router and admission names: a typo fails
         # here, listing the presets, and aliases become preset names.
-        object.__setattr__(
-            self, "devices", tuple(device.name for device in get_devices(self.devices))
-        )
+        object.__setattr__(self, "devices", tuple(map(DEVICE_REGISTRY.canonical, self.devices)))
         check_ladder(self.batch_sizes)
-        # Resolve router names eagerly so a typo fails at config time, not
-        # mid-run; the service builds the instance.  A Router instance is
-        # kept as-is (get_router passes it through).
+        # Resolve router and admission names eagerly so a typo fails at
+        # config time, not mid-run; the service builds the instances.  An
+        # instance is kept as-is.
         if not isinstance(self.router, Router):
-            object.__setattr__(self, "router", get_router(self.router).name)
-        # The admission policy resolves the same way as the router.
+            object.__setattr__(self, "router", ROUTERS.canonical(self.router))
         if not isinstance(self.admission, AdmissionPolicy):
             object.__setattr__(
-                self, "admission", get_admission_policy(self.admission).name
+                self, "admission", ADMISSION_POLICIES.canonical(self.admission)
             )
         if self.autoscale is not None:
             autoscale = AutoscaleConfig.of(self.autoscale)
@@ -232,7 +229,7 @@ class InferenceService:
         )
         if tracer is not None:
             self.registry.tracer = self.tracer
-        self.pool = WorkerPool(get_devices(config.devices))
+        self.pool = WorkerPool([get_device(name) for name in config.devices])
         self.router = router if router is not None else get_router(config.router)
         self.admission = (
             admission if admission is not None

@@ -25,19 +25,7 @@ from ..obs.metrics import MetricsRegistry
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..engine import CompiledModel
 
-__all__ = ["Worker", "DispatchResult", "WorkerPool", "earliest_start_worker"]
-
-
-def earliest_start_worker(workers: Sequence["Worker"], ready_ms: float) -> "Worker":
-    """The worker that can *start* a batch ready at ``ready_ms`` first.
-
-    Ties break by worker id for determinism.  The ``earliest-start`` router
-    delegates here.
-    """
-    return min(
-        workers,
-        key=lambda worker: (max(worker.busy_until_ms, ready_ms), worker.worker_id),
-    )
+__all__ = ["Worker", "DispatchResult", "WorkerPool"]
 
 
 @dataclass

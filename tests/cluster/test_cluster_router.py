@@ -6,9 +6,8 @@ import pytest
 
 from repro.cluster import (
     CLUSTER_ROUTERS,
-    EarliestFinishHostRouter,
-    LeastLoadedHostRouter,
     PartitionAffinityRouter,
+    RankingHostRouter,
     RoundRobinHostRouter,
     get_cluster_router,
     list_cluster_routers,
@@ -42,9 +41,9 @@ class TestRegistry:
         assert "earliest-finish-host" in list_cluster_routers()
 
     def test_name_normalisation(self):
-        assert isinstance(
-            get_cluster_router("Least_Loaded_Host"), LeastLoadedHostRouter
-        )
+        router = get_cluster_router("Least_Loaded_Host")
+        assert isinstance(router, RankingHostRouter)
+        assert router.name == "least-loaded-host"
 
     def test_instances_pass_through(self):
         router = RoundRobinHostRouter()
@@ -63,11 +62,11 @@ class TestRegistry:
 class TestPolicies:
     def test_earliest_finish_prefers_the_fastest_prediction(self):
         hosts = [FakeHost(0, predicted=5.0), FakeHost(1, predicted=2.0)]
-        assert EarliestFinishHostRouter().pick(hosts, request(), 0.0).host_id == 1
+        assert get_cluster_router("earliest-finish-host").pick(hosts, request(), 0.0).host_id == 1
 
     def test_earliest_finish_ties_break_by_host_id(self):
         hosts = [FakeHost(1, predicted=2.0), FakeHost(0, predicted=2.0)]
-        assert EarliestFinishHostRouter().pick(hosts, request(), 0.0).host_id == 0
+        assert get_cluster_router("earliest-finish-host").pick(hosts, request(), 0.0).host_id == 0
 
     def test_least_loaded_ranks_by_busy_then_pending(self):
         hosts = [
@@ -75,7 +74,12 @@ class TestPolicies:
             FakeHost(1, remaining=1.0, pending=3),
             FakeHost(2, remaining=1.0, pending=1),
         ]
-        assert LeastLoadedHostRouter().pick(hosts, request(), 0.0).host_id == 2
+        assert get_cluster_router("least-loaded-host").pick(hosts, request(), 0.0).host_id == 2
+
+    @pytest.mark.parametrize("name", ["least-loaded-host", "partition-affinity"])
+    def test_least_loaded_ties_break_by_host_id(self, name):
+        hosts = [FakeHost(2, remaining=1.0, pending=1), FakeHost(1, remaining=1.0, pending=1)]
+        assert get_cluster_router(name).pick(hosts, request(), 0.0).host_id == 1
 
     def test_round_robin_cycles_in_order(self):
         hosts = [FakeHost(0), FakeHost(1), FakeHost(2)]

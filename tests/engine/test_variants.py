@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.checks import UnknownNameError
 from repro.core import (
     SchedulerConfig,
-    UnknownVariantError,
     VALID_VARIANTS,
     normalize_variant,
     variant_label,
@@ -41,8 +41,8 @@ class TestNormalizeVariant:
         # exception idioms must keep working.
         with pytest.raises(KeyError):
             normalize_variant("ios-quantum")
-        assert issubclass(UnknownVariantError, ValueError)
-        assert issubclass(UnknownVariantError, KeyError)
+        assert issubclass(UnknownNameError, ValueError)
+        assert issubclass(UnknownNameError, KeyError)
 
 
 class TestDriftedConsumersAgree:
@@ -74,7 +74,7 @@ class TestDriftedConsumersAgree:
         with pytest.raises(SystemExit):
             serve_main(["--variant", "ios-quantum", "--requests", "1"])
         err = capsys.readouterr().err
-        assert "valid variants" in err
+        assert "registered IOS variant names" in err
 
     def test_cli_accepts_drifted_variant(self, tmp_path, capsys):
         from repro.experiments.cli import serve_main

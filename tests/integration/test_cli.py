@@ -198,6 +198,22 @@ class TestServeCLI:
         ]) == 0
         assert "router    : round-robin" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,canonical,drifted,extra", [
+        ("--router", "round-robin", "Round_Robin", ["--fleet", "v100:2"]),
+        ("--admission", "deadline", " DEADLINE ", ["--slo", "20"]),
+        ("--cluster-router", "least-loaded-host", "Least_Loaded_Host", ["--cluster", "2"]),
+    ])
+    def test_serve_name_flags_accept_every_api_spelling(self, flag, canonical, drifted,
+                                                        extra, capsys):
+        args = [
+            "serve", "--model", "squeezenet", "--requests", "40", "--rate", "2000",
+            "--batch-sizes", "1,2", *extra,
+        ]
+        assert main(args + [flag, canonical]) == 0
+        expected = capsys.readouterr().out
+        assert main(args + [flag, drifted]) == 0
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("bad", [
         ["--fleet", "k80:1", "--device", "v100"],
         ["--fleet", "k80:1", "--num-workers", "2"],

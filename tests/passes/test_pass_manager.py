@@ -54,7 +54,7 @@ class TestPassRegistry:
             assert make_pass(name).name == name
 
     def test_unknown_pass_name(self):
-        with pytest.raises(KeyError, match="registered passes"):
+        with pytest.raises(KeyError, match="registered pass names"):
             make_pass("no-such-pass")
 
     def test_custom_pass_registration_and_use_by_name(self):

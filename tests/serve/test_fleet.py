@@ -7,9 +7,9 @@ import pytest
 from repro.hardware import get_device
 from repro.serve import (
     BatchPolicy,
-    EarliestFinishRouter,
     FleetSpec,
     InferenceService,
+    RoundRobinRouter,
     Router,
     ScheduleRegistry,
     ServingConfig,
@@ -95,7 +95,7 @@ class TestFleetSpec:
             FleetSpec.parse(bad)
 
     def test_unknown_device_lists_the_catalog(self):
-        with pytest.raises(KeyError, match="available"):
+        with pytest.raises(KeyError, match="registered device names"):
             FleetSpec.parse("tpu:4")
 
 
@@ -115,11 +115,11 @@ class TestRouters:
 
     def test_get_router_normalises_spelling(self):
         assert get_router("EARLIEST_FINISH").name == "earliest-finish"
-        router = EarliestFinishRouter()
+        router = RoundRobinRouter()
         assert get_router(router) is router
 
     def test_get_router_rejects_unknown_names(self):
-        with pytest.raises(ValueError, match="registered routers"):
+        with pytest.raises(ValueError, match="registered router names"):
             get_router("random")
 
     def test_earliest_finish_prefers_the_faster_device_when_idle(self, pool):
@@ -153,6 +153,26 @@ class TestRouters:
         picked = get_router("least-loaded").pick(pool.workers, 0.0, self.no_estimate)
         assert picked.worker_id == 1
 
+    def test_earliest_finish_estimates_once_per_device_type_per_pick(self, v100, k80):
+        pool = WorkerPool([k80, v100, k80, v100, v100])
+        asked = []
+
+        def estimate(worker):
+            asked.append(worker.device.name)
+            return {"k80": 5.0, "v100": 1.0}[worker.device.name]
+
+        router = get_router("earliest-finish")
+        for pick in range(1, 4):
+            router.pick(pool.workers, 0.0, estimate)
+            assert sorted(asked) == sorted(["k80", "v100"] * pick)
+
+    @pytest.mark.parametrize("name", ["earliest-finish", "earliest-start", "least-loaded"])
+    def test_ranking_ties_break_by_worker_id(self, name, v100):
+        pool = WorkerPool([v100, v100, v100])
+        workers = list(reversed(pool.workers))  # candidates out of id order
+        picked = get_router(name).pick(workers, 0.0, lambda worker: 1.0)
+        assert picked.worker_id == 0
+
 
 class TestServingConfigFleet:
     def test_fleet_rewrites_devices_to_the_expanded_pool(self):
@@ -166,7 +186,7 @@ class TestServingConfigFleet:
         assert fleet_config(FleetSpec.homogeneous("v100", 2)).devices == config.devices
 
     def test_router_name_is_validated_at_config_time(self):
-        with pytest.raises(ValueError, match="registered routers"):
+        with pytest.raises(ValueError, match="registered router names"):
             fleet_config("v100:1", router="fastest")
 
     def test_router_spelling_is_normalised(self):

@@ -13,8 +13,11 @@ import math
 
 import pytest
 
+from repro.checks import UnknownNameError
+from repro.cluster import ClusterConfig
 from repro.experiments.cli import main
-from repro.hardware import UnknownDeviceError
+from repro.frameworks import get_framework
+from repro.models import resolve_zoo_builder
 from repro.obs import TimeSeriesRegistry
 from repro.serve import (
     AutoscaleConfig,
@@ -156,8 +159,24 @@ def test_device_names_resolve_when_the_config_is_built():
     assert ServingConfig(model="squeezenet", devices=("Tesla V100", "k80")).devices == (
         "v100", "k80",
     )
-    with pytest.raises(UnknownDeviceError, match="available"):
+    with pytest.raises(UnknownNameError, match="registered device names"):
         ServingConfig(model="squeezenet", devices=("v100", "bogus"))
+
+
+@pytest.mark.parametrize(
+    "kind,build",
+    [
+        ("router", lambda: ServingConfig(model="squeezenet", router=3)),
+        ("admission policy", lambda: ServingConfig(model="squeezenet", admission=None)),
+        ("cluster router", lambda: ClusterConfig(ServingConfig(model="squeezenet"), router=1.5)),
+        ("framework", lambda: get_framework(None)),
+        ("model", lambda: resolve_zoo_builder(7)),
+    ],
+    ids=["router-int", "admission-none", "cluster-router-float", "framework-none", "model-int"],
+)
+def test_a_name_that_is_not_a_string_raises_the_typed_error(kind, build):
+    with pytest.raises(UnknownNameError, match=f"unknown {kind} .*registered {kind} names"):
+        build()
 
 
 def test_a_device_string_is_not_read_as_a_tuple_of_names():

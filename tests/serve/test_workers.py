@@ -7,8 +7,7 @@ import pytest
 from repro.core import IOSScheduler, SimulatedCostModel
 from repro.engine import CompiledModel
 from repro.models import chain_graph
-from repro.serve import WorkerPool
-from repro.serve.workers import earliest_start_worker
+from repro.serve import WorkerPool, get_router
 
 
 @pytest.fixture
@@ -90,7 +89,7 @@ class TestWorkerPool:
     def test_summary_accounts_for_all_dispatches(self, compiled, graph, v100):
         pool = WorkerPool([v100, v100])
         for _ in range(4):
-            worker = earliest_start_worker(pool.workers, 0.0)
+            worker = get_router("earliest-start").pick(pool.workers, 0.0, None)
             pool.dispatch(compiled, worker, ready_ms=0.0)
         summary = pool.summary()
         assert sum(row["batches"] for row in summary) == 4

@@ -8,6 +8,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.checks import UnknownNameError
 from repro.hardware import (
     CUDNN_PROFILE,
     KERNEL_PROFILES,
@@ -15,7 +16,6 @@ from repro.hardware import (
     TVM_AUTOTUNE_PROFILE,
     DeviceSpec,
     KernelProfile,
-    UnknownDeviceError,
     build_kernel,
     get_device,
     list_devices,
@@ -48,7 +48,7 @@ class TestDeviceSpecs:
 
     @pytest.mark.parametrize("name", ["tpu-v9000", None, 3])
     def test_unknown_device_is_a_typed_value_error(self, name):
-        with pytest.raises(UnknownDeviceError, match="available") as info:
+        with pytest.raises(UnknownNameError, match="registered device names") as info:
             get_device(name)
         assert isinstance(info.value, ValueError)
 

@@ -1,9 +1,11 @@
 """Serving and cluster runs load neither the paper harness nor numpy/networkx.
 
 The serving stack computes its percentiles and the scheduler its DAG width in
-plain Python, so a process that only serves never pays for those libraries or
-for the figure modules of :mod:`repro.experiments`.  Each check runs in a
-fresh interpreter: the test process itself has imported all of them.
+plain Python, and the CLI imports an experiment's module only when that
+experiment runs, so a process that only serves — through the API or through
+``ios-bench serve`` — never pays for those libraries or for the figure
+modules of :mod:`repro.experiments`.  Each check runs in a fresh interpreter:
+the test process itself has imported all of them.
 """
 
 from __future__ import annotations
@@ -46,13 +48,38 @@ print(sorted(
 ))
 """
 
+#: Runs ``ios-bench serve`` for 20 requests on one host and on a 2-host
+#: partitioned cluster, then prints the heavy modules that got loaded.
+CLI_SERVE = """
+import sys
 
-def test_serving_and_cluster_runs_load_no_heavy_module():
+from repro.experiments.cli import serve_main
+
+common = ["--model", "squeezenet", "--requests", "20", "--batch-sizes", "1,2,4"]
+assert serve_main(common + ["--device", "k80", "--num-workers", "1"]) == 0
+assert serve_main(common + ["--cluster", "2", "--partition"]) == 0
+print(sorted(
+    name for name in sys.modules
+    if name.split(".")[0] in ("numpy", "networkx")
+    or name.startswith("repro.experiments.fig")
+))
+"""
+
+
+def _heavy_modules_loaded(script: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", SERVE_AND_CLUSTER],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().splitlines()[-1] == "[]"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_serving_and_cluster_runs_load_no_heavy_module():
+    assert _heavy_modules_loaded(SERVE_AND_CLUSTER) == "[]"
+
+
+def test_cli_serve_runs_load_no_heavy_module():
+    assert _heavy_modules_loaded(CLI_SERVE) == "[]"
