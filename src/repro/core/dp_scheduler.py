@@ -199,8 +199,10 @@ class ScheduleResult:
         return sum(stats.optimized_latency_ms for stats in self.block_stats)
 
 
-#: A wiring's ending table: the admissible endings of each state, in
-#: enumeration order, and the connected groups of each ending — all bitmasks.
+#: A wiring's ending table, all bitmasks: the admissible endings of each
+#: state in enumeration order, and one flat entry ``(ending, *group_masks)``
+#: per distinct ending, keyed by the ending.  Every state's tuple references
+#: the entry's ending object, so an ending met in many states is one int.
 EndingTable = tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]
 
 
@@ -256,9 +258,11 @@ class IOSScheduler:
         connected groups depend only on the block's successor masks and the
         pruning strategy — never on operator names or shapes — so blocks that
         share a wiring (NasNet cells, Inception's ``mixed_*`` blocks) share
-        one table: ``(endings of each state, groups of each ending)``, both
-        as bitmasks.  Without ``reuse_identical_blocks`` every search gets a
-        fresh table, so each block enumerates its endings from scratch.
+        one :data:`EndingTable`: the endings of each state, and one flat
+        ``(ending, *group_masks)`` entry per distinct ending whose ending int
+        every state's tuple shares.  Without ``reuse_identical_blocks`` every
+        search gets a fresh table, so each block enumerates its endings from
+        scratch.
         """
         if not self.config.reuse_identical_blocks:
             return {}, {}
@@ -393,7 +397,7 @@ class IOSScheduler:
         names_of = index.names_of
         merge_only = ParallelizationStrategy.CONCURRENT not in strategies
         merges = ParallelizationStrategy.MERGE in strategies
-        endings_of, groups_of = self._ending_table(index)
+        endings_of, entries = self._ending_table(index)
         floors = cost_model.stage_floors(graph, index.names)
         merge_peers = merge_peer_masks(graph, index.names) if merges else []
 
@@ -430,11 +434,13 @@ class IOSScheduler:
             best_choice: tuple[int, ParallelizationStrategy] | None = None
             endings = endings_of.get(state)
             if endings is None:
-                enumerated = enumerate_endings(index, state, pruning)
-                for ending, group_masks in enumerated:
-                    if ending not in groups_of:
-                        groups_of[ending] = tuple(group_masks)
-                endings = endings_of[state] = tuple(ending for ending, _ in enumerated)
+                shared = []
+                for ending, group_masks in enumerate_endings(index, state, pruning):
+                    entry = entries.get(ending)
+                    if entry is None:
+                        entry = entries[ending] = (ending, *group_masks)
+                    shared.append(entry[0])
+                endings = endings_of[state] = tuple(shared)
             for ending in endings:
                 stage_choice = ending_choice.get(ending, False)
                 if stage_choice is None:
@@ -457,7 +463,7 @@ class IOSScheduler:
                     if floors is not None:
                         floor = ending_floor.get(ending)
                         if floor is None:
-                            floor = ending_floor[ending] = floors.stage_ms(groups_of[ending])
+                            floor = ending_floor[ending] = floors.stage_ms(entries[ending][1:])
                         if rest_cost + floor >= best and not (merges and mergeable(ending)):
                             pruned += 1
                             continue
@@ -465,7 +471,7 @@ class IOSScheduler:
                     # groups (ordered and topo-sorted exactly like
                     # ``connected_groups``), so pass them through and spare
                     # the cost model a recomputation per measurement.
-                    groups = [names_of(mask) for mask in groups_of[ending]]
+                    groups = [names_of(mask) for mask in entries[ending][1:]]
                     stage_choice = ending_choice[ending] = generate_stage(
                         graph, names_of(ending), strategies, groups
                     )
@@ -482,7 +488,13 @@ class IOSScheduler:
             choice[state] = best_choice
             return best
 
-        optimal_latency = scheduler(index.full_mask)
+        try:
+            optimal_latency = scheduler(index.full_mask)
+        finally:
+            # ``scheduler`` calls itself through its closure cell; emptying
+            # the cell lets refcounting free the search's dicts on return
+            # instead of leaving them to the cycle collector.
+            del scheduler
 
         # Schedule construction (INTER OPERATOR SCHEDULER, L6-11): walk the
         # recorded choices from the full set back to the empty set.

@@ -189,7 +189,7 @@ def enumerate_endings(
     # larger topological indices) have already been decided.
     order = list(reversed(members))
     # Successors-inside-the-state per position, so the closedness check in the
-    # hot recursion is two bitwise ops on precomputed masks.
+    # hot loop is two bitwise ops on precomputed masks.
     succ_in_state = [succ_mask[node] & state for node in order]
     include_bit = [1 << node for node in order]
     adj_of_position = [adj_mask[node] for node in order]
@@ -197,44 +197,53 @@ def enumerate_endings(
     out: list[tuple[int, list[int]]] = []
     append = out.append
 
-    # The group decomposition is maintained incrementally along the DFS path
-    # instead of recomputed at each leaf.  Positions are visited in order of
-    # decreasing bit index, so a newly included operator always carries the
-    # lowest bit of the partial ending: the group it forms (or merges into)
-    # sorts first, and untouched groups keep their relative order — exactly
-    # the ascending-lowest-bit order :func:`groups_of_mask` produces.  Groups
-    # only ever merge as further operators are included, so a group that
-    # exceeds ``max_group_size`` can never shrink back: the whole include
-    # subtree is pruned on the spot rather than rejected leaf by leaf.
-    def recurse(position: int, chosen: int, size: int, groups: tuple[int, ...]) -> None:
-        if position == last:
-            if chosen and (max_groups is None or len(groups) <= max_groups):
-                append((chosen, list(groups)))
-            return
-        # Option 1: exclude this operator.
-        recurse(position + 1, chosen, size, groups)
-        # Option 2: include it, allowed only if all its successors inside the
-        # state are already included (successor-closedness).
-        if succ_in_state[position] & ~chosen:
-            return
+    # An explicit depth-first walk, not a recursive closure (which would
+    # reference itself and leave every call's output list to the cycle
+    # collector).  A stack entry ``(position, chosen, size, groups)`` stands
+    # for the partial ending ``chosen`` with every operator before
+    # ``position`` decided; excluding each remaining operator yields
+    # ``chosen`` itself, so it is emitted first, and including the operator
+    # at position ``i`` (allowed only if all its successors inside the state
+    # are already included — successor-closedness) opens a child walk at
+    # ``i + 1``.  Children are pushed in ascending position and so popped in
+    # descending one: exactly the exclude-before-include recursion order.
+    #
+    # The group decomposition is maintained incrementally along the walk
+    # instead of recomputed at each ending.  Positions are visited in order
+    # of decreasing bit index, so a newly included operator always carries
+    # the lowest bit of the partial ending: the group it forms (or merges
+    # into) sorts first, and untouched groups keep their relative order —
+    # exactly the ascending-lowest-bit order :func:`groups_of_mask` produces.
+    # Groups only ever merge as further operators are included, so a group
+    # that exceeds ``max_group_size`` can never shrink back: the whole
+    # include subtree is pruned on the spot rather than rejected ending by
+    # ending.
+    stack: list[tuple[int, int, int, tuple[int, ...]]] = [(0, 0, 0, ())]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        position, chosen, size, groups = pop()
+        if chosen and (max_groups is None or len(groups) <= max_groups):
+            append((chosen, list(groups)))
         if max_ops is not None and size >= max_ops:
-            return
-        bit = include_bit[position]
-        adjacent = adj_of_position[position] & chosen
-        if adjacent:
-            merged = bit
-            rest = []
-            for group in groups:
-                if group & adjacent:
-                    merged |= group
-                else:
-                    rest.append(group)
-            if max_group_size is not None and merged.bit_count() > max_group_size:
-                return
-            new_groups = (merged, *rest)
-        else:
-            new_groups = (bit, *groups)
-        recurse(position + 1, chosen | bit, size + 1, new_groups)
-
-    recurse(0, 0, 0, ())
+            continue
+        size += 1
+        for i in range(position, last):
+            if succ_in_state[i] & ~chosen:
+                continue
+            bit = include_bit[i]
+            adjacent = adj_of_position[i] & chosen
+            if adjacent:
+                merged = bit
+                rest = []
+                for group in groups:
+                    if group & adjacent:
+                        merged |= group
+                    else:
+                        rest.append(group)
+                if max_group_size is not None and merged.bit_count() > max_group_size:
+                    continue
+                push((i + 1, chosen | bit, size, (merged, *rest)))
+            else:
+                push((i + 1, chosen | bit, size, (bit, *groups)))
     return out

@@ -16,11 +16,16 @@ reproducible; the default configuration yields roughly 110 operators across
 
 from __future__ import annotations
 
+import random
+
 from ..ir.graph import Graph, GraphBuilder
 from ..ir.tensor import TensorShape
 from .common import ModelSpec, register_model
 
 __all__ = ["randwire", "random_dag_edges"]
+
+#: Graphs :func:`random_dag_edges` draws before giving up on a connected one.
+_TRIES = 200
 
 
 def random_dag_edges(num_nodes: int, k: int, p: float, seed: int) -> list[tuple[int, int]]:
@@ -28,16 +33,73 @@ def random_dag_edges(num_nodes: int, k: int, p: float, seed: int) -> list[tuple[
 
     A connected Watts-Strogatz graph is generated and each undirected edge
     ``{u, v}`` becomes the directed edge ``(min, max)``, which guarantees
-    acyclicity.  networkx is imported here, not with the module, so only
-    building a RandWire network loads it.
+    acyclicity.  The generator draws from ``random.Random(seed)`` in exactly
+    the order of networkx's ``connected_watts_strogatz_graph(num_nodes, k, p,
+    tries=200, seed=seed)``, so the sorted edge list is the one networkx
+    builds (a test checks this against networkx).  Raises :class:`ValueError`
+    when ``k > num_nodes`` or no connected graph turns up in 200 tries.
     """
-    import networkx as nx
-
     if num_nodes < 3:
         raise ValueError("a randomly wired stage needs at least 3 nodes")
-    graph = nx.connected_watts_strogatz_graph(num_nodes, k, p, tries=200, seed=seed)
-    edges = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
-    return edges
+    if k > num_nodes:
+        raise ValueError(
+            f"a Watts-Strogatz graph needs k <= n; got n={num_nodes}, k={k}, p={p}, seed={seed}"
+        )
+    rng = random.Random(seed)
+    for _ in range(_TRIES):
+        adjacency = _watts_strogatz(num_nodes, k, p, rng)
+        if _is_connected(adjacency):
+            return sorted(
+                (u, v) for u, neighbours in enumerate(adjacency) for v in neighbours if u < v
+            )
+    raise ValueError(
+        f"no connected Watts-Strogatz graph in {_TRIES} tries for "
+        f"n={num_nodes}, k={k}, p={p}, seed={seed}"
+    )
+
+
+def _watts_strogatz(n: int, k: int, p: float, rng: random.Random) -> list[set[int]]:
+    """One ``WS(n, k, p)`` graph as adjacency sets (networkx's draw order)."""
+    if k == n:
+        return [set(range(n)) - {u} for u in range(n)]
+    adjacency: list[set[int]] = [set() for _ in range(n)]
+    nodes = list(range(n))
+    # Ring lattice: each node joins its k // 2 nearest neighbours on each side.
+    for j in range(1, k // 2 + 1):
+        for u in nodes:
+            v = (u + j) % n
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    # Rewire each lattice edge (u, u + j) with probability p to (u, w): w is
+    # redrawn while it is u or already a neighbour, and the rewiring is
+    # skipped once u neighbours every other node.
+    for j in range(1, k // 2 + 1):
+        for u in nodes:
+            if rng.random() < p:
+                w = rng.choice(nodes)
+                while w == u or w in adjacency[u]:
+                    w = rng.choice(nodes)
+                    if len(adjacency[u]) >= n - 1:
+                        break
+                else:
+                    v = (u + j) % n
+                    adjacency[u].remove(v)
+                    adjacency[v].remove(u)
+                    adjacency[u].add(w)
+                    adjacency[w].add(u)
+    return adjacency
+
+
+def _is_connected(adjacency: list[set[int]]) -> bool:
+    """Whether the undirected graph reaches every node from node 0."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for v in adjacency[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(adjacency)
 
 
 def _wire_stage(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import warnings
 
 import pytest
@@ -63,6 +64,30 @@ class TestStagedCompile:
                 scheduler=IOSScheduler(SimulatedCostModel(v100)),
                 pruning=PruningStrategy(2, 4),
             )
+
+
+class TestCycleFreeCompile:
+    """A compile leaves no cyclic garbage: refcounting frees its working set.
+
+    The ending enumeration and the block search would otherwise keep every
+    output list and search dict alive until a collection happened to run.
+    """
+
+    @pytest.mark.parametrize("model", ["squeezenet", "inception_v3", "randwire"])
+    def test_dropping_a_compile_leaves_nothing_for_the_collector(self, model):
+        graph = load(model)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engine = Engine("v100")
+            compiled = engine.compile(graph)
+            assert compiled.schedule.stages
+            del engine, compiled, graph
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestCompileCache:

@@ -12,7 +12,8 @@ property tests pin that invariant down:
   the rest from its scheduler's block cache, and equals a cold compile of
   the mutated graph;
 * blocks that share a wiring but not their shapes share one ending table,
-  and their searches still equal the plain search state for state;
+  and their searches still equal the plain search state for state; the
+  table holds each distinct ending once, as one int in one flat entry;
 * the group decomposition the ending enumeration hands the cost model equals
   ``connected_groups`` — the ordering contract the whole pricing path
   relies on;
@@ -325,6 +326,27 @@ def _same_wiring_graph(channels=(8, 16, 24)):
     return builder.build()
 
 
+def _wide_same_wiring_graph(channels=(8, 16)):
+    """Two alike-wired blocks of four two-conv branches joined by a concat.
+
+    Nine operators per block, so ending masks run past 256, the top of
+    CPython's small-int cache: equal masks are then only one object if the
+    ending table makes them one.
+    """
+    builder = GraphBuilder("wide-same-wiring", TensorShape(1, 8, 8, 8))
+    current = builder.input_name
+    for b, width in enumerate(channels):
+        with builder.block(f"cell{b}"):
+            branches = [
+                builder.conv2d(
+                    f"c{b}_b{i}_2", builder.conv2d(f"c{b}_b{i}_1", current, width, 1), width, 3
+                )
+                for i in range(4)
+            ]
+            current = builder.concat(f"c{b}_out", branches)
+    return builder.build()
+
+
 class TestSharedEndingTables:
     """Blocks with one wiring share their ending table, and nothing else moves."""
 
@@ -380,6 +402,21 @@ class TestSharedEndingTables:
         assert fast[0] == plain[0] > 0
         assert fast[1:] == [0, 0]
         assert plain[1:] == [plain[0], plain[0]]
+
+    def test_each_distinct_ending_is_one_flat_entry(self):
+        graph = _wide_same_wiring_graph()
+        scheduler = _fast_scheduler()
+        for block in graph.blocks:
+            scheduler.optimize_block(graph, block, use_memo=False)
+        (endings_of, entries), = scheduler._ending_tables.values()
+        held = [ending for endings in endings_of.values() for ending in endings]
+        assert max(held) > 256
+        assert len(held) > len(entries)  # endings recur across states
+        assert len({id(ending) for ending in held}) == len(set(held)) == len(entries)
+        assert all(entries[ending][0] is ending for ending in held)
+        index = BlockIndex(graph, graph.schedulable_names(graph.blocks[0]))
+        for ending, entry in entries.items():
+            assert entry == (ending, *groups_of_mask(index, ending))
 
 
 class TestGroupDecomposition:

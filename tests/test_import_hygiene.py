@@ -4,8 +4,9 @@ The serving stack computes its percentiles and the scheduler its DAG width in
 plain Python, and the CLI imports an experiment's module only when that
 experiment runs, so a process that only serves — through the API or through
 ``ios-bench serve`` — never pays for those libraries or for the figure
-modules of :mod:`repro.experiments`.  Each check runs in a fresh interpreter:
-the test process itself has imported all of them.
+modules of :mod:`repro.experiments`.  RandWire draws its random wiring in
+plain Python too, so no compile loads networkx.  Each check runs in a fresh
+interpreter: the test process itself has imported all of them.
 """
 
 from __future__ import annotations
@@ -65,6 +66,17 @@ print(sorted(
 ))
 """
 
+#: Builds and compiles RandWire, then prints the networkx modules loaded.
+COMPILE_RANDWIRE = """
+import sys
+
+from repro.engine import Engine
+from repro.frontend import load
+
+assert Engine("v100").compile(load("randwire")).schedule.stages
+print(sorted(name for name in sys.modules if name.split(".")[0] == "networkx"))
+"""
+
 
 def _heavy_modules_loaded(script: str) -> str:
     env = dict(os.environ)
@@ -83,3 +95,7 @@ def test_serving_and_cluster_runs_load_no_heavy_module():
 
 def test_cli_serve_runs_load_no_heavy_module():
     assert _heavy_modules_loaded(CLI_SERVE) == "[]"
+
+
+def test_randwire_compile_loads_no_networkx():
+    assert _heavy_modules_loaded(COMPILE_RANDWIRE) == "[]"

@@ -166,6 +166,49 @@ class TestRandWire:
             random_dag_edges(2, 4, 0.75, seed=3)
 
 
+def _networkx_dag_edges(n, k, p, seed):
+    """networkx's connected Watts-Strogatz graph as a DAG edge list (the
+    oracle), or ``None`` where networkx raises."""
+    import networkx as nx
+
+    try:
+        graph = nx.connected_watts_strogatz_graph(n, k, p, tries=200, seed=seed)
+    except nx.NetworkXError:
+        return None
+    return sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+
+
+class TestRandomDagEdgesOracle:
+    """The plain-Python generator draws exactly networkx's graphs."""
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in (3, 5, 8, 20, 37) for k in (2, 3, 4, 6) if k < n],
+    )
+    def test_equals_networkx_edge_list(self, n, k):
+        for p in (0.0, 0.3, 0.75, 1.0):
+            # Seeds 1-3 and 99-101 wire the default and the seed-99 RandWire.
+            for seed in (*range(12), 99, 100, 101):
+                expected = _networkx_dag_edges(n, k, p, seed)
+                assert random_dag_edges(n, k, p, seed) == expected, (n, k, p, seed)
+
+    @pytest.mark.parametrize(
+        "n, k, p, seed",
+        [
+            (5, 6, 0.75, 3),  # k > n
+            (8, 1, 0.3, 4),  # no lattice edge: 200 disconnected tries
+            (20, 0, 1.0, 5),
+        ],
+    )
+    def test_raises_where_networkx_raises(self, n, k, p, seed):
+        assert _networkx_dag_edges(n, k, p, seed) is None
+        with pytest.raises(ValueError) as error:
+            random_dag_edges(n, k, p, seed)
+        message = str(error.value)
+        for part in (f"n={n}", f"k={k}", f"p={p}", f"seed={seed}"):
+            assert part in message
+
+
 class TestNasNet:
     @pytest.fixture(scope="class")
     def graph(self):
