@@ -52,7 +52,6 @@ from .dp_scheduler import (
     shutdown_search_pools,
     variant_label,
 )
-from .memo import ScheduleMemo, clear_schedule_memo, schedule_memo
 from .baselines import greedy_schedule, sequential_schedule
 from .lowering import lower_schedule, measure_schedule, schedule_latency_ms, schedule_throughput
 from .complexity import (
@@ -103,9 +102,6 @@ __all__ = [
     "variant_label",
     "resolve_compile_jobs",
     "shutdown_search_pools",
-    "ScheduleMemo",
-    "schedule_memo",
-    "clear_schedule_memo",
     "BlockStats",
     "ScheduleResult",
     "sequential_schedule",

@@ -148,17 +148,6 @@ class CostModel(ABC):
         """Simulated device time spent measuring so far, in milliseconds."""
         return 0.0
 
-    def signature(self) -> tuple | None:
-        """Hashable identity of this model's latency function, or ``None``.
-
-        Two cost models with equal signatures return identical latencies for
-        every stage, so their block searches are interchangeable — this is the
-        key the process-wide :class:`~repro.core.memo.ScheduleMemo` shares
-        results under.  ``None`` (the default) means "not shareable": an
-        unknown subclass must keep its searches private.
-        """
-        return None
-
     def stage_floors(self, graph: Graph, op_names: Sequence[str]) -> StageFloors | None:
         """Floors on the concurrent stages of ``op_names``, or ``None``.
 
@@ -295,25 +284,6 @@ class SimulatedCostModel(CostModel):
             operator_ms.append(0.0 if kernel is None else kernel.duration_alone_ms(device))
         return StageFloors(operator_ms, device)
 
-    def signature(self) -> tuple:
-        """Shareable identity: the device and the kernel profile.
-
-        The kernel profile is keyed structurally (name, efficiency table,
-        launch-overhead scale), so two equal profiles share even when they are
-        distinct objects.
-        """
-        profile = self.profile
-        return (
-            "simulated",
-            self.device,
-            (
-                profile.name,
-                tuple(sorted(profile.efficiency.items())),
-                profile.default_efficiency,
-                profile.launch_overhead_scale,
-            ),
-        )
-
     def spawn(self) -> "SimulatedCostModel":
         return SimulatedCostModel(self.device, self.profile)
 
@@ -333,9 +303,6 @@ class FlopsCostModel(CostModel):
             raise ValueError("flops_per_ms must be positive")
         self.flops_per_ms = flops_per_ms
         self.overhead_ms = overhead_ms
-
-    def signature(self) -> tuple | None:
-        return ("flops", self.flops_per_ms, self.overhead_ms)
 
     def spawn(self) -> "FlopsCostModel":
         return FlopsCostModel(flops_per_ms=self.flops_per_ms, overhead_ms=self.overhead_ms)

@@ -37,7 +37,6 @@ from ..checks import Registry, require_int
 from ..ir.graph import Block, Graph
 from .cost_model import CostModel, StageChoice
 from .endings import BlockIndex, PruningStrategy, enumerate_endings
-from .memo import schedule_memo
 from .merge import can_merge, merge_peer_masks
 from .schedule import ParallelizationStrategy, Schedule, Stage
 from .width import maximum_antichain_size
@@ -141,9 +140,8 @@ class BlockStats:
 
     ``source`` records where the block's stages came from: ``"search"`` (a DP
     search ran inline), ``"parallel"`` (a worker process ran the search),
-    ``"block-cache"`` (reused from an identical block of this scheduler),
-    ``"memo"`` (reused from the process-wide schedule memo), or ``"empty"``
-    (no schedulable operators).
+    ``"block-cache"`` (reused from an identical block of this scheduler), or
+    ``"empty"`` (no schedulable operators).
     """
 
     block_name: str
@@ -209,16 +207,15 @@ EndingTable = tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]
 class IOSScheduler:
     """Dynamic-programming inter-operator scheduler (Algorithm 1).
 
-    Block searches are reused at three levels, all keyed on the same
-    structural block fingerprint: the per-instance ``_block_cache`` (repeated
-    blocks inside one scheduler, e.g. NasNet cells), the process-wide
-    :func:`~repro.core.memo.schedule_memo` (identical blocks across engines /
-    registries, gated on the cost model's :meth:`~CostModel.signature`), and —
-    for a cold multi-block graph — an optional multiprocessing fan-out that
-    searches independent blocks in worker processes (``optimize_graph(...,
-    jobs=N)``) and seeds the caches with their results in deterministic block
-    order.  Every path yields byte-identical schedules to the plain serial
-    search; only wall-clock time and *where* measurements happen differ.
+    Block searches are reused through the per-instance ``_block_cache``, keyed
+    on a structural block fingerprint (repeated blocks inside one scheduler,
+    e.g. NasNet cells).  For a cold multi-block graph an optional
+    multiprocessing fan-out searches independent blocks in worker processes
+    (``optimize_graph(..., jobs=N)``) and seeds that cache with their results
+    in deterministic block order.  Every path yields byte-identical schedules
+    to the plain serial search; only wall-clock time and *where* measurements
+    happen differ.  Reuse across compiles of one graph is the engine's compile
+    cache, one level up.
     """
 
     def __init__(self, cost_model: CostModel, config: SchedulerConfig | None = None):
@@ -233,15 +230,6 @@ class IOSScheduler:
         #: Ending tables keyed by ``(block wiring, pruning)``; see
         #: :meth:`_ending_table`.  Same lifetime as ``_block_cache``.
         self._ending_tables: dict[tuple, EndingTable] = {}
-        self._memo_signature_cache: tuple | None | str = "unset"
-
-    # ----------------------------------------------------------------- memo
-    def _memo_signature(self) -> tuple | None:
-        """The cost model's shareable signature, combined with the config."""
-        if self._memo_signature_cache == "unset":
-            signature = self.cost_model.signature()
-            self._memo_signature_cache = None if signature is None else signature
-        return self._memo_signature_cache  # type: ignore[return-value]
 
     def _rebind(self, index: BlockIndex, cached_stages) -> list[Stage]:
         """Bind position-based cached stages to this block's operator names."""
@@ -273,14 +261,10 @@ class IOSScheduler:
         return table
 
     # --------------------------------------------------------------- block DP
-    def optimize_block(
-        self, graph: Graph, block: Block, *, use_memo: bool = True
-    ) -> tuple[list[Stage], BlockStats]:
+    def optimize_block(self, graph: Graph, block: Block) -> tuple[list[Stage], BlockStats]:
         """Find an optimal stage decomposition for one block.
 
         Returns the stages (in execution order) and the search statistics.
-        ``use_memo=False`` skips the process-wide memo in both directions
-        (the per-instance block cache still applies).
         """
         op_names = graph.schedulable_names(block)
         if not op_names:
@@ -310,27 +294,6 @@ class IOSScheduler:
                     elapsed_s=0.0,
                     reused_from=cached_stats.block_name,
                     source="block-cache",
-                )
-                return stages, stats
-
-        use_memo = use_memo and self.config.reuse_identical_blocks
-        memo = schedule_memo() if use_memo else None
-        signature = self._memo_signature() if memo is not None else None
-        if memo is not None and signature is not None:
-            entry = memo.get(signature, fingerprint)
-            if entry is not None:
-                cached_stages, cached_stats = entry
-                self._block_cache[fingerprint] = entry
-                stages = self._rebind(index, cached_stages)
-                stats = replace(
-                    cached_stats,
-                    block_name=block.name,
-                    num_measurements=0,
-                    num_pruned=0,
-                    profiling_ms=0.0,
-                    elapsed_s=0.0,
-                    reused_from=f"memo:{cached_stats.block_name}",
-                    source="memo",
                 )
                 return stages, stats
 
@@ -364,8 +327,6 @@ class IOSScheduler:
         ]
         if self.config.reuse_identical_blocks:
             self._block_cache[fingerprint] = (cached_stages, stats)
-        if memo is not None and signature is not None:
-            memo.put(signature, fingerprint, cached_stages, stats)
         return stages, stats
 
     def _search_block_dp(
@@ -508,10 +469,10 @@ class IOSScheduler:
         return stage_masks, optimal_latency, len(cost) - 1, transitions, pruned
 
     # ------------------------------------------------------- parallel fan-out
-    def _parallel_warm_cache(self, graph: Graph, jobs: int, use_memo: bool) -> None:
+    def _parallel_warm_cache(self, graph: Graph, jobs: int) -> None:
         """Search the graph's independent uncached blocks in worker processes.
 
-        Results seed the block cache (and memo) in deterministic block order,
+        Results seed the block cache in deterministic block order,
         so the subsequent serial pass replays them exactly as an inline search
         would have produced them.  Falls back to the serial path silently when
         the cost model cannot be cloned (``spawn() is None``) and with a
@@ -522,8 +483,6 @@ class IOSScheduler:
         spawned = self.cost_model.spawn()
         if spawned is None:
             return
-        memo = schedule_memo() if use_memo else None
-        signature = self._memo_signature() if memo is not None else None
 
         tasks: list[tuple[str, tuple]] = []
         seen: set[tuple] = set()
@@ -533,8 +492,6 @@ class IOSScheduler:
                 continue
             fingerprint = self._block_fingerprint(graph, op_names)
             if fingerprint in seen or fingerprint in self._block_cache:
-                continue
-            if memo is not None and signature is not None and memo.contains(signature, fingerprint):
                 continue
             seen.add(fingerprint)
             tasks.append((block.name, fingerprint))
@@ -551,8 +508,6 @@ class IOSScheduler:
                 cached_stages, stats = future.result()
                 self._block_cache[fingerprint] = (cached_stages, stats)
                 self._fresh_results.add(fingerprint)
-                if memo is not None and signature is not None:
-                    memo.put(signature, fingerprint, cached_stages, stats)
         except Exception as error:  # pragma: no cover - environment dependent
             warnings.warn(
                 f"parallel block search failed ({error!r}); continuing serially",
@@ -561,13 +516,7 @@ class IOSScheduler:
             )
 
     # ------------------------------------------------------------- whole graph
-    def optimize_graph(
-        self,
-        graph: Graph,
-        *,
-        jobs: int = 1,
-        use_memo: bool = True,
-    ) -> ScheduleResult:
+    def optimize_graph(self, graph: Graph, *, jobs: int = 1) -> ScheduleResult:
         """Optimise every block of ``graph`` and concatenate the block schedules.
 
         This is the search primitive :meth:`repro.engine.Engine.compile`
@@ -577,9 +526,9 @@ class IOSScheduler:
         schedule = Schedule(graph_name=graph.name, origin=self._origin_label())
         all_stats: list[BlockStats] = []
         if jobs > 1:
-            self._parallel_warm_cache(graph, jobs, use_memo)
+            self._parallel_warm_cache(graph, jobs)
         for block in graph.blocks:
-            stages, stats = self.optimize_block(graph, block, use_memo=use_memo)
+            stages, stats = self.optimize_block(graph, block)
             schedule.extend(stages)
             all_stats.append(stats)
         schedule.validate(graph)
@@ -636,7 +585,7 @@ def _search_block_worker(payload: tuple) -> tuple[list, BlockStats]:
     graph, block_name, config, cost_model = payload
     scheduler = IOSScheduler(cost_model, config)
     block = next(b for b in graph.blocks if b.name == block_name)
-    _stages, stats = scheduler.optimize_block(graph, block, use_memo=False)
+    _stages, stats = scheduler.optimize_block(graph, block)
     op_names = graph.schedulable_names(block)
     fingerprint = scheduler._block_fingerprint(graph, op_names)
     cached_stages, _ = scheduler._block_cache[fingerprint]

@@ -6,19 +6,19 @@ benefit from merging), small batches leave it starved; a powerful GPU tolerates
 many concurrent operators, a weak one suffers contention.  The helpers here
 optimise a network once per configuration and then cross-evaluate every
 schedule under every configuration, producing exactly the latency matrices of
-Table 3.
+Table 3.  Each configuration compiles through the pooled
+:func:`~repro.engine.get_engine` for its device, so a schedule another
+experiment already searched is a compile-cache hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..hardware.device import DeviceSpec
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
 from ..ir.graph import Graph
-from .cost_model import SimulatedCostModel
-from .dp_scheduler import IOSScheduler, SchedulerConfig
 from .lowering import schedule_latency_ms
 from .schedule import Schedule
 
@@ -58,8 +58,11 @@ class SpecializationMatrix:
         return rows
 
 
-def _default_scheduler(device: DeviceSpec, profile: KernelProfile) -> IOSScheduler:
-    return IOSScheduler(SimulatedCostModel(device, profile), SchedulerConfig())
+def _optimize(graph: Graph, device: DeviceSpec, profile: KernelProfile) -> Schedule:
+    """The default IOS schedule of ``graph`` on ``device``, via the engine pool."""
+    from ..engine import get_engine  # the engine builds on this package
+
+    return get_engine(device, profile=profile).compile(graph).schedule
 
 
 def specialize_for_batch_sizes(
@@ -67,19 +70,14 @@ def specialize_for_batch_sizes(
     batch_sizes: Sequence[int],
     device: DeviceSpec,
     profile: KernelProfile = CUDNN_PROFILE,
-    scheduler_factory: Callable[[DeviceSpec, KernelProfile], IOSScheduler] | None = None,
 ) -> tuple[dict[int, Schedule], SpecializationMatrix]:
     """Optimise ``graph`` for each batch size and cross-evaluate the schedules.
 
     Reproduces Table 3 (1): rows are the batch size the network is executed
     with, columns the batch size the schedule was optimised for.
     """
-    factory = scheduler_factory or _default_scheduler
     graphs = {bs: graph.with_batch_size(bs) for bs in batch_sizes}
-    schedules: dict[int, Schedule] = {}
-    for bs in batch_sizes:
-        scheduler = factory(device, profile)
-        schedules[bs] = scheduler.optimize_graph(graphs[bs]).schedule
+    schedules = {bs: _optimize(graphs[bs], device, profile) for bs in batch_sizes}
 
     labels = [str(bs) for bs in batch_sizes]
     matrix = SpecializationMatrix(execute_labels=list(labels), optimize_labels=list(labels))
@@ -97,18 +95,13 @@ def specialize_for_devices(
     graph: Graph,
     devices: Sequence[DeviceSpec],
     profile: KernelProfile = CUDNN_PROFILE,
-    scheduler_factory: Callable[[DeviceSpec, KernelProfile], IOSScheduler] | None = None,
 ) -> tuple[dict[str, Schedule], SpecializationMatrix]:
     """Optimise ``graph`` for each device and cross-evaluate the schedules.
 
     Reproduces Table 3 (2): rows are the device the network is executed on,
     columns the device the schedule was optimised for.
     """
-    factory = scheduler_factory or _default_scheduler
-    schedules: dict[str, Schedule] = {}
-    for device in devices:
-        scheduler = factory(device, profile)
-        schedules[device.name] = scheduler.optimize_graph(graph).schedule
+    schedules = {device.name: _optimize(graph, device, profile) for device in devices}
 
     labels = [device.name for device in devices]
     matrix = SpecializationMatrix(execute_labels=list(labels), optimize_labels=list(labels))

@@ -50,11 +50,10 @@ class EngineStats:
     """Where an engine's compile requests were satisfied.
 
     ``searches`` counts compiles that actually ran the DP search — the
-    expensive event the cache and artifact loading exist to avoid.  The
-    block-level counters break one such compile down: ``block_searches``
-    blocks were searched (inline or in a worker process) and
-    ``block_memo_hits`` came from the process-wide schedule memo; the rest
-    came from the scheduler's block cache (or were empty).
+    expensive event the cache and artifact loading exist to avoid.
+    ``block_searches`` breaks those compiles down: that many blocks were
+    searched (inline or in a worker process); the rest came from the
+    scheduler's block cache (or were empty).
     """
 
     compiles: int = 0
@@ -62,7 +61,6 @@ class EngineStats:
     searches: int = 0
     loads: int = 0
     block_searches: int = 0
-    block_memo_hits: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """All counters as one flat dict (reports, benchmarks)."""
@@ -72,7 +70,6 @@ class EngineStats:
             "searches": self.searches,
             "loads": self.loads,
             "block_searches": self.block_searches,
-            "block_memo_hits": self.block_memo_hits,
         }
 
 
@@ -226,11 +223,10 @@ class Engine:
         num_measurements = result.total_measurements
         num_pruned = result.total_pruned
         profiling_gpu_ms = result.total_profiling_ms
-        sources = [stats.source for stats in result.block_stats]
-        block_searches = sum(1 for s in sources if s in ("search", "parallel"))
-        block_memo_hits = sum(1 for s in sources if s == "memo")
+        block_searches = sum(
+            1 for stats in result.block_stats if stats.source in ("search", "parallel")
+        )
         self.stats.block_searches += block_searches
-        self.stats.block_memo_hits += block_memo_hits
         details = {
             "blocks": len(result.block_stats),
             "transitions": result.total_transitions,
@@ -238,7 +234,9 @@ class Engine:
             "pruned": num_pruned,
             "predicted_latency_ms": result.predicted_latency_ms,
             "block_searches": block_searches,
-            "block_memo_hits": block_memo_hits,
+            # Always 0: kept so readers of this detail (the bench harness,
+            # pinned trace digests) see the same keys.
+            "block_memo_hits": 0,
             "jobs": jobs,
         }
         timings.append(StageTiming("schedule", time.perf_counter() - start, details))

@@ -108,6 +108,22 @@ class ExperimentContext:
             self._ios_results[compiled] = cached
         return cached
 
+    def search_cost(
+        self, graph: Graph, pruning: PruningStrategy | None = None
+    ) -> tuple[float, float, int]:
+        """``(elapsed_s, profiling_gpu_ms, num_measurements)`` of a cold IOS-Both search.
+
+        A pooled engine's block cache outlives the experiment that filled it,
+        so its compile of ``graph`` skips every block an earlier experiment
+        already searched.  Search-cost columns come from a fresh engine
+        instead, and so do not depend on what else ran in the process.
+        """
+        compiled = Engine(
+            self.device, pruning=pruning or self.pruning, profile=self.profile
+        ).compile(graph)
+        stats = compiled.stats
+        return compiled.schedule_result().elapsed_s, stats.profiling_gpu_ms, stats.num_measurements
+
     def schedule(self, graph: Graph, label: str, device: DeviceSpec | None = None,
                  pruning: PruningStrategy | None = None) -> tuple[Schedule, float, float, int]:
         """Build the named schedule; returns (schedule, search_s, gpu_ms, measurements)."""

@@ -1,5 +1,8 @@
-"""Simulated baseline frameworks (TensorFlow, XLA, TASO, TVM, TensorRT) and the
-IOS engine packaged behind the same interface."""
+"""Simulated baseline frameworks (TensorFlow, XLA, TASO, TVM, TensorRT).
+
+IOS itself compiles through :class:`repro.engine.Engine`; the experiments
+compare it against these baselines.
+"""
 
 from .base import FrameworkModel, FrameworkResult
 from .transforms import (
@@ -19,7 +22,6 @@ from .baselines import (
     get_framework,
     list_frameworks,
 )
-from .ios_engine import IOSEngine
 
 __all__ = [
     "FrameworkModel",
@@ -37,5 +39,4 @@ __all__ = [
     "FRAMEWORK_REGISTRY",
     "get_framework",
     "list_frameworks",
-    "IOSEngine",
 ]

@@ -31,7 +31,7 @@ may instead return an existing IR node name to *alias* the foreign node away
 
 Unknown ``op_type`` tags do not fail the import: the node degrades to an
 :class:`repro.ir.Opaque` operator whose latency comes from the kernel profile
-table and whose attribute digest keeps the schedule memo honest.
+table and whose attribute digest keeps the block cache honest.
 """
 
 from __future__ import annotations
@@ -331,8 +331,8 @@ def _opaque_config(node: ForeignNode, ctx: ImportContext) -> dict[str, Any]:
     The declared ``shape`` attribute wins; otherwise the output is assumed
     shape-preserving over the first activation input.  The digest hashes the
     foreign attributes and initializer shapes so two opaque nodes that share
-    an ``op_type`` but differ in configuration stay distinct to the schedule
-    memo and the graph fingerprint.
+    an ``op_type`` but differ in configuration stay distinct to the block
+    cache and the graph fingerprint.
     """
     acts = ctx.activation_inputs(node)
     if not acts:

@@ -854,7 +854,7 @@ class Opaque(Operator):
     shape is trusted (re-batched from the first input so
     :meth:`Graph.with_batch_size` still works), the latency comes from the
     kernel profile table's default-efficiency path, and ``digest`` — a hash of
-    the foreign node's original attributes — keeps the schedule memo and graph
+    the foreign node's original attributes — keeps the block cache and graph
     fingerprint distinct between opaque nodes that merely share an ``op_type``.
     """
 

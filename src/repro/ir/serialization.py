@@ -38,22 +38,10 @@ def graph_from_dict(data: dict[str, Any]) -> Graph:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported graph format version {version}")
     graph = Graph(data["name"])
-    block_by_node: dict[str, str] = {}
-    blocks_by_name = {}
     for block_data in data.get("blocks", []):
-        block = graph.add_block(block_data["name"])
-        blocks_by_name[block.name] = block
-        for node_name in block_data["nodes"]:
-            block_by_node[node_name] = block.name
-            block.node_names.append(node_name)
+        graph.add_block(block_data["name"]).node_names.extend(block_data["nodes"])
     for node_config in data["nodes"]:
-        op = operator_from_config(node_config)
-        block_name = block_by_node.get(op.name)
-        block = blocks_by_name.get(block_name) if block_name is not None else None
-        # add_node appends to block.node_names; the block lists were prefilled
-        # with the node names, so clear duplicates by passing block=None and
-        # relying on the prefilled membership instead.
-        graph.add_node(op, None)
+        graph.add_node(operator_from_config(node_config))
     validate_graph(graph)
     return graph
 

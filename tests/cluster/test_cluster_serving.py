@@ -15,7 +15,6 @@ from repro.cluster import (
     get_cluster_router,
     run_cluster_serving,
 )
-from repro.core import clear_schedule_memo
 from repro.obs import Tracer, chrome_trace_json, default_alert_rules
 from repro.serve import (
     AutoscaleConfig,
@@ -83,11 +82,6 @@ class TestGoldenEquivalence:
     def test_trace_is_byte_identical(self):
         a, b = counter_tracer(), counter_tracer()
         run_serving(traffic(), serving(), tracer=a)
-        # The process-wide schedule memo would let the second run reuse the
-        # first run's block searches — an intended speedup, but it changes
-        # the compile span's search counters.  Clear it so both runs compile
-        # cold and the comparison isolates the cluster topology.
-        clear_schedule_memo()
         run_cluster_serving(
             traffic(), ClusterConfig(serving=serving(), num_hosts=1), tracer=b
         )
@@ -98,9 +92,6 @@ class TestDeterminism:
     """Same seed, same config → byte-identical outputs, run to run."""
 
     def _run(self, **cluster_overrides):
-        # Cold-compile every run: memo hits from a previous run would show
-        # up in the compile spans and mask true non-determinism.
-        clear_schedule_memo()
         config = ClusterConfig(
             serving=serving(), num_hosts=4, **cluster_overrides
         )

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.core import FlopsCostModel, SimulatedCostModel, clear_schedule_memo
+from repro.core import FlopsCostModel, SimulatedCostModel
 from repro.hardware import CUDNN_PROFILE, get_device
 from repro.ir.graph import Graph, GraphBuilder
 from repro.ir.tensor import TensorShape
@@ -24,14 +24,6 @@ from repro.models import (
     figure5_graph,
     parallel_chains_graph,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_schedule_memo():
-    """Isolate every test from the process-wide schedule memo."""
-    clear_schedule_memo()
-    yield
-    clear_schedule_memo()
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core import PruningStrategy, clear_schedule_memo
+from repro.core import PruningStrategy
 from repro.engine import ARTIFACT_FORMAT, CompiledModel, Engine
 from repro.frontend import load
 from repro.models import figure2_block
@@ -87,7 +87,6 @@ class TestLoadedArtifacts:
     def test_a_loaded_artifact_serves_only_its_own_graph(self, tmp_path, v100):
         graph = _versioned_graph(head_kernel=1)
         path = Engine(v100).compile(graph).save(tmp_path / "m.json")
-        clear_schedule_memo()
 
         warm = Engine(v100)
         warm.load(path)

@@ -113,6 +113,20 @@ class TestCompileCache:
         engine.compile(load("squeezenet", batch_size=2))
         assert engine.stats.searches == 2
 
+    def test_fresh_engines_report_identical_search_costs(self):
+        # No search result outlives the engine that ran it, so a second
+        # engine's compile is as cold as the first and counts the same work.
+        def counts(compiled):
+            stats = compiled.stats
+            return (
+                stats.num_measurements, stats.num_pruned, stats.profiling_gpu_ms,
+                [stage.detail for stage in stats.stages],
+            )
+
+        first, second = (Engine("v100").compile_model("inception_v3") for _ in range(2))
+        assert counts(second) == counts(first)
+        assert first.stats.num_measurements == 1897
+
     def test_engine_pool_shares_engines_per_environment(self, v100):
         clear_engine_pool()
         try:

@@ -1,12 +1,12 @@
 """Schedule-equivalence harness for the fast compile paths.
 
-The compile-speed work (memoization, incremental recompilation, parallel
+The compile-speed work (the block cache, incremental recompilation, parallel
 block search, cost-model caching) is only admissible because every fast path
 produces *bit-identical* schedules to a plain serial DP search.  These
 property tests pin that invariant down:
 
-* memoized and block-cached searches match a from-scratch serial search on
-  every zoo model tested and on 50 seeded random DAGs;
+* block-cached searches, first and repeated, match a from-scratch serial
+  search on every zoo model tested and on 50 seeded random DAGs;
 * the multiprocessing fan-out (``jobs > 1``) matches the serial path;
 * an engine recompiling a changed graph re-searches only dirty blocks, takes
   the rest from its scheduler's block cache, and equals a cold compile of
@@ -38,7 +38,6 @@ from repro.core import (
     PruningStrategy,
     SchedulerConfig,
     SimulatedCostModel,
-    clear_schedule_memo,
     connected_groups,
     enumerate_endings,
     groups_of_mask,
@@ -65,7 +64,7 @@ def _plain_scheduler():
 
 
 def _fast_scheduler():
-    """A scheduler with the block cache and process-wide memo enabled."""
+    """A scheduler with the block cache enabled."""
     return IOSScheduler(_cost_model(), SchedulerConfig())
 
 
@@ -84,52 +83,28 @@ def assert_results_identical(expected, actual):
     assert latency_signature(actual) == latency_signature(expected)
 
 
-class TestMemoizedEqualsSerial:
+def assert_block_cached_equals_plain(graph):
+    """A cold and a repeated block-cached search both equal the plain search."""
+    plain = _plain_scheduler().optimize_graph(graph)
+    scheduler = _fast_scheduler()
+    assert_results_identical(plain, scheduler.optimize_graph(graph))
+
+    # The second search of the same graph takes every block from the cache.
+    again = scheduler.optimize_graph(graph)
+    assert_results_identical(plain, again)
+    assert not any(
+        stats.source in ("search", "parallel") for stats in again.block_stats
+    )
+
+
+class TestBlockCachedEqualsSerial:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_graphs(self, seed, random_graph_factory):
-        graph = random_graph_factory(seed)
-        plain = _plain_scheduler().optimize_graph(graph)
-
-        clear_schedule_memo()
-        warm = _fast_scheduler().optimize_graph(graph)
-        assert_results_identical(plain, warm)
-
-        # A *fresh* scheduler instance now hits the process-wide memo: no
-        # block may fall back to a search, and the result is still identical.
-        hit = _fast_scheduler().optimize_graph(graph)
-        assert_results_identical(plain, hit)
-        assert not any(
-            stats.source in ("search", "parallel") for stats in hit.block_stats
-        )
+        assert_block_cached_equals_plain(random_graph_factory(seed))
 
     @pytest.mark.parametrize("model", ZOO_MODELS)
     def test_zoo_models(self, model):
-        graph = load(model)
-        plain = _plain_scheduler().optimize_graph(graph)
-
-        clear_schedule_memo()
-        warm = _fast_scheduler().optimize_graph(graph)
-        assert_results_identical(plain, warm)
-
-        hit = _fast_scheduler().optimize_graph(graph)
-        assert_results_identical(plain, hit)
-        assert not any(
-            stats.source in ("search", "parallel") for stats in hit.block_stats
-        )
-
-    @pytest.mark.parametrize("seed", [3, 17])
-    def test_disabling_the_memo_changes_nothing_but_the_source(
-        self, seed, random_graph_factory
-    ):
-        graph = random_graph_factory(seed)
-        _fast_scheduler().optimize_graph(graph)  # populate the memo
-
-        cold = _fast_scheduler().optimize_graph(graph, use_memo=False)
-        assert not any(stats.source == "memo" for stats in cold.block_stats)
-
-        hot = _fast_scheduler().optimize_graph(graph)
-        assert any(stats.source == "memo" for stats in hot.block_stats)
-        assert_results_identical(cold, hot)
+        assert_block_cached_equals_plain(load(model))
 
 
 class TestParallelEqualsSerial:
@@ -137,16 +112,12 @@ class TestParallelEqualsSerial:
     def test_random_graphs(self, seed, random_graph_factory):
         graph = random_graph_factory(seed)
         serial = _plain_scheduler().optimize_graph(graph, jobs=1)
-
-        clear_schedule_memo()
         fanout = _fast_scheduler().optimize_graph(graph, jobs=2)
         assert_results_identical(serial, fanout)
 
     def test_zoo_model(self):
         graph = load("squeezenet")
         serial = _plain_scheduler().optimize_graph(graph, jobs=1)
-
-        clear_schedule_memo()
         fanout = _fast_scheduler().optimize_graph(graph, jobs=2)
         assert_results_identical(serial, fanout)
 
@@ -155,11 +126,9 @@ class TestParallelEqualsSerial:
         # engine must take the search cost from the block results.  The
         # profiling time is a float sum grouped per block on the workers,
         # hence equal to rounding, not bit for bit.
-        runs = {}
-        for jobs in (1, 2):
-            clear_schedule_memo()
-            runs[jobs] = Engine("v100", jobs=jobs).compile_model("inception_v3")
-        serial, fanout = runs[1], runs[2]
+        serial, fanout = (
+            Engine("v100", jobs=jobs).compile_model("inception_v3") for jobs in (1, 2)
+        )
         assert "parallel" in {stats.source for stats in fanout.search.block_stats}
         assert serial.stats.num_measurements == 1897
         assert fanout.stats.num_measurements == serial.stats.num_measurements
@@ -196,8 +165,6 @@ class TestIncrementalRecompilation:
         engine = _flops_engine()
         engine.compile(_two_block_graph(head_kernel=1))
         searched_before = engine.stats.block_searches
-
-        clear_schedule_memo()  # force the dirty block to a real search
         second = engine.compile(_two_block_graph(head_kernel=3))
         assert engine.stats.block_searches == searched_before + 1
         sources = {s.block_name: s.source for s in second.search.block_stats}
@@ -209,8 +176,6 @@ class TestIncrementalRecompilation:
         # head's fingerprint is unchanged and its search is reused.
         engine = _flops_engine()
         engine.compile(_two_block_graph(stem_kernel=3))
-
-        clear_schedule_memo()
         second = engine.compile(_two_block_graph(stem_kernel=1))
         sources = {s.block_name: s.source for s in second.search.block_stats}
         assert sources["stem"] in ("search", "parallel")
@@ -234,8 +199,6 @@ class TestIncrementalRecompilation:
         incremental = engine.compile(_two_block_graph(head_kernel=3))
         sources = [s.source for s in incremental.search.block_stats]
         assert sources.count("block-cache") == 1
-
-        clear_schedule_memo()
         cold = _flops_engine().compile(_two_block_graph(head_kernel=3))
         assert stage_signature(incremental.schedule) == stage_signature(cold.schedule)
         assert latency_signature(incremental.search) == latency_signature(cold.search)
@@ -249,7 +212,6 @@ class TestIncrementalRecompilation:
         first = engine.compile(random_graph_factory(seed))
         assert engine.compile(random_graph_factory(seed)) is first  # whole-model cache
         engine.clear_cache()
-        clear_schedule_memo()
         second = engine.compile(random_graph_factory(seed))
         assert all(
             s.source in ("block-cache", "empty") for s in second.search.block_stats
@@ -259,7 +221,7 @@ class TestIncrementalRecompilation:
 
 class TestImportedGraphs:
     """Frontend-imported graphs go through the same fast paths as zoo models:
-    memoized, parallel and recompile searches must stay bit-identical."""
+    block-cached, parallel and recompile searches must stay bit-identical."""
 
     def _transformer(self, heads=2):
         from pathlib import Path
@@ -273,25 +235,12 @@ class TestImportedGraphs:
 
         return transformer_block(heads=heads)
 
-    def test_memoized_equals_serial_on_the_imported_transformer(self):
-        graph = self._transformer()
-        plain = _plain_scheduler().optimize_graph(graph)
-
-        clear_schedule_memo()
-        warm = _fast_scheduler().optimize_graph(graph)
-        assert_results_identical(plain, warm)
-
-        hit = _fast_scheduler().optimize_graph(graph)
-        assert_results_identical(plain, hit)
-        assert not any(
-            stats.source in ("search", "parallel") for stats in hit.block_stats
-        )
+    def test_block_cached_equals_serial_on_the_imported_transformer(self):
+        assert_block_cached_equals_plain(self._transformer())
 
     def test_parallel_equals_serial_on_the_imported_transformer(self):
         graph = self._transformer()
         serial = _plain_scheduler().optimize_graph(graph, jobs=1)
-
-        clear_schedule_memo()
         fanout = _fast_scheduler().optimize_graph(graph, jobs=2)
         assert_results_identical(serial, fanout)
 
@@ -300,13 +249,10 @@ class TestImportedGraphs:
         # leaves the ffn block (same boundary shapes) in the block cache.
         engine = _flops_engine()
         engine.compile(self._transformer(heads=2))
-        clear_schedule_memo()
         second = engine.compile(self._transformer(heads=4))
         sources = {s.block_name: s.source for s in second.search.block_stats}
         assert sources["ffn"] == "block-cache"
         assert sources["attention"] in ("search", "parallel")
-
-        clear_schedule_memo()
         cold = _flops_engine().compile(self._transformer(heads=4))
         assert stage_signature(second.schedule) == stage_signature(cold.schedule)
 
@@ -364,8 +310,6 @@ class TestSharedEndingTables:
         wirings = self._wirings(graph)
         assert len(wirings) - len(set(wirings)) >= 2  # some wiring recurs
         plain = _plain_scheduler().optimize_graph(graph)
-
-        clear_schedule_memo()
         fast = _fast_scheduler().optimize_graph(graph)
         assert_results_identical(plain, fast)
         for expected, actual in zip(plain.block_stats, fast.block_stats):
@@ -393,7 +337,7 @@ class TestSharedEndingTables:
             counts = []
             for block in graph.blocks:
                 before = len(calls)
-                scheduler.optimize_block(graph, block, use_memo=False)
+                scheduler.optimize_block(graph, block)
                 counts.append(len(calls) - before)
             return counts
 
@@ -407,7 +351,7 @@ class TestSharedEndingTables:
         graph = _wide_same_wiring_graph()
         scheduler = _fast_scheduler()
         for block in graph.blocks:
-            scheduler.optimize_block(graph, block, use_memo=False)
+            scheduler.optimize_block(graph, block)
         (endings_of, entries), = scheduler._ending_tables.values()
         held = [ending for endings in endings_of.values() for ending in endings]
         assert max(held) > 256
@@ -462,7 +406,7 @@ class TestBranchAndBoundEqualsPlain:
         scheduler = IOSScheduler(cost_model, SchedulerConfig.variant(variant))
         wanted = PARTIAL_BLOCKS.get(graph.name)
         return [
-            scheduler.optimize_block(graph, block, use_memo=False)
+            scheduler.optimize_block(graph, block)
             for block in graph.blocks
             if wanted is None or block.name in wanted
         ]

@@ -43,7 +43,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterConfig, run_cluster_serving
-from repro.core import IOSScheduler, clear_schedule_memo
+from repro.core import IOSScheduler
 from repro.engine import CompiledModel, Engine
 from repro.serve import (
     AutoscaleConfig,
@@ -233,8 +233,7 @@ SCENARIOS = {
 
 
 def cold_compile(model: str) -> tuple[Engine, CompiledModel]:
-    """A compile on a fresh engine with an empty process-wide memo."""
-    clear_schedule_memo()
+    """A compile on a fresh engine."""
     engine = Engine("v100")
     return engine, engine.compile_model(model)
 

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import clear_schedule_memo
 from repro.obs import (
     SamplingConfig,
     SamplingTracer,
@@ -55,9 +54,7 @@ def ticking_clock(step: float = 0.25):
 
 def sampled_overload_trace() -> SamplingTracer:
     """Bursty priority overload on an elastic k80 pool, traced and sampled."""
-    # A cold compile: the process-wide schedule memo would zero the compile
-    # spans' search counters, and the job count is one of their arguments.
-    clear_schedule_memo()
+    # The job count is one of the compile spans' arguments.
     tracer = SamplingTracer(SAMPLING, clock=ticking_clock())
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_COMPILE_JOBS", "1")

@@ -72,14 +72,7 @@ def run_traced() -> Tracer:
 
 class TestTraceDeterminism:
     def test_same_seed_and_config_trace_is_byte_identical(self):
-        from repro.core import clear_schedule_memo
-
-        first = chrome_trace_json(run_traced())
-        # Cold-compile the second run too: the process-wide schedule memo
-        # would otherwise (correctly) zero its compile-span search counters.
-        clear_schedule_memo()
-        second = chrome_trace_json(run_traced())
-        assert first == second
+        assert chrome_trace_json(run_traced()) == chrome_trace_json(run_traced())
 
     def test_traced_report_equals_the_untraced_one(self):
         traced = traced_service(Tracer(clock=ticking_clock()))

@@ -198,7 +198,7 @@ class TestCountersMatchTheTable1Oracle:
             config = SchedulerConfig(reuse_identical_blocks=False)
             scheduler = IOSScheduler(SimulatedCostModel(v100), config)
             for block in graph.blocks:
-                _, stats = scheduler.optimize_block(graph, block, use_memo=False)
+                _, stats = scheduler.optimize_block(graph, block)
                 transitions, states = count_transitions_and_states(
                     graph, graph.schedulable_names(block), config.pruning
                 )

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import clear_engine_pool, get_engine
 from repro.experiments import (
     default_context,
+    last_block_subgraph,
     run_blockwise_ablation,
     run_cost_model_ablation,
     run_figure6,
@@ -77,6 +79,23 @@ class TestSweepsAndCaseStudies:
         assert tight["stage_measurements"] <= loose["stage_measurements"]
         assert tight["latency_ms"] >= loose["latency_ms"] - 1e-9
         assert loose["optimization_gpu_s"] > 0
+
+    def test_figure9_cost_does_not_depend_on_earlier_compiles(self):
+        # The pooled engine's block cache keeps mixed_7c from figure 10; the
+        # reported search cost must still be that of a cold search.
+        def row():
+            table = run_figure9(models=["inception_v3"], grid=[(3, 8)])
+            return table.rows[0]
+
+        clear_engine_pool()
+        alone = row()
+        clear_engine_pool()
+        get_engine("v100").compile(last_block_subgraph(1))
+        after = row()
+        clear_engine_pool()
+        columns = ("latency_ms", "optimization_gpu_s", "stage_measurements")
+        assert [after[c] for c in columns] == [alone[c] for c in columns]
+        assert alone["stage_measurements"] == 1897
 
     def test_figure11_small_sweep(self, ctx):
         table = run_figure11(model="figure2_block", batch_sizes=(1, 8), context=ctx)

@@ -1,12 +1,12 @@
-"""Unit tests for the simulated baseline frameworks and the IOS engine wrapper."""
+"""Unit tests for the simulated baseline frameworks, and IOS compiled next to them."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.engine import Engine
 from repro.frameworks import (
     FRAMEWORK_REGISTRY,
-    IOSEngine,
     TASOModel,
     TensorFlowModel,
     TensorRTModel,
@@ -136,41 +136,33 @@ class TestOptimizationCost:
 
 
 class TestIOSEngine:
+    """IOS runs through :class:`repro.engine.Engine`, next to the baselines."""
+
     def test_engine_beats_every_baseline_on_figure2_block(self, v100):
         graph = figure2_block()
-        engine = IOSEngine()
-        ios = engine.run(graph, v100)
+        ios = Engine(v100).compile(graph).latency_ms()
         for name in list_frameworks():
-            baseline = get_framework(name).run(graph, v100)
-            assert ios.latency_ms < baseline.latency_ms
+            assert ios < get_framework(name).run(graph, v100).latency_ms
 
     def test_schedule_cache_reused(self, v100):
         graph = figure2_block()
-        engine = IOSEngine()
-        engine.run(graph, v100)
-        measurements_after_first = engine.total_measurements
-        engine.run(graph, v100)
-        assert engine.total_measurements == measurements_after_first
-        assert engine.optimization_cost_gpu_hours(graph) > 0
+        engine = Engine(v100)
+        compiled = engine.compile(graph)
+        assert engine.compile(graph) is compiled
+        assert engine.stats.as_dict() == {
+            "compiles": 1, "cache_hits": 1, "searches": 1, "loads": 0, "block_searches": 1,
+        }
+        assert compiled.stats.profiling_gpu_ms > 0
 
     def test_parallel_compile_reports_the_serial_search_cost(self, v100, monkeypatch):
         # Blocks searched in worker processes measure on the workers' own
-        # cost-model clones; the totals must still count them.
-        from repro.core import clear_schedule_memo
-
+        # cost-model clones; the compile's stats must still count them.
         graph = load("inception_v3")
-        engines = {}
+        stats = {}
         for jobs in ("1", "2"):
-            clear_schedule_memo()
             monkeypatch.setenv("REPRO_COMPILE_JOBS", jobs)
-            engines[jobs] = IOSEngine()
-            engines[jobs].run(graph, v100)
-        serial, fanout = engines["1"], engines["2"]
-        assert serial.total_measurements == fanout.total_measurements == 1897
-        assert fanout.total_profiling_ms == pytest.approx(
-            serial.total_profiling_ms, rel=1e-12
-        )
-        assert serial.total_profiling_ms == pytest.approx(934.803, abs=1e-3)
-        assert fanout.optimization_cost_gpu_hours(graph) == pytest.approx(
-            serial.optimization_cost_gpu_hours(graph), rel=1e-12
-        )
+            stats[jobs] = Engine(v100).compile(graph).stats
+        serial, fanout = stats["1"], stats["2"]
+        assert serial.num_measurements == fanout.num_measurements == 1897
+        assert fanout.profiling_gpu_ms == pytest.approx(serial.profiling_gpu_ms, rel=1e-12)
+        assert serial.profiling_gpu_ms == pytest.approx(934.803, abs=1e-3)
