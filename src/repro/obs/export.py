@@ -42,6 +42,10 @@ DEFAULT_PROCESS = "main"
 #: Chrome-trace phase of each async record kind.
 _ASYNC_PHASES = {ASYNC_BEGIN: "b", ASYNC_END: "e"}
 
+#: Events joined into one chunk as rendering goes: one ``str`` per event
+#: would keep tens of thousands of small objects alive until the final join.
+_BLOCK_EVENTS = 1024
+
 _INF = float("inf")
 _float_repr = float.__repr__
 _int_repr = int.__repr__
@@ -71,11 +75,13 @@ def _chunks(tracer: Tracer) -> list[str]:
     """The trace document's JSON text, as chunks to join or write in order.
 
     Each event is written straight from its record, with its keys in sorted
-    order.  Every event chunk but the first starts with the list separator;
-    an args mapping is rendered once however many records share it.
+    order, and every run of :data:`_BLOCK_EVENTS` events is joined into one
+    chunk.  Every event but the first starts with the list separator; an args
+    mapping is rendered once however many records share it.
     """
     chunks = [""]  # the document head, written once the track count is known
-    append = chunks.append
+    block: list[str] = []  # the events rendered since the last chunk
+    append = block.append
     pids: dict[str, int] = {}
     tids: dict[tuple[str, str], int] = {}
     #: Threads named so far per process (the next thread's tid is one more).
@@ -146,6 +152,11 @@ def _chunks(tracer: Tracer) -> list[str]:
                 f'"id": {_text(correlation)}, "name": {name}, '
                 f'"ph": "{_ASYNC_PHASES[kind]}", {pid}, {tid}, "ts": {ts}}}'
             )
+        if len(block) >= _BLOCK_EVENTS:
+            chunks.append("".join(block))
+            block.clear()
+    if block:
+        chunks.append("".join(block))
 
     other: dict = {
         "generator": "repro.obs",
@@ -162,7 +173,7 @@ def _chunks(tracer: Tracer) -> list[str]:
     )
     if len(chunks) > 1:
         chunks[1] = chunks[1][2:]  # the first event has no separator
-    append("]}")
+    chunks.append("]}")
     return chunks
 
 

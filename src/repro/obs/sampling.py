@@ -36,6 +36,7 @@ exactly what was kept and dropped (surfaced by ``ios-bench trace``).
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -73,6 +74,35 @@ class SamplingConfig:
         require_int("track_budget", self.track_budget, minimum=2)
 
 
+class _Run:
+    """Retained records with their recording-order seqs, side by side.
+
+    The seqs sit in an ``array('q')`` (eight bytes each) beside a plain list
+    of the records, so a retained record costs neither a ``(seq, record)``
+    pair tuple nor a boxed seq ``int``.
+    """
+
+    __slots__ = ("seqs", "records")
+
+    def __init__(self):
+        self.seqs = array("q")
+        self.records: list[TraceRecord] = []
+
+    def append(self, seq: int, record: TraceRecord) -> None:
+        self.seqs.append(seq)
+        self.records.append(record)
+
+    def halve(self) -> int:
+        """Keep every other record, first included; returns how many dropped."""
+        dropped = len(self.records) // 2
+        self.seqs = self.seqs[::2]
+        self.records = self.records[::2]
+        return dropped
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+
 class _TrackReservoir:
     """Stride-doubling decimator: bounded, roughly uniform time coverage."""
 
@@ -82,7 +112,7 @@ class _TrackReservoir:
         self.budget = budget
         self.stride = 1
         self.seen = 0
-        self.kept: list[tuple[int, TraceRecord]] = []
+        self.kept = _Run()
         self.dropped = 0
 
     def offer(self, seq: int, record: TraceRecord) -> int:
@@ -92,13 +122,12 @@ class _TrackReservoir:
         if index % self.stride:
             self.dropped += 1
             return 0
-        self.kept.append((seq, record))
+        self.kept.append(seq, record)
         if len(self.kept) < self.budget:
             return 1
         # Halve: drop every other kept record, double the stride.
-        halved = len(self.kept) - (len(self.kept) + 1) // 2
+        halved = self.kept.halve()
         self.dropped += halved
-        self.kept = self.kept[::2]
         self.stride *= 2
         return 1 - halved
 
@@ -117,14 +146,14 @@ class SamplingTracer(Tracer):
     def __init__(self, config: SamplingConfig | None = None, **kwargs):
         self.config = config or SamplingConfig()
         self._seq = 0
-        #: Closed, retained records: correlation → [(seq, record), ...].
-        self._kept_groups: dict[int, list[tuple[int, TraceRecord]]] = {}
-        #: Open lifecycle buffers: correlation → (root name, [(seq, record)]).
-        self._open: dict[int, tuple[str, list[tuple[int, TraceRecord]]]] = {}
+        #: Closed, retained lifecycle groups: correlation → records.
+        self._kept_groups: dict[int, _Run] = {}
+        #: Open lifecycle buffers: correlation → (root name, records).
+        self._open: dict[int, tuple[str, _Run]] = {}
         #: Eviction heap over discretionary groups: (is_head, latency, corr).
         self._evictable: list[tuple[int, float, int]] = []
         self._tracks: dict[str, _TrackReservoir] = {}
-        self._exempt: list[tuple[int, TraceRecord]] = []
+        self._exempt = _Run()
         self._kept_request_records = 0
         #: Running totals of records in ``_open`` buffers and ``_tracks``
         #: reservoirs, so counting the retained records never rescans them.
@@ -140,17 +169,23 @@ class SamplingTracer(Tracer):
     # ------------------------------------------------------------ record sink
     @property
     def records(self) -> list[TraceRecord]:
-        """Every retained record, merged back into recording order."""
-        merged: list[tuple[int, TraceRecord]] = []
-        for group in self._kept_groups.values():
-            merged.extend(group)
-        for _, group in self._open.values():
-            merged.extend(group)
-        for reservoir in self._tracks.values():
-            merged.extend(reservoir.kept)
-        merged.extend(self._exempt)
-        merged.sort(key=lambda pair: pair[0])
-        return [record for _, record in merged]
+        """Every retained record, merged back into recording order.
+
+        The runs are concatenated, then argsorted by their seqs: no pair
+        tuple is built per record.
+        """
+        runs = [
+            *self._kept_groups.values(),
+            *(group for _, group in self._open.values()),
+            *(reservoir.kept for reservoir in self._tracks.values()),
+            self._exempt,
+        ]
+        seqs = array("q")
+        records: list[TraceRecord] = []
+        for run in runs:
+            seqs += run.seqs
+            records += run.records
+        return [records[i] for i in sorted(range(len(records)), key=seqs.__getitem__)]
 
     @records.setter
     def records(self, value) -> None:
@@ -163,16 +198,12 @@ class SamplingTracer(Tracer):
         self._open.clear()
         self._evictable.clear()
         self._tracks.clear()
-        self._exempt.clear()
+        self._exempt = _Run()
         self._kept_request_records = 0
         self._open_request_records = 0
         self._track_records = 0
         for key in self._stats:
             self._stats[key] = 0
-
-    def clear(self) -> None:
-        super().clear()
-        self.records = []
 
     def __len__(self) -> int:
         return (
@@ -189,7 +220,7 @@ class SamplingTracer(Tracer):
         if record.category == "request" and record.correlation is not None:
             self._ingest_request(seq, record)
         elif record.category in _EXEMPT_CATEGORIES:
-            self._exempt.append((seq, record))
+            self._exempt.append(seq, record)
         else:
             reservoir = self._tracks.get(record.track)
             if reservoir is None:
@@ -212,7 +243,9 @@ class SamplingTracer(Tracer):
         self._open_request_records += 1
         if entry is None:
             # First record of a lifecycle: its name is the root span's name.
-            self._open[correlation] = (record.name, [(seq, record)])
+            group = _Run()
+            group.append(seq, record)
+            self._open[correlation] = (record.name, group)
             self._stats["requests_total"] += 1
             # An opening buffer counts against the budget immediately — evict
             # settled discretionary groups now, so the *peak* of retained
@@ -220,7 +253,7 @@ class SamplingTracer(Tracer):
             self._enforce_budget()
             return
         root_name, group = entry
-        group.append((seq, record))
+        group.append(seq, record)
         if record.kind == ASYNC_END and record.name == root_name:
             del self._open[correlation]
             self._open_request_records -= len(group)
@@ -229,14 +262,14 @@ class SamplingTracer(Tracer):
             self._enforce_budget()
 
     # --------------------------------------------------------------- decisions
-    def _decide(self, correlation: int, group: list[tuple[int, TraceRecord]]) -> None:
+    def _decide(self, correlation: int, group: _Run) -> None:
         """Keep or drop one closed lifecycle group, then enforce the budget."""
         config = self.config
         root_begin = next(
-            record for _, record in group
+            record for record in group.records
             if record.kind == ASYNC_BEGIN and record.correlation == correlation
         )
-        root_end = group[-1][1]
+        root_end = group.records[-1]
         end_args = root_end.args or {}
         rejected = end_args.get("outcome") == "rejected"
         latency_ms = root_end.ts_ms - root_begin.ts_ms

@@ -232,7 +232,9 @@ class Tracer:
 
     def clear(self) -> None:
         """Drop every record and restart the wall clock at zero."""
-        self.records.clear()
+        # Assigned, not cleared in place: a subclass may derive ``records``
+        # and reset its own buffers in the setter.
+        self.records = []
         self._epoch = self._clock()
 
     def __len__(self) -> int:

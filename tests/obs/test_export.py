@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
@@ -17,6 +19,7 @@ from repro.obs import (
     chrome_trace_json,
     validate_chrome_trace,
 )
+from repro.obs import export
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import ASYNC_BEGIN, ASYNC_END, COUNTER, INSTANT, SPAN
 
@@ -308,3 +311,53 @@ def test_chrome_trace_is_the_parsed_json():
     assert json.dumps(oracle_chrome_trace(tracer), sort_keys=True) == chrome_trace_json(
         tracer
     )
+
+
+# --------------------------------------------------------------------------- #
+# Event blocks: byte identity at every block boundary                         #
+# --------------------------------------------------------------------------- #
+def _kernel_spans(tracer: Tracer, count: int) -> Tracer:
+    """``count`` spans; span ``i`` opens a new row when ``i`` is a power of two.
+
+    New rows add their metadata events mid-trace, so some blocks mix both.
+    """
+    for index in range(count):
+        tracer.add_span(
+            f"kernel {index}", f"worker {index.bit_length()}/stream 0",
+            index * 0.5, index * 0.5 + 0.25, category="kernel",
+            args={"parity": index % 2},
+        )
+    return tracer
+
+
+def assert_same_text(text: str, expected: str) -> None:
+    """Byte identity, reported at the first difference.
+
+    pytest's own diff of two long, nearly equal texts takes minutes.
+    """
+    if text != expected:
+        at = len(os.path.commonprefix([text, expected]))
+        raise AssertionError(
+            f"texts differ at offset {at}: "
+            f"{text[at - 40:at + 40]!r} != {expected[at - 40:at + 40]!r}"
+        )
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["plain", "sampling"])
+@pytest.mark.parametrize("block", [export._BLOCK_EVENTS, 3])
+@pytest.mark.parametrize(
+    "blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+    ids=["0", "1", "B-1", "B", "B+1", "2B+1"],
+)
+def test_block_boundaries_keep_the_bytes(blocks, extra, block, sampled, monkeypatch,
+                                         tmp_path):
+    monkeypatch.setattr(export, "_BLOCK_EVENTS", block)
+    count = blocks * block + extra
+    # The default track budget keeps every span of these traces.
+    tracer = _kernel_spans(SamplingTracer() if sampled else Tracer(), count)
+    text = chrome_trace_json(tracer)
+    assert_same_text(text, json.dumps(oracle_chrome_trace(tracer), sort_keys=True))
+    events = json.loads(text)["traceEvents"]
+    assert sum(event["ph"] != "M" for event in events) == count
+    target = write_chrome_trace(tracer, tmp_path / "trace.json")
+    assert_same_text(target.read_text(encoding="ascii"), text + "\n")

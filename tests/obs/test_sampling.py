@@ -222,6 +222,24 @@ class TestTailSampling:
         assert tracer.records == []
         assert tracer.sampling_metadata()["requests"]["total"] == 0
 
+    def test_clear_does_not_materialise_the_records(self, monkeypatch):
+        ticks = iter(range(100))
+        tracer = SamplingTracer(SamplingConfig(max_records=10),
+                                clock=lambda: float(next(ticks)))
+        _request(tracer, 1, 0.0, 1.0)
+        tracer.add_span("kernel", "worker 0/stream 0", 0.0, 1.0, category="kernel")
+        tracer.instant("scale up", "serving/autoscale", 1.0, category="autoscale")
+
+        def merged(self):
+            raise AssertionError("clear() merged the sampled records")
+
+        monkeypatch.setattr(
+            SamplingTracer, "records", property(merged, SamplingTracer.records.fset)
+        )
+        tracer.clear()
+        assert len(tracer) == 0
+        assert tracer.now_ms() == 1.0  # the clock restarted at the clear
+
 
 # --------------------------------------------------------------------------- #
 # Running counts equal a brute-force recount                                  #
