@@ -120,8 +120,10 @@ class ClusterReport:
     over **end-to-end** records (latency from true arrival to final-stage
     completion); for a single-host cluster it is the host's own report,
     untouched.  ``host_reports`` hold each host's local view (stage-level
-    records, worker utilisation, scale events, alerts); a host that served
-    nothing reports ``None``.
+    latency summaries, worker utilisation, scale events, alerts); a host
+    that served nothing reports ``None``.  Only the hosts that finish
+    journeys keep their stage records: an intermediate pipeline stage's
+    report has every summary but ``records == []``.
     """
 
     report: ServingReport
@@ -378,7 +380,9 @@ def _build_cluster_report(
     outcome: ClusterOutcome,
 ) -> ClusterReport:
     host_reports = [
-        host.service.report(result) if result.records or result.rejected else None
+        host.service.report(result)
+        if result.fold.num_records or result.rejected
+        else None
         for host, result in zip(hosts, outcome.host_results)
     ]
     if cluster.num_hosts == 1 and outcome.transfers.count == 0:

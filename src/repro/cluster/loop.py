@@ -22,11 +22,14 @@ Every request is tracked as a :class:`_Journey` from external arrival to its
 final stage's completion; the loop rebuilds **end-to-end** records against
 the original requests (latency measured from true arrival, not stage
 arrival), so cluster-wide SLO attainment is judged on what the client saw.
+Under a :class:`~repro.cluster.partition.PartitionPlan` only the final stage's
+host keeps its stage records: the intermediate stage hosts fold theirs into
+their reports' summaries as they finish and drop them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from ..obs.metrics import LazySeries, MetricsRegistry
@@ -75,15 +78,19 @@ class ClusterOutcome:
 
 
 class _Journey:
-    """One request's path through the cluster: stages, records, outcome."""
+    """One request's path through the cluster: its stage, and stage 0's times.
 
-    __slots__ = ("request", "stage", "first_record", "final_record")
+    The end-to-end record starts where the client's request was batched and
+    dispatched at stage 0; everything else comes from the final stage.
+    """
+
+    __slots__ = ("request", "stage", "batched_ms", "dispatch_ms")
 
     def __init__(self, request: InferenceRequest):
         self.request = request
         self.stage = 0
-        self.first_record: RequestRecord | None = None
-        self.final_record: RequestRecord | None = None
+        self.batched_ms = 0.0
+        self.dispatch_ms = 0.0
 
 
 def _arriving(
@@ -97,11 +104,14 @@ def _arriving(
     deadline_ms = request.deadline_ms
     if deadline_ms is not None:
         deadline_ms = max(0.0, request.absolute_deadline_ms - arrival_ms)
-    return replace(
-        request,
+    return InferenceRequest(
+        request_id=request.request_id,
         model=request.model if model is None else model,
         arrival_ms=arrival_ms,
+        num_samples=request.num_samples,
         deadline_ms=deadline_ms,
+        priority=request.priority,
+        burst_id=request.burst_id,
     )
 
 
@@ -163,6 +173,8 @@ class ClusterLoop:
         self._queue = EventQueue()
         self._journeys: dict[int, _Journey] = {}
         self._outcome = ClusterOutcome()
+        #: ``"src->dst"`` link labels by (source host or None, destination).
+        self._links: dict[tuple, str] = {}
         self._bind_series()
 
     # ----------------------------------------------------------------- driving
@@ -179,10 +191,20 @@ class ClusterLoop:
         self._outcome = ClusterOutcome()
         self._bind_series()
         self.router.reset()
+        # An intermediate pipeline stage's records are never read back: its
+        # report needs their summaries only, and the journeys keep stage 0's
+        # times.  Only the hosts that finish journeys keep theirs.
+        intermediate = (
+            {stage.host for stage in self.plan.stages[:-1]}
+            if self.plan is not None
+            else set()
+        )
         for host in self.hosts:
             host.reset()
             host.loop.completion_listener = self._listener_for(host)
-            host.loop.begin(queue, host.host_id)
+            host.loop.begin(
+                queue, host.host_id, keep_records=host.host_id not in intermediate
+            )
         if self.plan is not None and hasattr(self.router, "plan"):
             self.router.plan = self.plan
         for request in ordered:
@@ -250,11 +272,11 @@ class ClusterLoop:
         journey = self._journeys.get(record.request.request_id)
         if journey is None:  # pragma: no cover - defensive
             return
-        if journey.first_record is None:
-            journey.first_record = record
+        if journey.stage == 0:
+            journey.batched_ms = record.batched_ms
+            journey.dispatch_ms = record.dispatch_ms
         last_stage = 0 if self.plan is None else self.plan.num_stages - 1
         if journey.stage >= last_stage:
-            journey.final_record = record
             return
         assert self.plan is not None
         next_stage = self.plan.stages[journey.stage + 1]
@@ -282,7 +304,11 @@ class ClusterLoop:
         stats.count += 1
         stats.total_bytes += num_bytes
         stats.total_ms += delivery_ms - sent_ms
-        pair = f"{src.name if src is not None else 'client'}->{dst.name}"
+        pair = self._links.get((src, dst))
+        if pair is None:
+            pair = self._links[src, dst] = (
+                f"{src.name if src is not None else 'client'}->{dst.name}"
+            )
         self._transfers[pair](1.0)
         self._transfer_ms[pair](delivery_ms - sent_ms)
         self._transfer_bytes[pair](num_bytes)
@@ -310,24 +336,22 @@ class ClusterLoop:
         every floating-point fold downstream — deterministic, and for a
         1-host no-ingress cluster makes it *the host's own record list*, so
         the pass-through report stays byte-identical to the plain loop's.
+        Every record a host kept finished its journey: intermediate stage
+        hosts keep none.
         """
         outcome = self._outcome
         for host, result in zip(self.hosts, outcome.host_results):
             host_records = outcome.records_by_host.setdefault(host.host_id, [])
             host_rejected = outcome.rejected_by_host.setdefault(host.host_id, [])
             for record in result.records:
-                journey = self._journeys.get(record.request.request_id)
-                if journey is None or journey.final_record is not record:
-                    continue
+                journey = self._journeys[record.request.request_id]
                 if record.request is journey.request:
                     end_to_end = record
                 else:
-                    first = journey.first_record
-                    assert first is not None
                     end_to_end = RequestRecord(
                         request=journey.request,
-                        batched_ms=first.batched_ms,
-                        dispatch_ms=first.dispatch_ms,
+                        batched_ms=journey.batched_ms,
+                        dispatch_ms=journey.dispatch_ms,
                         completion_ms=record.completion_ms,
                         executed_batch_size=record.executed_batch_size,
                         worker_id=record.worker_id,

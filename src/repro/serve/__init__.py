@@ -92,6 +92,7 @@ from .metrics import (
     BurstSlo,
     LatencySummary,
     PriorityClassSlo,
+    ReportFold,
     ServingReport,
     SloSummary,
     build_report,
@@ -148,6 +149,7 @@ __all__ = [
     "RegistryKey",
     "RegistryStats",
     "RejectedRequest",
+    "ReportFold",
     "RequestRecord",
     "RoundRobinRouter",
     "Router",

@@ -61,11 +61,17 @@ class AdmissionDecision:
 
     @classmethod
     def admit(cls) -> "AdmissionDecision":
-        return cls(admitted=True)
+        """The one shared admitting decision (decisions are frozen)."""
+        return _ADMITTED
 
     @classmethod
     def reject(cls, reason: str) -> "AdmissionDecision":
         return cls(admitted=False, reason=reason)
+
+
+#: Every admission is the same decision, so the policies hand out this one
+#: instance instead of building a new one per admitted request.
+_ADMITTED = AdmissionDecision(admitted=True)
 
 
 class AdmissionPolicy:
@@ -115,7 +121,7 @@ class AdmitAll(AdmissionPolicy):
 
     def admit(self, request: InferenceRequest, state: "LoopState") -> AdmissionDecision:
         """Always admit (``state`` unused)."""
-        return AdmissionDecision.admit()
+        return _ADMITTED
 
 
 class DeadlineAwareAdmission(AdmissionPolicy):
@@ -137,7 +143,7 @@ class DeadlineAwareAdmission(AdmissionPolicy):
     def admit(self, request: InferenceRequest, state: "LoopState") -> AdmissionDecision:
         """Admit unless the predicted completion misses the deadline."""
         if self._predicted_to_meet(request, state):
-            return AdmissionDecision.admit()
+            return _ADMITTED
         return AdmissionDecision.reject("predicted-deadline-miss")
 
     def _predicted_to_meet(self, request: InferenceRequest, state: "LoopState",
@@ -216,10 +222,10 @@ class PriorityAdmission(DeadlineAwareAdmission):
             self._highest_seen = request.priority
         if self._predicted_to_meet(request, state):
             self._last_verdict = (request.request_id, False)
-            return AdmissionDecision.admit()
+            return _ADMITTED
         if self._rescued_by_preemption(request, state):
             self._last_verdict = (request.request_id, True)
-            return AdmissionDecision.admit()
+            return _ADMITTED
         self._last_verdict = (request.request_id, False)
         if request.priority < self._highest_seen:
             return AdmissionDecision.reject("low-priority-shed")

@@ -53,6 +53,7 @@ from ..obs.trace import NULL_TRACER, Tracer
 from ..runtime.events import add_execution_spans
 from .admission import AdmissionPolicy, AdmitAll
 from .batcher import BatchPolicy
+from .metrics import ReportFold
 from .request import FormedBatch, InferenceRequest, RejectedRequest, RequestRecord
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -120,8 +121,8 @@ class LoopResult:
     parallel bookkeeping.
     """
 
-    records: list[RequestRecord] = field(default_factory=list)
-    rejected: list[RejectedRequest] = field(default_factory=list)
+    #: The run's records and rejections, folded as the loop made them.
+    fold: ReportFold = field(default_factory=ReportFold)
     #: Device executions performed (a formed batch may chunk into several).
     num_executions: int = 0
     #: Executions per specialised batch size.
@@ -134,6 +135,16 @@ class LoopResult:
     #: The run's full metrics registry (queue depth, admission outcomes,
     #: latency/queue-delay distributions, worker utilisation series, ...).
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+
+    @property
+    def records(self) -> list[RequestRecord]:
+        """Finished requests in dispatch order (``[]`` if the fold drops them)."""
+        return self.fold.records
+
+    @property
+    def rejected(self) -> list[RejectedRequest]:
+        """Requests the admission policy refused, in arrival order."""
+        return self.fold.rejected
 
 
 class LoopState:
@@ -359,14 +370,16 @@ class ServingLoop:
         queue.run()
         return self.finish()
 
-    def begin(self, queue: EventQueue, index: int = 0) -> None:
+    def begin(self, queue: EventQueue, index: int = 0, keep_records: bool = True) -> None:
         """Start a run whose events go on ``queue`` as loop ``index``.
 
         :meth:`run` gives the loop a queue of its own; a cluster run shares
         one queue among its hosts' loops and drains it, then calls
-        :meth:`finish` on each.
+        :meth:`finish` on each.  ``keep_records=False`` folds every record
+        into the run's report without keeping it (a cluster's intermediate
+        pipeline stages).
         """
-        self._reset()
+        self._reset(keep_records)
         self._queue = queue
         self._rank = 1 + len(self._handlers) * index
         self._scale_armed = self.autoscaler is None
@@ -393,13 +406,14 @@ class ServingLoop:
         not a copy of it — and the pool's busy/lifetime utilisation series
         lands in the registry alongside (the single series both report
         summaries read).  Registry-of-schedules counters are exported too so
-        the metrics dump carries the compile-cache hit rate.
+        the metrics dump carries the compile-cache hit rate.  The loop keeps
+        no hold on the result: its fold lives as long as the caller wants it.
         """
         # The last (partial) window never sees a later event; close it
         # explicitly so trailing activity still reaches alerts and --watch.
         if self._timeseries is not None:
             self._close_window(self._timeseries.flush())
-        result = self._result
+        result, self._result = self._result, LoopResult(metrics=self.metrics)
         executions = self.metrics.counter(
             "serve.executions", "device executions per specialised batch size"
         )
@@ -424,7 +438,7 @@ class ServingLoop:
             for window in self._timeseries.advance(time_ms):
                 self._close_window(window)
 
-    def _reset(self) -> None:
+    def _reset(self, keep_records: bool) -> None:
         # Collaborators first: the pool-size gauge below reads the pool, so
         # every run starts from the configured idle pool, however it is driven.
         self.pool.reset()
@@ -443,7 +457,7 @@ class ServingLoop:
         self._inflight = 0
         self.metrics.clear()
         self._bind_series()
-        self._result = LoopResult(metrics=self.metrics)
+        self._result = LoopResult(fold=ReportFold(keep_records), metrics=self.metrics)
         self.metrics.gauge(
             "serve.pool.size", "active workers in the pool"
         ).set(len(self.pool.workers))
@@ -578,7 +592,7 @@ class ServingLoop:
                     request.request_id, self._now_ms, category="request",
                     args={"outcome": "rejected", "reason": reason},
                 )
-            self._result.rejected.append(
+            self._result.fold.reject(
                 RejectedRequest(
                     request=request,
                     rejected_ms=self._now_ms,
@@ -760,6 +774,7 @@ class ServingLoop:
         self._executions[rung](1.0)
         latency = self._latency[dispatch.device]
         queue_delay = self._queue_delay[dispatch.device]
+        add = self._result.fold.add
         chunk_records: list[RequestRecord] = []
         for request in chunk:
             record = RequestRecord(
@@ -771,7 +786,7 @@ class ServingLoop:
                 worker_id=dispatch.worker_id,
                 device=dispatch.device,
             )
-            self._result.records.append(record)
+            add(record)
             chunk_records.append(record)
             latency(record.latency_ms)
             queue_delay(record.queue_delay_ms)

@@ -1,7 +1,9 @@
 """Serving metrics: per-request accounting and aggregate reports.
 
 The serving loop produces one :class:`~repro.serve.request.RequestRecord` per
-request; :func:`build_report` folds them into the numbers a serving system is
+request and hands each to its run's :class:`ReportFold` as it is made.  The
+fold is the report's one walk over the records: :func:`build_report` reads
+it (or folds a record list through one) into the numbers a serving system is
 judged by — throughput (requests/s and samples/s), latency percentiles
 (p50/p95/p99), queue delay, batch-size distribution — plus the registry and
 worker statistics that explain *why* the numbers look the way they do.
@@ -21,7 +23,8 @@ p50/p95/p99 per priority class (and per traffic burst when requests carry
 
 from __future__ import annotations
 
-from collections import defaultdict
+import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -35,6 +38,7 @@ __all__ = [
     "BurstSlo",
     "SloSummary",
     "ServingReport",
+    "ReportFold",
     "build_report",
     "build_slo_summary",
 ]
@@ -294,91 +298,214 @@ def _pool_size_trajectory(scale_events) -> list[int]:
     return [initial] + [event.num_workers for event in scale_events]
 
 
+class ReportFold:
+    """One pass over a run's records and rejections, in the order they happen.
+
+    A report reads few things per record: its latency and queue delay, both
+    overall and its latency per device and per priority class (kept here in
+    record order, eight bytes each), plus counts — samples, the first arrival
+    and last completion, deadlines met, per-burst tallies.  The serving loop
+    hands each record to its run's fold as the record is made, and
+    :func:`build_report` reads the fold, so every sum and percentile adds
+    the same floats in the same order whichever way the report is built.
+
+    ``keep_records`` says whether the fold keeps the record objects (the
+    report's ``records``); it is fixed for the fold's life.  A standalone run
+    keeps them, and then the floats would only repeat what the records hold:
+    a keeping fold folds its records, in order, when it is first read.  A
+    cluster's intermediate pipeline stages keep none — their reports need
+    only the summaries — so their folds take each record's floats at once
+    and let the record go.  Rejections are always kept: a cluster maps them
+    back to the requests its clients sent.
+    """
+
+    __slots__ = (
+        "keep_records", "records", "rejected", "num_samples", "first_arrival_ms",
+        "last_completion_ms", "met", "with_deadline", "latencies", "queue_delays",
+        "device_latencies", "classes", "bursts", "reasons",
+    )
+
+    def __init__(self, keep_records: bool = True):
+        self.keep_records = keep_records
+        self.records: list[RequestRecord] = []
+        self.rejected: list[RejectedRequest] = []
+        self.num_samples = 0
+        self.first_arrival_ms = math.inf
+        self.last_completion_ms = -math.inf
+        #: Records that met their deadline (no deadline counts as met), and
+        #: records that carried one.
+        self.met = 0
+        self.with_deadline = 0
+        self.latencies = array("d")
+        self.queue_delays = array("d")
+        #: device -> latencies of the records that ran on it.
+        self.device_latencies: dict[str, array] = {}
+        #: priority -> [latencies, met, rejected].
+        self.classes: dict[int, list] = {}
+        #: burst id -> [admitted, met, rejected].
+        self.bursts: dict[int, list[int]] = {}
+        #: rejection reason -> count, in order of first occurrence.
+        self.reasons: dict[str, int] = {}
+
+    @classmethod
+    def of(
+        cls,
+        records: Sequence[RequestRecord],
+        rejected: Sequence[RejectedRequest] = (),
+    ) -> "ReportFold":
+        """The fold of finished ``records`` and ``rejected`` requests."""
+        fold = cls()
+        fold.records.extend(records)
+        for rejection in rejected:
+            fold.reject(rejection)
+        return fold
+
+    @property
+    def num_records(self) -> int:
+        """Records taken so far (kept or not)."""
+        return len(self.records) if self.keep_records else len(self.latencies)
+
+    def add(self, record: RequestRecord) -> None:
+        """Take one finished request, in the run's record order."""
+        if self.keep_records:
+            self.records.append(record)
+        else:
+            self._fold((record,))
+
+    def _settled(self) -> "ReportFold":
+        """This fold, with every kept record folded (in record order)."""
+        if len(self.latencies) < len(self.records):
+            self._fold(self.records[len(self.latencies):])
+        return self
+
+    def _fold(self, records: Sequence[RequestRecord]) -> None:
+        """Fold ``records``, in order: the report's one walk over records."""
+        latencies, queue_delays = self.latencies, self.queue_delays
+        devices, classes, bursts = self.device_latencies, self.classes, self.bursts
+        num_samples, met, with_deadline = self.num_samples, self.met, self.with_deadline
+        first_arrival_ms = self.first_arrival_ms
+        last_completion_ms = self.last_completion_ms
+        for record in records:
+            request = record.request
+            arrival_ms = request.arrival_ms
+            completion_ms = record.completion_ms
+            # RequestRecord.latency_ms and queue_delay_ms, bit for bit.
+            latency_ms = completion_ms - arrival_ms
+            num_samples += request.num_samples
+            if arrival_ms < first_arrival_ms:
+                first_arrival_ms = arrival_ms
+            if completion_ms > last_completion_ms:
+                last_completion_ms = completion_ms
+            latencies.append(latency_ms)
+            queue_delays.append(record.dispatch_ms - arrival_ms)
+            device = devices.get(record.device)
+            if device is None:
+                device = devices[record.device] = array("d")
+            device.append(latency_ms)
+            group = classes.get(request.priority)
+            if group is None:
+                group = classes[request.priority] = [array("d"), 0, 0]
+            group[0].append(latency_ms)
+            # RequestRecord.deadline_met, without the inf of a missing deadline.
+            deadline_ms = request.deadline_ms
+            if deadline_ms is None:
+                hit = True
+            else:
+                with_deadline += 1
+                hit = completion_ms <= arrival_ms + deadline_ms
+            if hit:
+                met += 1
+                group[1] += 1
+            if request.burst_id is not None:
+                burst = bursts.get(request.burst_id)
+                if burst is None:
+                    burst = bursts[request.burst_id] = [0, 0, 0]
+                burst[0] += 1
+                burst[1] += hit
+        self.num_samples, self.met, self.with_deadline = num_samples, met, with_deadline
+        self.first_arrival_ms = first_arrival_ms
+        self.last_completion_ms = last_completion_ms
+
+    def reject(self, rejection: RejectedRequest) -> None:
+        """Fold (and keep) one request the admission policy refused."""
+        self.rejected.append(rejection)
+        self.reasons[rejection.reason] = self.reasons.get(rejection.reason, 0) + 1
+        request = rejection.request
+        if request.arrival_ms < self.first_arrival_ms:
+            self.first_arrival_ms = request.arrival_ms
+        self.classes.setdefault(request.priority, [array("d"), 0, 0])[2] += 1
+        if request.burst_id is not None:
+            self.bursts.setdefault(request.burst_id, [0, 0, 0])[2] += 1
+
+    def slo_summary(self) -> SloSummary:
+        """The :class:`SloSummary` of everything taken so far."""
+        self._settled()
+        per_priority: list[PriorityClassSlo] = []
+        for priority in sorted(self.classes, reverse=True):
+            latencies, class_met, class_rejected = self.classes[priority]
+            class_offered = len(latencies) + class_rejected
+            p50, p95, p99 = (
+                percentiles(latencies, (50, 95, 99)) if latencies else (0.0,) * 3
+            )
+            per_priority.append(
+                PriorityClassSlo(
+                    priority=priority,
+                    offered=class_offered,
+                    admitted=len(latencies),
+                    rejected=class_rejected,
+                    met=class_met,
+                    violations=len(latencies) - class_met,
+                    attainment=class_met / class_offered if class_offered else 0.0,
+                    p50_ms=p50,
+                    p95_ms=p95,
+                    p99_ms=p99,
+                )
+            )
+
+        per_burst: list[BurstSlo] = []
+        for burst_id in sorted(self.bursts):
+            admitted, burst_met, burst_rejected = self.bursts[burst_id]
+            burst_offered = admitted + burst_rejected
+            per_burst.append(
+                BurstSlo(
+                    burst_id=burst_id,
+                    offered=burst_offered,
+                    admitted=admitted,
+                    met=burst_met,
+                    attainment=burst_met / burst_offered if burst_offered else 0.0,
+                )
+            )
+
+        admitted = self.num_records
+        offered = admitted + len(self.rejected)
+        return SloSummary(
+            offered=offered,
+            admitted=admitted,
+            rejected=len(self.rejected),
+            with_deadline=self.with_deadline,
+            met=self.met,
+            violations=admitted - self.met,
+            attainment_rate=self.met / offered if offered else 0.0,
+            rejection_reasons=dict(self.reasons),
+            per_priority=per_priority,
+            per_burst=per_burst,
+        )
+
+
 def build_slo_summary(
     records: Sequence[RequestRecord],
     rejected: Sequence[RejectedRequest] = (),
 ) -> SloSummary:
     """Fold completed records and rejections into an :class:`SloSummary`.
 
-    One walk over the records and one over the rejections group everything
-    by priority class and by burst.
+    Everything is grouped by priority class and by burst (see
+    :meth:`ReportFold.slo_summary`).
     """
-    met = with_deadline = 0
-    # priority -> [completed latencies, met, rejected]
-    classes: dict[int, list] = defaultdict(lambda: [[], 0, 0])
-    # burst id -> [admitted, met, rejected]
-    bursts: dict[int, list[int]] = defaultdict(lambda: [0, 0, 0])
-    for record in records:
-        request = record.request
-        hit = record.deadline_met
-        met += hit
-        with_deadline += request.deadline_ms is not None
-        group = classes[request.priority]
-        group[0].append(record.latency_ms)
-        group[1] += hit
-        if request.burst_id is not None:
-            burst = bursts[request.burst_id]
-            burst[0] += 1
-            burst[1] += hit
-    reasons: dict[str, int] = {}
-    for rejection in rejected:
-        reasons[rejection.reason] = reasons.get(rejection.reason, 0) + 1
-        request = rejection.request
-        classes[request.priority][2] += 1
-        if request.burst_id is not None:
-            bursts[request.burst_id][2] += 1
-
-    per_priority: list[PriorityClassSlo] = []
-    for priority in sorted(classes, reverse=True):
-        latencies, class_met, class_rejected = classes[priority]
-        class_offered = len(latencies) + class_rejected
-        p50, p95, p99 = percentiles(latencies, (50, 95, 99)) if latencies else (0.0,) * 3
-        per_priority.append(
-            PriorityClassSlo(
-                priority=priority,
-                offered=class_offered,
-                admitted=len(latencies),
-                rejected=class_rejected,
-                met=class_met,
-                violations=len(latencies) - class_met,
-                attainment=class_met / class_offered if class_offered else 0.0,
-                p50_ms=p50,
-                p95_ms=p95,
-                p99_ms=p99,
-            )
-        )
-
-    per_burst: list[BurstSlo] = []
-    for burst_id in sorted(bursts):
-        admitted, burst_met, burst_rejected = bursts[burst_id]
-        burst_offered = admitted + burst_rejected
-        per_burst.append(
-            BurstSlo(
-                burst_id=burst_id,
-                offered=burst_offered,
-                admitted=admitted,
-                met=burst_met,
-                attainment=burst_met / burst_offered if burst_offered else 0.0,
-            )
-        )
-
-    offered = len(records) + len(rejected)
-    return SloSummary(
-        offered=offered,
-        admitted=len(records),
-        rejected=len(rejected),
-        with_deadline=with_deadline,
-        met=met,
-        violations=len(records) - met,
-        attainment_rate=met / offered if offered else 0.0,
-        rejection_reasons=reasons,
-        per_priority=per_priority,
-        per_burst=per_burst,
-    )
+    return ReportFold.of(records, rejected).slo_summary()
 
 
 def build_report(
-    records: Sequence[RequestRecord],
+    records: "Sequence[RequestRecord] | ReportFold",
     num_batches: int,
     batch_size_counts: dict[int, int],
     registry_stats: RegistryStats,
@@ -391,12 +518,14 @@ def build_report(
     alerts: Sequence | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> ServingReport:
-    """Fold per-request records into a :class:`ServingReport`.
+    """Build a :class:`ServingReport` from a run's records, through one fold.
 
     Parameters
     ----------
     records:
-        One finished :class:`~repro.serve.request.RequestRecord` per request.
+        One finished :class:`~repro.serve.request.RequestRecord` per request,
+        or the :class:`ReportFold` that already folded them and the run's
+        rejections (what a serving loop hands over).
     num_batches:
         Device executions performed (a formed batch may chunk into several).
     batch_size_counts:
@@ -416,8 +545,9 @@ def build_report(
         (or any request with a deadline, or any rejection) adds an
         :class:`SloSummary` to the report.
     rejected:
-        Requests the admission policy refused to queue.  A run may consist of
-        rejections only — then every latency summary is all-zero.
+        Requests the admission policy refused to queue (a fold carries its
+        own).  A run may consist of rejections only — then every latency
+        summary is all-zero.
     scale_events:
         Autoscaler resize events to record in the report.
     alerts:
@@ -428,24 +558,22 @@ def build_report(
         report (``ios-bench serve --metrics`` dumps it); never printed by
         :meth:`ServingReport.describe`.
     """
-    if not records and not rejected:
+    if isinstance(records, ReportFold):
+        if rejected:
+            raise ValueError("a ReportFold carries its own rejections")
+        fold = records._settled()
+    else:
+        fold = ReportFold.of(records, rejected)._settled()
+    num_records = fold.num_records
+    if not num_records and not fold.rejected:
         raise ValueError("cannot build a serving report from zero records")
-    arrivals = [record.request.arrival_ms for record in records] + [
-        rejection.request.arrival_ms for rejection in rejected
-    ]
-    first_arrival = min(arrivals)
-    last_completion = max(
-        (record.completion_ms for record in records),
-        default=first_arrival,
-    )
+    first_arrival = fold.first_arrival_ms
+    last_completion = fold.last_completion_ms if num_records else first_arrival
     makespan_ms = max(last_completion - first_arrival, 1e-9)
-    num_samples = sum(record.request.num_samples for record in records)
     device_summary: list[dict[str, object]] = []
     for group in group_summary or []:
         row = dict(group)
-        group_latencies = [
-            record.latency_ms for record in records if record.device == row["device"]
-        ]
+        group_latencies = fold.device_latencies.get(row["device"], ())
         row["requests"] = len(group_latencies)
         if group_latencies:
             row["latency"] = LatencySummary.from_values(group_latencies)
@@ -454,26 +582,22 @@ def build_report(
     # signal: plain runs keep slo_summary is None, preserving the "None for
     # runs without SLOs" contract downstream code branches on.
     slo_summary = None
-    if (
-        (admission and admission != "admit-all")
-        or rejected
-        or any(record.request.deadline_ms is not None for record in records)
-    ):
-        slo_summary = build_slo_summary(records, rejected)
+    if (admission and admission != "admit-all") or fold.rejected or fold.with_deadline:
+        slo_summary = fold.slo_summary()
     return ServingReport(
-        num_requests=len(records),
-        num_samples=num_samples,
+        num_requests=num_records,
+        num_samples=fold.num_samples,
         num_batches=num_batches,
         makespan_ms=makespan_ms,
-        throughput_rps=len(records) / (makespan_ms / 1e3),
-        throughput_samples_per_s=num_samples / (makespan_ms / 1e3),
+        throughput_rps=num_records / (makespan_ms / 1e3),
+        throughput_samples_per_s=fold.num_samples / (makespan_ms / 1e3),
         latency=(
-            LatencySummary.from_values([record.latency_ms for record in records])
-            if records else LatencySummary.empty()
+            LatencySummary.from_values(fold.latencies)
+            if num_records else LatencySummary.empty()
         ),
         queue_delay=(
-            LatencySummary.from_values([record.queue_delay_ms for record in records])
-            if records else LatencySummary.empty()
+            LatencySummary.from_values(fold.queue_delays)
+            if num_records else LatencySummary.empty()
         ),
         batch_size_counts=dict(sorted(batch_size_counts.items())),
         # Copy: the registry keeps mutating its own counters when it is shared
@@ -482,9 +606,9 @@ def build_report(
         worker_summary=worker_summary,
         device_summary=device_summary,
         router=router,
-        records=list(records),
+        records=fold.records,
         admission=admission,
-        rejected=list(rejected),
+        rejected=list(fold.rejected),
         slo_summary=slo_summary,
         scale_events=list(scale_events or []),
         alerts=list(alerts or []),

@@ -319,7 +319,7 @@ class InferenceService:
         two views.
         """
         return build_report(
-            records=result.records,
+            records=result.fold,
             num_batches=result.num_executions,
             batch_size_counts=result.batch_size_counts,
             registry_stats=self.registry.stats,
@@ -327,7 +327,6 @@ class InferenceService:
             group_summary=self.pool.group_summary(metrics=result.metrics),
             router=self.router.name,
             admission=self.admission.name,
-            rejected=result.rejected,
             scale_events=result.scale_events,
             alerts=result.alerts,
             metrics=result.metrics,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -20,9 +21,11 @@ from repro.serve import (
     AutoscaleConfig,
     BatchPolicy,
     InferenceService,
+    ReportFold,
     ServingConfig,
     TrafficConfig,
     TrafficGenerator,
+    build_report,
 )
 from repro.serve.experiment import run_serving
 from repro.serve.loop import ServingLoop
@@ -293,6 +296,80 @@ class TestPartitionedCluster:
             if getattr(record, "category", None) == "transfer"
         ]
         assert transfer_spans
+
+
+def _stage_records(monkeypatch) -> dict[str, list]:
+    """Every record a fold takes, by its request's (stage) model."""
+    taken: dict[str, list] = {}
+    add = ReportFold.add
+
+    def spy(fold, record):
+        taken.setdefault(record.request.model, []).append(record)
+        add(fold, record)
+
+    monkeypatch.setattr(ReportFold, "add", spy)
+    return taken
+
+
+PIPELINE_LADDER = dict(
+    batch_sizes=(1, 2, 4, 8), policy=BatchPolicy(max_batch_size=8, max_wait_ms=2.0)
+)
+PIPELINE_CONFIGS = {
+    "poisson": (
+        TrafficConfig(model="squeezenet", pattern="poisson", num_requests=300,
+                      rate_rps=1000.0, slo_ms=40.0, seed=11),
+        serving(devices=("k80",), **PIPELINE_LADDER),
+    ),
+    "mixed-fleet": (
+        TrafficConfig(model="squeezenet", pattern="poisson", num_requests=300,
+                      rate_rps=3000.0, slo_ms=25.0, seed=3),
+        serving(fleet="k80:1,v100:2", admission="deadline", **PIPELINE_LADDER),
+    ),
+    "priority-shedding": (
+        TrafficConfig(model="squeezenet", pattern="bursty", num_requests=300,
+                      burst_size=64, burst_gap_ms=30.0, priorities=(0, 1, 2),
+                      priority_weights=(0.2, 0.3, 0.5), slo_ms=20.0, seed=3),
+        serving(devices=("k80",), admission="priority", autoscale="1:3",
+                **PIPELINE_LADDER),
+    ),
+}
+
+
+class TestIntermediateStageReports:
+    """An intermediate stage host's report is the report of its records."""
+
+    @pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
+    def test_reports_equal_the_list_built_ones(self, monkeypatch, name):
+        traffic_config, serving_config = PIPELINE_CONFIGS[name]
+        taken = _stage_records(monkeypatch)
+        result = run_cluster_serving(
+            traffic_config,
+            ClusterConfig(serving=serving_config, num_hosts=4, partition=True,
+                          router="partition-affinity", link="bw=12.5,lat=0.05"),
+        )
+        intermediate = result.plan.stages[:-1]
+        for stage in intermediate:
+            host_report = result.host_reports[stage.host]
+            assert host_report.records == []
+            groups = [
+                {key: value for key, value in row.items()
+                 if key not in ("requests", "latency")}
+                for row in host_report.device_summary
+            ]
+            expected = build_report(
+                taken[stage.model], host_report.num_batches,
+                host_report.batch_size_counts, host_report.registry_stats,
+                host_report.worker_summary, groups, router=host_report.router,
+                admission=host_report.admission, rejected=host_report.rejected,
+                scale_events=host_report.scale_events, alerts=host_report.alerts,
+                metrics=host_report.metrics,
+            )
+            assert expected.num_requests == len(taken[stage.model]) > 0
+            assert replace(expected, records=[]) == host_report
+        final = result.host_reports[result.plan.stages[-1].host]
+        assert len(final.records) == final.num_requests > 0
+        if name == "priority-shedding":
+            assert any(result.host_reports[s.host].rejected for s in intermediate)
 
 
 class TestClusterConfig:
