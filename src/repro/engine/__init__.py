@@ -39,9 +39,15 @@ from ..core.dp_scheduler import (
     normalize_variant,
     variant_label,
 )
-from .compiled import ARTIFACT_FORMAT, CompiledModel, CompileStats, StageTiming
+from .compiled import (
+    ARTIFACT_FORMAT,
+    ArtifactMismatchError,
+    CompiledModel,
+    CompileStats,
+    StageTiming,
+)
 from .engine import Engine, EngineStats, clear_engine_pool, get_engine, get_engines
-from .stages import apply_passes, graph_identity, node_digest
+from .stages import apply_passes, graph_identity
 
 __all__ = [
     "Engine",
@@ -50,12 +56,12 @@ __all__ = [
     "CompileStats",
     "StageTiming",
     "ARTIFACT_FORMAT",
+    "ArtifactMismatchError",
     "get_engine",
     "get_engines",
     "clear_engine_pool",
     "apply_passes",
     "graph_identity",
-    "node_digest",
     "normalize_variant",
     "variant_label",
     "VALID_VARIANTS",

@@ -32,14 +32,31 @@ from ..ir.fingerprint import graph_fingerprint
 from ..ir.graph import Graph
 from ..ir.serialization import graph_from_dict, graph_to_dict
 from ..runtime.executor import ExecutionPlan, ExecutionResult, Executor
-from .stages import node_digest
 
-__all__ = ["StageTiming", "CompileStats", "CompiledModel", "ARTIFACT_FORMAT"]
+__all__ = [
+    "StageTiming", "CompileStats", "CompiledModel", "ARTIFACT_FORMAT", "ArtifactMismatchError",
+]
 
 #: Marker identifying a persisted compiled-model artifact (vs. a bare
 #: schedule document, which has no ``format`` key).
 ARTIFACT_FORMAT = "repro/compiled-model"
 ARTIFACT_VERSION = 1
+
+
+class ArtifactMismatchError(ValueError):
+    """A well-formed artifact that belongs to another compile environment.
+
+    Raised instead of serving it: a schedule is specialised to the device,
+    kernel profile, variant, pruning and pass pipeline it was searched
+    under, to the graph it was searched for and to its artifact format.
+    ``field`` names the artifact field that differs (``"device"``,
+    ``"profile"``, ``"variant"``, ``"schedule.origin"``, ``"passes"``,
+    ``"source"`` or ``"format_version"``).
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -258,6 +275,7 @@ class CompiledModel:
         that is not in the built-in registries.  Every field :meth:`to_dict`
         writes is required: a missing or malformed one raises a
         :class:`ValueError` naming it.  Keys it does not write are ignored.
+        Another artifact format version raises :class:`ArtifactMismatchError`.
         """
         if not cls.is_artifact(data):
             raise ValueError(
@@ -265,7 +283,8 @@ class CompiledModel:
             )
         version = _field(data, "format_version", int)
         if version != ARTIFACT_VERSION:
-            raise ValueError(
+            raise ArtifactMismatchError(
+                "format_version",
                 f"unsupported compiled-model artifact version {version!r} "
                 "(field 'format_version')"
             )
@@ -331,7 +350,7 @@ class CompiledModel:
         variant: str = "ios-both",
         search: ScheduleResult | None = None,
     ) -> "CompiledModel":
-        """Wrap an existing schedule (e.g. handed to ``ScheduleRegistry.put``).
+        """Wrap an existing schedule (e.g. one produced by an offline sweep).
 
         Lowers (and thereby validates) the schedule against ``graph``; the
         graph is treated as both source and compiled form.
@@ -363,7 +382,7 @@ class CompiledModel:
             variant=variant,
             stats=stats,
             source_graph_name=graph.name,
-            source_node_digest=node_digest(graph),
+            source_node_digest=graph.node_digest(),
             source_fingerprint=fingerprint,
             fingerprint=fingerprint,
             search=search,

@@ -39,7 +39,7 @@ from ..hardware.device import DeviceSpec, get_device
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
 from ..ir.graph import Graph
 from ..obs.trace import NULL_TRACER, Tracer
-from .compiled import CompiledModel, CompileStats, StageTiming
+from .compiled import ArtifactMismatchError, CompiledModel, CompileStats, StageTiming
 from .stages import apply_passes, graph_identity
 
 __all__ = ["Engine", "EngineStats", "get_engine", "get_engines", "clear_engine_pool"]
@@ -97,8 +97,8 @@ class Engine:
         Kernel-library profile for both the search cost model and execution.
     scheduler:
         Inject a pre-built :class:`~repro.core.IOSScheduler` (tests and the
-        serve registry's ``scheduler_factory`` use this); its config becomes
-        the engine's config.
+        ablation experiments use this); its config becomes the engine's
+        config.
     jobs:
         Worker processes for cold multi-block searches: ``1`` is serial,
         ``N > 1`` searches independent blocks in ``N`` processes, ``0`` /
@@ -298,50 +298,54 @@ class Engine:
         return self.compile(load(name, batch_size=batch_size, **kwargs))
 
     # ------------------------------------------------------------ warm start
-    def load(self, path: str | Path) -> CompiledModel:
+    def load(self, path: str | Path, graph: Graph | None = None) -> CompiledModel:
         """Warm-start: load a persisted artifact into this engine's cache.
 
-        The artifact must have been compiled for this engine's device, kernel
-        profile, variant and pruning strategy — reusing a schedule searched
-        for different hardware or a different search space would silently
-        serve the wrong plan.  A loaded artifact serves exactly the graph it
-        was compiled for.
+        A file that is not a well-formed artifact raises a :class:`ValueError`
+        naming the path or the bad field.  A well-formed one must have been
+        compiled in this engine's environment — device, kernel profile,
+        variant, pruning strategy and whether passes ran — and, when
+        ``graph`` is given, from that graph: reusing a schedule searched for
+        other hardware, another search space or another graph would silently
+        serve the wrong plan.  A mismatch raises
+        :class:`~repro.engine.compiled.ArtifactMismatchError` naming the
+        field, and the artifact does not enter the cache.  A loaded artifact
+        serves exactly the graph it was compiled for.
         """
         import json
 
-        data = json.loads(Path(path).read_text())
-        saved_device = data.get("device") if isinstance(data, dict) else None
-        if saved_device != self.device.name:
-            raise ValueError(
-                f"artifact {path} was compiled for device {saved_device!r}; "
-                f"this engine compiles for {self.device.name!r}"
-            )
-        saved_profile = data.get("profile") if isinstance(data, dict) else None
-        if saved_profile != self.profile.name:
-            raise ValueError(
-                f"artifact {path} was compiled with kernel profile "
-                f"{saved_profile!r}; this engine compiles with {self.profile.name!r}"
-            )
+        try:
+            data = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as error:
+            raise ValueError(f"artifact {path} is not JSON: {error}") from error
         compiled = CompiledModel.from_dict(data, device=self.device, profile=self.profile)
-        if compiled.variant != self.variant:
-            raise ValueError(
-                f"artifact {path} was compiled for variant {compiled.variant!r}; "
-                f"this engine compiles {self.variant!r}"
-            )
         # The schedule's origin reads "<variant> (<pruning>)", e.g.
         # "ios-both (r=1, s=1)": a search under a tighter pruning strategy is
         # a different (usually slower) schedule, not a warm start.
         saved_pruning = compiled.schedule.origin.partition(" (")[2].rstrip(")")
-        pruning = self.config.pruning.describe()
-        if saved_pruning != pruning:
-            raise ValueError(
-                f"artifact {path} was searched with pruning {saved_pruning!r} "
-                f"(field 'schedule.origin'); this engine searches with {pruning!r}"
-            )
+        passes = compiled.stats.stage("passes")
+        saved_passes = passes is not None and bool(passes.detail.get("enabled"))
+        source = (
+            compiled.source_graph_name, compiled.source_node_digest, compiled.source_fingerprint
+        )
+        checks = [
+            ("device", "device", data["device"], self.device.name),
+            ("profile", "kernel profile", data["profile"], self.profile.name),
+            ("variant", "variant", compiled.variant, self.variant),
+            ("schedule.origin", "pruning", saved_pruning, self.config.pruning.describe()),
+            ("passes", "passes enabled", saved_passes, bool(self.passes)),
+        ]
+        if graph is not None:
+            checks.append(("source", "source graph", source, graph_identity(graph)))
+        for field, label, saved, expected in checks:
+            if saved != expected:
+                raise ArtifactMismatchError(
+                    field,
+                    f"artifact {path} was compiled with {label} {saved!r} "
+                    f"(field {field!r}); this engine expects {expected!r}",
+                )
         self.stats.loads += 1
-        self._cache[
-            (compiled.source_graph_name, compiled.source_node_digest, compiled.source_fingerprint)
-        ] = compiled
+        self._cache[source] = compiled
         return compiled
 
     # ----------------------------------------------------------------- cache

@@ -13,11 +13,9 @@ chains all of them with per-stage timing.
 
 from __future__ import annotations
 
-import hashlib
-
 from ..ir.graph import Graph
 
-__all__ = ["apply_passes", "node_digest", "graph_identity"]
+__all__ = ["apply_passes", "graph_identity"]
 
 
 def apply_passes(graph: Graph, passes, *, tracer=None) -> tuple[Graph, list | None]:
@@ -44,23 +42,12 @@ def apply_passes(graph: Graph, passes, *, tracer=None) -> tuple[Graph, list | No
     return result.graph, result.stats
 
 
-def node_digest(graph: Graph) -> str:
-    """Stable short digest of the graph's node names (insertion order).
-
-    :func:`repro.ir.graph_fingerprint` is deliberately rename-invariant, but
-    schedules reference operators *by name* — so a compile cache (or a
-    persisted artifact) must also key on the names.  This digest is stable
-    across processes, unlike ``hash()``.
-    """
-    payload = "\n".join(graph.nodes)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
 def graph_identity(graph: Graph) -> tuple[str, str, str]:
     """Cache identity of a graph: ``(name, node digest, structural fingerprint)``.
 
     Two graphs with equal identity have the same name, the same operator
     names in the same order, and isomorphic structure — a compiled model for
-    one is valid verbatim for the other.
+    one is valid verbatim for the other.  Both digests are cached on the
+    graph, so this is cheap enough for a per-dispatch cache lookup.
     """
-    return (graph.name, node_digest(graph), graph.fingerprint())
+    return (graph.name, graph.node_digest(), graph.fingerprint())

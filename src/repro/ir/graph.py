@@ -13,6 +13,7 @@ one :class:`Block`; blocks execute in their definition order.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -80,9 +81,10 @@ class Graph:
         # Cached full topological order; every subset order is its restriction
         # (see :meth:`topological_order`).  Invalidated on ``add_node``.
         self._topo_cache: list[str] | None = None
-        # Cached structural fingerprint (see :meth:`fingerprint`); invalidated
-        # on ``add_node``.
+        # Cached structural fingerprint and node-name digest (see
+        # :meth:`fingerprint` / :meth:`node_digest`); invalidated on ``add_node``.
         self._fingerprint_cache: str | None = None
+        self._node_digest_cache: str | None = None
 
     # ---------------------------------------------------------------- mutation
     def add_node(self, op: Operator, block: Block | None = None) -> Operator:
@@ -102,6 +104,7 @@ class Graph:
             self._input_shape_cache = None
         self._topo_cache = None
         self._fingerprint_cache = None
+        self._node_digest_cache = None
         self._consumers.setdefault(op.name, [])
         for parent in op.inputs:
             self._consumers[parent].append(op.name)
@@ -124,6 +127,7 @@ class Graph:
         self._input_shape_cache = None
         self._topo_cache = None
         self._fingerprint_cache = None
+        self._node_digest_cache = None
 
     # ----------------------------------------------------------------- queries
     def __contains__(self, name: str) -> bool:
@@ -171,6 +175,19 @@ class Graph:
 
             self._fingerprint_cache = graph_fingerprint(self)
         return self._fingerprint_cache
+
+    def node_digest(self) -> str:
+        """Cached stable short digest of the node names (insertion order).
+
+        :meth:`fingerprint` is deliberately rename-invariant, but schedules
+        reference operators *by name* — so a compile cache (or a persisted
+        artifact) must also key on the names.  Stable across processes,
+        unlike ``hash()``.
+        """
+        if self._node_digest_cache is None:
+            payload = "\n".join(self.nodes).encode("utf-8")
+            self._node_digest_cache = hashlib.sha256(payload).hexdigest()[:16]
+        return self._node_digest_cache
 
     def predecessors(self, name: str) -> tuple[str, ...]:
         return self.nodes[name].inputs

@@ -4,11 +4,12 @@ The paper shows that inter-operator schedules specialised per batch size beat
 one-size-fits-all execution; this package turns that observation into an
 end-to-end inference service:
 
-* :mod:`repro.serve.registry` — :class:`ScheduleRegistry`, a disk-backed store
-  of :class:`repro.engine.CompiledModel` artifacts keyed by
-  ``(model, batch_size, device, variant)``; misses compile through one
-  :class:`repro.engine.Engine` per device, warm starts load the persisted
-  artifacts with zero scheduler searches;
+* :mod:`repro.serve.registry` — :class:`ScheduleRegistry`, a disk tier of
+  :class:`repro.engine.CompiledModel` artifacts over one
+  :class:`repro.engine.Engine` per device, named by model, device, kernel
+  profile, variant, batch size and graph fingerprint; misses compile through
+  the engine, warm starts load the persisted artifacts with zero scheduler
+  searches;
 * :mod:`repro.serve.loop` — :class:`ServingLoop`, the discrete-event core:
   arrivals in time order plus one heap of batch-close timeouts, worker
   completions and scale checks drive everything on the virtual clock;
@@ -99,8 +100,6 @@ from .metrics import (
     build_slo_summary,
 )
 from .registry import (
-    RegistryError,
-    RegistryKey,
     RegistryStats,
     ScheduleRegistry,
     model_dirname,
@@ -145,8 +144,6 @@ __all__ = [
     "PriorityClassSlo",
     "ROUTERS",
     "RankingRouter",
-    "RegistryError",
-    "RegistryKey",
     "RegistryStats",
     "RejectedRequest",
     "ReportFold",

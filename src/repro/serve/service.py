@@ -180,8 +180,10 @@ class InferenceService:
     registry:
         Share a :class:`~repro.serve.registry.ScheduleRegistry` across
         services (a long-lived deployment); defaults to a fresh one rooted at
-        ``config.registry_root``.  Its kernel profile is the one every
-        compile and every dispatch runs under.
+        ``config.registry_root``.  Its per-device engines are the service's
+        only compile path and their caches its only compiled-model memory;
+        its kernel profile is the one every compile and every dispatch runs
+        under, and part of every persisted artifact's name.
     router:
         Inject a pre-built :class:`~repro.serve.fleet.Router` instance
         (custom policies, tests); defaults to ``config.router`` by name.

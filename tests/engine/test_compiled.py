@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core import PruningStrategy
-from repro.engine import ARTIFACT_FORMAT, CompiledModel, Engine
+from repro.engine import ARTIFACT_FORMAT, ArtifactMismatchError, CompiledModel, Engine
 from repro.frontend import load
 from repro.models import figure2_block
 
@@ -155,6 +156,31 @@ class TestEngineWarmStart:
         path = compiled.save(tmp_path / "m.json")
         with pytest.raises(ValueError, match="device"):
             Engine(k80).load(path)
+
+    def test_passes_mismatch_is_rejected(self, tmp_path, v100):
+        # An artifact of the rewritten graph must not warm-start an engine
+        # that serves the graph as given: it would run the 25-operator
+        # rewrite where a fresh compile schedules all 26 operators.
+        model = Path(__file__).resolve().parents[2] / "examples" / "transformer_block.json"
+        optimized = Engine(v100, passes=True).compile(load(str(model)))
+        path = optimized.save(tmp_path / "m.json")
+        raw = Engine(v100)
+        with pytest.raises(ArtifactMismatchError, match="passes") as excinfo:
+            raw.load(path)
+        assert excinfo.value.field == "passes"
+        assert isinstance(excinfo.value, ValueError)
+        assert raw.stats.loads == 0
+        fresh = raw.compile(load(str(model)))
+        assert fresh.search is not None
+        assert len(fresh.graph.schedulable_names()) == 26
+        assert len(optimized.graph.schedulable_names()) == 25
+        assert Engine(v100, passes=True).load(path).schedule == optimized.schedule
+        # ... and the other way round.
+        rewriting = Engine(v100, passes=True)
+        with pytest.raises(ArtifactMismatchError) as excinfo:
+            rewriting.load(fresh.save(tmp_path / "raw.json"))
+        assert excinfo.value.field == "passes"
+        assert rewriting.compiled_models() == []
 
     def test_loaded_stats_are_marked_unsearched(self, compiled, tmp_path):
         assert compiled.stats.searched

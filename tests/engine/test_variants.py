@@ -85,4 +85,4 @@ class TestDriftedConsumersAgree:
             "--registry-dir", str(tmp_path),
         ]) == 0
         # The persisted key uses the canonical name.
-        assert list((tmp_path / "squeezenet").glob("v100__ios-both__*.json"))
+        assert list((tmp_path / "squeezenet").glob("v100__cudnn__ios-both__*.json"))

@@ -100,15 +100,17 @@ class TestServingEndToEnd:
         service = InferenceService(serving_config(tmp_path))
         service.warmup()
         files = sorted(p.name for p in (tmp_path / MODEL).glob("*.json"))
-        # Every persisted key embeds the fingerprint of the graph it was
-        # searched for (device__variant__bs<batch>__<fingerprint>.json).
+        # Every persisted name embeds the kernel profile and the fingerprint
+        # of the graph it was searched for
+        # (device__profile__variant__bs<batch>__<fingerprint>.json).
         expected = sorted(
-            f"v100__ios-both__bs{bs}__{service.registry.fingerprint_for(MODEL, bs)}.json"
+            f"v100__cudnn__ios-both__bs{bs}__"
+            f"{service.registry.graph_for(MODEL, bs).fingerprint()}.json"
             for bs in BATCH_SIZES
         )
         assert files == expected
         for bs in BATCH_SIZES:
-            assert service.registry.key(MODEL, bs, "v100").filename() in files
+            assert service.registry.path_for(MODEL, bs, "v100").name in files
 
     def test_run_serving_harness_round_trip(self, tmp_path):
         report = run_serving(

@@ -253,8 +253,8 @@ class TestMixedFleetServing:
         registry.warmup(MODEL, LADDER, get_device("v100"))
         searches_after_warmup = registry.stats.searches
         assert searches_after_warmup == len(LADDER)
-        for rung in LADDER:
-            assert not registry.contains(MODEL, rung, "k80")
+        k80_engine = registry.engine_for(get_device("k80"))
+        assert k80_engine.compiled_models() == []
 
         service = InferenceService(fleet_config("k80:1,v100:1"), registry=registry)
         report = service.run(traffic())
@@ -262,7 +262,9 @@ class TestMixedFleetServing:
         # Routing estimates forced the k80 fan-out lazily — cold compiles
         # happened on the request path, not up front, and were persisted.
         assert registry.stats.searches > searches_after_warmup
-        assert any(registry.contains(MODEL, rung, "k80") for rung in LADDER)
+        compiled = k80_engine.compiled_models()
+        assert compiled and all(registry.path_for(MODEL, c.batch_size, "k80").exists()
+                                for c in compiled)
 
     def test_warmup_compiles_once_per_device_type_not_per_replica(self):
         service = InferenceService(fleet_config("v100:3"))

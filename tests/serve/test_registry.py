@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import Schedule, Stage
-from repro.engine import CompiledModel, Engine
+from repro.core import IOSScheduler, PruningStrategy
+from repro.engine import ArtifactMismatchError, CompiledModel, Engine
+from repro.hardware.kernel import TENSORRT_PROFILE
 from repro.models import chain_graph, diamond_graph
-from repro.serve import RegistryError, RegistryKey, ScheduleRegistry
+from repro.serve import ScheduleRegistry
 
 #: Every field ``CompiledModel.to_dict()`` writes; ``source.*`` are sub-keys.
 ARTIFACT_FIELDS = [
@@ -42,7 +43,7 @@ class TestLookupPath:
 
     def test_compiled_schedule_is_persisted_and_reloaded(self, registry, tmp_path, v100):
         schedule = registry.get("m", 2, v100)
-        path = registry.path_for(registry.key("m", 2, v100))
+        path = registry.path_for("m", 2, v100)
         assert path.exists()
 
         fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
@@ -56,13 +57,15 @@ class TestLookupPath:
         registry.get("m", 2, v100)
         registry.get("m", 1, k80)
         assert registry.stats.searches == 3
-        assert registry.cached_batch_sizes("m", v100) == [1, 2]
-        assert registry.cached_batch_sizes("m", k80) == [1]
+        for batch_size, device in [(1, v100), (2, v100), (1, k80)]:
+            assert registry.path_for("m", batch_size, device).exists()
+        assert len(registry.engine_for(v100).compiled_models()) == 2
+        assert len(registry.engine_for(k80).compiled_models()) == 1
 
     def test_in_memory_registry_never_touches_disk(self, v100):
         registry = ScheduleRegistry(root=None, graph_builder=chain_builder)
         registry.get("m", 1, v100)
-        assert registry.path_for(registry.key("m", 1, v100)) is None
+        assert registry.path_for("m", 1, v100) is None
         assert registry.stats.searches == 1
 
     def test_warmup_then_zero_searches(self, registry, tmp_path, v100):
@@ -75,44 +78,19 @@ class TestLookupPath:
         assert fresh.stats.disk_hits == 3
 
 
-class TestPutAndEnumeration:
-    def test_put_and_contains(self, registry, v100):
-        graph = chain_builder("m", 1)
-        schedule = Schedule(
-            graph_name=graph.name, origin="handmade",
-            stages=[Stage(operators=(name,)) for name in graph.schedulable_names()],
+class TestFileNames:
+    def test_name_covers_profile_variant_and_served_graph_fingerprint(self, registry, v100):
+        fingerprint = registry.graph_for("m", 1).fingerprint()
+        assert registry.path_for("m", 1, v100).name == (
+            f"v100__cudnn__ios-both__bs1__{fingerprint}.json"
         )
-        registry.put("m", 1, v100, schedule)
-        assert registry.contains("m", 1, v100)
-        assert registry.get("m", 1, v100) == schedule
-        assert registry.stats.searches == 0
-
-    def test_keys_merges_memory_and_disk(self, registry, tmp_path, v100):
-        registry.get("alpha", 1, v100)
-        registry.get("beta", 2, v100)
-        fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
-        assert fresh.keys() == [
-            registry.key("alpha", 1, v100),
-            registry.key("beta", 2, v100),
-        ]
-
-    def test_key_round_trips_through_filename(self):
-        key = RegistryKey("m", 32, "rtx2080ti", "ios-merge", "0123456789abcdef")
-        parsed = RegistryKey.from_path("m", Path(key.filename()))
-        assert parsed == key
-
-    def test_key_embeds_the_served_graph_fingerprint(self, registry, v100):
-        from repro.ir import graph_fingerprint
-
-        key = registry.key("m", 1, v100)
-        assert key.fingerprint == graph_fingerprint(registry.graph_for("m", 1))
-        assert key.fingerprint in registry.path_for(key).name
+        assert registry.path_for("m", 1, "v100") == registry.path_for("m", 1, v100)
 
 
 class TestFailureModes:
     def test_corrupted_entry_is_dropped_and_recompiled(self, registry, tmp_path, v100):
         registry.get("m", 1, v100)
-        path = registry.path_for(registry.key("m", 1, v100))
+        path = registry.path_for("m", 1, v100)
         path.write_text("{not json")
 
         fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
@@ -126,7 +104,7 @@ class TestFailureModes:
         # Valid JSON of the wrong shape (here a list) must be treated exactly
         # like a truncated file, not crash the lookup.
         registry.get("m", 1, v100)
-        path = registry.path_for(registry.key("m", 1, v100))
+        path = registry.path_for("m", 1, v100)
         path.write_text("[1, 2, 3]")
 
         fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
@@ -135,27 +113,31 @@ class TestFailureModes:
         assert fresh.stats.searches == 1
 
     def test_entry_for_wrong_graph_raises(self, registry, v100):
-        path = registry.path_for(registry.key("m", 1, v100))
+        path = registry.path_for("m", 1, v100)
         Engine(v100).compile(diamond_graph()).save(path)
-        with pytest.raises(RegistryError):
+        with pytest.raises(ArtifactMismatchError) as excinfo:
             registry.get("m", 1, v100)
+        assert excinfo.value.field == "source"
+        assert registry.engine_for(v100).compiled_models() == []
 
-    def test_fingerprint_less_file_is_ignored(self, registry, tmp_path, v100):
+    @pytest.mark.parametrize("name", [
+        "v100__ios-both__bs1.json",                    # no fingerprint
+        "v100__ios-both__bs1__{fingerprint}.json",     # no kernel profile
+    ])
+    def test_files_of_older_layouts_are_ignored(self, registry, tmp_path, v100, name):
         registry.get("m", 1, v100)
-        key = registry.key("m", 1, v100)
-        stale = registry.path_for(key).with_name("v100__ios-both__bs1.json")
-        registry.path_for(key).rename(stale)
+        path = registry.path_for("m", 1, v100)
+        stale = path.with_name(name.format(fingerprint=registry.graph_for("m", 1).fingerprint()))
+        path.rename(stale)
 
         fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
-        assert fresh.keys() == []
-        assert fresh.cached_batch_sizes("m", v100) == []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fresh.get("m", 1, v100)
         assert fresh.stats.searches == 1
         assert fresh.stats.corrupt_entries == 0
         assert stale.exists()
-        assert fresh.keys() == [key]
+        assert path.exists()
 
     def test_changed_graph_misses_instead_of_reusing_stale_schedule(
             self, registry, tmp_path, v100):
@@ -178,35 +160,57 @@ class TestFailureModes:
         both.get("m", 1, v100)
         merge.get("m", 1, v100)
         assert merge.stats.searches == 1  # no cross-variant reuse
-        assert both.path_for(both.key("m", 1, v100)) != merge.path_for(merge.key("m", 1, v100))
+        assert both.path_for("m", 1, v100) != merge.path_for("m", 1, v100)
+
+    def test_profile_is_part_of_the_key(self, tmp_path, v100):
+        # A schedule searched under one kernel library's costs must never be
+        # served under another: a second profile on the same root searches.
+        cudnn = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
+        cudnn.get("m", 1, v100)
+        tensorrt = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder,
+                                    profile=TENSORRT_PROFILE)
+        served = tensorrt.get_compiled("m", 1, v100)
+        assert tensorrt.stats.searches == 1
+        assert tensorrt.stats.disk_hits == 0
+        assert served.profile is TENSORRT_PROFILE
+        assert served.schedule == Engine(v100, profile=TENSORRT_PROFILE).compile(
+            chain_builder("m", 1)).schedule
+        assert tensorrt.path_for("m", 1, v100) != cudnn.path_for("m", 1, v100)
+        assert cudnn.path_for("m", 1, v100).exists()
+
+        warm = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder,
+                                profile=TENSORRT_PROFILE)
+        assert warm.get_compiled("m", 1, v100).profile is TENSORRT_PROFILE
+        assert (warm.stats.searches, warm.stats.disk_hits) == (0, 1)
 
 
 class TestCompiledArtifacts:
     def test_persisted_entry_is_a_full_artifact(self, registry, v100):
         registry.get("m", 1, v100)
-        path = registry.path_for(registry.key("m", 1, v100))
+        path = registry.path_for("m", 1, v100)
         compiled = CompiledModel.load(path)
         assert compiled.schedule.graph_name == "chain"
         assert compiled.plan.num_stages() == len(compiled.schedule)
-        assert compiled.fingerprint == registry.key("m", 1, v100).fingerprint
+        assert compiled.fingerprint == registry.graph_for("m", 1).fingerprint()
         assert compiled.latency_ms() > 0
 
     def test_warm_start_performs_zero_searches_even_without_a_scheduler(
-            self, registry, tmp_path, v100):
-        # The artifact alone must be enough: a registry whose scheduler
-        # factory explodes can still serve every warm entry.
+            self, registry, tmp_path, v100, monkeypatch):
+        # The artifact alone must be enough: with the DP search disabled a
+        # fresh registry still serves every warm entry.
         registry.warmup("m", [1, 2], v100)
+        expected = registry.get("m", 1, v100)
 
-        def exploding_factory(device, profile, variant):
-            raise AssertionError("warm start must not construct a scheduler")
+        def exploding_search(self, graph, **kwargs):
+            raise AssertionError("a warm start must not search")
 
-        warm = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder,
-                                scheduler_factory=exploding_factory)
+        monkeypatch.setattr(IOSScheduler, "optimize_graph", exploding_search)
+        warm = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
         compiled = warm.get_compiled("m", 1, v100)
         warm.get_compiled("m", 2, v100)
         assert warm.stats.searches == 0
         assert warm.stats.disk_hits == 2
-        assert compiled.schedule == registry.get("m", 1, v100)
+        assert compiled.schedule == expected
 
     def test_get_compiled_and_get_agree(self, registry, v100):
         compiled = registry.get_compiled("m", 2, v100)
@@ -215,7 +219,7 @@ class TestCompiledArtifacts:
 
     def test_bare_schedule_document_is_a_corrupt_entry(self, registry, tmp_path, v100):
         compiled = registry.get_compiled("m", 1, v100)
-        path = registry.path_for(registry.key("m", 1, v100))
+        path = registry.path_for("m", 1, v100)
         compiled.schedule.save(path)
 
         fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
@@ -231,16 +235,19 @@ class TestCompiledArtifacts:
         # A mixed-version or rolled-back deployment sharing a registry dir
         # must never destroy the other version's entries on sight.
         registry.get("m", 1, v100)
-        key = registry.key("m", 1, v100)
-        path = registry.path_for(key)
+        path = registry.path_for("m", 1, v100)
         data = json.loads(path.read_text())
         data["format_version"] = 99
         path.write_text(json.dumps(data))
+        with pytest.raises(ArtifactMismatchError) as excinfo:
+            Engine(v100).load(path)
+        assert excinfo.value.field == "format_version"
 
         fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
         # The load itself must miss but leave the foreign-version file alone
         # (unlike a corrupt entry, which is unlinked on sight).
-        assert fresh._load(fresh.key("m", 1, v100), v100) is None
+        graph = fresh.graph_for("m", 1)
+        assert fresh._load(fresh.engine_for(v100), path, graph) is None
         assert fresh.stats.corrupt_entries == 0
         assert json.loads(path.read_text())["format_version"] == 99
 
@@ -282,10 +289,15 @@ class TestMalformedArtifacts:
     def test_missing_field_is_a_typed_error_and_a_corrupt_entry(
             self, registry, tmp_path, v100, field):
         registry.get("m", 1, v100)
-        path = registry.path_for(registry.key("m", 1, v100))
+        path = registry.path_for("m", 1, v100)
         path.write_text(json.dumps(_edit_field(json.loads(path.read_text()), field, delete=True)))
         with pytest.raises(ValueError, match=re.escape(repr(field))):
             CompiledModel.load(path)
+        # The engine's loader reports the malformed field too, not a
+        # provenance mismatch against the missing value.
+        with pytest.raises(ValueError, match=re.escape(repr(field))) as excinfo:
+            Engine(v100).load(path)
+        assert not isinstance(excinfo.value, ArtifactMismatchError)
 
         fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
         fresh.get("m", 1, v100)
@@ -297,6 +309,47 @@ class TestMalformedArtifacts:
         data = registry.get_compiled("m", 1, v100).to_dict()
         with pytest.raises(ValueError, match=re.escape(repr(field))):
             CompiledModel.from_dict(_edit_field(data, field, value=None))
+
+    def test_engine_load_of_a_non_artifact_names_the_problem(self, tmp_path, v100):
+        path = tmp_path / "m.json"
+        path.write_text("{not json")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            Engine(v100).load(path)
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(ValueError, match="'format'") as excinfo:
+            Engine(v100).load(path)
+        assert not isinstance(excinfo.value, ArtifactMismatchError)
+
+
+#: A foreign compile environment per provenance field the loader checks.
+FOREIGN_ENGINES = {
+    "device": lambda v100, k80: Engine(k80),
+    "profile": lambda v100, k80: Engine(v100, profile=TENSORRT_PROFILE),
+    "variant": lambda v100, k80: Engine(v100, variant="ios-merge"),
+    "schedule.origin": lambda v100, k80: Engine(v100, pruning=PruningStrategy(1, 1)),
+    "passes": lambda v100, k80: Engine(v100, passes=True),
+}
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("field", sorted(FOREIGN_ENGINES))
+    def test_foreign_artifact_is_refused_by_engine_and_registry(
+            self, registry, v100, k80, field):
+        # An artifact of the served graph, compiled in another environment,
+        # sits exactly where the registry looks for its own.
+        path = registry.path_for("m", 1, v100)
+        foreign = FOREIGN_ENGINES[field](v100, k80)
+        foreign.compile(registry.graph_for("m", 1)).save(path)
+
+        with pytest.raises(ArtifactMismatchError) as from_engine:
+            Engine(v100).load(path)
+        with pytest.raises(ArtifactMismatchError) as from_registry:
+            registry.get("m", 1, v100)
+        assert from_engine.value.field == from_registry.value.field == field
+        assert registry.engine_for(v100).compiled_models() == []
+        assert (registry.stats.disk_hits, registry.stats.searches) == (0, 0)
+        assert registry.stats.corrupt_entries == 0
+        assert path.exists()
 
 
 class TestPassOptimizedEntries:
@@ -315,7 +368,7 @@ class TestPassOptimizedEntries:
         raw.get("m", 1, v100)
         opt.get("m", 1, v100)
         assert opt.stats.searches == 1  # the raw entry must not be reused
-        assert raw.key("m", 1, v100).fingerprint != opt.key("m", 1, v100).fingerprint
+        assert raw.graph_for("m", 1).fingerprint() != opt.graph_for("m", 1).fingerprint()
         # The optimized graph fused conv+relu into one schedulable operator.
         assert len(opt.graph_for("m", 1).schedulable_names()) == 1
         assert len(raw.graph_for("m", 1).schedulable_names()) == 2
@@ -346,10 +399,9 @@ class TestPathLikeModelNames:
         registry = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
         model = "some/dir/model.json"
         registry.get(model, 1, v100)
-        path = registry.path_for(registry.key(model, 1, v100))
+        path = registry.path_for(model, 1, v100)
         assert path.parent == tmp_path / "some_dir_model.json"
         assert path.exists()
-        assert registry.cached_batch_sizes(model, v100) == [1]
 
     def test_path_model_entries_are_warm_across_registries(self, tmp_path, v100):
         model = "some/dir/model.json"
@@ -365,4 +417,4 @@ class TestPathLikeModelNames:
         registry = ScheduleRegistry(root=tmp_path, passes=True)
         schedule = registry.get(model, 4, v100)
         assert schedule.num_stages() > 0
-        assert registry.cached_batch_sizes(model, v100) == [4]
+        assert registry.path_for(model, 4, v100).exists()

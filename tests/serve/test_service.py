@@ -134,7 +134,8 @@ class TestInferenceService:
             service.run(requests_for(40, num_samples=2))
         assert runs
         assert len(runs) == len(set(runs))
-        assert set(runs) <= {id(c.plan) for c in service.registry._cache.values()}
+        engine = service.registry.engine_for(get_device("v100"))
+        assert set(runs) <= {id(c.plan) for c in engine.compiled_models()}
 
     def test_wrong_model_rejected(self):
         service = toy_service()
