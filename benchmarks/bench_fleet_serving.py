@@ -8,14 +8,14 @@ all-k80 (its fast members absorb more load) and no faster than all-v100 —
 and the per-device-group utilisation must show both groups engaged under
 overload.
 
-A second stage compiles the served model through the per-device engine
-fan-out (:func:`repro.engine.get_engines`) to report the latency asymmetry
-the router exploits.
+A second stage compiles the served model through one pooled engine per
+device type (:func:`repro.engine.get_engine`) to report the latency
+asymmetry the router exploits.
 """
 
 from conftest import full_run, run_once
 
-from repro.engine import get_engines
+from repro.engine import get_engine
 from repro.frontend import load
 from repro.serve import (
     BatchPolicy,
@@ -56,7 +56,8 @@ def test_fleet_serving_overloaded(benchmark, device_name):
 def test_fleet_latency_asymmetry_is_what_routing_exploits(benchmark):
     """The per-device compile fan-out shows why earliest-finish routes off k80."""
     def fan_out():
-        engines = get_engines(FleetSpec.parse(FLEET))
+        fleet = FleetSpec.parse(FLEET)
+        engines = {name: get_engine(name) for name in fleet.device_types()}
         graph = load("squeezenet", batch_size=4)
         return {name: engine.compile(graph).latency_ms()
                 for name, engine in engines.items()}

@@ -46,7 +46,7 @@ from .compiled import (
     CompileStats,
     StageTiming,
 )
-from .engine import Engine, EngineStats, clear_engine_pool, get_engine, get_engines
+from .engine import Engine, EngineStats, clear_engine_pool, get_engine
 from .stages import apply_passes, graph_identity
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "ARTIFACT_FORMAT",
     "ArtifactMismatchError",
     "get_engine",
-    "get_engines",
     "clear_engine_pool",
     "apply_passes",
     "graph_identity",

@@ -18,7 +18,6 @@ schedule (cheap, deterministic) instead of re-searching it.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -27,8 +26,7 @@ from ..core.dp_scheduler import ScheduleResult
 from ..core.lowering import lower_schedule
 from ..core.schedule import Schedule
 from ..hardware.device import DeviceSpec, get_device
-from ..hardware.kernel import CUDNN_PROFILE, KERNEL_PROFILES, KernelProfile
-from ..ir.fingerprint import graph_fingerprint
+from ..hardware.kernel import KERNEL_PROFILES, KernelProfile
 from ..ir.graph import Graph
 from ..ir.serialization import graph_from_dict, graph_to_dict
 from ..runtime.executor import ExecutionPlan, ExecutionResult, Executor
@@ -338,55 +336,6 @@ class CompiledModel:
     ) -> "CompiledModel":
         """Load a persisted artifact; zero scheduler searches are performed."""
         return cls.from_dict(json.loads(Path(path).read_text()), device=device, profile=profile)
-
-    # --------------------------------------------------------- construction
-    @classmethod
-    def from_schedule(
-        cls,
-        graph: Graph,
-        schedule: Schedule,
-        device: DeviceSpec,
-        profile: KernelProfile = CUDNN_PROFILE,
-        variant: str = "ios-both",
-        search: ScheduleResult | None = None,
-    ) -> "CompiledModel":
-        """Wrap an existing schedule (e.g. one produced by an offline sweep).
-
-        Lowers (and thereby validates) the schedule against ``graph``; the
-        graph is treated as both source and compiled form.
-        """
-        start = time.perf_counter()
-        plan = lower_schedule(graph, schedule)
-        fingerprint = graph_fingerprint(graph)
-        num_ops = len(graph.schedulable_names())
-        stats = CompileStats(
-            stages=[
-                StageTiming(
-                    "lower",
-                    time.perf_counter() - start,
-                    {"stages": plan.num_stages(), "kernel_operators": plan.num_kernel_operators()},
-                )
-            ],
-            source_fingerprint=fingerprint,
-            optimized_fingerprint=fingerprint,
-            operators_in=num_ops,
-            operators_out=num_ops,
-            searched=False,
-        )
-        return cls(
-            graph=graph,
-            schedule=schedule,
-            plan=plan,
-            device=device,
-            profile=profile,
-            variant=variant,
-            stats=stats,
-            source_graph_name=graph.name,
-            source_node_digest=graph.node_digest(),
-            source_fingerprint=fingerprint,
-            fingerprint=fingerprint,
-            search=search,
-        )
 
     # -------------------------------------------------------------- display
     def describe(self) -> str:

@@ -13,8 +13,8 @@ artifact plus per-stage timing.  Compiles are memoised per graph identity
 same structure — every figure run, every serve-ladder rung, every framework
 comparison — pay for the DP search once per engine.
 
-:func:`get_engine` maintains a process-wide pool of engines keyed by
-``(device, variant, pruning, profile, passes)``; the experiment harness and
+:func:`get_engine` maintains a process-wide pool of engines (without passes)
+keyed by ``(device, variant, pruning, profile)``; the experiment harness and
 the CLI fetch engines from it so the compile cache is shared across figure
 runs in one process.
 """
@@ -42,7 +42,7 @@ from ..obs.trace import NULL_TRACER, Tracer
 from .compiled import ArtifactMismatchError, CompiledModel, CompileStats, StageTiming
 from .stages import apply_passes, graph_identity
 
-__all__ = ["Engine", "EngineStats", "get_engine", "get_engines", "clear_engine_pool"]
+__all__ = ["Engine", "EngineStats", "get_engine", "clear_engine_pool"]
 
 
 @dataclass
@@ -90,15 +90,12 @@ class Engine:
         accepts); default ``ios-both``.
     pruning:
         Optional :class:`~repro.core.endings.PruningStrategy` override.
-    config:
-        Full :class:`~repro.core.SchedulerConfig`; mutually exclusive with
-        ``variant``/``pruning``.
     profile:
         Kernel-library profile for both the search cost model and execution.
     scheduler:
         Inject a pre-built :class:`~repro.core.IOSScheduler` (tests and the
         ablation experiments use this); its config becomes the engine's
-        config.
+        config.  Mutually exclusive with ``variant``/``pruning``.
     jobs:
         Worker processes for cold multi-block searches: ``1`` is serial,
         ``N > 1`` searches independent blocks in ``N`` processes, ``0`` /
@@ -131,7 +128,6 @@ class Engine:
         passes=False,
         variant: str | None = None,
         pruning: PruningStrategy | None = None,
-        config: SchedulerConfig | None = None,
         profile: KernelProfile = CUDNN_PROFILE,
         scheduler: IOSScheduler | None = None,
         tracer: Tracer | None = None,
@@ -143,20 +139,14 @@ class Engine:
         self.jobs = jobs
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if scheduler is not None:
-            if config is not None or variant is not None or pruning is not None:
-                raise ValueError("pass either scheduler= or config=/variant=/pruning=, not both")
+            if variant is not None or pruning is not None:
+                raise ValueError("pass either scheduler= or variant=/pruning=, not both")
             self.scheduler = scheduler
             self.config = scheduler.config
             self.variant = variant_label(self.config)
         else:
-            if config is not None:
-                if variant is not None or pruning is not None:
-                    raise ValueError("pass either config= or variant=/pruning=, not both")
-                self.config = config
-                self.variant = variant_label(config)
-            else:
-                self.variant = normalize_variant(variant or "ios-both")
-                self.config = SchedulerConfig.variant(self.variant, pruning=pruning)
+            self.variant = normalize_variant(variant or "ios-both")
+            self.config = SchedulerConfig.variant(self.variant, pruning=pruning)
             self.scheduler = IOSScheduler(
                 SimulatedCostModel(self.device, profile), self.config
             )
@@ -374,29 +364,14 @@ class Engine:
 _ENGINE_POOL: dict[tuple, Engine] = {}
 
 
-def _passes_pool_key(passes):
-    if isinstance(passes, bool):
-        return passes
-    if isinstance(passes, (list, tuple)) and all(isinstance(p, str) for p in passes):
-        return tuple(passes)
-    signature = getattr(passes, "signature", None)
-    if callable(signature):
-        return ("manager", signature())
-    raise TypeError(
-        "get_engine() pools engines only for passes given as a bool, a list of "
-        "pass names, or a PassManager; construct Engine(...) directly instead"
-    )
-
-
 def get_engine(
     device: str | DeviceSpec,
     *,
-    passes=False,
     variant: str | None = None,
     pruning: PruningStrategy | None = None,
     profile: KernelProfile = CUDNN_PROFILE,
 ) -> Engine:
-    """One engine per (device, variant, pruning, profile, passes), pooled.
+    """One engine per (device, variant, pruning, profile), pooled.
 
     Experiments, the CLI and the one-call conveniences fetch engines here so
     that every figure run in a process shares one compile cache per
@@ -410,52 +385,12 @@ def get_engine(
     # one.  KernelProfile holds a dict (unhashable), so it is keyed by name
     # plus object identity — the pooled engine keeps the profile alive, so
     # the id cannot be recycled while the entry exists.
-    key = (spec, label, prune, (profile.name, id(profile)), _passes_pool_key(passes))
+    key = (spec, label, prune, (profile.name, id(profile)))
     engine = _ENGINE_POOL.get(key)
     if engine is None:
-        engine = Engine(spec, passes=passes, variant=label, pruning=prune, profile=profile)
+        engine = Engine(spec, variant=label, pruning=prune, profile=profile)
         _ENGINE_POOL[key] = engine
     return engine
-
-
-def get_engines(
-    devices,
-    *,
-    passes=False,
-    variant: str | None = None,
-    pruning: PruningStrategy | None = None,
-    profile: KernelProfile = CUDNN_PROFILE,
-) -> dict[str, Engine]:
-    """Pooled engines for several devices at once (fleet compile fan-out).
-
-    The multi-device companion of :func:`get_engine`: resolves each entry of
-    ``devices`` (names, :class:`~repro.hardware.device.DeviceSpec` objects,
-    or a :class:`~repro.serve.fleet.FleetSpec` — anything with
-    ``device_types()``) and returns ``{device_name: Engine}`` in a stable
-    order, deduplicating replicas.  Compiling one graph through every engine
-    of a mixed fleet yields the per-device
-    :class:`~repro.engine.compiled.CompiledModel` set that device-aware
-    routing predicts latencies from.
-
-    Parameters
-    ----------
-    devices:
-        Iterable of device names/specs, or an object exposing
-        ``device_types()`` (e.g. ``FleetSpec.parse("k80:2,v100:4")``).
-    passes, variant, pruning, profile:
-        Shared compile environment, exactly as :func:`get_engine`.
-    """
-    device_types = getattr(devices, "device_types", None)
-    if callable(device_types):
-        devices = device_types()
-    engines: dict[str, Engine] = {}
-    for device in devices:
-        spec = get_device(device) if isinstance(device, str) else device
-        if spec.name not in engines:
-            engines[spec.name] = get_engine(
-                spec, passes=passes, variant=variant, pruning=pruning, profile=profile
-            )
-    return engines
 
 
 def clear_engine_pool() -> None:

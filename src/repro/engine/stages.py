@@ -14,11 +14,12 @@ chains all of them with per-stage timing.
 from __future__ import annotations
 
 from ..ir.graph import Graph
+from ..obs.trace import NULL_TRACER
 
 __all__ = ["apply_passes", "graph_identity"]
 
 
-def apply_passes(graph: Graph, passes, *, tracer=None) -> tuple[Graph, list | None]:
+def apply_passes(graph: Graph, passes, *, tracer=NULL_TRACER) -> tuple[Graph, list | None]:
     """The pass stage: optionally rewrite ``graph`` before scheduling.
 
     ``passes`` follows the convention used everywhere in the system: ``False``
@@ -29,9 +30,8 @@ def apply_passes(graph: Graph, passes, *, tracer=None) -> tuple[Graph, list | No
     ``None`` when no pipeline ran.  A truthy ``tracer`` records one span per
     pipeline iteration on the ``compile/passes`` track.
 
-    Results are memoised per graph fingerprint by
-    :func:`repro.passes.optimize_graph`, so repeated calls on the same
-    structure are cheap.
+    Every call runs the pipeline: the pass stage keeps no cache of its own.
+    An engine runs it once per compile-cache miss.
     """
     if passes is None or passes is False:
         return graph, None

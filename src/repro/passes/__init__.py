@@ -15,7 +15,9 @@ serve-path compile gets faster.
   split–concat simplification, identity/dead-node elimination and
   canonicalization;
 * :mod:`repro.passes.pipeline` — :func:`optimize_graph` /
-  :func:`default_pipeline`, with results memoised per graph fingerprint;
+  :func:`default_pipeline`; the package keeps no state between calls, so
+  every call runs the pipeline (an engine runs it once per compile-cache
+  miss);
 * :mod:`repro.passes.rewriter` — the :class:`GraphRewriter` editing buffer
   custom passes build on;
 * :mod:`repro.passes.unfuse` — :func:`unfuse_activations`, producing the raw
@@ -27,7 +29,7 @@ Quick start::
     from repro.passes import optimize_graph
 
     graph = load("nasnet_a")
-    result = optimize_graph(graph)          # default pipeline, cached
+    result = optimize_graph(graph)          # default pipeline
     print(result.describe())                # per-pass rewrites + timings
     optimized = result.graph                # feed to IOSScheduler
 
@@ -55,7 +57,7 @@ from .base import (
     make_pass,
     register_pass,
 )
-from .pipeline import DEFAULT_PASSES, clear_pass_cache, default_pipeline, optimize_graph
+from .pipeline import DEFAULT_PASSES, default_pipeline, optimize_graph
 from .rewriter import GraphRewriter
 from .rewrites import (
     CanonicalizePass,
@@ -88,6 +90,5 @@ __all__ = [
     "DEFAULT_PASSES",
     "default_pipeline",
     "optimize_graph",
-    "clear_pass_cache",
     "unfuse_activations",
 ]

@@ -56,20 +56,6 @@ class GraphPass:
     def run(self, graph: Graph) -> tuple[Graph, int]:
         raise NotImplementedError
 
-    def signature(self) -> tuple:
-        """Cache identity of this pass *as configured*.
-
-        The pipeline result cache keys on this, so two differently-configured
-        instances of the same pass (e.g. ``CommonSubexpressionPass`` with and
-        without ``include_weighted``) never share a cached result.  The
-        default covers every instance attribute; override only if an
-        attribute is expensive to repr or irrelevant to the rewrite.
-        """
-        return (
-            self.name,
-            tuple(sorted((k, repr(v)) for k, v in vars(self).items())),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -153,8 +139,8 @@ class PassManager:
     max_iterations:
         Safety bound on fixed-point iteration; exceeding it raises
         :class:`PassError` (a pass pair is oscillating instead of converging).
-    validate:
-        Re-validate the graph after every pass that rewrote something.
+
+    The graph is re-validated after every pass that rewrote something.
     """
 
     def __init__(
@@ -163,7 +149,6 @@ class PassManager:
         *,
         fixed_point: bool = True,
         max_iterations: int = 10,
-        validate: bool = True,
     ):
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -172,20 +157,10 @@ class PassManager:
             raise ValueError("a PassManager needs at least one pass")
         self.fixed_point = fixed_point
         self.max_iterations = max_iterations
-        self.validate = validate
 
     @property
     def pass_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.passes)
-
-    def signature(self) -> tuple:
-        """Cache identity of the whole pipeline: pass configs + driver flags."""
-        return (
-            tuple(p.signature() for p in self.passes),
-            self.fixed_point,
-            self.max_iterations,
-            self.validate,
-        )
 
     def run(self, graph: Graph, *, tracer: Tracer = NULL_TRACER) -> PassResult:
         """Run the pipeline on ``graph`` and return the rewritten graph + stats.
@@ -224,14 +199,13 @@ class PassManager:
                               "rewrites": rewrites},
                     )
                 if rewrites:
-                    if self.validate:
-                        try:
-                            validate_graph(rewritten)
-                        except GraphValidationError as exc:
-                            raise PassError(
-                                f"pass {pass_.name!r} produced an invalid graph "
-                                f"for {graph.name!r}: {exc}"
-                            ) from exc
+                    try:
+                        validate_graph(rewritten)
+                    except GraphValidationError as exc:
+                        raise PassError(
+                            f"pass {pass_.name!r} produced an invalid graph "
+                            f"for {graph.name!r}: {exc}"
+                        ) from exc
                     current = rewritten
                     iteration_rewrites += rewrites
             if tracer:

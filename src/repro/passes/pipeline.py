@@ -1,18 +1,16 @@
-"""Default optimization pipeline and fingerprint-keyed result cache.
+"""Default optimization pipeline.
 
 :func:`optimize_graph` is the one-call entry point the rest of the system
 uses: the engine's pass stage (:func:`repro.engine.stages.apply_passes` — and
 through it ``Engine(passes=...)``, the model zoo's
 ``load(..., optimize=True)`` and the serving registry's
-``ScheduleRegistry(passes=True)``) funnels through it.  Results are memoised
-per input-graph fingerprint, so repeated requests for the same structure
-(every batch rung of a model, every warm serving start) pay for the rewrite
-once.
+``ScheduleRegistry(passes=True)``) funnels through it.  It keeps no state
+between calls: every call runs the pipeline, and reuse of a compiled graph
+comes from the engine's compile cache.
 """
 
 from __future__ import annotations
 
-from ..ir.fingerprint import graph_fingerprint
 from ..ir.graph import Graph
 from ..obs.trace import NULL_TRACER
 from .base import GraphPass, PassManager, PassResult
@@ -22,7 +20,6 @@ __all__ = [
     "DEFAULT_PASSES",
     "default_pipeline",
     "optimize_graph",
-    "clear_pass_cache",
 ]
 
 #: Names of the default pipeline, in execution order.  Fusion first (it shrinks
@@ -41,37 +38,21 @@ DEFAULT_PASSES = (
 )
 
 
-def default_pipeline(*, validate: bool = True, fixed_point: bool = True) -> PassManager:
+def default_pipeline() -> PassManager:
     """The default :class:`PassManager` over :data:`DEFAULT_PASSES`."""
-    return PassManager(list(DEFAULT_PASSES), validate=validate, fixed_point=fixed_point)
-
-
-#: Memoised optimisation results keyed by (graph name, node names digest,
-#: structural fingerprint, pipeline signature).  The node-name component keeps
-#: two same-shaped graphs with different node names from sharing a result (the
-#: rewritten graph reuses the input's names); the pipeline signature covers
-#: pass *configuration*, not just pass names.
-_PASS_CACHE: dict[tuple, PassResult] = {}
-
-
-def clear_pass_cache() -> None:
-    """Drop all memoised pipeline results (tests and benchmarks)."""
-    _PASS_CACHE.clear()
+    return PassManager(list(DEFAULT_PASSES))
 
 
 def optimize_graph(
     graph: Graph,
     passes: PassManager | list[GraphPass | str] | None = None,
     *,
-    cache: bool = True,
-    tracer=None,
+    tracer=NULL_TRACER,
 ) -> PassResult:
     """Run a pass pipeline (default: :func:`default_pipeline`) on ``graph``.
 
     Returns the full :class:`~repro.passes.base.PassResult`; use
-    ``optimize_graph(g).graph`` for just the rewritten graph.  With ``cache``
-    (the default) results are memoised by graph fingerprint: callers must
-    treat the returned graph as immutable, exactly like any built model.
+    ``optimize_graph(g).graph`` for just the rewritten graph.
     """
     if passes is None:
         manager = default_pipeline()
@@ -79,23 +60,4 @@ def optimize_graph(
         manager = passes
     else:
         manager = PassManager(list(passes))
-    if tracer is None:
-        tracer = NULL_TRACER
-    if not cache:
-        return manager.run(graph, tracer=tracer)
-    key = (
-        graph.name,
-        hash(tuple(graph.nodes.keys())),
-        graph_fingerprint(graph),
-        manager.signature(),
-    )
-    result = _PASS_CACHE.get(key)
-    if result is None:
-        result = manager.run(graph, tracer=tracer)
-        _PASS_CACHE[key] = result
-    elif tracer:
-        tracer.instant(
-            "pass-cache-hit", "compile/passes", category="passes",
-            args={"graph": graph.name},
-        )
-    return result
+    return manager.run(graph, tracer=tracer)

@@ -11,6 +11,8 @@ from repro.core import IOSScheduler, PruningStrategy, SchedulerConfig, Simulated
 from repro.engine import Engine, apply_passes, clear_engine_pool, get_engine
 from repro.frontend import load
 from repro.models import figure2_block
+from repro.obs import Tracer
+from repro.obs.trace import SPAN
 from repro.passes import unfuse_activations
 
 
@@ -55,9 +57,7 @@ class TestStagedCompile:
         assert traced.timeline()  # the occupancy trace is only kept when profiling
         assert not plain.timeline()
 
-    def test_config_and_variant_are_mutually_exclusive(self, v100):
-        with pytest.raises(ValueError, match="not both"):
-            Engine(v100, config=SchedulerConfig(), variant="ios-merge")
+    def test_scheduler_and_pruning_are_mutually_exclusive(self, v100):
         with pytest.raises(ValueError, match="not both"):
             Engine(
                 v100,
@@ -148,6 +148,26 @@ class TestCompileCache:
             assert get_engine(tweaked) is not get_engine(v100)
         finally:
             clear_engine_pool()
+
+
+class TestTracedCompile:
+    def test_pass_iterations_are_traced_whatever_compiled_before(self):
+        # The pass stage keeps no state between engines: a second engine's
+        # traced compile of the same model runs and records every pass.
+        Engine("v100", passes=True, tracer=Tracer()).compile(load("squeezenet"))
+        tracer = Tracer()
+        compiled = Engine("v100", passes=True, tracer=tracer).compile(load("squeezenet"))
+        records = [r for r in tracer.records if r.track == "compile/passes"]
+        assert all(r.kind == SPAN for r in records)
+        pass_stats = compiled.search.pass_stats
+        pass_spans = [r for r in records if not r.name.startswith("iteration ")]
+        assert [r.name for r in pass_spans] == [
+            s.name for _ in range(pass_stats[0].runs) for s in pass_stats
+        ]
+        assert len(records) - len(pass_spans) == pass_stats[0].runs
+        assert sum(r.args["rewrites"] for r in pass_spans) == sum(
+            s.rewrites for s in pass_stats
+        )
 
 
 class TestShimEquivalence:

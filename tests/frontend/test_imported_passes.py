@@ -17,7 +17,7 @@ def _transformer():
 
 
 def test_fuse_epilogue_folds_the_standalone_gelu():
-    result = optimize_graph(_transformer(), cache=False)
+    result = optimize_graph(_transformer())
     rewrites = {stats.name: stats.rewrites for stats in result.stats}
     assert rewrites["fuse-epilogue"] >= 1
     optimized = result.graph
@@ -26,8 +26,8 @@ def test_fuse_epilogue_folds_the_standalone_gelu():
 
 
 def test_pipeline_is_idempotent_on_the_imported_transformer():
-    once = optimize_graph(_transformer(), cache=False).graph
-    twice = optimize_graph(once, cache=False).graph
+    once = optimize_graph(_transformer()).graph
+    twice = optimize_graph(once).graph
     assert graph_fingerprint(twice) == graph_fingerprint(once)
 
 
@@ -40,8 +40,8 @@ def test_fusion_order_does_not_change_the_result():
 
 
 def test_unfuse_then_optimize_round_trips():
-    optimized = optimize_graph(_transformer(), cache=False).graph
-    refused = optimize_graph(unfuse_activations(optimized), cache=False).graph
+    optimized = optimize_graph(_transformer()).graph
+    refused = optimize_graph(unfuse_activations(optimized)).graph
     assert graph_fingerprint(refused) == graph_fingerprint(optimized)
 
 
@@ -57,7 +57,7 @@ def test_shared_weight_cse_merges_tied_projections():
             {"name": "both", "op_type": "Add", "inputs": ["p1", "p2"]},
         ],
     }
-    result = optimize_graph(load(doc), cache=False)
+    result = optimize_graph(load(doc))
     rewrites = {stats.name: stats.rewrites for stats in result.stats}
     assert rewrites["cse-shared-weights"] >= 1
     survivors = [n for n in result.graph.nodes.values() if n.kind == "matmul"]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.ir import GraphBuilder, TensorShape
-from repro.frontend import load
 from repro.passes import (
     DEFAULT_PASSES,
     GraphPass,
@@ -16,7 +15,6 @@ from repro.passes import (
     make_pass,
     optimize_graph,
     register_pass,
-    unfuse_activations,
 )
 from repro.passes.rewriter import GraphRewriter
 
@@ -151,26 +149,8 @@ class TestPassManager:
         assert "act1" in graph.nodes  # original still has its standalone ReLUs
 
 
-class TestOptimizeGraphCache:
-    def test_cache_returns_same_result_object(self):
-        graph = load("squeezenet", optimize=False)
-        first = optimize_graph(graph)
-        second = optimize_graph(graph)
-        assert second is first
-
-    def test_cache_can_be_bypassed(self):
-        graph = load("squeezenet", optimize=False)
-        first = optimize_graph(graph)
-        fresh = optimize_graph(graph, cache=False)
-        assert fresh is not first
-
-    def test_structurally_equal_graphs_share_a_result(self):
-        a = unfuse_activations(load("squeezenet", optimize=False))
-        b = unfuse_activations(load("squeezenet", optimize=False))
-        assert optimize_graph(a) is optimize_graph(b)
-
-    def test_differently_configured_passes_do_not_share_results(self):
-        from repro.ir import GraphBuilder, TensorShape
+class TestOptimizeGraph:
+    def test_pass_configuration_changes_the_result(self):
         from repro.passes import CommonSubexpressionPass
 
         def duplicate_convs():
@@ -185,8 +165,7 @@ class TestOptimizeGraphCache:
         aggressive = optimize_graph(
             duplicate_convs(), [CommonSubexpressionPass(include_weighted=True)]
         )
-        # Same input fingerprint, different pass *configuration*: the cache
-        # must keep them apart (include_weighted merges the twin convs).
+        # include_weighted merges the twin convs.
         assert conservative.total_rewrites == 0
         assert aggressive.total_rewrites == 1
         assert "conv_b" not in aggressive.graph.nodes

@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    IOSScheduler,
-    PruningStrategy,
-    SchedulerConfig,
-    SimulatedCostModel,
-    measure_schedule,
-)
+from repro.core import IOSScheduler, SimulatedCostModel, measure_schedule
 from repro.engine import Engine
 from repro.frontend import load
 from repro.passes import PassManager, unfuse_activations
@@ -55,10 +49,6 @@ class TestSchedulerPassesEntryPoint:
         opt_ms = measure_schedule(optimized.graph, optimized.schedule, v100).latency_ms
         raw_ms = measure_schedule(plain.graph, plain.schedule, v100).latency_ms
         assert opt_ms <= raw_ms + 1e-9
-
-    def test_engine_rejects_config_and_pruning(self):
-        with pytest.raises(ValueError, match="not both"):
-            Engine("v100", config=SchedulerConfig(), pruning=PruningStrategy(2, 4))
 
 
 class TestBuildModelOptimize:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import IOSScheduler, SimulatedCostModel
-from repro.engine import CompiledModel
+from repro.engine import Engine
 from repro.models import chain_graph
 from repro.serve import WorkerPool, get_router
 
@@ -16,13 +15,8 @@ def graph():
 
 
 @pytest.fixture
-def schedule(graph, v100):
-    return IOSScheduler(SimulatedCostModel(v100)).optimize_graph(graph).schedule
-
-
-@pytest.fixture
-def compiled(graph, schedule, v100):
-    return CompiledModel.from_schedule(graph, schedule, v100)
+def compiled(graph, v100):
+    return Engine(v100).compile(graph)
 
 
 class TestWorkerPool:
@@ -74,16 +68,10 @@ class TestWorkerPool:
         assert latencies == {compiled.latency_ms()}
         assert runs == [compiled.plan]
 
-    def test_heterogeneous_pool_runs_faster_on_the_faster_device(
-        self, graph, schedule, v100, k80
-    ):
+    def test_heterogeneous_pool_runs_faster_on_the_faster_device(self, graph, v100, k80):
         pool = WorkerPool([v100, k80])
-        fast = pool.dispatch(
-            CompiledModel.from_schedule(graph, schedule, v100), pool.workers[0], ready_ms=0.0
-        )
-        slow = pool.dispatch(
-            CompiledModel.from_schedule(graph, schedule, k80), pool.workers[1], ready_ms=0.0
-        )
+        fast = pool.dispatch(Engine(v100).compile(graph), pool.workers[0], ready_ms=0.0)
+        slow = pool.dispatch(Engine(k80).compile(graph), pool.workers[1], ready_ms=0.0)
         assert fast.execution_ms < slow.execution_ms
 
     def test_summary_accounts_for_all_dispatches(self, compiled, graph, v100):
