@@ -65,6 +65,10 @@ class TestStagedCompile:
                 pruning=PruningStrategy(2, 4),
             )
 
+    def test_scheduler_and_variant_are_mutually_exclusive(self, v100):
+        with pytest.raises(ValueError, match="not both"):
+            Engine(v100, scheduler=IOSScheduler(SimulatedCostModel(v100)), variant="ios-merge")
+
 
 class TestCycleFreeCompile:
     """A compile leaves no cyclic garbage: refcounting frees its working set.
@@ -105,6 +109,17 @@ class TestCompileCache:
         first = engine.compile(figure2_block())
         second = engine.compile(figure2_block())  # fresh but identical object
         assert second is first
+        assert engine.stats.searches == 1
+
+    def test_pass_engine_compiles_structurally_equal_graphs_once(self, v100):
+        # With no pass memo, reuse of the rewritten graph is the engine's
+        # compile cache: a fresh but equal raw graph is a cache hit.
+        engine = Engine(v100, passes=True)
+        first = engine.compile(unfuse_activations(load("squeezenet", optimize=False)))
+        second = engine.compile(unfuse_activations(load("squeezenet", optimize=False)))
+        assert second is first
+        assert engine.stats.compiles == 1
+        assert engine.stats.cache_hits == 1
         assert engine.stats.searches == 1
 
     def test_different_batch_size_misses(self, v100):

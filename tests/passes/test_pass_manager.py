@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ir import GraphBuilder, TensorShape
+from repro.ir import GraphBuilder, TensorShape, graph_fingerprint
 from repro.passes import (
     DEFAULT_PASSES,
     GraphPass,
@@ -150,6 +150,24 @@ class TestPassManager:
 
 
 class TestOptimizeGraph:
+    def test_every_call_runs_the_pipeline(self):
+        # optimize_graph keeps no memo: a repeated call runs every pass again
+        # and hands back a fresh, equal result.
+        graph = relu_chain_graph()
+        first = optimize_graph(graph)
+        second = optimize_graph(graph)
+        assert second is not first
+        assert second.graph is not first.graph
+        assert all(stats.runs >= 1 for stats in second.stats)
+        assert [s.rewrites for s in second.stats] == [s.rewrites for s in first.stats]
+        assert graph_fingerprint(second.graph) == graph_fingerprint(first.graph)
+
+    def test_structurally_equal_graphs_optimize_to_the_same_graph(self):
+        a = optimize_graph(relu_chain_graph())
+        b = optimize_graph(relu_chain_graph())
+        assert a.total_rewrites == b.total_rewrites > 0
+        assert graph_fingerprint(a.graph) == graph_fingerprint(b.graph)
+
     def test_pass_configuration_changes_the_result(self):
         from repro.passes import CommonSubexpressionPass
 

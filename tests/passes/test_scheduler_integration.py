@@ -7,7 +7,8 @@ import pytest
 from repro.core import IOSScheduler, SimulatedCostModel, measure_schedule
 from repro.engine import Engine
 from repro.frontend import load
-from repro.passes import PassManager, unfuse_activations
+from repro.ir import graph_fingerprint
+from repro.passes import PassManager, optimize_graph, unfuse_activations
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,15 @@ class TestSchedulerPassesEntryPoint:
         opt_ms = measure_schedule(optimized.graph, optimized.schedule, v100).latency_ms
         raw_ms = measure_schedule(plain.graph, plain.schedule, v100).latency_ms
         assert opt_ms <= raw_ms + 1e-9
+
+    def test_engine_pass_stage_is_optimize_graph(self, raw_squeezenet, v100):
+        # The engine's pass stage runs the same pipeline as optimize_graph.
+        search = Engine(v100, passes=True).compile(raw_squeezenet).search
+        expected = optimize_graph(raw_squeezenet)
+        assert graph_fingerprint(search.graph) == graph_fingerprint(expected.graph)
+        assert [(s.name, s.rewrites) for s in search.pass_stats] == [
+            (s.name, s.rewrites) for s in expected.stats
+        ]
 
 
 class TestBuildModelOptimize:
