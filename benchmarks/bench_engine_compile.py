@@ -5,9 +5,11 @@ for the search; a second compile of the same structure must be a fingerprint
 cache hit (no search, no lowering), and a warm start from a persisted
 ``CompiledModel`` artifact must rebuild an executable model with zero
 searches.  These benchmarks record the compile cost per model and assert the
-cache/artifact invariants that the serving stack depends on.
+cache/artifact invariants that the serving stack depends on.  The cold compile
+runs serially and with two search worker processes.
 """
 
+import pytest
 from conftest import bench_device, bench_models, run_once
 
 from repro.engine import Engine
@@ -15,12 +17,12 @@ from repro.tables import ExperimentTable
 from repro.frontend import load
 
 
-def _compile_table() -> ExperimentTable:
+def _compile_table(jobs: int) -> ExperimentTable:
     """Cold vs cached compile timings, one row per zoo model."""
     device = bench_device()
     table = ExperimentTable(
         experiment_id="engine_compile",
-        title=f"Engine compile pipeline on {device}: cold vs cached",
+        title=f"Engine compile pipeline on {device} (jobs={jobs}): cold vs cached",
         columns=[
             "model", "operators", "cold_s", "passes_s", "schedule_s", "lower_s",
             "cached_s", "speedup", "latency_ms",
@@ -28,9 +30,9 @@ def _compile_table() -> ExperimentTable:
         notes="'cold' runs the full staged pipeline; 'cached' is the "
         "fingerprint-cache hit the experiments and the serve registry rely on",
     )
-    engine = Engine(device, passes=True)
+    engine = Engine(device, passes=True, jobs=jobs)
     for model in bench_models():
-        graph = load(model, optimize=False)
+        graph = load(model)
         compiled = engine.compile(graph)
         cold_s = compiled.stats.elapsed_s
 
@@ -55,8 +57,9 @@ def _compile_table() -> ExperimentTable:
     return table
 
 
-def test_cold_vs_cached_compile(benchmark):
-    table = run_once(benchmark, _compile_table)
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_cold_vs_cached_compile(benchmark, jobs):
+    table = run_once(benchmark, _compile_table, jobs)
     for row in table.rows:
         assert row["cold_s"] > 0
         # The schedule stage dominates a cold compile; a cache hit skips it
@@ -71,7 +74,7 @@ def test_artifact_warm_start_skips_the_search(benchmark, tmp_path_factory):
     root = tmp_path_factory.mktemp("artifacts")
     model = bench_models()[0]
     cold_engine = Engine(device)
-    compiled = cold_engine.compile(load(model, optimize=False))
+    compiled = cold_engine.compile(load(model))
     path = compiled.save(root / f"{model}.json")
 
     def warm_start():

@@ -8,14 +8,14 @@ all-k80 (its fast members absorb more load) and no faster than all-v100 —
 and the per-device-group utilisation must show both groups engaged under
 overload.
 
-A second stage compiles the served model through one pooled engine per
-device type (:func:`repro.engine.get_engine`) to report the latency
-asymmetry the router exploits.
+A second stage compiles the served model through one
+:class:`repro.engine.Engine` per device type to report the latency asymmetry
+the router exploits.
 """
 
 from conftest import full_run, run_once
 
-from repro.engine import get_engine
+from repro.engine import Engine
 from repro.frontend import load
 from repro.serve import (
     BatchPolicy,
@@ -57,7 +57,7 @@ def test_fleet_latency_asymmetry_is_what_routing_exploits(benchmark):
     """The per-device compile fan-out shows why earliest-finish routes off k80."""
     def fan_out():
         fleet = FleetSpec.parse(FLEET)
-        engines = {name: get_engine(name) for name in fleet.device_types()}
+        engines = {name: Engine(name) for name in fleet.device_types()}
         graph = load("squeezenet", batch_size=4)
         return {name: engine.compile(graph).latency_ms()
                 for name, engine in engines.items()}

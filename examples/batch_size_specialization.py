@@ -17,7 +17,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import get_device, load
+from repro import Engine, get_device, load
 from repro.core import specialize_for_batch_sizes
 from repro.experiments import run_figure11
 
@@ -27,7 +27,7 @@ def cross_execution_matrix() -> None:
     graph = load("inception_v3", batch_size=1)
     batch_sizes = [1, 32]
     print(f"Optimising {graph.name} separately for batch sizes {batch_sizes} on {device.name}...")
-    schedules, matrix = specialize_for_batch_sizes(graph, batch_sizes, device)
+    schedules, matrix = specialize_for_batch_sizes(graph, batch_sizes, Engine(device))
 
     print("\nLatency (ms): rows = executed batch size, columns = schedule optimised for")
     header = "".join(f"{'bs ' + str(bs):>12}" for bs in batch_sizes)

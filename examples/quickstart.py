@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import get_device, get_engine, load
+from repro import Engine, get_device, load
 from repro.core import greedy_schedule, measure_schedule, sequential_schedule
 
 
@@ -36,7 +36,7 @@ def main(model_name: str = "inception_v3", device_name: str = "v100") -> None:
         "greedy": greedy_schedule(graph),
     }
     print("Running the IOS dynamic-programming search (this profiles candidate stages)...")
-    schedules["ios"] = get_engine(device).compile(graph).schedule
+    schedules["ios"] = Engine(device).compile(graph).schedule
 
     print(f"\n{'schedule':<12} {'stages':>7} {'latency (ms)':>13} {'images/s':>10} {'speedup':>8}")
     baseline_latency = None

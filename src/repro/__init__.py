@@ -51,7 +51,7 @@ from .core import (
     schedule_latency_ms,
     sequential_schedule,
 )
-from .engine import CompiledModel, Engine, get_engine
+from .engine import CompiledModel, Engine
 from .frontend import load
 
 __version__ = "1.10.0"
@@ -79,7 +79,6 @@ __all__ = [
     "normalize_variant",
     "Engine",
     "CompiledModel",
-    "get_engine",
     "__version__",
 ]
 

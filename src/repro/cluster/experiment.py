@@ -295,6 +295,7 @@ def run_cluster_serving(
             root=serving.registry_root,
             variant=serving.variant,
             passes=serving.passes,
+            jobs=serving.compile_jobs,
             graph_builder=plan.graph_builder() if plan is not None else None,
         )
 

@@ -49,7 +49,6 @@ from .dp_scheduler import (
     VALID_VARIANTS,
     normalize_variant,
     resolve_compile_jobs,
-    shutdown_search_pools,
     variant_label,
 )
 from .baselines import greedy_schedule, sequential_schedule
@@ -101,7 +100,6 @@ __all__ = [
     "normalize_variant",
     "variant_label",
     "resolve_compile_jobs",
-    "shutdown_search_pools",
     "BlockStats",
     "ScheduleResult",
     "sequential_schedule",

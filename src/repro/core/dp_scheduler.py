@@ -24,7 +24,6 @@ enumerated endings.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 import time
@@ -51,7 +50,6 @@ __all__ = [
     "normalize_variant",
     "variant_label",
     "resolve_compile_jobs",
-    "shutdown_search_pools",
 ]
 
 
@@ -498,16 +496,24 @@ class IOSScheduler:
         if len(tasks) < 2:
             return
 
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+        else:  # pragma: no cover - non-POSIX platforms
+            context = multiprocessing.get_context()
         try:
-            pool = _get_search_pool(jobs)
-            futures = [
-                pool.submit(_search_block_worker, (graph, name, self.config, spawned))
-                for name, _ in tasks
-            ]
-            for (name, fingerprint), future in zip(tasks, futures):
-                cached_stages, stats = future.result()
-                self._block_cache[fingerprint] = (cached_stages, stats)
-                self._fresh_results.add(fingerprint)
+            # The pool lives for this one compile: leaving the block joins
+            # every worker, so no process outlives the search.
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(tasks)), mp_context=context
+            ) as pool:
+                futures = [
+                    pool.submit(_search_block_worker, (graph, name, self.config, spawned))
+                    for name, _ in tasks
+                ]
+                for (name, fingerprint), future in zip(tasks, futures):
+                    cached_stages, stats = future.result()
+                    self._block_cache[fingerprint] = (cached_stages, stats)
+                    self._fresh_results.add(fingerprint)
         except Exception as error:  # pragma: no cover - environment dependent
             warnings.warn(
                 f"parallel block search failed ({error!r}); continuing serially",
@@ -593,48 +599,11 @@ def _search_block_worker(payload: tuple) -> tuple[list, BlockStats]:
     return cached_stages, stats
 
 
-_POOLS: dict[int, ProcessPoolExecutor] = {}
-
-
-def _get_search_pool(jobs: int) -> ProcessPoolExecutor:
-    """A cached process pool with ``jobs`` workers (fork context on POSIX)."""
-    pool = _POOLS.get(jobs)
-    if pool is None:
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        else:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
-        _POOLS[jobs] = pool
-    return pool
-
-
-def shutdown_search_pools() -> None:
-    """Shut down every cached search pool (registered at interpreter exit)."""
-    for pool in _POOLS.values():
-        pool.shutdown(wait=False, cancel_futures=True)
-    _POOLS.clear()
-
-
-atexit.register(shutdown_search_pools)
-
-
-def resolve_compile_jobs(jobs: int | str | None = None) -> int:
+def resolve_compile_jobs(jobs: int = 1) -> int:
     """Resolve a compile-parallelism setting to a concrete worker count.
 
-    ``None`` reads the ``REPRO_COMPILE_JOBS`` environment variable (default
-    ``1`` — serial).  ``0`` or ``"auto"`` mean "one worker per CPU"; any
-    other value must be a positive integer (a negative count is an error).
+    ``1`` is serial and ``0`` means "one worker per CPU"; a negative count
+    is an error.
     """
-    if jobs is None:
-        jobs = os.environ.get("REPRO_COMPILE_JOBS", "1")
-    if isinstance(jobs, str):
-        text = jobs.strip().lower()
-        try:
-            jobs = 0 if text == "auto" else int(text or "1")
-        except ValueError:
-            raise ValueError(
-                f"compile jobs must be an int >= 0 or 'auto', got {jobs!r}"
-            ) from None
     require_int("compile jobs", jobs, minimum=0)
     return jobs or max(1, os.cpu_count() or 1)

@@ -20,10 +20,8 @@ executable plan and :mod:`repro.core.cost_model` to price it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from ..ir.graph import Graph
@@ -217,16 +215,6 @@ class Schedule:
             origin=data.get("origin", ""),
             stages=[Stage.from_dict(s) for s in data["stages"]],
         )
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2))
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Schedule":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
     # ----------------------------------------------------------------- display
     def describe(self, graph: Graph | None = None) -> str:

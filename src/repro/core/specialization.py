@@ -6,21 +6,22 @@ benefit from merging), small batches leave it starved; a powerful GPU tolerates
 many concurrent operators, a weak one suffers contention.  The helpers here
 optimise a network once per configuration and then cross-evaluate every
 schedule under every configuration, producing exactly the latency matrices of
-Table 3.  Each configuration compiles through the pooled
-:func:`~repro.engine.get_engine` for its device, so a schedule another
-experiment already searched is a compile-cache hit.
+Table 3.  The caller hands in the :class:`~repro.engine.Engine` of each
+configuration's device, so a schedule that engine already searched is a
+compile-cache hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ..hardware.device import DeviceSpec
-from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
 from ..ir.graph import Graph
 from .lowering import schedule_latency_ms
 from .schedule import Schedule
+
+if TYPE_CHECKING:  # the engine builds on this package
+    from ..engine import Engine
 
 __all__ = ["SpecializationMatrix", "specialize_for_batch_sizes", "specialize_for_devices"]
 
@@ -58,26 +59,19 @@ class SpecializationMatrix:
         return rows
 
 
-def _optimize(graph: Graph, device: DeviceSpec, profile: KernelProfile) -> Schedule:
-    """The default IOS schedule of ``graph`` on ``device``, via the engine pool."""
-    from ..engine import get_engine  # the engine builds on this package
-
-    return get_engine(device, profile=profile).compile(graph).schedule
-
-
 def specialize_for_batch_sizes(
     graph: Graph,
     batch_sizes: Sequence[int],
-    device: DeviceSpec,
-    profile: KernelProfile = CUDNN_PROFILE,
+    engine: "Engine",
 ) -> tuple[dict[int, Schedule], SpecializationMatrix]:
     """Optimise ``graph`` for each batch size and cross-evaluate the schedules.
 
     Reproduces Table 3 (1): rows are the batch size the network is executed
-    with, columns the batch size the schedule was optimised for.
+    with, columns the batch size the schedule was optimised for.  Every
+    schedule is compiled, and executed, in ``engine``'s environment.
     """
     graphs = {bs: graph.with_batch_size(bs) for bs in batch_sizes}
-    schedules = {bs: _optimize(graphs[bs], device, profile) for bs in batch_sizes}
+    schedules = {bs: engine.compile(graphs[bs]).schedule for bs in batch_sizes}
 
     labels = [str(bs) for bs in batch_sizes]
     matrix = SpecializationMatrix(execute_labels=list(labels), optimize_labels=list(labels))
@@ -85,7 +79,9 @@ def specialize_for_batch_sizes(
         row = []
         for optimize_bs in batch_sizes:
             row.append(
-                schedule_latency_ms(graphs[execute_bs], schedules[optimize_bs], device, profile)
+                schedule_latency_ms(
+                    graphs[execute_bs], schedules[optimize_bs], engine.device, engine.profile
+                )
             )
         matrix.latency_ms.append(row)
     return schedules, matrix
@@ -93,23 +89,25 @@ def specialize_for_batch_sizes(
 
 def specialize_for_devices(
     graph: Graph,
-    devices: Sequence[DeviceSpec],
-    profile: KernelProfile = CUDNN_PROFILE,
+    engines: Sequence["Engine"],
 ) -> tuple[dict[str, Schedule], SpecializationMatrix]:
-    """Optimise ``graph`` for each device and cross-evaluate the schedules.
+    """Optimise ``graph`` for each engine's device and cross-evaluate the schedules.
 
     Reproduces Table 3 (2): rows are the device the network is executed on,
-    columns the device the schedule was optimised for.
+    columns the device the schedule was optimised for.  A row executes in its
+    engine's environment (device and kernel profile).
     """
-    schedules = {device.name: _optimize(graph, device, profile) for device in devices}
+    schedules = {engine.device.name: engine.compile(graph).schedule for engine in engines}
 
-    labels = [device.name for device in devices]
+    labels = [engine.device.name for engine in engines]
     matrix = SpecializationMatrix(execute_labels=list(labels), optimize_labels=list(labels))
-    for execute_device in devices:
+    for execute in engines:
         row = []
-        for optimize_device in devices:
+        for optimize in engines:
             row.append(
-                schedule_latency_ms(graph, schedules[optimize_device.name], execute_device, profile)
+                schedule_latency_ms(
+                    graph, schedules[optimize.device.name], execute.device, execute.profile
+                )
             )
         matrix.latency_ms.append(row)
     return schedules, matrix

@@ -6,14 +6,15 @@ One explicit staged pipeline turns a graph into a measured schedule::
           --[lower]--> ExecutionPlan
 
 * :mod:`repro.engine.engine` — :class:`Engine` (the pipeline driver with a
-  fingerprint-keyed compile cache) and :func:`get_engine` (a process-wide
-  engine pool shared by the experiments and the CLI);
+  fingerprint-keyed compile cache; :meth:`Engine.load` is the one artifact
+  reader);
 * :mod:`repro.engine.compiled` — :class:`CompiledModel` (all artifacts of one
   compilation: graph, schedule, execution plan, per-stage
-  :class:`CompileStats`) with full-artifact ``save()``/``load()`` so warm
-  starts perform **zero** scheduler searches;
+  :class:`CompileStats`) with a full-artifact ``save()`` so warm starts
+  perform **zero** scheduler searches;
 * :mod:`repro.engine.stages` — the individual stage helpers
-  (:func:`apply_passes` is also what ``load(..., optimize=True)`` runs).
+  (:func:`apply_passes` is also what ``ExperimentContext(passes=True)`` and
+  the serving registry run).
 
 Quick start::
 
@@ -46,7 +47,7 @@ from .compiled import (
     CompileStats,
     StageTiming,
 )
-from .engine import Engine, EngineStats, clear_engine_pool, get_engine
+from .engine import Engine, EngineStats
 from .stages import apply_passes, graph_identity
 
 __all__ = [
@@ -57,8 +58,6 @@ __all__ = [
     "StageTiming",
     "ARTIFACT_FORMAT",
     "ArtifactMismatchError",
-    "get_engine",
-    "clear_engine_pool",
     "apply_passes",
     "graph_identity",
     "normalize_variant",

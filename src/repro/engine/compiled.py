@@ -8,11 +8,12 @@ for.  It is the unit of reuse across the system: the engine caches them per
 graph fingerprint, the serve registry persists them to disk, and experiments
 measure them.
 
-Serialisation (:meth:`CompiledModel.save` / :meth:`CompiledModel.load`) writes
-a single JSON document containing the *full* artifact set — graph structure,
-schedule, provenance fingerprints and compile stats — so a warm start rebuilds
-an executable model with **zero** scheduler searches: loading re-lowers the
-schedule (cheap, deterministic) instead of re-searching it.
+Serialisation (:meth:`CompiledModel.save`) writes a single JSON document
+containing the *full* artifact set — graph structure, schedule, provenance
+fingerprints and compile stats.  :meth:`repro.engine.Engine.load` reads it
+back, checking its provenance against the engine's environment, so a warm
+start rebuilds an executable model with **zero** scheduler searches: loading
+re-lowers the schedule (cheap, deterministic) instead of re-searching it.
 """
 
 from __future__ import annotations
@@ -326,16 +327,6 @@ class CompiledModel:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(self.to_dict(), indent=2))
         return path
-
-    @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        device: DeviceSpec | None = None,
-        profile: KernelProfile | None = None,
-    ) -> "CompiledModel":
-        """Load a persisted artifact; zero scheduler searches are performed."""
-        return cls.from_dict(json.loads(Path(path).read_text()), device=device, profile=profile)
 
     # -------------------------------------------------------------- display
     def describe(self) -> str:

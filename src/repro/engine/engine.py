@@ -11,12 +11,10 @@ returning a :class:`~repro.engine.compiled.CompiledModel` that carries every
 artifact plus per-stage timing.  Compiles are memoised per graph identity
 (name + node names + structural fingerprint), so repeated compiles of the
 same structure — every figure run, every serve-ladder rung, every framework
-comparison — pay for the DP search once per engine.
-
-:func:`get_engine` maintains a process-wide pool of engines (without passes)
-keyed by ``(device, variant, pruning, profile)``; the experiment harness and
-the CLI fetch engines from it so the compile cache is shared across figure
-runs in one process.
+comparison — pay for the DP search once per engine.  Engines share nothing:
+whoever needs a compile cache shared across calls holds the engine (the
+experiment runner's :class:`~repro.experiments.ExperimentContext`, the serving
+:class:`~repro.serve.ScheduleRegistry`).
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from ..obs.trace import NULL_TRACER, Tracer
 from .compiled import ArtifactMismatchError, CompiledModel, CompileStats, StageTiming
 from .stages import apply_passes, graph_identity
 
-__all__ = ["Engine", "EngineStats", "get_engine", "clear_engine_pool"]
+__all__ = ["Engine", "EngineStats"]
 
 
 @dataclass
@@ -98,17 +96,15 @@ class Engine:
         config.  Mutually exclusive with ``variant``/``pruning``.
     jobs:
         Worker processes for cold multi-block searches: ``1`` is serial,
-        ``N > 1`` searches independent blocks in ``N`` processes, ``0`` /
-        ``"auto"`` uses every CPU.  ``None`` (default) reads the
-        ``REPRO_COMPILE_JOBS`` environment variable at each compile.
-        Schedules are identical either way.
+        ``N > 1`` searches independent blocks in ``N`` processes, ``0`` uses
+        every CPU.  Resolved once, here; schedules are identical either way.
     tracer:
         Optional :class:`~repro.obs.Tracer`; each compile then records its
         Graph → Schedule → Plan stages as wall-clock spans on the
         ``compile/stages`` track (pass iterations land on ``compile/passes``).
         The default :data:`~repro.obs.trace.NULL_TRACER` records nothing and
         costs one truth test per compile.  The attribute is mutable — the
-        serving registry re-points pooled engines at the run's tracer.
+        serving registry re-points its engines at the run's tracer.
 
     Example::
 
@@ -131,12 +127,12 @@ class Engine:
         profile: KernelProfile = CUDNN_PROFILE,
         scheduler: IOSScheduler | None = None,
         tracer: Tracer | None = None,
-        jobs: int | str | None = None,
+        jobs: int = 1,
     ):
         self.device = get_device(device) if isinstance(device, str) else device
         self.profile = profile
         self.passes = passes
-        self.jobs = jobs
+        self.jobs = resolve_compile_jobs(jobs)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if scheduler is not None:
             if variant is not None or pruning is not None:
@@ -204,8 +200,7 @@ class Engine:
         # Stage 2: optimized Graph -> Schedule (the DP search).
         span_start = tracer.now_ms() if tracer else 0.0
         start = time.perf_counter()
-        jobs = resolve_compile_jobs(self.jobs)
-        result = self.scheduler.optimize_graph(optimized, jobs=jobs)
+        result = self.scheduler.optimize_graph(optimized, jobs=self.jobs)
         if pass_stats is not None:
             result.pass_stats = pass_stats
         # Taken from the block stats, not the cost model's counters: blocks
@@ -227,7 +222,7 @@ class Engine:
             # Always 0: kept so readers of this detail (the bench harness,
             # pinned trace digests) see the same keys.
             "block_memo_hits": 0,
-            "jobs": jobs,
+            "jobs": self.jobs,
         }
         timings.append(StageTiming("schedule", time.perf_counter() - start, details))
         if tracer:
@@ -357,42 +352,3 @@ class Engine:
             f"passes={bool(self.passes)}, cached={len(self._cache)})"
         )
 
-
-# --------------------------------------------------------------------------- #
-# Process-wide engine pool                                                     #
-# --------------------------------------------------------------------------- #
-_ENGINE_POOL: dict[tuple, Engine] = {}
-
-
-def get_engine(
-    device: str | DeviceSpec,
-    *,
-    variant: str | None = None,
-    pruning: PruningStrategy | None = None,
-    profile: KernelProfile = CUDNN_PROFILE,
-) -> Engine:
-    """One engine per (device, variant, pruning, profile), pooled.
-
-    Experiments, the CLI and the one-call conveniences fetch engines here so
-    that every figure run in a process shares one compile cache per
-    environment.  Engines are stateful but deterministic; sharing is safe.
-    """
-    spec = get_device(device) if isinstance(device, str) else device
-    label = normalize_variant(variant or "ios-both")
-    prune = pruning if pruning is not None else PruningStrategy(3, 8)
-    # Key on the frozen DeviceSpec itself, not its name: a tweaked preset
-    # (e.g. get_device("v100").scaled(num_sms=40)) must never alias the real
-    # one.  KernelProfile holds a dict (unhashable), so it is keyed by name
-    # plus object identity — the pooled engine keeps the profile alive, so
-    # the id cannot be recycled while the entry exists.
-    key = (spec, label, prune, (profile.name, id(profile)))
-    engine = _ENGINE_POOL.get(key)
-    if engine is None:
-        engine = Engine(spec, variant=label, pruning=prune, profile=profile)
-        _ENGINE_POOL[key] = engine
-    return engine
-
-
-def clear_engine_pool() -> None:
-    """Drop every pooled engine (tests and benchmarks)."""
-    _ENGINE_POOL.clear()

@@ -6,9 +6,9 @@ The engine turns a graph into a running model in explicit stages::
           --[lower]--> ExecutionPlan
 
 Each helper here implements one stage as a plain function so the stages are
-individually reusable: :func:`repro.frontend.load` runs the pass stage on
-its own (``load(..., optimize=True)``), and :class:`repro.engine.Engine`
-chains all of them with per-stage timing.
+individually reusable: the experiment runner and the serving registry run the
+pass stage on its own, and :class:`repro.engine.Engine` chains all of them
+with per-stage timing.
 """
 
 from __future__ import annotations

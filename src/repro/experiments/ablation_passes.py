@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..engine import get_engine
-from ..hardware.device import get_device
 from ..frontend import load
+from ..hardware.device import DeviceSpec
 from ..passes import default_pipeline, unfuse_activations
 from ..tables import ExperimentTable
+from .runner import ExperimentContext, default_context
 
 __all__ = ["run_pass_ablation"]
 
@@ -37,16 +37,21 @@ DEFAULT_MODELS = ("inception_v3", "nasnet_a")
 
 
 def run_pass_ablation(
-    device: str = "v100",
+    device: str | DeviceSpec = "v100",
     models: Sequence[str] = DEFAULT_MODELS,
     batch_size: int = 1,
     variant: str = "ios-both",
+    context: ExperimentContext | None = None,
 ) -> ExperimentTable:
-    """Schedule each model's raw and pass-optimised graph and compare."""
-    spec = get_device(device)
+    """Schedule each model's raw and pass-optimised graph and compare.
+
+    Both forms come from the frontend graph, whatever the context's own
+    ``passes`` setting: the ablation compares them.
+    """
+    ctx = context or default_context(device)
     table = ExperimentTable(
         experiment_id="ablation_passes",
-        title=f"Pass-pipeline ablation on {device} (batch size {batch_size})",
+        title=f"Pass-pipeline ablation on {ctx.device.name} (batch size {batch_size})",
         columns=[
             "model", "graph", "operators", "latency_ms", "search_s",
             "transitions", "rewrites", "pass_time_s",
@@ -56,14 +61,14 @@ def run_pass_ablation(
         "per pass (rewrites applied and time spent, summed over iterations)",
     )
     for model in models:
-        raw = unfuse_activations(load(model, batch_size=batch_size, optimize=False))
+        raw = unfuse_activations(load(model, batch_size=batch_size))
         pass_result = default_pipeline().run(raw)
         variants = [
             ("raw", raw, 0, 0.0),
             ("optimized", pass_result.graph, pass_result.total_rewrites,
              pass_result.elapsed_s),
         ]
-        engine = get_engine(spec, variant=variant)
+        engine = ctx.engine(variant)
         for label, graph, rewrites, pass_time_s in variants:
             compiled = engine.compile(graph)
             search = compiled.schedule_result()

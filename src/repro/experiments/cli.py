@@ -5,10 +5,11 @@ writes CSV.  The ``serve`` subcommand instead runs the batch-aware inference
 service of :mod:`repro.serve` under synthetic traffic.
 
 Every IOS search — figure runs and serving alike — goes through
-:class:`repro.engine.Engine`: the experiments fetch one pooled engine per
-(device, variant) from :func:`repro.engine.get_engine`, so ``ios-bench all``
-compiles each (model, batch, device) combination exactly once and later
-figures reuse the cache.  Examples::
+:class:`repro.engine.Engine`: the experiments share one
+:class:`~repro.experiments.ExperimentContext`, which holds one engine per
+(device, variant, pruning, profile), so ``ios-bench all`` compiles each
+(model, batch, device) combination exactly once and later figures reuse the
+cache.  Examples::
 
     ios-bench figure6 --device v100
     ios-bench table3-batch --model inception_v3
@@ -29,14 +30,16 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..checks import UnknownNameError
 from ..tables import ExperimentTable
+
+if TYPE_CHECKING:
+    from .runner import ExperimentContext
 
 __all__ = ["main", "serve_main", "trace_main", "EXPERIMENTS", "QUICK_MODELS"]
 
@@ -72,39 +75,43 @@ def _run(target: str, **kwargs) -> ExperimentTable:
     return getattr(importlib.import_module(f".{module}", __package__), function)(**kwargs)
 
 
-def _experiments(quick: bool, device: str) -> dict[str, Callable[[], ExperimentTable]]:
+def _experiments(
+    quick: bool, context: ExperimentContext | None
+) -> dict[str, Callable[[], ExperimentTable]]:
+    """Every experiment as a thunk running on the one shared ``context``."""
     models = QUICK_MODELS if quick else None
+    ctx = dict(context=context)
     return {
-        "figure1": lambda: _run("fig01_trends:run_figure1"),
-        "figure2": lambda: _run("fig02_motivating:run_figure2", device=device),
-        "table1": lambda: _run("tab01_complexity:run_table1", models=models),
-        "table2": lambda: _run("tab02_networks:run_table2", models=models),
-        "figure6": lambda: _run("fig06_schedules:run_figure6", device=device, models=models),
-        "figure7": lambda: _run("fig07_frameworks:run_figure7", device=device, models=models),
-        "figure8": lambda: _run("fig08_active_warps:run_figure8", device=device),
-        "figure9": lambda: _run("fig09_pruning:run_figure9", models=("inception_v3",) if quick else ("inception_v3", "nasnet_a"), device=device),
-        "table3-batch": lambda: _run("tab03_specialization:run_table3_batch", device=device, batch_sizes=(1, 32) if quick else (1, 32, 128)),
-        "table3-device": lambda: _run("tab03_specialization:run_table3_device"),
-        "figure10": lambda: _run("fig10_case_study:run_figure10", device=device),
-        "figure11": lambda: _run("fig11_batch_sizes:run_figure11", device=device, batch_sizes=(1, 16, 32) if quick else (1, 16, 32, 64, 128)),
-        "figure12": lambda: _run("fig12_intra_vs_inter:run_figure12", device=device, models=models),
+        "figure1": lambda: _run("fig01_trends:run_figure1", **ctx),
+        "figure2": lambda: _run("fig02_motivating:run_figure2", **ctx),
+        "table1": lambda: _run("tab01_complexity:run_table1", models=models, **ctx),
+        "table2": lambda: _run("tab02_networks:run_table2", models=models, **ctx),
+        "figure6": lambda: _run("fig06_schedules:run_figure6", models=models, **ctx),
+        "figure7": lambda: _run("fig07_frameworks:run_figure7", models=models, **ctx),
+        "figure8": lambda: _run("fig08_active_warps:run_figure8", **ctx),
+        "figure9": lambda: _run("fig09_pruning:run_figure9", models=("inception_v3",) if quick else ("inception_v3", "nasnet_a"), **ctx),
+        "table3-batch": lambda: _run("tab03_specialization:run_table3_batch", batch_sizes=(1, 32) if quick else (1, 32, 128), **ctx),
+        "table3-device": lambda: _run("tab03_specialization:run_table3_device", **ctx),
+        "figure10": lambda: _run("fig10_case_study:run_figure10", **ctx),
+        "figure11": lambda: _run("fig11_batch_sizes:run_figure11", batch_sizes=(1, 16, 32) if quick else (1, 16, 32, 64, 128), **ctx),
+        "figure12": lambda: _run("fig12_intra_vs_inter:run_figure12", models=models, **ctx),
         "figure13": lambda: _run("fig13_worst_case:run_figure13"),
-        "figure14": lambda: _run("fig06_schedules:run_figure14", models=models),
-        "figure15": lambda: _run("fig07_frameworks:run_figure15", models=models),
-        "figure16": lambda: _run("fig16_blockwise:run_figure16", device=device),
-        "resnet-note": lambda: _run("resnet_note:run_resnet_note", device=device),
-        "ablation-cost-model": lambda: _run("ablations:run_cost_model_ablation", device=device),
-        "ablation-blockwise": lambda: _run("ablations:run_blockwise_ablation", device=device),
+        "figure14": lambda: _run("fig06_schedules:run_figure14", models=models, **ctx),
+        "figure15": lambda: _run("fig07_frameworks:run_figure15", models=models, **ctx),
+        "figure16": lambda: _run("fig16_blockwise:run_figure16", **ctx),
+        "resnet-note": lambda: _run("resnet_note:run_resnet_note", **ctx),
+        "ablation-cost-model": lambda: _run("ablations:run_cost_model_ablation", **ctx),
+        "ablation-blockwise": lambda: _run("ablations:run_blockwise_ablation", **ctx),
         "ablation-passes": lambda: _run(
             "ablation_passes:run_pass_ablation",
-            device=device,
             models=("inception_v3", "squeezenet") if quick else ("inception_v3", "nasnet_a"),
+            **ctx,
         ),
     }
 
 
 #: Stable list of experiment names shown in ``--help`` and accepted by ``run``.
-EXPERIMENTS = sorted(_experiments(quick=True, device="v100"))
+EXPERIMENTS = sorted(_experiments(quick=True, context=None))
 
 
 def _write_csv(table: ExperimentTable, csv_dir: str | None) -> None:
@@ -141,7 +148,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     # figure/table experiments never need.
     from ..checks import require_number
     from ..cluster import CLUSTER_ROUTERS, ClusterConfig, LinkModel, run_cluster_serving
-    from ..core import IOSVariant, resolve_compile_jobs
+    from ..core import IOSVariant
     from ..serve import (
         ADMISSION_POLICIES,
         ROUTERS,
@@ -220,10 +227,9 @@ def serve_main(argv: list[str] | None = None) -> int:
                         "normalised)")
     parser.add_argument("--registry-dir", default=None,
                         help="directory persisting optimised schedules across runs")
-    parser.add_argument("--compile-jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--compile-jobs", type=int, default=1, metavar="N",
                         help="worker processes for cold compile searches "
-                        "(default: the REPRO_COMPILE_JOBS environment "
-                        "variable, else serial; 0 uses every CPU; schedules "
+                        "(default: 1, serial; 0 uses every CPU; schedules "
                         "are identical either way)")
     parser.add_argument("--passes", action=argparse.BooleanOptionalAction, default=False,
                         help="run the repro.passes rewrite pipeline on served graphs "
@@ -304,7 +310,8 @@ def serve_main(argv: list[str] | None = None) -> int:
         serving = ServingConfig(
             model=args.model, batch_sizes=batch_sizes, variant=args.variant,
             registry_root=args.registry_dir, passes=args.passes, router=args.router,
-            admission=args.admission, autoscale=args.autoscale, **pool,
+            admission=args.admission, autoscale=args.autoscale,
+            compile_jobs=args.compile_jobs, **pool,
         )
         # The ladder is known good here, so the batching policy can be sized
         # from it; a bad --max-wait-ms fails even when --no-batching ignores it.
@@ -313,15 +320,10 @@ def serve_main(argv: list[str] | None = None) -> int:
             BatchPolicy(max_batch_size=1, max_wait_ms=0.0) if args.no_batching else policy
         ))
         # No windowed registry is built without --alerts/--watch, so the
-        # window is checked here; compile jobs have their one rule too.
+        # window is checked here.
         require_number("window_ms", args.window_ms, positive=True)
-        resolve_compile_jobs(args.compile_jobs)
     except ValueError as error:
         parser.error(f"bad serving configuration: {error}")
-    if args.compile_jobs is not None:
-        # Engines read REPRO_COMPILE_JOBS at each compile, so the flag reaches
-        # every engine the serving stack builds — pooled or per-device.
-        os.environ["REPRO_COMPILE_JOBS"] = str(args.compile_jobs)
     cluster = None
     if args.cluster is not None:
         host_memory = None
@@ -616,19 +618,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--csv-dir", default=None, help="directory to write CSV outputs to")
     args = parser.parse_args(argv)
 
-    from ..models import set_default_optimize
+    from .runner import default_context
 
-    registry = _experiments(quick=args.quick, device=args.device)
-    names = EXPERIMENTS if args.experiment == "all" else [args.experiment]
-    previous = set_default_optimize(args.passes)
     try:
-        for name in names:
-            table = registry[name]()
-            print(table.to_text())
-            print()
-            _write_csv(table, args.csv_dir)
-    finally:
-        set_default_optimize(previous)
+        context = default_context(args.device, passes=args.passes)
+    except UnknownNameError as error:
+        parser.error(str(error))
+    registry = _experiments(quick=args.quick, context=context)
+    names = EXPERIMENTS if args.experiment == "all" else [args.experiment]
+    for name in names:
+        table = registry[name]()
+        print(table.to_text())
+        print()
+        _write_csv(table, args.csv_dir)
     return 0
 
 

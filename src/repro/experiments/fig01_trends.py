@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from ..hardware.device import get_device
 from ..ir.flops import conv_statistics
-from ..frontend import load
 from ..tables import ExperimentTable
+from .runner import ExperimentContext, default_context
 
 __all__ = ["run_figure1", "TREND_POINTS"]
 
@@ -24,8 +24,9 @@ TREND_POINTS = [
 ]
 
 
-def run_figure1(points=None) -> ExperimentTable:
+def run_figure1(points=None, context: ExperimentContext | None = None) -> ExperimentTable:
     """Reproduce the three trend lines of Figure 1."""
+    ctx = context or default_context()
     points = points or TREND_POINTS
     table = ExperimentTable(
         experiment_id="figure1",
@@ -45,7 +46,7 @@ def run_figure1(points=None) -> ExperimentTable:
         ),
     )
     for year, model_name, device_name in points:
-        graph = load(model_name, batch_size=1)
+        graph = ctx.graph(model_name)
         stats = conv_statistics(graph)
         device = get_device(device_name)
         peak_gflops = device.peak_fp32_tflops * 1e3

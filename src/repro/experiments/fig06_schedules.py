@@ -67,6 +67,6 @@ def run_figure14(
         device="rtx2080ti",
         models=models,
         batch_size=batch_size,
-        context=context,
+        context=context.for_device("rtx2080ti") if context is not None else None,
         experiment_id="figure14",
     )

@@ -12,22 +12,23 @@ from __future__ import annotations
 
 from ..core.lowering import measure_schedule
 from ..core.schedule import ParallelizationStrategy, Schedule
-from ..engine import get_engine
-from ..hardware.device import DeviceSpec, get_device
+from ..hardware.device import DeviceSpec
 from ..ir.graph import Graph
-from ..frontend import load
 from ..tables import ExperimentTable
+from .runner import ExperimentContext, default_context
 
 __all__ = ["run_figure10", "last_block_subgraph"]
 
 
-def last_block_subgraph(batch_size: int, block_name: str = "mixed_7c") -> Graph:
+def last_block_subgraph(
+    batch_size: int, block_name: str = "mixed_7c", context: ExperimentContext | None = None
+) -> Graph:
     """Extract the last Inception V3 block as a standalone graph.
 
     The block's external input (the previous block's concat output) becomes the
     graph input, so the block can be optimised and executed in isolation.
     """
-    full = load("inception_v3", batch_size=batch_size)
+    full = (context or default_context()).graph("inception_v3", batch_size)
     block = next(b for b in full.blocks if b.name == block_name)
     op_names = full.schedulable_names(block)
     name_set = set(op_names)
@@ -53,11 +54,13 @@ def run_figure10(
     batch_sizes: tuple[int, int] = (1, 32),
     device: str | DeviceSpec = "v100",
     block_name: str = "mixed_7c",
+    context: ExperimentContext | None = None,
 ) -> ExperimentTable:
     """Optimise the last Inception block for two batch sizes and cross-evaluate."""
-    spec = device if isinstance(device, DeviceSpec) else get_device(device)
-    engine = get_engine(spec)
-    graphs = {bs: last_block_subgraph(bs, block_name) for bs in batch_sizes}
+    ctx = context or default_context(device)
+    spec = ctx.device
+    engine = ctx.engine()
+    graphs = {bs: last_block_subgraph(bs, block_name, ctx) for bs in batch_sizes}
     schedules: dict[int, Schedule] = {
         bs: engine.compile(graph).schedule for bs, graph in graphs.items()
     }

@@ -5,23 +5,26 @@ its five schedules (sequential, greedy, IOS-Merge, IOS-Parallel, IOS-Both),
 execute them on a simulated device and aggregate throughputs.  The helpers
 here centralise that so the per-figure modules stay small.
 
-IOS searches go through :func:`repro.engine.get_engine` — one pooled
-:class:`~repro.engine.Engine` per (device, variant, pruning) whose compile
-cache is shared process-wide, so e.g. Figure 6, Figure 16 and an
-``ios-bench all`` run never repeat the same optimisation.
+An :class:`ExperimentContext` owns everything the experiments share: the
+device, whether the pass pipeline rewrites each model graph, and one
+:class:`~repro.engine.Engine` per (device, variant, pruning) on its
+kernel profile.
+``ios-bench`` builds one context and hands it to every experiment, so e.g.
+Figure 6, Figure 16 and an ``ios-bench all`` run never repeat the same
+optimisation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from ..core.baselines import greedy_schedule, sequential_schedule
-from ..core.dp_scheduler import ScheduleResult
+from ..core.dp_scheduler import ScheduleResult, normalize_variant
 from ..core.endings import PruningStrategy
 from ..core.lowering import measure_schedule
 from ..core.schedule import Schedule
-from ..engine import Engine, get_engine
+from ..engine import Engine, apply_passes
 from ..hardware.device import DeviceSpec, get_device
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
 from ..ir.graph import Graph
@@ -48,21 +51,32 @@ class ScheduleRun:
 
 @dataclass
 class ExperimentContext:
-    """Shared state for one experiment run (device, kernel profile, caches)."""
+    """Shared state for experiment runs (device, kernel profile, engines, caches).
+
+    ``passes=True`` runs the default pass pipeline on every graph
+    :meth:`graph` builds.
+    """
 
     device: DeviceSpec
     profile: KernelProfile = CUDNN_PROFILE
     pruning: PruningStrategy = field(default_factory=lambda: PruningStrategy(3, 8))
+    passes: bool = False
     _graphs: dict[tuple[str, int], Graph] = field(default_factory=dict)
+    _engines: dict[tuple, Engine] = field(default_factory=dict)
     #: Result tuples per compiled model, so repeated ios_result() calls
     #: return the identical object (CompiledModel hashes by identity).
     _ios_results: dict[object, tuple] = field(default_factory=dict)
+
+    def for_device(self, device: str | DeviceSpec) -> "ExperimentContext":
+        """This context on another device, sharing its graphs and engines."""
+        return replace(self, device=get_device(device) if isinstance(device, str) else device)
 
     # ------------------------------------------------------------------ graphs
     def graph(self, model: str, batch_size: int = 1) -> Graph:
         key = (model, batch_size)
         if key not in self._graphs:
-            self._graphs[key] = load(model, batch_size=batch_size)
+            graph, _ = apply_passes(load(model, batch_size=batch_size), self.passes)
+            self._graphs[key] = graph
         return self._graphs[key]
 
     # ---------------------------------------------------------------- engines
@@ -72,13 +86,19 @@ class ExperimentContext:
         pruning: PruningStrategy | None = None,
         device: DeviceSpec | None = None,
     ) -> Engine:
-        """The pooled compile engine for (device, variant, pruning)."""
-        return get_engine(
-            device or self.device,
-            variant=variant,
-            pruning=pruning or self.pruning,
-            profile=self.profile,
-        )
+        """This context's compile engine for (device, variant, pruning)."""
+        device = device or self.device
+        variant = normalize_variant(variant)
+        pruning = pruning or self.pruning
+        # Key on the frozen DeviceSpec itself, not its name: a tweaked preset
+        # (e.g. get_device("v100").scaled(num_sms=40)) must never alias the
+        # real one.
+        key = (device, variant, pruning)
+        engine = self._engines.get(key)
+        if engine is None:
+            engine = Engine(device, variant=variant, pruning=pruning, profile=self.profile)
+            self._engines[key] = engine
+        return engine
 
     # --------------------------------------------------------------- schedules
     def ios_result(
@@ -88,7 +108,7 @@ class ExperimentContext:
         pruning: PruningStrategy | None = None,
         device: DeviceSpec | None = None,
     ) -> tuple[ScheduleResult, float, float, int]:
-        """IOS search result for a graph, via the pooled engine's cache.
+        """IOS search result for a graph, via the context engine's cache.
 
         Returns ``(result, elapsed_s, profiling_gpu_ms, num_measurements)``;
         the cost figures are the *compile-time* ones recorded in
@@ -113,7 +133,7 @@ class ExperimentContext:
     ) -> tuple[float, float, int]:
         """``(elapsed_s, profiling_gpu_ms, num_measurements)`` of a cold IOS-Both search.
 
-        A pooled engine's block cache outlives the experiment that filled it,
+        A context engine's block cache outlives the experiment that filled it,
         so its compile of ``graph`` skips every block an earlier experiment
         already searched.  Search-cost columns come from a fresh engine
         instead, and so do not depend on what else ran in the process.
@@ -172,7 +192,9 @@ class ExperimentContext:
 
 
 def default_context(device: str | DeviceSpec = "v100",
-                    pruning: PruningStrategy | None = None) -> ExperimentContext:
+                    pruning: PruningStrategy | None = None,
+                    passes: bool = False) -> ExperimentContext:
     """Create an :class:`ExperimentContext` for the named device preset."""
     spec = device if isinstance(device, DeviceSpec) else get_device(device)
-    return ExperimentContext(device=spec, pruning=pruning or PruningStrategy(3, 8))
+    return ExperimentContext(device=spec, pruning=pruning or PruningStrategy(3, 8),
+                             passes=passes)

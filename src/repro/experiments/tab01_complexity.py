@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..core.complexity import block_complexity
-from ..frontend import load
 from ..models import BENCHMARK_MODELS
 from ..tables import ExperimentTable
+from .runner import ExperimentContext, default_context
 
 __all__ = ["run_table1", "PAPER_TABLE1"]
 
@@ -28,8 +28,10 @@ PAPER_TABLE1 = {
 }
 
 
-def run_table1(models: Sequence[str] | None = None, count_schedule_space: bool = True) -> ExperimentTable:
+def run_table1(models: Sequence[str] | None = None, count_schedule_space: bool = True,
+               context: ExperimentContext | None = None) -> ExperimentTable:
     """Reproduce Table 1 for the benchmark networks."""
+    ctx = context or default_context()
     models = list(models) if models is not None else list(BENCHMARK_MODELS)
     table = ExperimentTable(
         experiment_id="table1",
@@ -55,7 +57,7 @@ def run_table1(models: Sequence[str] | None = None, count_schedule_space: bool =
         ),
     )
     for model_name in models:
-        graph = load(model_name, batch_size=1)
+        graph = ctx.graph(model_name)
         complexity = block_complexity(graph, count_schedule_space=count_schedule_space)
         paper = PAPER_TABLE1.get(model_name, {})
         table.add_row(

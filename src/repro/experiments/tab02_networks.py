@@ -9,15 +9,17 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..frontend import load
 from ..models import BENCHMARK_MODELS, MODEL_REGISTRY
 from ..tables import ExperimentTable
+from .runner import ExperimentContext, default_context
 
 __all__ = ["run_table2"]
 
 
-def run_table2(models: Sequence[str] | None = None) -> ExperimentTable:
+def run_table2(models: Sequence[str] | None = None,
+               context: ExperimentContext | None = None) -> ExperimentTable:
     """Reproduce Table 2 (benchmark networks and their sizes)."""
+    ctx = context or default_context()
     models = list(models) if models is not None else list(BENCHMARK_MODELS)
     table = ExperimentTable(
         experiment_id="table2",
@@ -34,7 +36,7 @@ def run_table2(models: Sequence[str] | None = None) -> ExperimentTable:
         ],
     )
     for model_name in models:
-        graph = load(model_name, batch_size=1)
+        graph = ctx.graph(model_name)
         spec = MODEL_REGISTRY[model_name]
         multi_op_blocks = [b for b in graph.blocks if len(graph.schedulable_names(b)) > 0]
         table.add_row(

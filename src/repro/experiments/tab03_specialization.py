@@ -14,8 +14,8 @@ from typing import Sequence
 
 from ..core.specialization import specialize_for_batch_sizes, specialize_for_devices
 from ..hardware.device import DeviceSpec, get_device
-from ..frontend import load
 from ..tables import ExperimentTable
+from .runner import ExperimentContext, default_context
 
 __all__ = ["run_table3_batch", "run_table3_device"]
 
@@ -24,11 +24,13 @@ def run_table3_batch(
     model: str = "inception_v3",
     batch_sizes: Sequence[int] = (1, 32, 128),
     device: str | DeviceSpec = "v100",
+    context: ExperimentContext | None = None,
 ) -> ExperimentTable:
     """Table 3 (1): cross-execution of schedules specialised per batch size."""
-    spec = device if isinstance(device, DeviceSpec) else get_device(device)
-    graph = load(model, batch_size=batch_sizes[0])
-    _, matrix = specialize_for_batch_sizes(graph, batch_sizes, spec)
+    ctx = context or default_context(device)
+    spec = ctx.device
+    graph = ctx.graph(model, batch_sizes[0])
+    _, matrix = specialize_for_batch_sizes(graph, batch_sizes, ctx.engine())
 
     table = ExperimentTable(
         experiment_id="table3_batch",
@@ -51,11 +53,13 @@ def run_table3_device(
     model: str = "inception_v3",
     devices: Sequence[str] = ("k80", "v100"),
     batch_size: int = 1,
+    context: ExperimentContext | None = None,
 ) -> ExperimentTable:
     """Table 3 (2): cross-execution of schedules specialised per device."""
+    ctx = context or default_context()
     specs = [get_device(name) for name in devices]
-    graph = load(model, batch_size=batch_size)
-    _, matrix = specialize_for_devices(graph, specs)
+    graph = ctx.graph(model, batch_size)
+    _, matrix = specialize_for_devices(graph, [ctx.engine(device=spec) for spec in specs])
 
     table = ExperimentTable(
         experiment_id="table3_device",

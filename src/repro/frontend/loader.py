@@ -68,7 +68,6 @@ def _looks_like_path(source: str) -> bool:
 def load(
     source: str | Path | dict[str, Any] | Graph,
     batch_size: int | None = None,
-    optimize: bool | None = None,
     name: str | None = None,
     **kwargs: Any,
 ) -> Graph:
@@ -84,10 +83,6 @@ def load(
         receives it directly (default 1); for imported/serialised models the
         graph is cloned via :meth:`Graph.with_batch_size` when it differs
         from the declared batch.
-    optimize:
-        ``True`` runs the default pass pipeline on the result (exactly what
-        ``Engine(passes=True)`` would do); ``None`` defers to the
-        process-wide default of :func:`repro.models.set_default_optimize`.
     name:
         Override the graph name for imported sources.
     kwargs:
@@ -116,10 +111,4 @@ def load(
 
     if batch_size is not None and graph.input_shape.batch != batch_size:
         graph = graph.with_batch_size(batch_size)
-    if optimize is None:
-        optimize = zoo.default_optimize()
-    if optimize:
-        from ..engine.stages import apply_passes
-
-        graph, _ = apply_passes(graph, True)
     return graph

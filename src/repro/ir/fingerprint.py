@@ -11,8 +11,8 @@ fingerprint.
 Fingerprints give the rest of the system a cheap identity for "this exact
 computation":
 
-* the pass pipeline (:mod:`repro.passes.pipeline`) memoises optimisation
-  results per input fingerprint;
+* the engine's compile cache (:func:`repro.engine.graph_identity`) keys
+  compiled models by it, so a compile of an unchanged structure is free;
 * the schedule registry (:mod:`repro.serve.registry`) embeds the fingerprint
   in persisted keys, so schedules searched for a rewritten graph can never be
   served for the raw one (or vice versa);

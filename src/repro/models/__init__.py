@@ -12,11 +12,9 @@ from .common import (
     BENCHMARK_MODELS,
     MODEL_REGISTRY,
     ModelSpec,
-    default_optimize,
     list_models,
     register_model,
     resolve_zoo_builder,
-    set_default_optimize,
 )
 from .toy import (
     chain_graph,
@@ -38,11 +36,9 @@ __all__ = [
     "BENCHMARK_MODELS",
     "MODEL_REGISTRY",
     "ModelSpec",
-    "default_optimize",
     "list_models",
     "register_model",
     "resolve_zoo_builder",
-    "set_default_optimize",
     "figure2_block",
     "figure3_graph",
     "figure5_graph",

@@ -20,8 +20,6 @@ __all__ = [
     "register_model",
     "resolve_zoo_builder",
     "list_models",
-    "set_default_optimize",
-    "default_optimize",
     "BENCHMARK_MODELS",
 ]
 
@@ -54,27 +52,6 @@ def register_model(spec: ModelSpec) -> ModelSpec:
     """Register a model spec; raises on duplicate names."""
     MODEL_REGISTRY[spec.name] = spec
     return spec
-
-
-#: Process-wide default for ``load(optimize=None)``; flipped by the
-#: CLI's ``--passes`` flag so every experiment sees rewritten graphs.
-_DEFAULT_OPTIMIZE = False
-
-
-def set_default_optimize(enabled: bool) -> bool:
-    """Set the process-wide default for the loader's pass pipeline.
-
-    Returns the previous value so callers (tests, the CLI) can restore it.
-    """
-    global _DEFAULT_OPTIMIZE
-    previous = _DEFAULT_OPTIMIZE
-    _DEFAULT_OPTIMIZE = bool(enabled)
-    return previous
-
-
-def default_optimize() -> bool:
-    """The process-wide default for the loader's pass pipeline."""
-    return _DEFAULT_OPTIMIZE
 
 
 def resolve_zoo_builder(name: str) -> ModelBuilder:

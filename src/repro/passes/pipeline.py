@@ -2,8 +2,8 @@
 
 :func:`optimize_graph` is the one-call entry point the rest of the system
 uses: the engine's pass stage (:func:`repro.engine.stages.apply_passes` — and
-through it ``Engine(passes=...)``, the model zoo's
-``load(..., optimize=True)`` and the serving registry's
+through it ``Engine(passes=...)``, the experiment runner's
+``ExperimentContext(passes=True)`` and the serving registry's
 ``ScheduleRegistry(passes=True)``) funnels through it.  It keeps no state
 between calls: every call runs the pipeline, and reuse of a compiled graph
 comes from the engine's compile cache.

@@ -86,7 +86,8 @@ def _pool(serving: ServingConfig) -> str:
 def _registry(serving: ServingConfig) -> ScheduleRegistry:
     """The one schedule registry every row of a comparison shares."""
     return ScheduleRegistry(
-        root=serving.registry_root, variant=serving.variant, passes=serving.passes
+        root=serving.registry_root, variant=serving.variant, passes=serving.passes,
+        jobs=serving.compile_jobs,
     )
 
 

@@ -127,6 +127,9 @@ class ScheduleRegistry:
         pipeline; a :class:`~repro.passes.PassManager` runs that one.  The
         persisted name fingerprints the *rewritten* graph, so optimised and
         raw schedules never collide.
+    jobs:
+        Worker processes each per-device engine searches with (see
+        :class:`~repro.engine.Engine`); schedules are identical either way.
     tracer:
         Optional :class:`~repro.obs.Tracer` handed to every per-device
         compile engine, so misses record their compile stages on the trace's
@@ -142,18 +145,22 @@ class ScheduleRegistry:
         variant: str = "ios-both",
         graph_builder: Callable[[str, int], Graph] | None = None,
         passes=False,
+        jobs: int = 1,
         tracer: Tracer | None = None,
     ):
         self.root = Path(root) if root is not None else None
         self.profile = profile
         self.variant = normalize_variant(variant)
         self.passes = passes
+        self.jobs = jobs
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._graph_builder = graph_builder or (
             lambda model, batch_size: load(model, batch_size=batch_size)
         )
         self._engines: dict[str, Engine] = {}
         self._graphs: dict[tuple[str, int], Graph] = {}
+        #: ``(model, batch_size, device name)`` keys known to have their file.
+        self._persisted: set[tuple[str, int, str]] = set()
         self.stats = RegistryStats()
 
     # ----------------------------------------------------------------- helpers
@@ -176,7 +183,7 @@ class ScheduleRegistry:
         """
         engine = self._engines.get(device.name)
         if engine is None:
-            engine = Engine(device, profile=self.profile, variant=self.variant)
+            engine = Engine(device, profile=self.profile, variant=self.variant, jobs=self.jobs)
             self._engines[device.name] = engine
         # Re-point on every call: the registry may outlive a traced run, and
         # the service re-targets self.tracer per run.
@@ -205,6 +212,14 @@ class ScheduleRegistry:
         compiled = engine.cached(graph)
         if compiled is not None:
             self.stats.memory_hits += 1
+            key = (model, batch_size, device.name)
+            if self.root is not None and key not in self._persisted:
+                # Another model name that builds the same graph filled the
+                # engine's cache; this name still gets its own file.
+                path = self.path_for(model, batch_size, device)
+                if not path.exists():
+                    compiled.save(path)
+                self._persisted.add(key)
             return compiled
 
         path = self.path_for(model, batch_size, device)

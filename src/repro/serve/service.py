@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.dp_scheduler import normalize_variant
+from ..core.dp_scheduler import normalize_variant, resolve_compile_jobs
 from ..hardware.device import DEVICE_REGISTRY, get_device
 from ..obs.alerts import AlertManager, AlertRule
 from ..obs.metrics import MetricsRegistry
@@ -94,6 +94,9 @@ class ServingConfig:
     #: keys fingerprint the rewritten graph, so flipping this never reuses
     #: schedules searched for the other form.
     passes: bool = False
+    #: Worker processes for the registry's cold compile searches: ``1`` is
+    #: serial, ``0`` uses every CPU; schedules are identical either way.
+    compile_jobs: int = 1
     #: Admission policy gating arrivals: any name in
     #: :func:`repro.serve.admission.list_admission_policies`, or a pre-built
     #: :class:`~repro.serve.admission.AdmissionPolicy` instance (used as-is).
@@ -154,6 +157,7 @@ class ServingConfig:
         # Canonicalise drifted variant spellings so the config, the registry
         # key and the CLI can never disagree.
         object.__setattr__(self, "variant", normalize_variant(self.variant))
+        resolve_compile_jobs(self.compile_jobs)
 
     def as_fleet(self) -> FleetSpec:
         """The worker pool as a fleet: ``fleet`` when declared, else ``devices``.
@@ -228,6 +232,7 @@ class InferenceService:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry or ScheduleRegistry(
             root=config.registry_root, variant=config.variant, passes=config.passes,
+            jobs=config.compile_jobs,
         )
         if tracer is not None:
             self.registry.tracer = self.tracer

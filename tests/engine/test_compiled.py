@@ -15,13 +15,18 @@ from repro.models import figure2_block
 
 @pytest.fixture(scope="module")
 def compiled(v100):
-    return Engine(v100).compile(load("squeezenet", batch_size=2, optimize=False))
+    return Engine(v100).compile(load("squeezenet", batch_size=2))
+
+
+def reload(compiled, path):
+    """Read an artifact back into a fresh engine of its own environment."""
+    return Engine(compiled.device, profile=compiled.profile, variant=compiled.variant).load(path)
 
 
 class TestRoundTrip:
     def test_save_load_round_trip(self, compiled, tmp_path):
         path = compiled.save(tmp_path / "nested" / "squeezenet.json")
-        loaded = CompiledModel.load(path)
+        loaded = reload(compiled, path)
         assert loaded.schedule == compiled.schedule
         assert loaded.variant == compiled.variant
         assert loaded.device.name == compiled.device.name
@@ -35,7 +40,7 @@ class TestRoundTrip:
         assert loaded.throughput() == pytest.approx(compiled.throughput())
 
     def test_stats_survive_the_round_trip(self, compiled, tmp_path):
-        loaded = CompiledModel.load(compiled.save(tmp_path / "m.json"))
+        loaded = reload(compiled, compiled.save(tmp_path / "m.json"))
         assert loaded.stats.operators_in == compiled.stats.operators_in
         assert loaded.stats.num_measurements == compiled.stats.num_measurements
         assert [t.stage for t in loaded.stats.stages] == [
@@ -46,7 +51,7 @@ class TestRoundTrip:
         pruned = compiled.stats.num_pruned
         assert pruned == compiled.search.total_pruned > 0
         assert compiled.stats.stage("schedule").detail["pruned"] == pruned
-        loaded = CompiledModel.load(compiled.save(tmp_path / "m.json"))
+        loaded = reload(compiled, compiled.save(tmp_path / "m.json"))
         assert loaded.stats.num_pruned == pruned
         # An artifact written before the DP pruned anything has no count.
         data = compiled.to_dict()
@@ -121,7 +126,7 @@ class TestEngineWarmStart:
         assert warm.stats.loads == 1
         # Compiling the same source graph now hits the loaded artifact: the
         # warm engine performs zero scheduler searches.
-        again = warm.compile(load("squeezenet", batch_size=2, optimize=False))
+        again = warm.compile(load("squeezenet", batch_size=2))
         assert again is loaded
         assert warm.stats.searches == 0
         assert warm.stats.cache_hits == 1
@@ -182,8 +187,23 @@ class TestEngineWarmStart:
         assert excinfo.value.field == "passes"
         assert rewriting.compiled_models() == []
 
+    def test_truncated_file_is_rejected_naming_the_path(self, compiled, tmp_path, v100):
+        path = compiled.save(tmp_path / "m.json")
+        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        warm = Engine(v100)
+        with pytest.raises(ValueError, match="is not JSON") as excinfo:
+            warm.load(path)
+        assert str(path) in str(excinfo.value)
+        assert warm.stats.loads == 0
+
+    def test_missing_file_raises(self, tmp_path, v100):
+        warm = Engine(v100)
+        with pytest.raises(FileNotFoundError):
+            warm.load(tmp_path / "does_not_exist.json")
+        assert warm.stats.loads == 0
+
     def test_loaded_stats_are_marked_unsearched(self, compiled, tmp_path):
         assert compiled.stats.searched
-        loaded = CompiledModel.load(compiled.save(tmp_path / "m.json"))
+        loaded = reload(compiled, compiled.save(tmp_path / "m.json"))
         assert not loaded.stats.searched
         assert "loaded from artifact" in loaded.stats.describe()

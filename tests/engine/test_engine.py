@@ -8,7 +8,8 @@ import warnings
 import pytest
 
 from repro.core import IOSScheduler, PruningStrategy, SchedulerConfig, SimulatedCostModel
-from repro.engine import Engine, apply_passes, clear_engine_pool, get_engine
+from repro.engine import Engine, apply_passes
+from repro.experiments import ExperimentContext
 from repro.frontend import load
 from repro.models import figure2_block
 from repro.obs import Tracer
@@ -40,7 +41,7 @@ class TestStagedCompile:
         assert "schedule" in stats.describe()
 
     def test_pass_stage_rewrites_before_search(self, v100):
-        raw = unfuse_activations(load("squeezenet", optimize=False))
+        raw = unfuse_activations(load("squeezenet"))
         compiled = Engine(v100, passes=True).compile(raw)
         assert compiled.graph is not raw
         assert compiled.stats.operators_out < compiled.stats.operators_in
@@ -115,8 +116,8 @@ class TestCompileCache:
         # With no pass memo, reuse of the rewritten graph is the engine's
         # compile cache: a fresh but equal raw graph is a cache hit.
         engine = Engine(v100, passes=True)
-        first = engine.compile(unfuse_activations(load("squeezenet", optimize=False)))
-        second = engine.compile(unfuse_activations(load("squeezenet", optimize=False)))
+        first = engine.compile(unfuse_activations(load("squeezenet")))
+        second = engine.compile(unfuse_activations(load("squeezenet")))
         assert second is first
         assert engine.stats.compiles == 1
         assert engine.stats.cache_hits == 1
@@ -142,27 +143,37 @@ class TestCompileCache:
         assert counts(second) == counts(first)
         assert first.stats.num_measurements == 1897
 
-    def test_engine_pool_shares_engines_per_environment(self, v100):
-        clear_engine_pool()
-        try:
-            a = get_engine("v100")
-            b = get_engine(v100)
-            assert a is b
-            assert get_engine("v100", variant="ios-merge") is not a
-            assert get_engine("k80") is not a
-        finally:
-            clear_engine_pool()
+    def test_context_shares_engines_per_environment(self, v100, k80):
+        from repro.core import PruningStrategy
+        from repro.hardware.kernel import TVM_AUTOTUNE_PROFILE
 
-    def test_engine_pool_distinguishes_tweaked_presets(self, v100):
+        ctx = ExperimentContext(device=v100)
+        a = ctx.engine()
+        assert ctx.engine("ios-both", device=v100) is a
+        assert ctx.engine("IOS_Both") is a
+        assert ctx.for_device(k80).engine(device=v100) is a
+        others = [
+            ctx.engine("ios-merge"),
+            ctx.engine(pruning=PruningStrategy(1, 2)),
+            ctx.engine(device=k80),
+        ]
+        assert len({id(engine) for engine in [a, *others]}) == 4
+        # A context on another kernel profile compiles with that profile.
+        tvm = ExperimentContext(device=v100, profile=TVM_AUTOTUNE_PROFILE).engine()
+        assert tvm is not a
+        assert tvm.profile is TVM_AUTOTUNE_PROFILE
+        assert a.profile is not TVM_AUTOTUNE_PROFILE
+        # Another context owns other engines.
+        assert ExperimentContext(device=v100).engine() is not a
+
+    def test_context_distinguishes_tweaked_presets(self, v100):
         # A customised device that keeps a preset's name must get its own
         # engine: the cost model depends on the spec, not the label.
-        clear_engine_pool()
-        try:
-            tweaked = v100.scaled(num_sms=v100.num_sms // 2)
-            assert tweaked.name == v100.name
-            assert get_engine(tweaked) is not get_engine(v100)
-        finally:
-            clear_engine_pool()
+        ctx = ExperimentContext(device=v100)
+        tweaked = v100.scaled(num_sms=v100.num_sms // 2)
+        assert tweaked.name == v100.name
+        assert ctx.engine(device=tweaked) is not ctx.engine(device=v100)
+        assert ctx.engine(device=tweaked).device is tweaked
 
 
 class TestTracedCompile:
@@ -190,7 +201,7 @@ class TestShimEquivalence:
 
     @pytest.mark.parametrize("model", ["squeezenet", "inception_v3"])
     def test_engine_matches_the_search_primitive_on_the_zoo(self, model, v100):
-        graph = load(model, optimize=False)
+        graph = load(model)
         searched = IOSScheduler(SimulatedCostModel(v100)).optimize_graph(graph)
         compiled = Engine(v100).compile(graph)
         assert compiled.schedule == searched.schedule
@@ -199,7 +210,7 @@ class TestShimEquivalence:
         )
 
     def test_equivalence_with_passes_and_variant(self, v100):
-        raw = unfuse_activations(load("squeezenet", optimize=False))
+        raw = unfuse_activations(load("squeezenet"))
         optimized, _ = apply_passes(raw, True)
         scheduler = IOSScheduler(
             SimulatedCostModel(v100), SchedulerConfig.variant("ios-merge")

@@ -28,6 +28,8 @@ equal reprs mean identical doubles).
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.core import (
@@ -129,6 +131,8 @@ class TestParallelEqualsSerial:
         serial, fanout = (
             Engine("v100", jobs=jobs).compile_model("inception_v3") for jobs in (1, 2)
         )
+        # The search pool lives for one compile: no worker outlives it.
+        assert multiprocessing.active_children() == []
         assert "parallel" in {stats.source for stats in fanout.search.block_stats}
         assert serial.stats.num_measurements == 1897
         assert fanout.stats.num_measurements == serial.stats.num_measurements

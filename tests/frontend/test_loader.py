@@ -87,21 +87,14 @@ class TestLoad:
         with pytest.raises(TypeError, match="cannot load"):
             load(42)
 
-    def test_optimize_true_runs_the_default_pipeline(self):
+    def test_load_returns_the_graph_as_built(self):
+        # Passes run in the engine and the experiment context, never here:
+        # fuse-epilogue would fold the standalone GELU into its projection.
+        from repro.engine import apply_passes
+
         raw = load("transformer_block")
-        optimized = load("transformer_block", optimize=True)
-        # fuse-epilogue folds the standalone GELU into its projection.
         assert "ffn_act" in raw.nodes
-        assert "ffn_act" not in optimized.nodes
-
-    def test_optimize_default_follows_the_process_wide_flag(self):
-        from repro.models import set_default_optimize
-
-        previous = set_default_optimize(True)
-        try:
-            assert "ffn_act" not in load("transformer_block").nodes
-        finally:
-            set_default_optimize(previous)
+        assert "ffn_act" not in apply_passes(raw, True)[0].nodes
 
 
 class _Quantize(Operator):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro import get_device, get_engine
+from repro import Engine, get_device
 from repro.core import (
     IOSScheduler,
     PruningStrategy,
@@ -32,7 +34,7 @@ def squeezenet():
 
 @pytest.fixture(scope="module")
 def squeezenet_schedules(squeezenet, v100):
-    ios = get_engine(v100).compile(squeezenet).schedule
+    ios = Engine(v100).compile(squeezenet).schedule
     return {
         "sequential": sequential_schedule(squeezenet),
         "greedy": greedy_schedule(squeezenet),
@@ -55,10 +57,9 @@ class TestSqueezeNetEndToEnd:
         assert latencies["ios"] <= latencies["sequential"] + 1e-9
         assert latencies["sequential"] / latencies["ios"] > 1.05
 
-    def test_schedule_roundtrip_preserves_latency(self, squeezenet, squeezenet_schedules, v100, tmp_path):
+    def test_schedule_roundtrip_preserves_latency(self, squeezenet, squeezenet_schedules, v100):
         ios = squeezenet_schedules["ios"]
-        path = ios.save(tmp_path / "squeezenet_ios.json")
-        loaded = Schedule.load(path)
+        loaded = Schedule.from_dict(json.loads(json.dumps(ios.to_dict())))
         assert schedule_latency_ms(squeezenet, loaded, v100) == pytest.approx(
             schedule_latency_ms(squeezenet, ios, v100)
         )

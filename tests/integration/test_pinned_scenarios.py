@@ -281,7 +281,7 @@ def test_an_artifact_reload_searches_nothing(compiles, model, tmp_path, monkeypa
         raise AssertionError("an artifact reload ran a DP search")
 
     monkeypatch.setattr(IOSScheduler, "_search_block_dp", forbidden)
-    reloaded = CompiledModel.load(path)
+    reloaded = Engine("v100").load(path)
     assert not reloaded.stats.searched
     assert reloaded.latency_ms() == compiled.latency_ms()
 

@@ -54,23 +54,20 @@ def ticking_clock(step: float = 0.25):
 
 def sampled_overload_trace() -> SamplingTracer:
     """Bursty priority overload on an elastic k80 pool, traced and sampled."""
-    # The job count is one of the compile spans' arguments.
     tracer = SamplingTracer(SAMPLING, clock=ticking_clock())
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_COMPILE_JOBS", "1")
-        service = InferenceService(
-            ServingConfig(
-                model="squeezenet", devices=("k80",), batch_sizes=(1, 2, 4, 8),
-                policy=BatchPolicy(max_batch_size=8, max_wait_ms=2.0),
-                admission="priority", autoscale="1:4",
-            ),
-            tracer=tracer, alerts=default_alert_rules(slo_ms=20.0), window_ms=20.0,
-        )
-        service.run(TrafficGenerator(TrafficConfig(
-            model="squeezenet", pattern="bursty", num_requests=600, burst_size=64,
-            burst_gap_ms=30.0, priorities=(0, 1, 2), priority_weights=(0.2, 0.3, 0.5),
-            slo_ms=20.0, seed=3,
-        )).generate())
+    service = InferenceService(
+        ServingConfig(
+            model="squeezenet", devices=("k80",), batch_sizes=(1, 2, 4, 8),
+            policy=BatchPolicy(max_batch_size=8, max_wait_ms=2.0),
+            admission="priority", autoscale="1:4",
+        ),
+        tracer=tracer, alerts=default_alert_rules(slo_ms=20.0), window_ms=20.0,
+    )
+    service.run(TrafficGenerator(TrafficConfig(
+        model="squeezenet", pattern="bursty", num_requests=600, burst_size=64,
+        burst_gap_ms=30.0, priorities=(0, 1, 2), priority_weights=(0.2, 0.3, 0.5),
+        slo_ms=20.0, seed=3,
+    )).generate())
     return tracer
 
 

@@ -90,7 +90,7 @@ class TestFuseActivation:
         assert graph.nodes["fc"].activation == "relu"
 
     def test_preserves_flops(self):
-        graph = unfuse_activations(load("squeezenet", optimize=False))
+        graph = unfuse_activations(load("squeezenet"))
         fused, rewrites = FuseActivationPass().run(graph)
         assert rewrites > 0
         assert fused.total_flops() <= graph.total_flops()
@@ -162,7 +162,7 @@ class TestCommonSubexpression:
         assert graph.nodes["cat"].inputs == ("sum1", "sum1")
 
     def test_merges_nasnet_duplicate_pools(self):
-        graph = load("nasnet_a", optimize=False)
+        graph = load("nasnet_a")
         optimized, rewrites = CommonSubexpressionPass().run(graph)
         assert rewrites > 0
         assert len(optimized.schedulable_names()) < len(graph.schedulable_names())
@@ -257,7 +257,7 @@ class TestEliminateDead:
 
 class TestCanonicalize:
     def test_idempotent(self):
-        graph = load("nasnet_a", optimize=False)
+        graph = load("nasnet_a")
         once, rewrites_first = CanonicalizePass().run(graph)
         assert rewrites_first > 0
         again, rewrites_second = CanonicalizePass().run(once)
@@ -298,7 +298,7 @@ class TestCanonicalize:
 class TestUnfuseRoundTrip:
     @pytest.mark.parametrize("model", ["squeezenet", "resnet_18", "randwire"])
     def test_unfuse_preserves_flops_and_fingerprint_round_trips(self, model):
-        fused = load(model, optimize=False)
+        fused = load(model)
         raw = unfuse_activations(fused)
         assert raw.total_flops() == fused.total_flops()
         assert len(raw.schedulable_names()) > len(fused.schedulable_names())
@@ -311,7 +311,7 @@ class TestUnfuseRoundTrip:
         assert len(from_raw.schedulable_names()) <= len(fused.schedulable_names())
 
     def test_unfused_graph_validates_and_computes_same_outputs_shape(self):
-        fused = load("squeezenet", optimize=False)
+        fused = load("squeezenet")
         raw = unfuse_activations(fused)
         assert raw.output_names() != []
         fused_out = fused.nodes[fused.output_names()[0]].output_shape

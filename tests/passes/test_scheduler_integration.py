@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import IOSScheduler, SimulatedCostModel, measure_schedule
-from repro.engine import Engine
+from repro.engine import Engine, apply_passes
+from repro.experiments import default_context
 from repro.frontend import load
 from repro.ir import graph_fingerprint
 from repro.passes import PassManager, optimize_graph, unfuse_activations
@@ -13,7 +14,7 @@ from repro.passes import PassManager, optimize_graph, unfuse_activations
 
 @pytest.fixture(scope="module")
 def raw_squeezenet():
-    return unfuse_activations(load("squeezenet", optimize=False))
+    return unfuse_activations(load("squeezenet"))
 
 
 class TestSchedulerPassesEntryPoint:
@@ -61,29 +62,28 @@ class TestSchedulerPassesEntryPoint:
         ]
 
 
-class TestBuildModelOptimize:
-    def test_optimize_kwarg(self):
-        raw = load("nasnet_a", optimize=False)
-        optimized = load("nasnet_a", optimize=True)
+class TestContextPasses:
+    def test_context_graphs_are_rewritten(self):
+        raw = load("nasnet_a")
+        optimized = default_context(passes=True).graph("nasnet_a")
         assert len(optimized.schedulable_names()) < len(raw.schedulable_names())
 
-    def test_process_default(self):
-        from repro.models import set_default_optimize
-
-        previous = set_default_optimize(True)
-        try:
-            implicit = load("nasnet_a")
-        finally:
-            set_default_optimize(previous)
-        explicit = load("nasnet_a", optimize=True)
+    def test_context_runs_the_engine_pass_stage(self):
+        implicit = default_context(passes=True).graph("nasnet_a")
+        explicit, _ = apply_passes(load("nasnet_a"), True)
         assert list(implicit.nodes) == list(explicit.nodes)
 
-    def test_cli_flag_restores_default(self, capsys):
+    def test_cli_flag_rewrites_the_reported_graphs(self, capsys):
         from repro.experiments.cli import main
-        from repro.models.common import _DEFAULT_OPTIMIZE
 
-        assert main(["figure13", "--passes"]) == 0
-        capsys.readouterr()
-        from repro.models import common
+        def nasnet_operators(argv):
+            assert main(argv) == 0
+            row = next(
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("nasnet_a ")
+            )
+            return int(row.split()[2])
 
-        assert common._DEFAULT_OPTIMIZE == _DEFAULT_OPTIMIZE
+        raw = nasnet_operators(["table2"])
+        assert nasnet_operators(["table2", "--passes"]) < raw
+        assert raw == len(load("nasnet_a").schedulable_names())

@@ -62,6 +62,21 @@ class TestLookupPath:
         assert len(registry.engine_for(v100).compiled_models()) == 2
         assert len(registry.engine_for(k80).compiled_models()) == 1
 
+    def test_two_names_with_one_graph_each_get_a_file(self, registry, tmp_path, v100):
+        # "alpha" and "beta" build the same chain: the engine compiles it
+        # once, and the second name's lookup is a memory hit that still
+        # persists its own file.
+        registry.get("alpha", 1, v100)
+        registry.get("beta", 1, v100)
+        assert (registry.stats.searches, registry.stats.memory_hits) == (1, 1)
+        assert registry.path_for("alpha", 1, v100).exists()
+        assert registry.path_for("beta", 1, v100).exists()
+
+        fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
+        fresh.get("beta", 1, v100)
+        fresh.get("alpha", 1, v100)
+        assert fresh.stats.searches == 0
+
     def test_in_memory_registry_never_touches_disk(self, v100):
         registry = ScheduleRegistry(root=None, graph_builder=chain_builder)
         registry.get("m", 1, v100)
@@ -98,7 +113,7 @@ class TestFailureModes:
         assert fresh.stats.corrupt_entries == 1
         assert fresh.stats.searches == 1
         # The rewritten entry must be a valid full artifact again.
-        assert CompiledModel.load(path).schedule.graph_name == "chain"
+        assert Engine(v100).load(path).schedule.graph_name == "chain"
 
     def test_wrong_shape_json_is_dropped_and_recompiled(self, registry, tmp_path, v100):
         # Valid JSON of the wrong shape (here a list) must be treated exactly
@@ -188,7 +203,7 @@ class TestCompiledArtifacts:
     def test_persisted_entry_is_a_full_artifact(self, registry, v100):
         registry.get("m", 1, v100)
         path = registry.path_for("m", 1, v100)
-        compiled = CompiledModel.load(path)
+        compiled = Engine(v100).load(path)
         assert compiled.schedule.graph_name == "chain"
         assert compiled.plan.num_stages() == len(compiled.schedule)
         assert compiled.fingerprint == registry.graph_for("m", 1).fingerprint()
@@ -220,7 +235,7 @@ class TestCompiledArtifacts:
     def test_bare_schedule_document_is_a_corrupt_entry(self, registry, tmp_path, v100):
         compiled = registry.get_compiled("m", 1, v100)
         path = registry.path_for("m", 1, v100)
-        compiled.schedule.save(path)
+        path.write_text(json.dumps(compiled.schedule.to_dict()))
 
         fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
         reloaded = fresh.get_compiled("m", 1, v100)
@@ -292,7 +307,7 @@ class TestMalformedArtifacts:
         path = registry.path_for("m", 1, v100)
         path.write_text(json.dumps(_edit_field(json.loads(path.read_text()), field, delete=True)))
         with pytest.raises(ValueError, match=re.escape(repr(field))):
-            CompiledModel.load(path)
+            CompiledModel.from_dict(json.loads(path.read_text()))
         # The engine's loader reports the malformed field too, not a
         # provenance mismatch against the missing value.
         with pytest.raises(ValueError, match=re.escape(repr(field))) as excinfo:

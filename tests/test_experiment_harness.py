@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import clear_engine_pool, get_engine
 from repro.experiments import (
     default_context,
     last_block_subgraph,
@@ -81,18 +80,16 @@ class TestSweepsAndCaseStudies:
         assert loose["optimization_gpu_s"] > 0
 
     def test_figure9_cost_does_not_depend_on_earlier_compiles(self):
-        # The pooled engine's block cache keeps mixed_7c from figure 10; the
+        # A context engine's block cache keeps mixed_7c from figure 10; the
         # reported search cost must still be that of a cold search.
-        def row():
-            table = run_figure9(models=["inception_v3"], grid=[(3, 8)])
+        def row(context):
+            table = run_figure9(models=["inception_v3"], grid=[(3, 8)], context=context)
             return table.rows[0]
 
-        clear_engine_pool()
-        alone = row()
-        clear_engine_pool()
-        get_engine("v100").compile(last_block_subgraph(1))
-        after = row()
-        clear_engine_pool()
+        alone = row(default_context("v100"))
+        warmed = default_context("v100")
+        warmed.engine().compile(last_block_subgraph(1, context=warmed))
+        after = row(warmed)
         columns = ("latency_ms", "optimization_gpu_s", "stage_measurements")
         assert [after[c] for c in columns] == [alone[c] for c in columns]
         assert alone["stage_measurements"] == 1897

@@ -154,15 +154,11 @@ class TestIOSEngine:
         }
         assert compiled.stats.profiling_gpu_ms > 0
 
-    def test_parallel_compile_reports_the_serial_search_cost(self, v100, monkeypatch):
+    def test_parallel_compile_reports_the_serial_search_cost(self, v100):
         # Blocks searched in worker processes measure on the workers' own
         # cost-model clones; the compile's stats must still count them.
         graph = load("inception_v3")
-        stats = {}
-        for jobs in ("1", "2"):
-            monkeypatch.setenv("REPRO_COMPILE_JOBS", jobs)
-            stats[jobs] = Engine(v100).compile(graph).stats
-        serial, fanout = stats["1"], stats["2"]
+        serial, fanout = (Engine(v100, jobs=jobs).compile(graph).stats for jobs in (1, 2))
         assert serial.num_measurements == fanout.num_measurements == 1897
         assert fanout.profiling_gpu_ms == pytest.approx(serial.profiling_gpu_ms, rel=1e-12)
         assert serial.profiling_gpu_ms == pytest.approx(934.803, abs=1e-3)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core import (
@@ -122,10 +124,9 @@ class TestScheduleUtilities:
         assert "groups" in text
         assert "stage" in text
 
-    def test_serialization_roundtrip(self, fig2, tmp_path):
+    def test_serialization_roundtrip(self, fig2):
         schedule = greedy_schedule(fig2)
-        path = schedule.save(tmp_path / "sched.json")
-        loaded = Schedule.load(path)
+        loaded = Schedule.from_dict(json.loads(json.dumps(schedule.to_dict())))
         assert loaded.to_dict() == schedule.to_dict()
         loaded.validate(fig2)
 

@@ -1,10 +1,10 @@
 """Round-trip persistence tests for schedules produced by real IOS searches.
 
-The serving registry (``repro.serve.registry``) rests entirely on
-``Schedule.save/load`` faithfully reproducing scheduler output, including
-merge stages whose operators only exist after re-lowering — so these tests
-exercise the full save → load → validate → lower → execute path, plus the
-error behaviour on corrupted files.
+Every persisted compiled-model artifact (``repro.engine``) rests on
+``Schedule.to_dict/from_dict`` faithfully reproducing scheduler output through
+JSON, including merge stages whose operators only exist after re-lowering — so
+these tests exercise the full dump → parse → validate → lower → execute path,
+plus the error behaviour on corrupted documents.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ from repro.core import (
 from repro.frontend import load
 
 
+def round_trip(schedule):
+    """The schedule after a trip through JSON text, as an artifact stores it."""
+    return Schedule.from_dict(json.loads(json.dumps(schedule.to_dict())))
+
+
 def optimize(graph, device, variant="ios-both"):
     scheduler = IOSScheduler(SimulatedCostModel(device), SchedulerConfig.variant(variant))
     return scheduler.optimize_graph(graph).schedule
@@ -38,14 +43,11 @@ class TestScheduleRoundTrip:
         assert restored.origin == schedule.origin
         assert restored.stages == schedule.stages
 
-    def test_file_round_trip_on_scheduler_output(self, tmp_path, v100, fig2):
+    def test_json_round_trip_on_scheduler_output(self, v100, fig2):
         schedule = optimize(fig2, v100)
-        path = schedule.save(tmp_path / "nested" / "fig2.json")
-        assert path.exists()
-        restored = Schedule.load(path)
-        assert restored == schedule
+        assert round_trip(schedule) == schedule
 
-    def test_merge_stages_survive_round_trip(self, tmp_path, v100, fig2):
+    def test_merge_stages_survive_round_trip(self, v100, fig2):
         # ios-merge only uses the merge strategy, so merge stages are
         # guaranteed to appear in the persisted schedule.
         schedule = optimize(fig2, v100, variant="ios-merge")
@@ -54,16 +56,16 @@ class TestScheduleRoundTrip:
             if stage.strategy is ParallelizationStrategy.MERGE
         ]
         assert merge_stages, "ios-merge should produce at least one merge stage"
-        restored = Schedule.load(schedule.save(tmp_path / "merge.json"))
+        restored = round_trip(schedule)
         assert restored.stages == schedule.stages
         assert any(
             stage.strategy is ParallelizationStrategy.MERGE for stage in restored.stages
         )
 
-    def test_restored_schedule_executes_identically(self, tmp_path, v100):
+    def test_restored_schedule_executes_identically(self, v100):
         graph = load("squeezenet", batch_size=2)
         schedule = optimize(graph, v100)
-        restored = Schedule.load(schedule.save(tmp_path / "sq.json"))
+        restored = round_trip(schedule)
         restored.validate(graph)
         assert schedule_latency_ms(graph, restored, v100) == pytest.approx(
             schedule_latency_ms(graph, schedule, v100)
@@ -80,20 +82,12 @@ class TestScheduleRoundTrip:
             assert restored.strategy is stage.strategy
 
 
-class TestCorruptedFiles:
-    def test_truncated_json_raises(self, tmp_path, v100, fig2):
-        schedule = optimize(fig2, v100)
-        path = schedule.save(tmp_path / "schedule.json")
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+class TestCorruptedDocuments:
+    def test_truncated_json_raises(self, v100, fig2):
+        text = json.dumps(optimize(fig2, v100).to_dict())
         with pytest.raises(json.JSONDecodeError):
-            Schedule.load(path)
+            Schedule.from_dict(json.loads(text[: len(text) // 2]))
 
-    def test_wrong_document_shape_raises(self, tmp_path):
-        path = tmp_path / "schedule.json"
-        path.write_text(json.dumps({"graph_name": "x", "stages": [{"operators": []}]}))
+    def test_wrong_document_shape_raises(self):
         with pytest.raises((KeyError, ValueError)):
-            Schedule.load(path)
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            Schedule.load(tmp_path / "does_not_exist.json")
+            Schedule.from_dict({"graph_name": "x", "stages": [{"operators": []}]})

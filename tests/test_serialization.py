@@ -83,7 +83,7 @@ class TestRoundTrip:
         assert data["format_version"] == FORMAT_VERSION
 
     def test_model_zoo_round_trip(self):
-        graph = load("squeezenet", optimize=False)
+        graph = load("squeezenet")
         rebuilt = graph_from_dict(graph_to_dict(graph))
         assert graph_fingerprint(rebuilt) == graph_fingerprint(graph)
         assert len(rebuilt.schedulable_names()) == len(graph.schedulable_names())

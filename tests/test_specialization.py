@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import specialize_for_batch_sizes, specialize_for_devices
 from repro.core.specialization import SpecializationMatrix
+from repro.engine import Engine
 from repro.models import figure2_block
 
 
@@ -35,7 +36,7 @@ class TestSpecializationMatrix:
 class TestBatchSpecialization:
     def test_cross_matrix_shape_and_schedules(self, v100):
         graph = figure2_block()
-        schedules, matrix = specialize_for_batch_sizes(graph, [1, 16], v100)
+        schedules, matrix = specialize_for_batch_sizes(graph, [1, 16], Engine(v100))
         assert set(schedules) == {1, 16}
         assert len(matrix.latency_ms) == 2 and len(matrix.latency_ms[0]) == 2
         # Larger batch always takes longer regardless of which schedule is used.
@@ -45,7 +46,7 @@ class TestBatchSpecialization:
 
     def test_specialized_schedule_never_loses_on_its_own_batch(self, v100):
         graph = figure2_block()
-        _, matrix = specialize_for_batch_sizes(graph, [1, 32], v100)
+        _, matrix = specialize_for_batch_sizes(graph, [1, 32], Engine(v100))
         for i in range(2):
             assert matrix.latency_ms[i][i] == pytest.approx(min(matrix.latency_ms[i]), rel=1e-6)
 
@@ -53,7 +54,7 @@ class TestBatchSpecialization:
 class TestDeviceSpecialization:
     def test_cross_matrix_devices(self, v100, k80):
         graph = figure2_block()
-        schedules, matrix = specialize_for_devices(graph, [k80, v100])
+        schedules, matrix = specialize_for_devices(graph, [Engine(k80), Engine(v100)])
         assert set(schedules) == {"k80", "v100"}
         # The K80 row is slower than the V100 row under every schedule.
         assert min(matrix.latency_ms[0]) > max(matrix.latency_ms[1])
