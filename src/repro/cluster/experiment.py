@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from ..checks import require_int
 from ..frontend import load
 from ..obs.alerts import AlertManager, AlertRule, per_host_alert_rules
-from ..obs.metrics import MetricsRegistry, percentile
+from ..obs.metrics import MetricsRegistry, ordered_sum, percentile
 from ..obs.trace import PrefixedTracer, Tracer
 from ..serve.fleet import FleetSpec
 from ..serve.metrics import ServingReport, build_report
@@ -121,9 +121,12 @@ class ClusterReport:
     completion); for a single-host cluster it is the host's own report,
     untouched.  ``host_reports`` hold each host's local view (stage-level
     latency summaries, worker utilisation, scale events, alerts); a host
-    that served nothing reports ``None``.  Only the hosts that finish
-    journeys keep their stage records: an intermediate pipeline stage's
-    report has every summary but ``records == []``.
+    that served nothing reports ``None``.  No host keeps stage records: a
+    pipeline stage's host, or a host behind a modeled ingress link, reports
+    every summary but ``records == []``, and the end-to-end records of the
+    requests it finished are in ``records_by_host``.  Only a host whose
+    arrivals are its clients' own requests lists its records, which are
+    then the end-to-end ones.
     """
 
     report: ServingReport
@@ -177,25 +180,15 @@ class ClusterReport:
                 return f"{prefix} — idle"
             # An intermediate pipeline stage: it served stage requests but
             # finished no end-to-end journeys of its own.
-            busy = ""
-            if host_report.worker_summary:
-                mean_busy = sum(
-                    row["utilization"] for row in host_report.worker_summary
-                ) / len(host_report.worker_summary)
-                busy = f", {mean_busy:.1%} busy"
             return (
                 f"{prefix} — {host_report.num_requests} stage requests, "
-                f"p99 {host_report.latency.p99_ms:.3f} ms stage latency{busy}"
+                f"p99 {host_report.latency.p99_ms:.3f} ms stage latency"
+                f"{_busy(host_report)}"
             )
         attainment = self.host_attainment(host_id)
         latencies = [record.latency_ms for record in records]
         p99 = percentile(latencies, 99) if latencies else 0.0
-        busy = ""
-        if host_report is not None and host_report.worker_summary:
-            mean_busy = sum(
-                row["utilization"] for row in host_report.worker_summary
-            ) / len(host_report.worker_summary)
-            busy = f", {mean_busy:.1%} busy"
+        busy = _busy(host_report) if host_report is not None else ""
         return (
             f"{prefix} — {len(records)} served"
             + (f", {len(rejected)} rejected" if rejected else "")
@@ -227,6 +220,15 @@ class ClusterReport:
         if self.plan is not None:
             lines.append(self.plan.describe())
         return "\n".join(lines)
+
+
+def _busy(host_report: ServingReport) -> str:
+    """The ``, x% busy`` part of a host row: its workers' mean utilisation."""
+    rows = host_report.worker_summary
+    if not rows:
+        return ""
+    mean_busy = ordered_sum(row["utilization"] for row in rows) / len(rows)
+    return f", {mean_busy:.1%} busy"
 
 
 def _host_alerts(alerts, host_id: int, num_hosts: int):

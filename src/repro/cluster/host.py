@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..checks import require_number
+from ..obs.metrics import ordered_sum
 from ..serve.fleet import FleetSpec
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -115,7 +116,7 @@ class Host:
     # ------------------------------------------------------- router accessors
     def remaining_work_ms(self, now_ms: float) -> float:
         """Total worker-busy milliseconds still ahead of ``now_ms``."""
-        return sum(
+        return ordered_sum(
             max(0.0, worker.busy_until_ms - now_ms)
             for worker in self.service.pool.workers
         )

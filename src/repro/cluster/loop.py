@@ -18,13 +18,17 @@ routed arrivals reproduce :meth:`ServingLoop.run`'s event sequence
 *exactly* — a ``--cluster 1`` run is byte-identical to the single-host loop,
 which is the regression anchor the cluster layer is tested against.
 
-Every request is tracked as a :class:`_Journey` from external arrival to its
-final stage's completion; the loop rebuilds **end-to-end** records against
-the original requests (latency measured from true arrival, not stage
-arrival), so cluster-wide SLO attainment is judged on what the client saw.
-Under a :class:`~repro.cluster.partition.PartitionPlan` only the final stage's
-host keeps its stage records: the intermediate stage hosts fold theirs into
-their reports' summaries as they finish and drop them.
+Records are judged **end to end**, against the original requests (latency
+measured from true arrival, not stage arrival), so cluster-wide SLO
+attainment is judged on what the client saw.  When hosts see other requests
+than the clients sent — pipeline stages, or arrivals re-timed by a modeled
+ingress link — each request is tracked as a :class:`_Journey` from external
+arrival until the host that finishes it dispatches its last stage: that host
+builds the end-to-end record there, in dispatch order, and the journey is
+dropped.  No host keeps stage records: every host folds them into its
+report's summaries as they are made.  Only hosts whose arrivals are their
+clients' own requests keep their records, which are then the end-to-end
+ones.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ class ClusterOutcome:
     #: Rejections mapped back to the original requests.
     rejected: list[RejectedRequest] = field(default_factory=list)
     #: End-to-end records attributed to the host that *finished* each request
-    #: (its final stage's host), for per-host SLO rows.
+    #: (its final stage's host), in dispatch order, for per-host SLO rows.
     records_by_host: dict[int, list[RequestRecord]] = field(default_factory=dict)
     #: Rejections attributed to the rejecting host.
     rejected_by_host: dict[int, list[RejectedRequest]] = field(default_factory=dict)
@@ -81,7 +85,8 @@ class _Journey:
     """One request's path through the cluster: its stage, and stage 0's times.
 
     The end-to-end record starts where the client's request was batched and
-    dispatched at stage 0; everything else comes from the final stage.
+    dispatched at stage 0; everything else comes from the final stage's
+    dispatch, where the journey ends.
     """
 
     __slots__ = ("request", "stage", "batched_ms", "dispatch_ms")
@@ -173,6 +178,10 @@ class ClusterLoop:
         self._queue = EventQueue()
         self._journeys: dict[int, _Journey] = {}
         self._outcome = ClusterOutcome()
+        self._tracing = False
+        self._keep_records = True
+        #: The plan's stages when it pipelines (two or more), else ``None``.
+        self._stages: "list | None" = None
         #: ``"src->dst"`` link labels by (source host or None, destination).
         self._links: dict[tuple, str] = {}
         self._bind_series()
@@ -188,23 +197,26 @@ class ClusterLoop:
             )
         queue = self._queue = EventQueue()
         self._journeys = {}
-        self._outcome = ClusterOutcome()
-        self._bind_series()
-        self.router.reset()
-        # An intermediate pipeline stage's records are never read back: its
-        # report needs their summaries only, and the journeys keep stage 0's
-        # times.  Only the hosts that finish journeys keep theirs.
-        intermediate = (
-            {stage.host for stage in self.plan.stages[:-1]}
-            if self.plan is not None
-            else set()
+        self._outcome = ClusterOutcome(
+            records_by_host={host.host_id: [] for host in self.hosts}
         )
+        self._bind_series()
+        self._tracing = bool(self.tracer)
+        self.router.reset()
+        plan = self.plan if self.plan is not None and self.plan.num_stages > 1 else None
+        self._stages = plan.stages if plan is not None else None
+        # Only a host whose arrivals are its clients' own requests makes end-
+        # to-end records; it keeps them, and no journey is tracked.  Otherwise
+        # every host folds its stage records, and the hosts that finish
+        # requests build the end-to-end records at dispatch.
+        self._keep_records = plan is None and not self.link.models_ingress
         for host in self.hosts:
             host.reset()
-            host.loop.completion_listener = self._listener_for(host)
-            host.loop.begin(
-                queue, host.host_id, keep_records=host.host_id not in intermediate
-            )
+            if plan is not None and host.host_id != plan.stages[-1].host:
+                host.loop.completion_listener = self._handoff_for(host)
+            elif not self._keep_records:
+                host.loop.dispatch_listener = self._finisher_for(host)
+            host.loop.begin(queue, host.host_id, keep_records=self._keep_records)
         if self.plan is not None and hasattr(self.router, "plan"):
             self.router.plan = self.plan
         for request in ordered:
@@ -212,7 +224,7 @@ class ClusterLoop:
         queue.run()
         for host in self.hosts:
             self._outcome.host_results.append(host.loop.finish())
-            host.loop.completion_listener = None
+            host.loop.completion_listener = host.loop.dispatch_listener = None
         self._assemble()
         return self._outcome
 
@@ -246,10 +258,11 @@ class ClusterLoop:
             self._outcome.routed.get(host.host_id, 0) + 1
         )
         self._routed[host.name](1.0)
-        self._journeys[request.request_id] = _Journey(request)
+        if not self._keep_records:
+            self._journeys[request.request_id] = _Journey(request)
         sub = request
-        if self.plan is not None and self.plan.num_stages > 1:
-            sub = _arriving(request, now_ms, self.plan.stages[0].model)
+        if self._stages is not None:
+            sub = _arriving(request, now_ms, self._stages[0].model)
         num_bytes = self.input_bytes_per_sample * request.num_samples
         delivery_ms = host.ingress_delivery_ms(now_ms, num_bytes, self.link)
         if delivery_ms > now_ms:
@@ -261,7 +274,35 @@ class ClusterLoop:
             host.loop.arrive(now_ms, sub)
 
     # --------------------------------------------------------------- handoffs
-    def _listener_for(self, host: "Host"):
+    def _finisher_for(self, host: "Host"):
+        """The dispatch hook of a host that finishes journeys.
+
+        Each dispatched record becomes its end-to-end record against the
+        client's request, in dispatch order, and its journey ends.
+        """
+        journeys = self._journeys
+        finished = self._outcome.records_by_host[host.host_id]
+
+        def on_dispatch(records: Sequence[RequestRecord]) -> None:
+            for record in records:
+                journey = journeys.pop(record.request.request_id)
+                if record.request is journey.request:  # an ingress without delay
+                    finished.append(record)
+                    continue
+                first = journey if journey.stage else record
+                finished.append(RequestRecord(
+                    request=journey.request,
+                    batched_ms=first.batched_ms,
+                    dispatch_ms=first.dispatch_ms,
+                    completion_ms=record.completion_ms,
+                    executed_batch_size=record.executed_batch_size,
+                    worker_id=record.worker_id,
+                    device=record.device,
+                ))
+
+        return on_dispatch
+
+    def _handoff_for(self, host: "Host"):
         def on_completion(records: Sequence[RequestRecord]) -> None:
             for record in records:
                 self._on_stage_complete(host, record)
@@ -269,17 +310,12 @@ class ClusterLoop:
         return on_completion
 
     def _on_stage_complete(self, host: "Host", record: RequestRecord) -> None:
-        journey = self._journeys.get(record.request.request_id)
-        if journey is None:  # pragma: no cover - defensive
-            return
+        """Hand a finished intermediate stage's tensor on to the next stage."""
+        journey = self._journeys[record.request.request_id]
         if journey.stage == 0:
             journey.batched_ms = record.batched_ms
             journey.dispatch_ms = record.dispatch_ms
-        last_stage = 0 if self.plan is None else self.plan.num_stages - 1
-        if journey.stage >= last_stage:
-            return
-        assert self.plan is not None
-        next_stage = self.plan.stages[journey.stage + 1]
+        next_stage = self._stages[journey.stage + 1]
         src, dst = self.hosts[host.host_id], self.hosts[next_stage.host]
         num_bytes = next_stage.recv_bytes * journey.request.num_samples
         sent_ms = record.completion_ms
@@ -312,7 +348,7 @@ class ClusterLoop:
         self._transfers[pair](1.0)
         self._transfer_ms[pair](delivery_ms - sent_ms)
         self._transfer_bytes[pair](num_bytes)
-        if self.tracer:
+        if self._tracing:
             args = {
                 "bytes": num_bytes,
                 "from": src.name if src is not None else "client",
@@ -330,35 +366,21 @@ class ClusterLoop:
 
     # --------------------------------------------------------------- assembly
     def _assemble(self) -> None:
-        """Rebuild end-to-end records/rejections against the original requests.
+        """Gather the end-to-end records and map rejections back to the clients.
 
         Host-major, dispatch-order iteration keeps the record list — and
         every floating-point fold downstream — deterministic, and for a
         1-host no-ingress cluster makes it *the host's own record list*, so
         the pass-through report stays byte-identical to the plain loop's.
-        Every record a host kept finished its journey: intermediate stage
-        hosts keep none.
+        A host keeps records only when they are end to end; the finishing
+        hosts of journeys built theirs at dispatch.
         """
         outcome = self._outcome
         for host, result in zip(self.hosts, outcome.host_results):
-            host_records = outcome.records_by_host.setdefault(host.host_id, [])
+            host_records = outcome.records_by_host[host.host_id]
+            host_records.extend(result.records)
+            outcome.records.extend(host_records)
             host_rejected = outcome.rejected_by_host.setdefault(host.host_id, [])
-            for record in result.records:
-                journey = self._journeys[record.request.request_id]
-                if record.request is journey.request:
-                    end_to_end = record
-                else:
-                    end_to_end = RequestRecord(
-                        request=journey.request,
-                        batched_ms=journey.batched_ms,
-                        dispatch_ms=journey.dispatch_ms,
-                        completion_ms=record.completion_ms,
-                        executed_batch_size=record.executed_batch_size,
-                        worker_id=record.worker_id,
-                        device=record.device,
-                    )
-                outcome.records.append(end_to_end)
-                host_records.append(end_to_end)
             for rejection in result.rejected:
                 journey = self._journeys.get(rejection.request.request_id)
                 if journey is None or rejection.request is journey.request:

@@ -21,6 +21,7 @@ CSV carries the full pipeline breakdown.
 
 from __future__ import annotations
 
+import gc
 from typing import Sequence
 
 from ..frontend import load
@@ -70,6 +71,10 @@ def run_pass_ablation(
         ]
         engine = ctx.engine(variant)
         for label, graph, rewrites, pass_time_s in variants:
+            # A search of a small graph takes milliseconds: collect what
+            # earlier work left behind first, so that a full collection of
+            # it does not land inside the timed search.
+            gc.collect()
             compiled = engine.compile(graph)
             search = compiled.schedule_result()
             table.add_row(

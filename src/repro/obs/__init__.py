@@ -53,7 +53,9 @@ from .metrics import (
     LazySeries,
     Metric,
     MetricsRegistry,
+    PartedSeries,
     StreamingQuantile,
+    ordered_sum,
     percentile,
     percentiles,
     quantiles_reference,
@@ -78,6 +80,7 @@ __all__ = [
     "Metric",
     "MetricsRegistry",
     "NullTracer",
+    "PartedSeries",
     "PrefixedTracer",
     "QueueSaturationRule",
     "SamplingConfig",
@@ -93,6 +96,7 @@ __all__ = [
     "chrome_trace",
     "chrome_trace_json",
     "default_alert_rules",
+    "ordered_sum",
     "parse_alert_rules",
     "parse_sampling_spec",
     "per_host_alert_rules",

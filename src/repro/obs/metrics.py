@@ -11,6 +11,9 @@ bookkeeping with one typed store:
   busy/lifetime milliseconds);
 * :class:`Histogram` — full value distributions with the same percentile
   arithmetic the serving report uses (latency, queue delay, batch occupancy).
+  A series either keeps what it observes or reads a :class:`PartedSeries`
+  its owner appends to (the serving loop's latency and queue-delay families
+  read the run's report fold), so no value is stored twice.
 
 Each metric is a *family*: series within a family are keyed by labels
 (``counter.inc(reason="predicted-deadline-miss")``), so one counter holds the
@@ -18,6 +21,8 @@ whole breakdown.  A series exists once something is recorded into it.  Every
 write lands in the family's one ``_record(key, value)``: the keyword calls
 canonicalise their labels on each call, and hot paths record through a
 :class:`LazySeries`, which binds ``_record`` to the canonical key once.
+Every float sum an export holds is :func:`ordered_sum`'s left-to-right
+accumulation, so exports are the same bytes on every Python version.
 
 A family created by a :class:`~repro.obs.timeseries.TimeSeriesRegistry` also
 buckets each series into fixed virtual-time windows on that registry's clock:
@@ -36,8 +41,10 @@ import bisect
 import json
 from array import array
 from collections import OrderedDict
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from functools import partial, reduce
+from itertools import chain
+from operator import add
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .timeseries import TimeSeriesRegistry
@@ -51,7 +58,9 @@ __all__ = [
     "LazySeries",
     "Metric",
     "MetricsRegistry",
+    "PartedSeries",
     "StreamingQuantile",
+    "ordered_sum",
     "percentile",
     "percentiles",
     "quantiles_reference",
@@ -73,6 +82,44 @@ QUANTILE_DECIMALS = 6
 
 #: Bin budget of each per-window :class:`StreamingQuantile`.
 SKETCH_BINS = 64
+
+
+class PartedSeries:
+    """One series of floats kept in several arrays, with its running sum.
+
+    The owner appends each value to one of ``parts`` and adds it to
+    ``total``, in the order the values happen; readers see one sized
+    iterable, part after part.  A :class:`Histogram` series can read one
+    (see :class:`LazySeries`), and :func:`ordered_sum` returns its
+    ``total``: its parts do not hold the values in the order they came.
+    """
+
+    __slots__ = ("parts", "total")
+
+    def __init__(self, parts: "list[array] | None" = None, total: float = 0.0):
+        self.parts: list[array] = [] if parts is None else parts
+        self.total = total
+
+    def __len__(self) -> int:
+        return sum(map(len, self.parts))
+
+    def __iter__(self) -> Iterator[float]:
+        return chain.from_iterable(self.parts)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The sum of ``values``, added left to right from ``0.0``.
+
+    The one float sum behind every exported mean and histogram sum.  From
+    Python 3.12 the built-in ``sum()`` compensates float rounding, so its
+    last bits would depend on the interpreter; this accumulation is the same
+    on every version (and equals 3.11's ``sum()``).  A :class:`PartedSeries`
+    returns its running ``total``, the same accumulation done in the order
+    its values came.
+    """
+    if isinstance(values, PartedSeries):
+        return values.total
+    return reduce(add, values, 0.0)
 
 
 def percentiles(values: Sequence[float], qs: Sequence[float]) -> list[float]:
@@ -412,7 +459,7 @@ class Counter(Metric):
 
     def total(self) -> float:
         """Sum over every series of the family."""
-        return sum(self._series.values())
+        return ordered_sum(self._series.values())
 
     def by_label(self, label: str) -> dict[str, float]:
         """Totals grouped by one label's values (e.g. rejects by reason)."""
@@ -430,7 +477,7 @@ class Counter(Metric):
         return 0.0
 
     def _merged(self, index: int) -> float:
-        return float(sum(self._buckets(index)))
+        return ordered_sum(self._buckets(index))
 
     def _read(self, total: float, stat: str) -> float:
         return total / (self._clock.window_ms / 1e3) if stat == "rate" else total
@@ -498,12 +545,17 @@ class Gauge(Metric):
 class Histogram(Metric):
     """A full value distribution per label set.
 
-    Observations are kept verbatim, eight bytes each in one ``array('d')``
-    per series (runs are bounded and deterministic), so quantiles are
-    *exact* — :func:`percentile`, which the serving report's latency
-    summaries use too.  No bucket-boundary approximation can drift from the
-    report.  The per-window buckets are bounded :class:`StreamingQuantile`
-    sketches instead.
+    A series holds every value, so quantiles are *exact* —
+    :func:`percentile`, which the serving report's latency summaries use too.
+    No bucket-boundary approximation can drift from the report.  A series
+    keeps what it observes in one ``array('d')``, eight bytes each (runs are
+    bounded and deterministic), or reads a :class:`PartedSeries` its owner
+    appends to (bound through :class:`LazySeries`): the serving loop's
+    latency and queue-delay series read the run's report fold, which holds
+    each request's two floats once.  Either way the exported ``sum`` is the
+    values' :func:`ordered_sum` in observation order.  The per-window buckets
+    are bounded :class:`StreamingQuantile` sketches, which observe every
+    value as it happens, bound series included.
     """
 
     kind = "histogram"
@@ -532,18 +584,31 @@ class Histogram(Metric):
             values = self._series[key] = array("d")
         values.append(value)
         if self._clock is not None:
-            ring, index = self._ring(key)
-            ring[index].observe(value)
+            self._observe_window(key, value)
+
+    def _bind(self, key: _LabelKey, values: PartedSeries) -> "Callable[[float], None] | None":
+        """Read the series ``key`` from ``values``, which its owner appends to.
+
+        Returns what observes each value into the window sketches on a
+        windowed registry (the owner calls it once per value, in order), and
+        ``None`` when the family keeps no windows.
+        """
+        self._series[key] = values
+        return partial(self._observe_window, key) if self._clock is not None else None
+
+    def _observe_window(self, key: _LabelKey, value: float) -> None:
+        ring, index = self._ring(key)
+        ring[index].observe(value)
 
     def values(self, **labels) -> list[float]:
-        """All observations of one series, in observation order."""
+        """All observations of one series (a bound one lists them part by part)."""
         return list(self._series.get(_label_key(labels), ()))
 
     def count(self, **labels) -> int:
         return len(self._series.get(_label_key(labels), ()))
 
     def sum(self, **labels) -> float:
-        return float(sum(self._series.get(_label_key(labels), ())))
+        return ordered_sum(self._series.get(_label_key(labels), ()))
 
     def quantile(self, q: float, **labels) -> float:
         """The ``q``-th percentile (0..100) with linear interpolation."""
@@ -556,7 +621,7 @@ class Histogram(Metric):
 
     def _snapshot_series(self, key: _LabelKey) -> dict[str, object]:
         values = self._series[key]
-        total = float(sum(values))
+        total = ordered_sum(values)
         summary: dict[str, object] = {
             "count": len(values),
             "sum": total,
@@ -604,22 +669,34 @@ class LazySeries(dict):
     :meth:`MetricsRegistry.counter`) on that first lookup too, so a hot path
     that sets these up once per run still creates each family at the event
     that first touches it, exactly as the keyword call it replaces would have.
+
+    With ``source`` (histograms only), the first lookup of ``value`` instead
+    binds the series to the :class:`PartedSeries` ``source(value)``, which
+    its owner appends to, and ``series[value]`` is what observes each of
+    those values into the window sketches: ``None`` on a registry without
+    windows, where the family has nothing more to do per value.
     """
 
-    __slots__ = ("_factory", "_name", "_description", "_label")
+    __slots__ = ("_factory", "_name", "_description", "_label", "_source")
 
     def __init__(self, factory: Callable[[str, str], Metric], name: str,
-                 description: str = "", label: str | None = None):
+                 description: str = "", label: str | None = None,
+                 source: "Callable[[object], PartedSeries] | None" = None):
         super().__init__()
         self._factory = factory
         self._name = name
         self._description = description
         self._label = label
+        self._source = source
 
-    def __missing__(self, value) -> Callable[[float], None]:
+    def __missing__(self, value) -> "Callable[[float], None] | None":
         family = self._factory(self._name, self._description)
         key = () if self._label is None else _label_key({self._label: value})
-        record = self[value] = partial(family._record, key)
+        if self._source is None:
+            record = partial(family._record, key)
+        else:
+            record = family._bind(key, self._source(value))
+        self[value] = record
         return record
 
 

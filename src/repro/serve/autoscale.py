@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING
 
 from ..checks import require_int, require_number
 from ..hardware.device import DeviceSpec
+from ..obs.metrics import ordered_sum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..obs.alerts import AlertEvent
@@ -172,7 +173,7 @@ class Autoscaler:
         if now - self._last_action_ms < config.cooldown_ms:
             return []
         backlogs = [max(0.0, worker.busy_until_ms - now) for worker in workers]
-        mean_backlog = sum(backlogs) / len(workers)
+        mean_backlog = ordered_sum(backlogs) / len(workers)
         counts: dict[str, int] = {}
         for worker in workers:
             counts[worker.device.name] = counts.get(worker.device.name, 0) + 1

@@ -349,6 +349,10 @@ class ServingLoop:
         self._handlers = (self._on_completion, self._on_timeout, self._on_scale_check)
         self._result = LoopResult()
         self._scale_armed = True
+        # Per-run constants, resolved in begin(): whether the tracer records,
+        # and the admission policy's queue callback (or None).
+        self._tracing = False
+        self._queue_observer: Callable[[int | None], None] | None = None
         self._bind_series()
         #: Optional hook fired after each completion event with the chunk's
         #: finished records (a cluster driver schedules stage handoffs from
@@ -356,6 +360,10 @@ class ServingLoop:
         self.completion_listener: Callable[[Sequence[RequestRecord]], None] | None = (
             None
         )
+        #: Optional hook fired at each dispatch with the chunk's records, in
+        #: dispatch order (a cluster driver builds end-to-end records from
+        #: it); ``None`` by default.
+        self.dispatch_listener: Callable[[Sequence[RequestRecord]], None] | None = None
 
     # ----------------------------------------------------------------- driving
     def run(self, requests: Sequence[InferenceRequest]) -> LoopResult:
@@ -376,13 +384,15 @@ class ServingLoop:
         :meth:`run` gives the loop a queue of its own; a cluster run shares
         one queue among its hosts' loops and drains it, then calls
         :meth:`finish` on each.  ``keep_records=False`` folds every record
-        into the run's report without keeping it (a cluster's intermediate
-        pipeline stages).
+        into the run's report without keeping it (a cluster host serving
+        stage requests).
         """
         self._reset(keep_records)
         self._queue = queue
         self._rank = 1 + len(self._handlers) * index
         self._scale_armed = self.autoscaler is None
+        self._tracing = bool(self.tracer)
+        self._queue_observer = getattr(self.admission, "observe_queue", None)
 
     def _arrivals_due(self) -> bool:
         """Whether more arrivals are due, as this loop last saw them.
@@ -456,8 +466,8 @@ class ServingLoop:
         self._arrival_drains = -1
         self._inflight = 0
         self.metrics.clear()
-        self._bind_series()
         self._result = LoopResult(fold=ReportFold(keep_records), metrics=self.metrics)
+        self._bind_series()
         self.metrics.gauge(
             "serve.pool.size", "active workers in the pool"
         ).set(len(self.pool.workers))
@@ -469,8 +479,12 @@ class ServingLoop:
         call created it before, so the run's registry holds the same families
         and series.  A lookup yields the series' record callable
         (``self._rejected[reason](1.0)``); unlabelled series are keyed ``None``.
+        The latency and queue-delay series read the run's fold, which stores
+        each record's two floats once; their lookup yields the window
+        observer, or ``None`` without windows.
         """
         metrics = self.metrics
+        fold = self._result.fold
         counter, gauge, histogram = metrics.counter, metrics.gauge, metrics.histogram
         self._offered = LazySeries(
             counter, "serve.requests.offered", "requests submitted to the service"
@@ -502,10 +516,12 @@ class ServingLoop:
             "batch_size",
         )
         self._latency = LazySeries(
-            histogram, "serve.latency_ms", "end-to-end request latency", "device"
+            histogram, "serve.latency_ms", "end-to-end request latency", "device",
+            source=fold.latencies_on,
         )
         self._queue_delay = LazySeries(
-            histogram, "serve.queue_delay_ms", "arrival-to-dispatch request delay", "device"
+            histogram, "serve.queue_delay_ms", "arrival-to-dispatch request delay", "device",
+            source=fold.queue_delays_on,
         )
 
     def _push(self, time_ms: float, kind: int, payload) -> None:
@@ -531,7 +547,7 @@ class ServingLoop:
         for event in events:
             self._result.alerts.append(event)
             counter.inc(rule=event.rule, state=event.state)
-            if self.tracer:
+            if self._tracing:
                 self.tracer.instant(
                     f"alert {event.rule}", "serving/alerts", event.time_ms,
                     category="alert",
@@ -562,8 +578,9 @@ class ServingLoop:
             self._push(time_ms + self.autoscaler.config.interval_ms, _SCALE, None)
         self._advance_clock(time_ms)
         tracer = self.tracer
+        tracing = self._tracing
         self._offered[None](1.0)
-        if tracer:
+        if tracing:
             tracer.async_begin(
                 f"request {request.request_id}", "serving/requests",
                 request.request_id, self._now_ms, category="request",
@@ -581,7 +598,7 @@ class ServingLoop:
             # A shed request is a spent error budget too: the burn-rate
             # alert must see rejections, not just deadline overruns.
             self._slo_missed["rejected"](1.0)
-            if tracer:
+            if tracing:
                 tracer.instant(
                     "reject", "serving/admission", self._now_ms,
                     category="admission",
@@ -617,7 +634,8 @@ class ServingLoop:
             self._push(self._batch_deadline_ms, _TIMEOUT, self._batch_id)
         self._pending.append(request)
         self._pending_samples += request.num_samples
-        self._observe_queue()
+        if self._queue_observer is not None:
+            self._observe_queue()
         self._sample_queue()
         if self._pending_samples >= policy.max_batch_size:
             self._close_batch(self._now_ms, "full")
@@ -671,7 +689,7 @@ class ServingLoop:
         for event in events:
             counter.inc(action=event.action)
             pool_size.set(event.num_workers)
-            if self.tracer:
+            if self._tracing:
                 self.tracer.instant(
                     f"scale-{event.action}", "serving/autoscale", event.time_ms,
                     category="autoscale",
@@ -685,17 +703,16 @@ class ServingLoop:
 
     # ---------------------------------------------------------------- batching
     def _observe_queue(self) -> None:
-        """Tell priority-aware policies what the forming batch holds."""
-        observe = getattr(self.admission, "observe_queue", None)
-        if observe is not None:
-            highest = max((request.priority for request in self._pending), default=None)
-            observe(highest)
+        """Tell a priority-aware policy the highest priority the forming batch holds."""
+        self._queue_observer(
+            max((request.priority for request in self._pending), default=None)
+        )
 
     def _sample_queue(self) -> None:
         """Sample the forming batch's depth into the gauge and the trace."""
         self._queue_depth[None](len(self._pending))
         self._queue_samples[None](self._pending_samples)
-        if self.tracer:
+        if self._tracing:
             self.tracer.counter(
                 "queue depth", "serving/loop", self._now_ms,
                 {"requests": len(self._pending), "samples": self._pending_samples},
@@ -707,11 +724,12 @@ class ServingLoop:
         self._pending = []
         self._pending_samples = 0
         self._batch_id += 1
-        self._observe_queue()
+        if self._queue_observer is not None:
+            self._observe_queue()
         self._sample_queue()
         self._batch_closes[reason](1.0)
         self._batch_occupancy[None](batch.num_samples)
-        if self.tracer:
+        if self._tracing:
             self.tracer.instant(
                 "batch-close", "serving/loop", formed_ms, category="batch",
                 args={
@@ -772,6 +790,7 @@ class ServingLoop:
             compiled, worker, ready_ms=batch.formed_ms, num_samples=num_samples
         )
         self._executions[rung](1.0)
+        # The histogram series read the fold's; only window sketches observe.
         latency = self._latency[dispatch.device]
         queue_delay = self._queue_delay[dispatch.device]
         add = self._result.fold.add
@@ -788,11 +807,15 @@ class ServingLoop:
             )
             add(record)
             chunk_records.append(record)
-            latency(record.latency_ms)
-            queue_delay(record.queue_delay_ms)
+        if latency is not None:
+            for record in chunk_records:
+                latency(record.latency_ms)
+                queue_delay(record.queue_delay_ms)
+        if self.dispatch_listener is not None:
+            self.dispatch_listener(chunk_records)
         self._inflight += 1
         self._push(dispatch.end_ms, _COMPLETION, chunk_records)
-        if self.tracer:
+        if self._tracing:
             self._trace_dispatch(batch, chunk, rung, compiled, dispatch)
 
     def _trace_dispatch(self, batch, chunk, rung, compiled, dispatch) -> None:

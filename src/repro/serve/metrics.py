@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ..obs.metrics import MetricsRegistry, percentiles
+from ..obs.metrics import MetricsRegistry, PartedSeries, ordered_sum, percentiles
 from .registry import RegistryStats
 from .request import RejectedRequest, RequestRecord
 
@@ -55,11 +55,15 @@ class LatencySummary:
     max_ms: float
 
     @classmethod
-    def from_values(cls, values: Sequence[float]) -> "LatencySummary":
-        """Summarise a non-empty sequence of latency samples."""
+    def from_values(cls, values: "Sequence[float] | PartedSeries") -> "LatencySummary":
+        """Summarise a non-empty sequence of latency samples.
+
+        The mean divides their :func:`~repro.obs.ordered_sum` (a
+        :class:`~repro.obs.PartedSeries` brings its running sum).
+        """
         p50, p95, p99 = percentiles(values, (50, 95, 99))
         return cls(
-            mean_ms=sum(values) / len(values),
+            mean_ms=ordered_sum(values) / len(values),
             p50_ms=p50,
             p95_ms=p95,
             p99_ms=p99,
@@ -301,28 +305,33 @@ def _pool_size_trajectory(scale_events) -> list[int]:
 class ReportFold:
     """One pass over a run's records and rejections, in the order they happen.
 
-    A report reads few things per record: its latency and queue delay, both
-    overall and its latency per device and per priority class (kept here in
-    record order, eight bytes each), plus counts — samples, the first arrival
-    and last completion, deadlines met, per-burst tallies.  The serving loop
-    hands each record to its run's fold as the record is made, and
-    :func:`build_report` reads the fold, so every sum and percentile adds
-    the same floats in the same order whichever way the report is built.
+    The fold is the one store of what a report reads per record.  Each
+    record's latency and queue delay are appended once, as the record is
+    taken, to the arrays of its (device, priority) cell, eight bytes each;
+    the overall, per-device and per-priority distributions are unions of
+    cells, and every mean divides a running sum kept in record order.
+    Everything else is counts — samples, the first arrival and last
+    completion, deadlines met, per-burst tallies.  A device's two unions are
+    :class:`~repro.obs.PartedSeries` the run's ``serve.latency_ms`` and
+    ``serve.queue_delay_ms`` histogram series read (:meth:`latencies_on`,
+    :meth:`queue_delays_on`), so they hold no copy.  The serving loop hands
+    each record to its run's fold as the record is made, and
+    :func:`build_report` reads the fold, so every sum and percentile adds the
+    same floats in the same order whichever way the report is built.
 
-    ``keep_records`` says whether the fold keeps the record objects (the
-    report's ``records``); it is fixed for the fold's life.  A standalone run
-    keeps them, and then the floats would only repeat what the records hold:
-    a keeping fold folds its records, in order, when it is first read.  A
-    cluster's intermediate pipeline stages keep none — their reports need
-    only the summaries — so their folds take each record's floats at once
-    and let the record go.  Rejections are always kept: a cluster maps them
-    back to the requests its clients sent.
+    ``keep_records`` says whether the fold also keeps the record objects (the
+    report's ``records``); it is fixed for the fold's life and changes no
+    number.  A standalone run keeps them.  A cluster host keeps them only
+    when they are its clients' own end-to-end records: a pipeline stage's
+    host, or a host behind a modeled ingress link, takes stage records and
+    keeps none.  Rejections are always kept: a cluster maps them back to the
+    requests its clients sent.
     """
 
     __slots__ = (
         "keep_records", "records", "rejected", "num_samples", "first_arrival_ms",
-        "last_completion_ms", "met", "with_deadline", "latencies", "queue_delays",
-        "device_latencies", "classes", "bursts", "reasons",
+        "last_completion_ms", "met", "with_deadline", "latency_total",
+        "queue_delay_total", "cells", "devices", "classes", "bursts", "reasons",
     )
 
     def __init__(self, keep_records: bool = True):
@@ -336,12 +345,16 @@ class ReportFold:
         #: records that carried one.
         self.met = 0
         self.with_deadline = 0
-        self.latencies = array("d")
-        self.queue_delays = array("d")
-        #: device -> latencies of the records that ran on it.
-        self.device_latencies: dict[str, array] = {}
-        #: priority -> [latencies, met, rejected].
-        self.classes: dict[int, list] = {}
+        #: Every record's latency and queue delay, summed in record order.
+        self.latency_total = 0.0
+        self.queue_delay_total = 0.0
+        #: (device, priority) -> (latencies, queue delays, the device's two
+        #: series, the priority's class), one entry per cell.
+        self.cells: dict[tuple[str, int], tuple] = {}
+        #: device -> (latencies, queue delays) of the records that ran on it.
+        self.devices: dict[str, tuple[PartedSeries, PartedSeries]] = {}
+        #: priority -> [met, rejected].
+        self.classes: dict[int, list[int]] = {}
         #: burst id -> [admitted, met, rejected].
         self.bursts: dict[int, list[int]] = {}
         #: rejection reason -> count, in order of first occurrence.
@@ -355,7 +368,8 @@ class ReportFold:
     ) -> "ReportFold":
         """The fold of finished ``records`` and ``rejected`` requests."""
         fold = cls()
-        fold.records.extend(records)
+        for record in records:
+            fold.add(record)
         for rejection in rejected:
             fold.reject(rejection)
         return fold
@@ -363,68 +377,85 @@ class ReportFold:
     @property
     def num_records(self) -> int:
         """Records taken so far (kept or not)."""
-        return len(self.records) if self.keep_records else len(self.latencies)
+        return sum(len(cell[0]) for cell in self.cells.values())
+
+    @property
+    def latencies(self) -> PartedSeries:
+        """Every record's latency, cell by cell, with their running sum."""
+        return PartedSeries([cell[0] for cell in self.cells.values()], self.latency_total)
+
+    @property
+    def queue_delays(self) -> PartedSeries:
+        """Every record's queue delay, cell by cell, with their running sum."""
+        return PartedSeries(
+            [cell[1] for cell in self.cells.values()], self.queue_delay_total
+        )
+
+    def latencies_on(self, device: str) -> PartedSeries:
+        """The latencies of the records that ran on ``device``, as they come."""
+        return self._device(device)[0]
+
+    def queue_delays_on(self, device: str) -> PartedSeries:
+        """The queue delays of the records that ran on ``device``, as they come."""
+        return self._device(device)[1]
+
+    def _device(self, device: str) -> tuple[PartedSeries, PartedSeries]:
+        series = self.devices.get(device)
+        if series is None:
+            series = self.devices[device] = (PartedSeries(), PartedSeries())
+        return series
+
+    def _cell(self, device: str, priority: int) -> tuple:
+        latency, queue_delay = self._device(device)
+        cell = self.cells[device, priority] = (
+            array("d"), array("d"), latency, queue_delay,
+            self.classes.setdefault(priority, [0, 0]),
+        )
+        latency.parts.append(cell[0])
+        queue_delay.parts.append(cell[1])
+        return cell
 
     def add(self, record: RequestRecord) -> None:
         """Take one finished request, in the run's record order."""
         if self.keep_records:
             self.records.append(record)
+        request = record.request
+        arrival_ms = request.arrival_ms
+        completion_ms = record.completion_ms
+        # RequestRecord.latency_ms and queue_delay_ms, bit for bit.
+        latency_ms = completion_ms - arrival_ms
+        queue_delay_ms = record.dispatch_ms - arrival_ms
+        self.num_samples += request.num_samples
+        if arrival_ms < self.first_arrival_ms:
+            self.first_arrival_ms = arrival_ms
+        if completion_ms > self.last_completion_ms:
+            self.last_completion_ms = completion_ms
+        self.latency_total += latency_ms
+        self.queue_delay_total += queue_delay_ms
+        cell = self.cells.get((record.device, request.priority))
+        if cell is None:
+            cell = self._cell(record.device, request.priority)
+        latencies, queue_delays, device_latencies, device_queue_delays, group = cell
+        latencies.append(latency_ms)
+        queue_delays.append(queue_delay_ms)
+        device_latencies.total += latency_ms
+        device_queue_delays.total += queue_delay_ms
+        # RequestRecord.deadline_met, without the inf of a missing deadline.
+        deadline_ms = request.deadline_ms
+        if deadline_ms is None:
+            hit = True
         else:
-            self._fold((record,))
-
-    def _settled(self) -> "ReportFold":
-        """This fold, with every kept record folded (in record order)."""
-        if len(self.latencies) < len(self.records):
-            self._fold(self.records[len(self.latencies):])
-        return self
-
-    def _fold(self, records: Sequence[RequestRecord]) -> None:
-        """Fold ``records``, in order: the report's one walk over records."""
-        latencies, queue_delays = self.latencies, self.queue_delays
-        devices, classes, bursts = self.device_latencies, self.classes, self.bursts
-        num_samples, met, with_deadline = self.num_samples, self.met, self.with_deadline
-        first_arrival_ms = self.first_arrival_ms
-        last_completion_ms = self.last_completion_ms
-        for record in records:
-            request = record.request
-            arrival_ms = request.arrival_ms
-            completion_ms = record.completion_ms
-            # RequestRecord.latency_ms and queue_delay_ms, bit for bit.
-            latency_ms = completion_ms - arrival_ms
-            num_samples += request.num_samples
-            if arrival_ms < first_arrival_ms:
-                first_arrival_ms = arrival_ms
-            if completion_ms > last_completion_ms:
-                last_completion_ms = completion_ms
-            latencies.append(latency_ms)
-            queue_delays.append(record.dispatch_ms - arrival_ms)
-            device = devices.get(record.device)
-            if device is None:
-                device = devices[record.device] = array("d")
-            device.append(latency_ms)
-            group = classes.get(request.priority)
-            if group is None:
-                group = classes[request.priority] = [array("d"), 0, 0]
-            group[0].append(latency_ms)
-            # RequestRecord.deadline_met, without the inf of a missing deadline.
-            deadline_ms = request.deadline_ms
-            if deadline_ms is None:
-                hit = True
-            else:
-                with_deadline += 1
-                hit = completion_ms <= arrival_ms + deadline_ms
-            if hit:
-                met += 1
-                group[1] += 1
-            if request.burst_id is not None:
-                burst = bursts.get(request.burst_id)
-                if burst is None:
-                    burst = bursts[request.burst_id] = [0, 0, 0]
-                burst[0] += 1
-                burst[1] += hit
-        self.num_samples, self.met, self.with_deadline = num_samples, met, with_deadline
-        self.first_arrival_ms = first_arrival_ms
-        self.last_completion_ms = last_completion_ms
+            self.with_deadline += 1
+            hit = completion_ms <= arrival_ms + deadline_ms
+        if hit:
+            self.met += 1
+            group[0] += 1
+        if request.burst_id is not None:
+            burst = self.bursts.get(request.burst_id)
+            if burst is None:
+                burst = self.bursts[request.burst_id] = [0, 0, 0]
+            burst[0] += 1
+            burst[1] += hit
 
     def reject(self, rejection: RejectedRequest) -> None:
         """Fold (and keep) one request the admission policy refused."""
@@ -433,28 +464,32 @@ class ReportFold:
         request = rejection.request
         if request.arrival_ms < self.first_arrival_ms:
             self.first_arrival_ms = request.arrival_ms
-        self.classes.setdefault(request.priority, [array("d"), 0, 0])[2] += 1
+        self.classes.setdefault(request.priority, [0, 0])[1] += 1
         if request.burst_id is not None:
             self.bursts.setdefault(request.burst_id, [0, 0, 0])[2] += 1
 
     def slo_summary(self) -> SloSummary:
         """The :class:`SloSummary` of everything taken so far."""
-        self._settled()
         per_priority: list[PriorityClassSlo] = []
         for priority in sorted(self.classes, reverse=True):
-            latencies, class_met, class_rejected = self.classes[priority]
-            class_offered = len(latencies) + class_rejected
+            class_met, class_rejected = self.classes[priority]
+            latencies = PartedSeries([
+                cell[0] for (_, cell_priority), cell in self.cells.items()
+                if cell_priority == priority
+            ])
+            admitted = len(latencies)
+            class_offered = admitted + class_rejected
             p50, p95, p99 = (
-                percentiles(latencies, (50, 95, 99)) if latencies else (0.0,) * 3
+                percentiles(latencies, (50, 95, 99)) if admitted else (0.0,) * 3
             )
             per_priority.append(
                 PriorityClassSlo(
                     priority=priority,
                     offered=class_offered,
-                    admitted=len(latencies),
+                    admitted=admitted,
                     rejected=class_rejected,
                     met=class_met,
-                    violations=len(latencies) - class_met,
+                    violations=admitted - class_met,
                     attainment=class_met / class_offered if class_offered else 0.0,
                     p50_ms=p50,
                     p95_ms=p95,
@@ -561,9 +596,9 @@ def build_report(
     if isinstance(records, ReportFold):
         if rejected:
             raise ValueError("a ReportFold carries its own rejections")
-        fold = records._settled()
+        fold = records
     else:
-        fold = ReportFold.of(records, rejected)._settled()
+        fold = ReportFold.of(records, rejected)
     num_records = fold.num_records
     if not num_records and not fold.rejected:
         raise ValueError("cannot build a serving report from zero records")
@@ -573,7 +608,8 @@ def build_report(
     device_summary: list[dict[str, object]] = []
     for group in group_summary or []:
         row = dict(group)
-        group_latencies = fold.device_latencies.get(row["device"], ())
+        device = fold.devices.get(row["device"])
+        group_latencies = device[0] if device is not None else ()
         row["requests"] = len(group_latencies)
         if group_latencies:
             row["latency"] = LatencySummary.from_values(group_latencies)
