@@ -16,7 +16,10 @@ The rendering is deterministic: given the same records the emitted JSON is
 byte-identical (keys sorted, insertion-ordered events, no wall-clock stamped
 at export time).  It is the text ``json.dumps(document, sort_keys=True)``
 would give for the document, but written record by record from one
-template per kind, so a large trace never exists as a tree of dicts.
+template per kind, so a large trace never exists as a tree of dicts.  The
+document's head comes first, then blocks of events: :func:`chrome_trace_json`
+appends each block to one growing string, and :func:`write_chrome_trace`
+writes each to the file as it is made, so neither holds the text twice.
 :func:`validate_chrome_trace` is the matching schema check used by
 ``tools/check_trace.py`` and the CI trace-smoke job.
 """
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
+from typing import Iterator
 
 from .trace import ASYNC_BEGIN, ASYNC_END, COUNTER, INSTANT, SPAN, Tracer
 
@@ -42,8 +46,8 @@ DEFAULT_PROCESS = "main"
 #: Chrome-trace phase of each async record kind.
 _ASYNC_PHASES = {ASYNC_BEGIN: "b", ASYNC_END: "e"}
 
-#: Events joined into one chunk as rendering goes: one ``str`` per event
-#: would keep tens of thousands of small objects alive until the final join.
+#: Events joined into one chunk as rendering goes, so the text grows and the
+#: file is written a chunk at a time, not once per event.
 _BLOCK_EVENTS = 1024
 
 _INF = float("inf")
@@ -71,15 +75,32 @@ def _text(value) -> str:
     return json.dumps(value)
 
 
-def _chunks(tracer: Tracer) -> list[str]:
-    """The trace document's JSON text, as chunks to join or write in order.
+def _chunks(tracer: Tracer) -> Iterator[str]:
+    """The trace document's JSON text, in order: its head, event blocks, its tail.
 
-    Each event is written straight from its record, with its keys in sorted
-    order, and every run of :data:`_BLOCK_EVENTS` events is joined into one
-    chunk.  Every event but the first starts with the list separator; an args
-    mapping is rendered once however many records share it.
+    ``tracer.records`` is read once.  One pass over its distinct tracks counts
+    the rows, so the head (which carries ``trackCount``) comes first and no
+    chunk waits for the last event.  Each event is written straight from its
+    record, with its keys in sorted order, and every run of
+    :data:`_BLOCK_EVENTS` events is joined into one chunk.  Every event but
+    the first (the first row's ``process_name``) starts with the list
+    separator; an args mapping is rendered once however many records share it.
     """
-    chunks = [""]  # the document head, written once the track count is known
+    records = tracer.records
+    other: dict = {
+        "generator": "repro.obs",
+        "trackCount": len({_split_track(track) for track in {r.track for r in records}}),
+    }
+    # A sampling tracer reports what it kept/dropped; embed that so
+    # ``ios-bench trace`` can summarise a sampled trace honestly.
+    metadata = getattr(tracer, "sampling_metadata", None)
+    if metadata is not None:
+        other["sampling"] = dict(metadata())
+    yield (
+        f'{{"displayTimeUnit": "ms", "otherData": {json.dumps(other, sort_keys=True)}, '
+        f'"traceEvents": ['
+    )
+
     block: list[str] = []  # the events rendered since the last chunk
     append = block.append
     pids: dict[str, int] = {}
@@ -95,11 +116,13 @@ def _chunks(tracer: Tracer) -> list[str]:
     def row(track: str) -> tuple[str, str]:
         process, thread = _split_track(track)
         if process not in pids:
+            # The first record's process opens the document: no separator.
+            separator = ", " if pids else ""
             pid = len(pids) + 1
             pids[process] = pid
             threads[process] = 0
             append(
-                f', {{"args": {{"name": {_text(process)}}}, "name": "process_name", '
+                f'{separator}{{"args": {{"name": {_text(process)}}}, "name": "process_name", '
                 f'"ph": "M", "pid": {pid}, "tid": 0}}'
             )
             append(
@@ -122,7 +145,7 @@ def _chunks(tracer: Tracer) -> list[str]:
         rows[track] = f'"pid": {pid}', f'"tid": {tids[(process, thread)]}'
         return rows[track]
 
-    for kind, name, track, ts_ms, dur_ms, category, correlation, args in tracer.records:
+    for kind, name, track, ts_ms, dur_ms, category, correlation, args in records:
         pid, tid = rows.get(track) or row(track)
         head = ""
         if args:
@@ -153,33 +176,27 @@ def _chunks(tracer: Tracer) -> list[str]:
                 f'"ph": "{_ASYNC_PHASES[kind]}", {pid}, {tid}, "ts": {ts}}}'
             )
         if len(block) >= _BLOCK_EVENTS:
-            chunks.append("".join(block))
+            yield "".join(block)
             block.clear()
     if block:
-        chunks.append("".join(block))
-
-    other: dict = {
-        "generator": "repro.obs",
-        "trackCount": len(tids),
-    }
-    # A sampling tracer reports what it kept/dropped; embed that so
-    # ``ios-bench trace`` can summarise a sampled trace honestly.
-    metadata = getattr(tracer, "sampling_metadata", None)
-    if metadata is not None:
-        other["sampling"] = dict(metadata())
-    chunks[0] = (
-        f'{{"displayTimeUnit": "ms", "otherData": {json.dumps(other, sort_keys=True)}, '
-        f'"traceEvents": ['
-    )
-    if len(chunks) > 1:
-        chunks[1] = chunks[1][2:]  # the first event has no separator
-    chunks.append("]}")
-    return chunks
+        yield "".join(block)
+    yield "]}"
 
 
 def chrome_trace_json(tracer: Tracer) -> str:
-    """The tracer's records as a byte-deterministic Chrome-trace JSON text."""
-    return "".join(_chunks(tracer))
+    """The tracer's records as a byte-deterministic Chrome-trace JSON text.
+
+    The text grows by one chunk at a time.  ``text`` holds the only reference
+    to it, so CPython resizes it in place and frees each chunk once appended:
+    the export's peak is about the text plus one chunk, not the text twice.
+    Python 3.10 and 3.11 copy the text at each append instead while a trace
+    hook runs (a coverage tracer, a debugger), and 3.11 also under a profile
+    hook; the bytes are the same.
+    """
+    text = ""
+    for chunk in _chunks(tracer):
+        text += chunk
+    return text
 
 
 def chrome_trace(tracer: Tracer) -> dict:
@@ -188,7 +205,10 @@ def chrome_trace(tracer: Tracer) -> dict:
 
 
 def write_chrome_trace(tracer: Tracer, path) -> Path:
-    """Write the trace JSON and a newline to ``path`` (parent directories created)."""
+    """Write the trace JSON and a newline to ``path`` (parent directories created).
+
+    Each chunk is written as it is rendered, so the whole text is never held.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="ascii") as handle:
@@ -212,8 +232,10 @@ def validate_chrome_trace(data: object) -> list[str]:
     An empty list means the document is loadable by Perfetto as far as this
     exporter's contract goes: a ``traceEvents`` list whose events carry the
     required fields, known phases, non-negative durations, and whose every
-    (pid, tid) row is named by metadata events.  Used by
-    ``tools/check_trace.py`` and the ``ios-bench trace`` subcommand.
+    (pid, tid) row is named by metadata events.  When ``otherData`` carries a
+    ``trackCount``, it must equal the number of rows named by ``thread_name``
+    events.  Used by ``tools/check_trace.py`` and the ``ios-bench trace``
+    subcommand.
     """
     errors: list[str] = []
     if not isinstance(data, dict):
@@ -284,4 +306,11 @@ def validate_chrome_trace(data: object) -> list[str]:
             errors.append(f"row (pid={pid}, tid={tid}) carries events but no thread_name")
         if pid not in named_processes:
             errors.append(f"process {pid} carries events but no process_name")
+    other = data.get("otherData")
+    track_count = other.get("trackCount") if isinstance(other, dict) else None
+    if track_count is not None and track_count != len(named_rows):
+        errors.append(
+            f"otherData.trackCount is {track_count!r} but {len(named_rows)} rows "
+            f"are named by thread_name"
+        )
     return errors

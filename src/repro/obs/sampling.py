@@ -171,8 +171,9 @@ class SamplingTracer(Tracer):
     def records(self) -> list[TraceRecord]:
         """Every retained record, merged back into recording order.
 
-        The runs are concatenated, then argsorted by their seqs: no pair
-        tuple is built per record.
+        Each run's records are placed at their seqs in one list of a slot per
+        seq issued, and the filled slots are kept: no pair tuple and no boxed
+        sort key is built per record.
         """
         runs = [
             *self._kept_groups.values(),
@@ -180,12 +181,11 @@ class SamplingTracer(Tracer):
             *(reservoir.kept for reservoir in self._tracks.values()),
             self._exempt,
         ]
-        seqs = array("q")
-        records: list[TraceRecord] = []
+        slots: list[TraceRecord | None] = [None] * self._seq
         for run in runs:
-            seqs += run.seqs
-            records += run.records
-        return [records[i] for i in sorted(range(len(records)), key=seqs.__getitem__)]
+            for seq, record in zip(run.seqs, run.records):
+                slots[seq] = record
+        return list(filter(None, slots))
 
     @records.setter
     def records(self, value) -> None:

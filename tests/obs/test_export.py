@@ -127,6 +127,17 @@ class TestValidateChromeTrace:
         ]
         assert any("thread_name" in e for e in validate_chrome_trace(document))
 
+    def test_a_wrong_track_count_is_reported(self):
+        document = chrome_trace(sample_tracer())
+        document["otherData"]["trackCount"] = 5
+        (error,) = validate_chrome_trace(document)
+        assert "trackCount is 5" in error and "4 rows" in error
+
+    def test_a_document_without_a_track_count_is_not_checked_for_one(self):
+        document = chrome_trace(sample_tracer())
+        del document["otherData"]["trackCount"]
+        assert validate_chrome_trace(document) == []
+
 
 # --------------------------------------------------------------------------- #
 # The direct writer against a dict-building oracle                             #
@@ -230,7 +241,10 @@ _AWKWARD = st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
                             "é", "\u2028", "😀", "\ud800"])
 _text = st.text(st.one_of(_AWKWARD, st.characters()), max_size=6)
 _track = st.one_of(
-    st.sampled_from(["serving/requests", "worker 0 (v100)/stream 1", "bare", "a/b/c"]),
+    # "bare" and "main/bare" are two spellings of one row.
+    st.sampled_from(
+        ["serving/requests", "worker 0 (v100)/stream 1", "bare", "main/bare", "a/b/c"]
+    ),
     _text,
 )
 _time = st.one_of(

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.obs import (
     SamplingConfig,
     SamplingTracer,
+    Tracer,
     parse_sampling_spec,
     validate_chrome_trace,
 )
@@ -464,3 +465,20 @@ def test_a_decimated_record_is_never_built(monkeypatch):
     assert [fields[3] for fields in built] == [0, 1, 2, 4]
     assert [record.ts_ms for record in tracer.records] == [0]
     assert tracer.sampling_metadata()["records"]["dropped"] == 7
+
+
+# --------------------------------------------------------------------------- #
+# The merge by seq equals a plain tracer's recording order                    #
+# --------------------------------------------------------------------------- #
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_operations, _dense_operations))
+def test_unbounded_sampler_records_equal_a_plain_tracers(operations):
+    sampler = SamplingTracer(
+        SamplingConfig(max_records=10**6, head_every=0, track_budget=10**6)
+    )
+    plain = Tracer()
+    for tracer in (sampler, plain):
+        state = {"now": 0.0, "next_id": 1, "open": {}}
+        for operation in operations:
+            _apply(tracer, operation, state)
+    assert sampler.records == plain.records  # the same fields, in the same order

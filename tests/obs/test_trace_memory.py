@@ -1,6 +1,6 @@
-"""Memory bounds of tracing: what a sampler retains, and the export's peak.
+"""Memory bounds of tracing: what a sampler retains, and the export's peaks.
 
-Both tests measure with :mod:`tracemalloc` on a fresh tracer fed one
+The tests measure with :mod:`tracemalloc` on a fresh tracer fed one
 synthetic trace: 20,000 kernel spans on one track plus 4,000 four-record
 request lifecycles, each stamped with its own float timestamps as the
 serving loop stamps them.  The budgets keep every record, so the sampler
@@ -10,10 +10,13 @@ holds the whole trace in its buffers.
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 from contextlib import contextmanager
 
-from repro.obs import SamplingConfig, SamplingTracer, chrome_trace_json
+from repro.obs import (
+    SamplingConfig, SamplingTracer, chrome_trace_json, write_chrome_trace,
+)
 
 SPANS = 20_000
 LIFECYCLES = 4_000
@@ -22,10 +25,21 @@ LIFECYCLES = 4_000
 #: The seq arrays measure about 202 here; ``(seq, record)`` pairs about 270.
 MAX_BYTES_PER_RECORD = 220
 
-#: The export's peak above its start, as a multiple of the text's length:
-#: about 2.0 (the text plus its chunks) when events are joined in blocks,
-#: about 2.6 when every event is a chunk of its own.
-MAX_EXPORT_PEAK_RATIO = 2.2
+#: The export's peak above its start, as a multiple of the text's length.
+#: Growing the text in place measures 1.16 on Python 3.10 to 3.13: the text,
+#: the merged records and one block.  Holding every block until a join makes
+#: the text twice, about 2.0.
+MAX_EXPORT_PEAK_RATIO = 1.4
+
+#: The same peak while Python 3.10 or 3.11 runs a trace hook (a coverage
+#: tracer, a debugger), or 3.11 a profile hook: those interpreters then copy
+#: the text at every append instead of resizing it, which measures 2.13.
+MAX_HOOKED_EXPORT_PEAK_RATIO = 2.2
+
+#: Writing the file's peak above its start, as a multiple of the file's bytes.
+#: Streaming the blocks measures 0.20 on Python 3.10 to 3.13 (the merged
+#: records and one block); holding every block until the end measures 1.14.
+MAX_WRITE_PEAK_RATIO = 0.5
 
 
 def unbounded_sampler() -> SamplingTracer:
@@ -73,11 +87,23 @@ def test_sampler_retains_a_bounded_number_of_bytes_per_record():
     assert retained / len(tracer) <= MAX_BYTES_PER_RECORD
 
 
-def test_export_peaks_at_about_the_text_and_one_copy():
+def test_export_peaks_at_about_the_text_and_one_block():
     tracer = record_synthetic_trace(unbounded_sampler())
     with traced_memory():
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         text = chrome_trace_json(tracer)
         peak = tracemalloc.get_traced_memory()[1] - start
-    assert peak / len(text) <= MAX_EXPORT_PEAK_RATIO
+    hooked = sys.version_info < (3, 12) and (sys.gettrace() or sys.getprofile())
+    bound = MAX_HOOKED_EXPORT_PEAK_RATIO if hooked else MAX_EXPORT_PEAK_RATIO
+    assert peak / len(text) <= bound
+
+
+def test_writing_a_trace_holds_one_block_not_the_text(tmp_path):
+    tracer = record_synthetic_trace(unbounded_sampler())
+    with traced_memory():
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        target = write_chrome_trace(tracer, tmp_path / "trace.json")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    assert peak / target.stat().st_size <= MAX_WRITE_PEAK_RATIO
